@@ -125,8 +125,8 @@ func TestTable4CompressionWins(t *testing.T) {
 func TestScalingRunShape(t *testing.T) {
 	cfg := smokeConfig()
 	cfg.Workers = 2
-	// Enough rows that the wide-group estimate clears the
-	// PartitionMinGroups floor and the adaptive plan partitions.
+	// Enough rows that the wide-group estimate clears the adaptive
+	// chooser's 2^13-group floor and the plan partitions.
 	rep := ScalingRun(cfg, 20_000)
 	if rep.Schema != "ocht-scaling/1" || rep.Cpus < 1 || rep.Gomaxprocs < 1 {
 		t.Fatalf("report header: %+v", rep)

@@ -194,7 +194,7 @@ func ScalingJSON(w io.Writer, cfg Config) error {
 }
 
 // scalingWidePlan aggregates the same filtered scan into ~100k suppkey
-// groups: far past the PartitionMinGroups floor, so the adaptive chooser
+// groups: far past the 2^13-group floor, so the adaptive chooser
 // radix-partitions the group table and the parallel driver takes the
 // owner-computes partition-wise path.
 func scalingWidePlan(fact *storage.Table, bits int) exec.Op {

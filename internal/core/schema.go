@@ -40,9 +40,9 @@ type KeyCol struct {
 	Dom  domain.D // ignored for Str columns
 }
 
-// ussrCodeDomain is the domain of USSR slot codes: 16-bit slot numbers,
+// USSRCodeDomain is the domain of USSR slot codes: 16-bit slot numbers,
 // with 0 reserved as the exception marker (Section IV-F).
-var ussrCodeDomain = domain.New(0, 1<<16-1)
+var USSRCodeDomain = domain.New(0, 1<<16-1)
 
 // KeySchema resolves key columns into a physical key layout under the
 // given flags and provides the vectorized hash, store, match and load
@@ -111,7 +111,7 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 				// reference moves to the cold area for exceptions.
 				s.codeCol[i] = len(pcols)
 				s.planCols = append(s.planCols, i)
-				pcols = append(pcols, pack.Col{Name: c.Name, Type: vec.Str, Dom: ussrCodeDomain})
+				pcols = append(pcols, pack.Col{Name: c.Name, Type: vec.Str, Dom: USSRCodeDomain})
 				s.strCold[i] = s.coldBytes
 				s.coldBytes += 8
 			case c.Type == vec.Str:

@@ -184,7 +184,11 @@ func TestCoordinatorCopy(t *testing.T) {
 		if i%19 == 0 {
 			name = ""
 		}
-		data += fmt.Sprintf("%d,%s,%d.25\n", i, name, i%9)
+		score := fmt.Sprintf("%d.25", i%9)
+		if i%23 == 0 {
+			score = ""
+		}
+		data += fmt.Sprintf("%d,%s,%s\n", i, name, score)
 	}
 	if err := os.WriteFile(csvPath, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
@@ -229,6 +233,7 @@ func TestCoordinatorCopy(t *testing.T) {
 		"SELECT COUNT(*) FROM cp WHERE name IS NULL",
 		"SELECT MIN(id), MAX(id), AVG(id) FROM cp",
 		"SELECT COUNT(*) FROM cp WHERE score > 4.0",
+		"SELECT score, COUNT(*), MIN(id) FROM cp GROUP BY score", // nullable DOUBLE key
 	} {
 		got, gerr := coord.Query(ctx, q)
 		if gerr != nil {

@@ -35,8 +35,9 @@ func cloneExpr(e *Expr) *Expr {
 // queues serve each clone its own contiguous range first); HashJoins keep
 // the original (shared) build subtree but mark the already-built join
 // table as prebuilt so the clone's Open only prepares a private probe
-// cursor. HashAgg clones get a private hash table (skipBuild false),
-// built from the clone's own morsel stream and merged by the driver
+// cursor. HashAgg clones get a private group table, filled from the
+// clone's own morsel stream (built by Open on the merge path, spilled
+// after setup on the partition-wise path) and combined by the driver
 // afterwards.
 func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 	switch t := o.(type) {

@@ -338,11 +338,7 @@ func ensurePlain(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int) *vec.
 	if v.Enc == vec.EncPlain {
 		return v
 	}
-	buf := *bufp
-	if buf == nil || buf.Typ != v.Typ || buf.Len() < phys {
-		buf = vec.New(v.Typ, phys)
-		*bufp = buf
-	}
+	buf := scratchVec(bufp, v.Typ, phys)
 	v.MaterializeRowsInto(buf, rows)
 	return buf
 }

@@ -1,0 +1,478 @@
+package exec
+
+import (
+	"math"
+	"time"
+
+	"ocht/internal/agg"
+	"ocht/internal/core"
+	"ocht/internal/domain"
+	"ocht/internal/i128"
+	"ocht/internal/strs"
+	"ocht/internal/vec"
+)
+
+// groupTable is the executor's one aggregation primitive: a
+// radix-partitioned, optimistically compressed table of groups plus the
+// steps every aggregation route repeats — resolve the key and aggregate
+// layouts, NULL-remap key vectors, find-or-insert groups while logging
+// their first-occurrence order, fold argument vectors into aggregate
+// state, emit. The routes are thin feeders that differ only in where rows
+// come from and how they fold:
+//
+//   - HashAgg.build: child batches, folded by Update;
+//   - HashAgg.buildPartition (partagg.go): one radix partition's spilled
+//     rows, folded by Update into a table the owner worker builds whole;
+//   - groupTable.merge: the groups of a worker's partial table, folded by
+//     agg.Merge (the clone-and-merge path of parallel.go);
+//   - MergeAgg: finalized shard partials, folded by LoadPartial +
+//     agg.Merge.
+type groupTable struct {
+	meta     []Meta // output columns: nKeys group keys, then the aggregates
+	nKeys    int
+	keyTypes []vec.Type // per key: the type of its coded vectors (meta's, or I64 when widened)
+	nullCode []int64    // per key: NULL code for non-string keys, math.MinInt64 = none
+
+	specs       []agg.Spec // internal layouts (AVG -> SUM + COUNT)
+	specOf      []aggMap   // output aggregate -> internal spec(s)
+	argNullable []bool     // per spec: NULL inputs must be skipped by fold
+
+	schema *core.KeySchema
+	ag     *agg.Aggregator
+	pt     *core.PartTable
+
+	// Per-batch scratch, all row-indexed: the remapped key vectors (and the
+	// buffers encoded or nullable keys are decoded into, active rows only),
+	// key hashes, and each row's partition-local group record. Partitions
+	// own disjoint row sets, so one recs buffer serves all of them.
+	keyVecs []*vec.Vector
+	keyBufs []*vec.Vector
+	hashes  []uint64
+	recs    []int32
+	subset  []int32
+	partLen []int32 // per-partition record count before the batch
+
+	// order logs each group's encoded (partition, record) in insertion
+	// order. Emission walks it so result order stays the first-occurrence
+	// order of the input stream — independent of the radix width and of
+	// the flag-dependent hash that routes rows to partitions.
+	order     []int32
+	emit      int           // orders already emitted
+	chunkRecs [][]int32     // per-partition local records of the current order chunk
+	chunkRows [][]int32     // matching positions inside the chunk
+	tmp       []*vec.Vector // per output aggregate: AVG sum / type-conversion temporary
+	cnt       *vec.Vector   // AVG count temporary
+	out       vec.Batch
+}
+
+type aggMap struct {
+	spec  int // internal spec index (sum for AVG)
+	cnt   int // count spec index for AVG, else -1
+	isAvg bool
+}
+
+// aggInput is one output aggregate as a feeder declares it.
+type aggInput struct {
+	fn       agg.Func // Avg included
+	spec     agg.Spec // InType, InDom and MaxRows of the input; resolve fills Func
+	nullable bool     // the input vectors fold receives may carry NULLs
+}
+
+// identRows is the dense row list 0..vec.Size-1 (read-only), for feeders
+// whose rows are positions in their own scratch vectors.
+var identRows = func() []int32 {
+	rows := make([]int32, vec.Size)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}()
+
+// scratchVec returns *bufp if it is a vector of typ with room for n
+// values, else replaces it with a fresh one.
+func scratchVec(bufp **vec.Vector, typ vec.Type, n int) *vec.Vector {
+	if buf := *bufp; buf == nil || buf.Typ != typ || buf.Len() < n {
+		*bufp = vec.New(typ, n)
+	}
+	return *bufp
+}
+
+// resolve fixes the physical layout: key columns with NULL codes folded
+// into their domain, the internal aggregate specs (AVG becomes SUM + COUNT,
+// Table I), the key schema and the aggregator. meta describes the output
+// columns (nKeys keys first), ins the aggregates behind meta[nKeys:].
+func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, nKeys int, ins []aggInput) {
+	*g = groupTable{meta: meta, nKeys: nKeys}
+	keyCols := make([]core.KeyCol, nKeys)
+	g.keyTypes = make([]vec.Type, nKeys)
+	g.nullCode = make([]int64, nKeys)
+	for i, k := range meta[:nKeys] {
+		kc := core.KeyCol{Name: k.Name, Type: k.Type, Dom: k.Dom}
+		if k.Type == vec.F64 {
+			// The key schema packs and hashes integers and string refs
+			// only: DOUBLE keys enter it as their 64-bit patterns
+			// (remapKey) and are restored at emission.
+			kc.Type, kc.Dom = vec.I64, domain.Unknown
+		}
+		code := int64(math.MinInt64) // no remapping
+		// Arithmetic never produces Str, so string key vectors keep their
+		// source type and NULL strings are remapped to the null ref.
+		if k.Nullable && k.Type != vec.Str {
+			if kc.Dom.Valid && kc.Dom.Max < math.MaxInt64 {
+				code = kc.Dom.Max + 1
+				kc.Dom = domain.New(kc.Dom.Min, code)
+			} else {
+				// Unknown domain: use an improbable sentinel.
+				code = math.MinInt64 + 1
+			}
+			// A code outside the range of a narrow key type (any code, for
+			// Bool) would alias a real value once stored in the key vector:
+			// such keys are coded as I64.
+			if w := k.Type.Bits(); k.Type == vec.Bool || w < 64 && !domain.ForType(w).Contains(code) {
+				kc.Type = vec.I64
+			}
+		}
+		g.keyTypes[i] = kc.Type
+		g.nullCode[i] = code
+		keyCols[i] = kc
+	}
+
+	mk := func(in aggInput, f agg.Func) int {
+		in.spec.Func = f
+		g.specs = append(g.specs, in.spec)
+		g.argNullable = append(g.argNullable, in.nullable)
+		return len(g.specs) - 1
+	}
+	for _, in := range ins {
+		if in.fn == Avg {
+			si := mk(in, agg.Sum)
+			g.specOf = append(g.specOf, aggMap{spec: si, cnt: mk(in, agg.Count), isAvg: true})
+		} else {
+			g.specOf = append(g.specOf, aggMap{spec: mk(in, in.fn), cnt: -1})
+		}
+	}
+
+	var err error
+	g.schema, err = core.NewKeySchema(flags, keyCols, store)
+	if err != nil {
+		panic(err)
+	}
+	g.ag = agg.NewAggregator(flags, g.specs)
+}
+
+// alloc creates the (empty) 2^bits-partition table for about hint groups,
+// registers it with the query's footprint accounting and sizes the batch
+// scratch. It follows resolve; the feeder picks bits in between because
+// the adaptive choice depends on the resolved record width.
+func (g *groupTable) alloc(qc *QCtx, hint int64, bits int) {
+	if hint > 1<<12 {
+		hint = 1 << 12 // the directory grows with the table
+	}
+	g.pt = core.NewPartTable(g.schema, g.ag.HotBytes, g.ag.ColdBytes, int(hint), bits)
+	for _, t := range g.pt.Parts() {
+		qc.register(t)
+	}
+	g.keyVecs = make([]*vec.Vector, g.nKeys)
+	g.keyBufs = make([]*vec.Vector, g.nKeys)
+	g.hashes = make([]uint64, vec.Size)
+	g.recs = make([]int32, vec.Size)
+	g.subset = make([]int32, 0, vec.Size)
+	g.partLen = make([]int32, g.pt.NParts())
+	g.chunkRecs = make([][]int32, g.pt.NParts())
+	g.chunkRows = make([][]int32, g.pt.NParts())
+}
+
+// reserve grows the row-indexed scratch to a batch's physical length.
+func (g *groupTable) reserve(phys int) {
+	if phys > len(g.hashes) {
+		g.hashes = make([]uint64, phys)
+		g.recs = make([]int32, phys)
+	}
+}
+
+// remapKey folds key i into the key coding: non-string NULLs become the
+// extended domain code, string NULLs the null reference, DOUBLEs their bit
+// pattern (-0 grouped with +0). Encoded key vectors materialize into the
+// per-key scratch on the way (the key schema hashes raw slices); plain
+// non-nullable integer and string keys pass through untouched.
+func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec.Vector {
+	if g.keyTypes[i] == v.Typ && !g.meta[i].Nullable {
+		return ensurePlain(v, rows, &g.keyBufs[i], phys)
+	}
+	out := scratchVec(&g.keyBufs[i], g.keyTypes[i], phys)
+	code := g.nullCode[i]
+	switch v.Typ {
+	case vec.Str:
+		for _, r := range rows {
+			if v.IsNull(int(r)) {
+				out.Str[r] = nullStrRef
+			} else {
+				out.Str[r] = v.StrRefAt(int(r))
+			}
+		}
+	case vec.F64:
+		for _, r := range rows {
+			switch f := v.F64[r]; {
+			case v.IsNull(int(r)):
+				out.I64[r] = code
+			case f == 0:
+				out.I64[r] = 0 // -0 and +0 are one group
+			default:
+				out.I64[r] = int64(math.Float64bits(f))
+			}
+		}
+	default:
+		for _, r := range rows {
+			if v.IsNull(int(r)) {
+				out.SetInt64(int(r), code)
+			} else {
+				out.SetInt64(int(r), v.Int64At(int(r)))
+			}
+		}
+	}
+	return out
+}
+
+// hashKeys packs the batch's remapped key vectors (g.keyVecs) and hashes
+// them into g.hashes.
+func (g *groupTable) hashKeys(st *Stats, rows []int32) *core.Prepared {
+	p := g.schema.Prepare(g.keyVecs, rows)
+	start := time.Now()
+	g.schema.Hash(p, rows, g.hashes)
+	st.Add(StatHash, time.Since(start))
+	return p
+}
+
+// insertInto finds or creates the group of each given row in t — one of
+// g's partitions, or a partition table an owner worker builds on g's
+// schema — leaving its record in g.recs[row], and initializes the
+// aggregate state of new groups.
+//
+//ocht:hot
+func (g *groupTable) insertInto(st *Stats, t *core.Table, p *core.Prepared, rows []int32) {
+	start := time.Now()
+	_, newRecs := t.FindOrInsert(p, g.hashes, rows, g.recs)
+	st.Add(StatLookup, time.Since(start))
+	g.ag.Init(t, newRecs)
+}
+
+// fold updates every aggregate of the given rows' groups (g.recs, in t)
+// with the rows' argument values, one plain vector per spec.
+//
+//ocht:hot
+func (g *groupTable) fold(st *Stats, t *core.Table, rows []int32, args []*vec.Vector) {
+	for si := range g.specs {
+		arg := args[si]
+		updateRows := rows
+		if g.argNullable[si] && arg.Nulls != nil {
+			// SQL semantics: NULL inputs do not contribute.
+			g.subset = g.subset[:0]
+			for _, r := range rows {
+				if !arg.Nulls[r] {
+					g.subset = append(g.subset, r)
+				}
+			}
+			updateRows = g.subset
+		}
+		start := time.Now()
+		g.ag.Update(t, si, g.recs, updateRows, arg)
+		st.Add(StatAggregate, time.Since(start))
+	}
+}
+
+// insert routes each active row to its radix partition by g.hashes, then
+// inserts — and, given args, folds — partition by partition, so each
+// sub-table stays cache-resident while its rows are applied. Feeders that
+// fold by agg.Merge pass nil args and merge into g.recs afterwards. New
+// groups are logged in first-occurrence row order, so emission order
+// matches a monolithic table's insertion order: records append
+// sequentially within a partition, so a per-partition watermark identifies
+// each group's creating row in one ordered pass.
+func (g *groupTable) insert(st *Stats, p *core.Prepared, rows []int32, args []*vec.Vector) {
+	for pi := range g.partLen {
+		g.partLen[pi] = int32(g.pt.Part(pi).Len())
+	}
+	for pi, rg := range g.pt.PartitionRows(g.hashes, rows) {
+		if len(rg) == 0 {
+			continue
+		}
+		t := g.pt.Part(pi)
+		g.insertInto(st, t, p, rg)
+		if args != nil {
+			g.fold(st, t, rg, args)
+		}
+	}
+	for _, r := range rows {
+		pi := g.pt.PartOf(g.hashes[r])
+		if rec := g.recs[r]; rec >= g.partLen[pi] {
+			g.order = append(g.order, g.pt.EncodeRec(pi, rec))
+			g.partLen[pi] = rec + 1
+		}
+	}
+}
+
+// splitChunk splits a run of the order log by partition: the local records
+// and their positions inside the run, which feed the per-partition
+// gathers.
+func (g *groupTable) splitChunk(chunk []int32) {
+	for pi := range g.chunkRecs {
+		g.chunkRecs[pi] = g.chunkRecs[pi][:0]
+		g.chunkRows[pi] = g.chunkRows[pi][:0]
+	}
+	for i, grec := range chunk {
+		pi, local := g.pt.DecodeRec(grec)
+		g.chunkRecs[pi] = append(g.chunkRecs[pi], local)
+		g.chunkRows[pi] = append(g.chunkRows[pi], int32(i))
+	}
+}
+
+// loadKey gathers key column ci of the split chunk, NULL-coded as stored.
+func (g *groupTable) loadKey(ci int, out *vec.Vector) {
+	for pi, recs := range g.chunkRecs {
+		if len(recs) > 0 {
+			g.pt.Part(pi).LoadKey(ci, recs, out, g.chunkRows[pi])
+		}
+	}
+}
+
+// result gathers one internal aggregate of the split chunk.
+func (g *groupTable) result(spec int, out *vec.Vector) {
+	for pi, recs := range g.chunkRecs {
+		if len(recs) > 0 {
+			g.ag.Result(g.pt.Part(pi), spec, recs, out, g.chunkRows[pi])
+		}
+	}
+}
+
+// merge re-aggregates every group of a worker's partial table into g:
+// group keys are loaded back from the partial records (string keys resolve
+// across worker heaps through the shared shard table), located-or-inserted
+// in g, and the aggregate states combined by agg.Merge — including the
+// carries of optimistically split aggregates, whose hot/cold exception
+// handling is the reason this is aggregate-kind-specific rather than a
+// byte copy.
+func (g *groupTable) merge(src *groupTable) {
+	for base := 0; base < len(src.order); base += vec.Size {
+		// Walk the worker's groups in ITS insertion order, so g's order
+		// log — and with it the final emission order — is independent of
+		// how either side was partitioned.
+		chunk := src.order[base:min(base+vec.Size, len(src.order))]
+		rows := identRows[:len(chunk)]
+		src.splitChunk(chunk)
+		// Keys come back NULL-coded exactly as stored, so they feed g's
+		// Prepare without re-remapping.
+		for ci := range g.keyVecs {
+			g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], g.keyTypes[ci], vec.Size)
+			src.loadKey(ci, g.keyVecs[ci])
+		}
+		// The two tables may use different radix widths, so the rows are
+		// re-routed against g's partitions.
+		g.insert(nil, g.hashKeys(nil, rows), rows, nil)
+		for i, grec := range chunk {
+			spi, slocal := src.pt.DecodeRec(grec)
+			dst := g.pt.Part(int(g.pt.PartOf(g.hashes[i])))
+			g.ag.Merge(dst, g.recs[i], src.pt.Part(int(spi)), slocal)
+		}
+	}
+}
+
+// next emits the next chunk of groups in insertion order: keys with their
+// NULL codes restored to SQL NULLs, aggregates finalized to the declared
+// output types.
+func (g *groupTable) next() *vec.Batch {
+	if g.emit >= len(g.order) {
+		return nil
+	}
+	n := min(len(g.order)-g.emit, vec.Size)
+	if g.out.Vecs == nil {
+		g.out.Vecs = make([]*vec.Vector, len(g.meta))
+		for i, m := range g.meta {
+			g.out.Vecs[i] = vec.New(m.Type, vec.Size)
+		}
+		g.tmp = make([]*vec.Vector, len(g.specOf))
+	}
+	g.splitChunk(g.order[g.emit : g.emit+n])
+
+	for ci, k := range g.meta[:g.nKeys] {
+		out := g.out.Vecs[ci]
+		coded := out
+		if g.keyTypes[ci] != k.Type {
+			coded = scratchVec(&g.keyBufs[ci], vec.I64, vec.Size)
+		}
+		g.loadKey(ci, coded)
+		if coded != out {
+			for i := 0; i < n; i++ {
+				if k.Type == vec.F64 {
+					out.F64[i] = math.Float64frombits(uint64(coded.I64[i]))
+				} else {
+					out.SetInt64(i, coded.I64[i])
+				}
+			}
+		}
+		if !k.Nullable {
+			continue
+		}
+		if out.Nulls == nil {
+			out.Nulls = make([]bool, out.Len())
+		}
+		for i := 0; i < n; i++ {
+			if k.Type == vec.Str {
+				out.Nulls[i] = out.Str[i] == nullStrRef
+			} else {
+				out.Nulls[i] = coded.Int64At(i) == g.nullCode[ci]
+			}
+		}
+	}
+
+	for oi, m := range g.specOf {
+		out := g.out.Vecs[g.nKeys+oi]
+		got := g.ag.ResultType(m.spec)
+		switch {
+		case m.isAvg:
+			sum := scratchVec(&g.tmp[oi], got, vec.Size)
+			cnt := scratchVec(&g.cnt, vec.I64, vec.Size)
+			g.result(m.spec, sum)
+			g.result(m.cnt, cnt)
+			for i := 0; i < n; i++ {
+				if c := cnt.I64[i]; c == 0 {
+					out.F64[i] = 0
+				} else {
+					out.F64[i] = sumAsF64(sum, i) / float64(c)
+				}
+			}
+		case out.Typ == got:
+			g.result(m.spec, out)
+		default:
+			// Storage kind differs from the declared output type (e.g. an
+			// optimistic 128-bit sum emitted where vanilla declared I64, or
+			// vice versa): convert through a temporary.
+			tmp := scratchVec(&g.tmp[oi], got, vec.Size)
+			g.result(m.spec, tmp)
+			for i := 0; i < n; i++ {
+				if out.Typ == vec.I128 {
+					out.I128[i] = i128.FromInt64(tmp.I64[i])
+				} else {
+					out.I64[i] = tmp.I128[i].Int64()
+				}
+			}
+		}
+	}
+
+	g.emit += n
+	g.out.Sel = nil
+	g.out.N = n
+	return &g.out
+}
+
+func sumAsF64(v *vec.Vector, i int) float64 {
+	if v.Typ == vec.I64 {
+		return float64(v.I64[i])
+	}
+	x := v.I128[i]
+	if x.IsInt64() {
+		// float64(Lo) alone would round a small negative sum's low word up
+		// to 2^64 and cancel it against Hi.
+		return float64(x.Int64())
+	}
+	return float64(x.Hi)*math.Pow(2, 64) + float64(x.Lo)
+}

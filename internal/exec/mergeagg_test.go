@@ -184,3 +184,40 @@ func TestMergeAggClone(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeAggCountDomain merges shard counts whose total exceeds the
+// gathered row count: a merged COUNT is a sum of shard counts, so the
+// exchange's row count must not be declared as its bound. Every emitted
+// value has to lie inside its column's declared domain, and a filter on
+// the merged count above the merge has to see the real value.
+func TestMergeAggCountDomain(t *testing.T) {
+	rows := [][]Value{
+		{{Typ: vec.Str, S: "a"}, {Typ: vec.I64, I: 1_000_000}},
+		{{Typ: vec.Str, S: "a"}, {Typ: vec.I64, I: 1_000_000}},
+	}
+	mk := func() *MergeAgg {
+		return NewMergeAgg(
+			NewExchange([]string{"k", "c"}, []vec.Type{vec.Str, vec.I64}, rows),
+			1, []MergeSpec{{Func: agg.Count, Col: 1, Cnt: -1, Name: "c"}})
+	}
+	for _, f := range allFlags {
+		m := mk()
+		res := Run(NewQCtx(f), m)
+		if len(res.Rows) != 1 || res.Rows[0][1].I != 2_000_000 {
+			t.Fatalf("flags %s: merged rows %v, want one group counting 2000000", flagName(f), res.Rows)
+		}
+		for _, row := range res.Rows {
+			for ci, v := range row {
+				if d := m.Meta()[ci].Dom; d.Valid && v.Typ != vec.Str && !d.Contains(v.I) {
+					t.Errorf("flags %s: column %s emits %d outside its declared domain %s",
+						flagName(f), m.Meta()[ci].Name, v.I, d)
+				}
+			}
+		}
+		m = mk()
+		kept := Run(NewQCtx(f), NewFilter(m, Gt(Col(m.Meta(), "c"), Int(1_500_000))))
+		if len(kept.Rows) != 1 {
+			t.Errorf("flags %s: filter c > 1500000 above the merge kept %d rows, want 1", flagName(f), len(kept.Rows))
+		}
+	}
+}

@@ -1,13 +1,9 @@
 package exec
 
 import (
-	"math"
-	"time"
-
 	"ocht/internal/agg"
 	"ocht/internal/core"
 	"ocht/internal/domain"
-	"ocht/internal/i128"
 	"ocht/internal/vec"
 )
 
@@ -36,54 +32,21 @@ type HashAgg struct {
 	// bound, 0 forces one monolithic table, positive forces 2^bits.
 	PartitionBits int
 
-	meta     []Meta
-	keyCols  []core.KeyCol
-	nullCode []int64 // per key: NULL code for int keys, math.MinInt64 = none
-	schema   *core.KeySchema
-	ag       *agg.Aggregator
-	pt       *core.PartTable
+	meta []Meta
+	g    groupTable
 
-	// skipBuild makes Open set up the schema, aggregator and (empty)
-	// table without draining the child. The parallel driver opens the
-	// template frontier this way, then fills the table in the merge phase.
-	skipBuild bool
 	// driverOpened marks that the parallel driver has already opened this
 	// operator and populated its table; the next Open call (the serial
 	// pass over the plan above the frontier) must not rebuild anything.
 	driverOpened bool
 
-	specs  []agg.Spec
-	specOf []aggMap // output aggregate -> internal spec(s)
-	argOf  []*Expr  // per spec: the aggregate argument expression, or nil
-	// keyBufs/argBufs are the late-materialization scratch at the
-	// aggregation boundary: encoded or NULL-remapped key vectors and
-	// encoded aggregate arguments are decoded into them (active rows only),
-	// reused across batches.
-	keyBufs []*vec.Vector
+	argOf []*Expr // per internal spec: the aggregate argument expression, or nil
+	// args holds the current batch's argument vectors per spec; encoded
+	// arguments are decoded into argBufs (active rows only), the
+	// late-materialization scratch at the aggregation boundary, reused
+	// across batches.
+	args    []*vec.Vector
 	argBufs []*vec.Vector
-	scratch struct {
-		keys    []*vec.Vector
-		args    []*vec.Vector
-		hashes  []uint64
-		recs    []int32
-		subset  []int32
-		partLen []int32 // per-partition record count before the batch
-	}
-	// order logs each group's encoded (partition, record) in insertion
-	// order. Emission walks it so result order stays the first-occurrence
-	// order of the input stream — independent of the radix width and of
-	// the flag-dependent hash that routes rows to partitions.
-	order    []int32
-	emit     int       // orders already emitted
-	emitRecs [][]int32 // per-partition local records of the current chunk
-	emitRows [][]int32 // matching output positions
-	out      vec.Batch
-}
-
-type aggMap struct {
-	spec  int // internal spec index (sum for AVG)
-	cnt   int // count spec index for AVG, else -1
-	isAvg bool
 }
 
 // NewHashAgg builds a grouped aggregation with adaptive radix
@@ -159,13 +122,13 @@ func (h *HashAgg) MaxRows() int64 {
 	return n
 }
 
-// PartitionMinGroups is the group-count estimate below which the adaptive
+// partitionMinGroups is the group-count estimate below which the adaptive
 // radix choice keeps the aggregation table monolithic (bits = 0): a
 // low-group-count aggregate (TPC-H Q1's 6 groups) is CPU-cache-resident
 // whatever its width, so radix routing and — under parallel execution —
 // partition-wise spilling only add overhead. Forcing PartitionBits
-// bypasses the floor. Exported for tests and experiments.
-var PartitionMinGroups = int64(1 << 13)
+// bypasses the floor.
+const partitionMinGroups = int64(1 << 13)
 
 // groupEstimate bounds the group count like MaxRows, but string key
 // columns, whose value domain carries no cardinality, fall back to the
@@ -200,66 +163,30 @@ func (h *HashAgg) Open(qc *QCtx) {
 		// from the serial pass over the plan above the frontier and must
 		// only rewind emission.
 		h.driverOpened = false
-		h.emit = 0
+		h.g.emit = 0
 		return
 	}
+	h.setup(qc)
+	h.build(qc)
+}
+
+// setup opens the child and resolves the (empty) group table without
+// draining any rows. The parallel driver stops here for the template
+// frontier and the spilling clones, and fills tables its own way.
+func (h *HashAgg) setup(qc *QCtx) {
 	h.Child.Open(qc)
 	for _, k := range h.Keys {
 		k.intern(qc.Store)
 	}
-	for _, a := range h.Aggs {
+	maxRows := h.Child.MaxRows()
+	ins := make([]aggInput, len(h.Aggs))
+	for oi, a := range h.Aggs {
+		ins[oi] = aggInput{fn: a.Func, spec: agg.Spec{MaxRows: maxRows}}
 		if a.Arg != nil {
 			a.Arg.intern(qc.Store)
-		}
-	}
-	h.Meta()
-
-	// Resolve key columns with NULL codes folded into the domain.
-	h.keyCols = h.keyCols[:0]
-	h.nullCode = h.nullCode[:0]
-	for i, k := range h.Keys {
-		kc := core.KeyCol{Name: h.KeyNames[i], Type: k.Type(), Dom: k.Dom()}
-		code := int64(math.MinInt64) // no remapping
-		if k.Nullable() && k.Type() != vec.Str {
-			if kc.Dom.Valid && kc.Dom.Max < math.MaxInt64 {
-				code = kc.Dom.Max + 1
-				kc.Dom = domain.New(kc.Dom.Min, code)
-			} else {
-				// Unknown domain: use an improbable sentinel.
-				code = math.MinInt64 + 1
-			}
-		}
-		if k.Type() == vec.Str {
-			// Arithmetic never produces Str, so key vectors keep their
-			// source type; NULL strings are remapped to the null ref.
-		} else if !k.Type().IsInt() && k.Type() != vec.Bool {
-			kc.Type = vec.F64
-		}
-		h.nullCode = append(h.nullCode, code)
-		h.keyCols = append(h.keyCols, kc)
-	}
-
-	// Internal aggregate specs (AVG -> SUM + COUNT).
-	maxRows := h.Child.MaxRows()
-	h.specs = h.specs[:0]
-	h.specOf = h.specOf[:0]
-	for _, a := range h.Aggs {
-		mk := func(f agg.Func, arg *Expr) int {
-			s := agg.Spec{Func: f, MaxRows: maxRows}
-			if arg != nil {
-				s.InType = arg.Type()
-				s.InDom = arg.Dom()
-			}
-			h.specs = append(h.specs, s)
-			return len(h.specs) - 1
-		}
-		switch a.Func {
-		case Avg:
-			si := mk(agg.Sum, a.Arg)
-			ci := mk(agg.Count, a.Arg)
-			h.specOf = append(h.specOf, aggMap{spec: si, cnt: ci, isAvg: true})
-		default:
-			h.specOf = append(h.specOf, aggMap{spec: mk(a.Func, a.Arg), cnt: -1})
+			ins[oi].spec.InType = a.Arg.Type()
+			ins[oi].spec.InDom = a.Arg.Dom()
+			ins[oi].nullable = a.Arg.Nullable()
 		}
 	}
 
@@ -271,34 +198,28 @@ func (h *HashAgg) Open(qc *QCtx) {
 	if flags.Compress && h.MaxRows() < CompressMinBuildRows {
 		flags.Compress = false
 	}
-	var err error
-	h.schema, err = core.NewKeySchema(flags, h.keyCols, qc.Store)
-	if err != nil {
-		panic(err)
-	}
-	h.ag = agg.NewAggregator(flags, h.specs)
+	g := &h.g
+	g.resolve(flags, qc.Store, h.Meta(), len(h.Keys), ins)
 
 	// Per-spec argument expressions, resolved once so the build loop does
 	// not rescan specOf per batch.
-	h.argOf = make([]*Expr, len(h.specs))
-	for oi, m := range h.specOf {
+	h.argOf = make([]*Expr, len(g.specs))
+	for oi, m := range g.specOf {
 		h.argOf[m.spec] = h.Aggs[oi].Arg
 		if m.cnt >= 0 {
 			h.argOf[m.cnt] = h.Aggs[oi].Arg
 		}
 	}
+	h.args = make([]*vec.Vector, len(g.specs))
+	h.argBufs = make([]*vec.Vector, len(g.specs))
 
-	hint := h.MaxRows()
-	if hint > 1<<12 {
-		hint = 1 << 12 // the directory grows with the table
-	}
 	bits := h.PartitionBits
 	if bits < 0 {
 		est := h.groupEstimate()
-		if est < PartitionMinGroups {
+		if est < partitionMinGroups {
 			bits = 0 // cache-resident: radix routing cannot pay for itself
 		} else {
-			bits = core.ChoosePartitionBits(est, h.schema.KeyBytes()+h.ag.HotBytes)
+			bits = core.ChoosePartitionBits(est, g.schema.KeyBytes()+g.ag.HotBytes)
 			// Partition-wise parallel aggregation assigns whole partitions
 			// to workers; give it enough of them to load-balance across.
 			for qc.Workers > 1 && 1<<bits < 4*qc.Workers && bits < core.MaxPartitionBits {
@@ -306,27 +227,31 @@ func (h *HashAgg) Open(qc *QCtx) {
 			}
 		}
 	}
-	h.pt = core.NewPartTable(h.schema, h.ag.HotBytes, h.ag.ColdBytes, int(hint), bits)
-	for _, t := range h.pt.Parts() {
-		qc.register(t)
-	}
+	g.alloc(qc, h.MaxRows(), bits)
+}
 
-	h.scratch.keys = make([]*vec.Vector, len(h.Keys))
-	h.scratch.args = make([]*vec.Vector, len(h.specs))
-	h.keyBufs = make([]*vec.Vector, len(h.Keys))
-	h.argBufs = make([]*vec.Vector, len(h.specs))
-	h.scratch.hashes = make([]uint64, vec.Size)
-	h.scratch.recs = make([]int32, vec.Size)
-	h.scratch.subset = make([]int32, 0, vec.Size)
-	h.order = h.order[:0]
-	h.scratch.partLen = make([]int32, h.pt.NParts())
-	h.emitRecs = make([][]int32, h.pt.NParts())
-	h.emitRows = make([][]int32, h.pt.NParts())
-	if !h.skipBuild {
-		h.build(qc)
+// evalBatch is the per-batch front end build and spillBuild share:
+// evaluate and NULL-remap the key columns, evaluate every aggregate
+// argument once (so the per-partition updates share one set of input
+// vectors), then pack and hash the keys. It returns the batch's active
+// rows.
+func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) (*core.Prepared, []int32) {
+	g := &h.g
+	rows := b.Rows()
+	phys := physOf(b)
+	g.reserve(phys)
+	for i, k := range h.Keys {
+		g.keyVecs[i] = g.remapKey(i, k.Eval(qc, b), rows, phys)
 	}
-	h.emit = 0
-	h.prepareOut()
+	for si, e := range h.argOf {
+		if e != nil {
+			// The aggregate kernels consume raw slices; encoded column
+			// arguments materialize (active rows only) into reusable
+			// per-spec scratch.
+			h.args[si] = ensurePlain(e.Eval(qc, b), rows, &h.argBufs[si], phys)
+		}
+	}
+	return g.hashKeys(qc.Stats, rows), rows
 }
 
 func (h *HashAgg) build(qc *QCtx) {
@@ -336,244 +261,19 @@ func (h *HashAgg) build(qc *QCtx) {
 		if b == nil {
 			return
 		}
-		rows := b.Rows()
-		phys := physOf(b)
-		if phys > len(h.scratch.hashes) {
-			h.scratch.hashes = make([]uint64, phys)
-			h.scratch.recs = make([]int32, phys)
-		}
-
-		// Evaluate and NULL-remap the key columns.
-		for i, k := range h.Keys {
-			v := k.Eval(qc, b)
-			h.scratch.keys[i] = h.remapKey(i, k, v, rows, phys)
-		}
-
-		// Evaluate every aggregate argument once, before the partition
-		// loop, so the per-partition updates share one set of input
-		// vectors.
-		for si := range h.specs {
-			if e := h.argOf[si]; e != nil {
-				// The aggregate kernels consume raw slices; encoded column
-				// arguments materialize (active rows only) into reusable
-				// per-spec scratch.
-				h.scratch.args[si] = ensurePlain(e.Eval(qc, b), rows, &h.argBufs[si], phys)
-			} else {
-				h.scratch.args[si] = nil
-			}
-		}
-
-		p := h.schema.Prepare(h.scratch.keys, rows)
-		start := time.Now()
-		h.schema.Hash(p, rows, h.scratch.hashes)
-		qc.Stats.Add(StatHash, time.Since(start))
-
-		// Route each row to its radix partition, then insert and update
-		// partition by partition: each sub-table stays cache-resident
-		// while its rows are applied. scratch.recs is row-indexed, and
-		// partitions own disjoint row sets, so one buffer serves all.
-		for pi := range h.scratch.partLen {
-			h.scratch.partLen[pi] = int32(h.pt.Part(pi).Len())
-		}
-		groups := h.pt.PartitionRows(h.scratch.hashes, rows)
-		for pi, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			t := h.pt.Part(pi)
-			start = time.Now()
-			_, newRecs := t.FindOrInsert(p, h.scratch.hashes, g, h.scratch.recs)
-			qc.Stats.Add(StatLookup, time.Since(start))
-			h.ag.Init(t, newRecs)
-
-			for si := range h.specs {
-				arg := h.scratch.args[si]
-				argExpr := h.argOf[si]
-				updateRows := g
-				if argExpr != nil && argExpr.Nullable() && arg.Nulls != nil {
-					// SQL semantics: NULL inputs do not contribute.
-					h.scratch.subset = h.scratch.subset[:0]
-					for _, r := range g {
-						if !arg.Nulls[r] {
-							h.scratch.subset = append(h.scratch.subset, r)
-						}
-					}
-					updateRows = h.scratch.subset
-				}
-				start = time.Now()
-				h.ag.Update(t, si, h.scratch.recs, updateRows, arg)
-				qc.Stats.Add(StatAggregate, time.Since(start))
-			}
-		}
-		// Log new groups in first-occurrence row order, so emission order
-		// matches the monolithic table's insertion order. Records append
-		// sequentially within a partition, so a per-partition watermark
-		// identifies each group's creating row in one ordered pass.
-		for _, r := range rows {
-			pi := h.pt.PartOf(h.scratch.hashes[r])
-			if rec := h.scratch.recs[r]; rec >= h.scratch.partLen[pi] {
-				h.order = append(h.order, h.pt.EncodeRec(pi, rec))
-				h.scratch.partLen[pi] = rec + 1
-			}
-		}
-	}
-}
-
-// remapKey folds SQL NULLs into the key coding: integer NULLs become the
-// extended domain code, string NULLs the null reference. Encoded key
-// vectors materialize into the per-key scratch on the way (the key schema
-// hashes raw slices); plain non-nullable keys pass through untouched.
-func (h *HashAgg) remapKey(i int, k *Expr, v *vec.Vector, rows []int32, phys int) *vec.Vector {
-	if !k.Nullable() {
-		return ensurePlain(v, rows, &h.keyBufs[i], phys)
-	}
-	out := h.keyBufs[i]
-	if out == nil || out.Typ != v.Typ || out.Len() < phys {
-		out = vec.New(v.Typ, phys)
-		h.keyBufs[i] = out
-	}
-	if v.Typ == vec.Str {
-		for _, r := range rows {
-			if v.IsNull(int(r)) {
-				out.Str[r] = nullStrRef
-			} else {
-				out.Str[r] = v.StrRefAt(int(r))
-			}
-		}
-		return out
-	}
-	code := h.nullCode[i]
-	for _, r := range rows {
-		if v.IsNull(int(r)) {
-			out.SetInt64(int(r), code)
-		} else {
-			out.SetInt64(int(r), v.Int64At(int(r)))
-		}
-	}
-	return out
-}
-
-func (h *HashAgg) prepareOut() {
-	h.out.Vecs = make([]*vec.Vector, len(h.meta))
-	for i, m := range h.meta {
-		h.out.Vecs[i] = vec.New(m.Type, vec.Size)
+		p, rows := h.evalBatch(qc, b)
+		h.g.insert(qc.Stats, p, rows, h.args)
 	}
 }
 
 // Next implements Op: emits the group results in insertion order.
 func (h *HashAgg) Next(qc *QCtx) *vec.Batch {
 	qc.checkCancel() // emission never touches a scan; poll here too
-	if h.emit >= len(h.order) {
-		return nil
-	}
-	n := len(h.order) - h.emit
-	if n > vec.Size {
-		n = vec.Size
-	}
-	// Split the chunk by partition: output positions keep insertion
-	// order, the per-partition record lists feed the gather calls.
-	for pi := range h.emitRecs {
-		h.emitRecs[pi] = h.emitRecs[pi][:0]
-		h.emitRows[pi] = h.emitRows[pi][:0]
-	}
-	for i, grec := range h.order[h.emit : h.emit+n] {
-		pi, local := h.pt.DecodeRec(grec)
-		h.emitRecs[pi] = append(h.emitRecs[pi], local)
-		h.emitRows[pi] = append(h.emitRows[pi], int32(i))
-	}
-
-	for ci := range h.Keys {
-		out := h.out.Vecs[ci]
-		for pi := range h.emitRecs {
-			if len(h.emitRecs[pi]) == 0 {
-				continue
-			}
-			h.pt.Part(pi).LoadKey(ci, h.emitRecs[pi], out, h.emitRows[pi])
-		}
-		// Remap NULL codes back to SQL NULLs.
-		if h.Keys[ci].Nullable() {
-			if out.Nulls == nil {
-				out.Nulls = make([]bool, out.Len())
-			}
-			for i := 0; i < n; i++ {
-				if out.Typ == vec.Str {
-					out.Nulls[i] = out.Str[i] == nullStrRef
-				} else {
-					out.Nulls[i] = out.Int64At(i) == h.nullCode[ci]
-				}
-			}
-		}
-	}
-
-	for oi, m := range h.specOf {
-		out := h.out.Vecs[len(h.Keys)+oi]
-		if m.isAvg {
-			sum := vec.New(h.ag.ResultType(m.spec), n)
-			cnt := vec.New(vec.I64, n)
-			h.resultParts(m.spec, sum)
-			h.resultParts(m.cnt, cnt)
-			for i := 0; i < n; i++ {
-				c := cnt.I64[i]
-				if c == 0 {
-					out.F64[i] = 0
-					continue
-				}
-				out.F64[i] = sumAsF64(sum, i) / float64(c)
-			}
-			continue
-		}
-		want := h.meta[len(h.Keys)+oi].Type
-		got := h.ag.ResultType(m.spec)
-		if want == got {
-			h.resultParts(m.spec, out)
-			continue
-		}
-		// Storage kind differs from the declared output type (e.g. an
-		// optimistic 128-bit sum emitted where vanilla declared I64, or
-		// vice versa): convert through a temporary.
-		tmp := vec.New(got, n)
-		h.resultParts(m.spec, tmp)
-		for i := 0; i < n; i++ {
-			if want == vec.I128 {
-				out.I128[i] = i128.FromInt64(tmp.I64[i])
-			} else {
-				out.I64[i] = tmp.I128[i].Int64()
-			}
-		}
-	}
-
-	h.emit += n
-	h.out.Sel = nil
-	h.out.N = n
-	return &h.out
+	return h.g.next()
 }
-
-// resultParts gathers one aggregate of the current emission chunk across
-// its partitions.
-func (h *HashAgg) resultParts(spec int, out *vec.Vector) {
-	for pi := range h.emitRecs {
-		if len(h.emitRecs[pi]) == 0 {
-			continue
-		}
-		h.ag.Result(h.pt.Part(pi), spec, h.emitRecs[pi], out, h.emitRows[pi])
-	}
-}
-
-// Table exposes the aggregation hash table for footprint experiments.
-// With PartitionBits != 0 it returns partition 0 only; use Tables for
-// the full radix set.
-func (h *HashAgg) Table() *core.Table { return h.pt.Part(0) }
 
 // Tables exposes every radix partition of the aggregation table.
-func (h *HashAgg) Tables() []*core.Table { return h.pt.Parts() }
+func (h *HashAgg) Tables() []*core.Table { return h.g.pt.Parts() }
 
 // Len reports the total group count across all partitions.
-func (h *HashAgg) Len() int { return h.pt.Len() }
-
-func sumAsF64(v *vec.Vector, i int) float64 {
-	if v.Typ == vec.I64 {
-		return float64(v.I64[i])
-	}
-	x := v.I128[i]
-	return float64(x.Hi)*math.Pow(2, 64) + float64(x.Lo)
-}
+func (h *HashAgg) Len() int { return h.g.pt.Len() }

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"math"
-
 	"ocht/internal/agg"
 	"ocht/internal/core"
 	"ocht/internal/domain"
@@ -35,21 +33,10 @@ type MergeAgg struct {
 	NKeys int
 	Specs []MergeSpec
 
-	meta     []Meta
-	keyCols  []core.KeyCol
-	nullCode []int64
-	schema   *core.KeySchema
-	ag       *agg.Aggregator
-	tab      *core.Table
-	scratch  *core.Table
-	srec     int32
-
-	specs   []agg.Spec // internal layouts (AVG -> SUM + COUNT)
-	specOf  []aggMap
-	colOf   []int // per internal spec: the child column of its partial
-	keyBufs []*vec.Vector
-	emit    int
-	out     vec.Batch
+	meta    []Meta
+	g       groupTable
+	colOf   []int       // per internal spec: the child column of its partial
+	scratch *core.Table // one record, reloaded by LoadPartial for every partial row
 }
 
 // NewMergeAgg builds a merge aggregation over the child's partial rows.
@@ -76,8 +63,9 @@ func (m *MergeAgg) Meta() []Meta {
 		case agg.Sum:
 			out.Type = vec.I128
 		case agg.Count, agg.CountStar:
+			// A merged count is a sum of shard counts: the gathered row
+			// count (Child.MaxRows) does not bound it.
 			out.Type = vec.I64
-			out.Dom = domain.New(0, m.Child.MaxRows())
 		case agg.Min, agg.Max:
 			if cm[s.Col].Type == vec.Str {
 				out.Type = vec.Str
@@ -94,99 +82,38 @@ func (m *MergeAgg) Meta() []Meta {
 // MaxRows implements Op: every gathered row could be its own group.
 func (m *MergeAgg) MaxRows() int64 { return m.Child.MaxRows() }
 
-// Open implements Op: drains the child and folds every partial row.
+// Open implements Op: drains the child and folds every partial row into
+// a monolithic group table — NULL keys coded exactly as HashAgg codes them,
+// so NULL groups from different shards land in one record.
 func (m *MergeAgg) Open(qc *QCtx) {
 	m.Child.Open(qc)
-	m.Meta()
 	cm := m.Child.Meta()
 
-	// Group-key columns, with NULL codes folded in exactly as HashAgg
-	// does, so NULL groups from different shards land in one record.
-	m.keyCols = m.keyCols[:0]
-	m.nullCode = m.nullCode[:0]
-	for i := 0; i < m.NKeys; i++ {
-		kc := core.KeyCol{Name: cm[i].Name, Type: cm[i].Type, Dom: cm[i].Dom}
-		code := int64(math.MinInt64)
-		if cm[i].Type != vec.Str {
-			if kc.Dom.Valid && kc.Dom.Max < math.MaxInt64 {
-				code = kc.Dom.Max + 1
-				kc.Dom = domain.New(kc.Dom.Min, code)
-			} else {
-				code = math.MinInt64 + 1
-			}
-			if !kc.Type.IsInt() && kc.Type != vec.Bool {
-				kc.Type = vec.F64
-			}
-		}
-		m.nullCode = append(m.nullCode, code)
-		m.keyCols = append(m.keyCols, kc)
-	}
-
-	// Internal merge layouts. Sum partials use an unknown input domain on
-	// purpose: SumFitsInt64 never proves a 64-bit fit for it, so the
-	// layout is always one of the exact 128-bit forms (split or full) and
-	// reloading the partial's (Lo, Hi) words loses nothing.
+	// Sum partials use an unknown input domain on purpose: SumFitsInt64
+	// never proves a 64-bit fit for it, so the layout is always one of the
+	// exact 128-bit forms (split or full) and reloading the partial's
+	// (Lo, Hi) words loses nothing.
 	maxRows := m.Child.MaxRows()
-	m.specs = m.specs[:0]
-	m.specOf = m.specOf[:0]
-	m.colOf = m.colOf[:0]
-	mk := func(f agg.Func, col int) int {
-		s := agg.Spec{Func: f, MaxRows: maxRows, InType: vec.I64, InDom: domain.Unknown}
-		if f == agg.Min || f == agg.Max {
-			s.InType = cm[col].Type
-		}
-		m.specs = append(m.specs, s)
-		m.colOf = append(m.colOf, col)
-		return len(m.specs) - 1
-	}
-	for _, s := range m.Specs {
-		switch s.Func {
-		case Avg:
-			si := mk(agg.Sum, s.Col)
-			ci := mk(agg.Count, s.Cnt)
-			m.specOf = append(m.specOf, aggMap{spec: si, cnt: ci, isAvg: true})
-		default:
-			m.specOf = append(m.specOf, aggMap{spec: mk(s.Func, s.Col), cnt: -1})
+	ins := make([]aggInput, len(m.Specs))
+	for oi, s := range m.Specs {
+		ins[oi] = aggInput{fn: s.Func, spec: agg.Spec{MaxRows: maxRows, InType: vec.I64, InDom: domain.Unknown}}
+		if s.Func == agg.Min || s.Func == agg.Max {
+			ins[oi].spec.InType = cm[s.Col].Type
 		}
 	}
-
-	var err error
-	m.schema, err = core.NewKeySchema(qc.Flags, m.keyCols, qc.Store)
-	if err != nil {
-		panic(err)
-	}
-	m.ag = agg.NewAggregator(qc.Flags, m.specs)
-	hint := maxRows
-	if hint > 1<<12 {
-		hint = 1 << 12
-	}
-	if hint < 4 {
-		hint = 4
-	}
-	m.tab = core.NewTable(m.schema, m.ag.HotBytes, m.ag.ColdBytes, int(hint))
-	qc.register(m.tab)
-	// The scratch table holds exactly one record whose state is
-	// overwritten by LoadPartial for every incoming partial row.
-	m.scratch = core.NewTable(m.schema, m.ag.HotBytes, m.ag.ColdBytes, 4)
-	m.srec = -1
-
-	m.keyBufs = make([]*vec.Vector, m.NKeys)
-	m.build(qc)
-	m.emit = 0
-	if m.out.Vecs == nil {
-		m.out.Vecs = make([]*vec.Vector, len(m.meta))
-		for i, mt := range m.meta {
-			m.out.Vecs[i] = vec.New(mt.Type, vec.Size)
+	g := &m.g
+	g.resolve(qc.Flags, qc.Store, m.Meta(), m.NKeys, ins)
+	m.colOf = make([]int, len(g.specs))
+	for oi, am := range g.specOf {
+		m.colOf[am.spec] = m.Specs[oi].Col
+		if am.cnt >= 0 {
+			m.colOf[am.cnt] = m.Specs[oi].Cnt
 		}
 	}
-}
+	g.alloc(qc, maxRows, 0)
+	tab := g.pt.Part(0)
+	m.scratch = nil
 
-func (m *MergeAgg) build(qc *QCtx) {
-	keys := make([]*vec.Vector, m.NKeys)
-	hashes := make([]uint64, vec.Size)
-	recs := make([]int32, vec.Size)
-	one := []int32{0}
-	srecOut := make([]int32, 1)
 	for {
 		qc.checkCancel()
 		b := m.Child.Next(qc)
@@ -195,31 +122,23 @@ func (m *MergeAgg) build(qc *QCtx) {
 		}
 		rows := b.Rows()
 		phys := physOf(b)
-		if phys > len(hashes) {
-			hashes = make([]uint64, phys)
-			recs = make([]int32, phys)
+		g.reserve(phys)
+		for i := range g.keyVecs {
+			g.keyVecs[i] = g.remapKey(i, b.Vecs[i], rows, phys)
 		}
-		for i := 0; i < m.NKeys; i++ {
-			keys[i] = m.remapKey(i, b.Vecs[i], rows, phys)
+		p := g.hashKeys(nil, rows)
+		if m.scratch == nil && len(rows) > 0 {
+			// Seed the scratch table with one record (any key works; only
+			// its aggregate area is ever read).
+			m.scratch = core.NewTable(g.schema, g.ag.HotBytes, g.ag.ColdBytes, 1)
+			g.insertInto(nil, m.scratch, p, rows[:1])
 		}
-		p := m.schema.Prepare(keys, rows)
-		m.schema.Hash(p, rows, hashes)
-		_, newRecs := m.tab.FindOrInsert(p, hashes, rows, recs)
-		m.ag.Init(m.tab, newRecs)
-		if m.srec < 0 {
-			// First batch: seed the scratch table with one record (any key
-			// works; only its aggregate area is ever read).
-			sp := m.schema.Prepare(keys, one)
-			var h [1]uint64
-			m.schema.Hash(sp, one, h[:])
-			m.scratch.FindOrInsert(sp, h[:], one, srecOut)
-			m.srec = srecOut[0]
-		}
+		g.insert(nil, p, rows, nil)
 		for _, r := range rows {
 			for si, col := range m.colOf {
-				m.ag.LoadPartial(m.scratch, m.srec, si, m.partialAt(qc, b.Vecs[col], int(r), si))
+				g.ag.LoadPartial(m.scratch, 0, si, m.partialAt(b.Vecs[col], int(r), si))
 			}
-			m.ag.Merge(m.tab, recs[r], m.scratch, m.srec)
+			g.ag.Merge(tab, g.recs[r], m.scratch, 0)
 		}
 	}
 }
@@ -228,8 +147,8 @@ func (m *MergeAgg) build(qc *QCtx) {
 // the aggregate's merge identity (zero sums and counts, MIN/MAX
 // sentinels, the string no-value marker), so a shard that had nothing to
 // say about a group contributes nothing.
-func (m *MergeAgg) partialAt(qc *QCtx, v *vec.Vector, row int, si int) agg.Partial {
-	s := m.specs[si]
+func (m *MergeAgg) partialAt(v *vec.Vector, row int, si int) agg.Partial {
+	s := m.g.specs[si]
 	null := v.IsNull(row)
 	switch s.Func {
 	case agg.Sum:
@@ -267,117 +186,11 @@ func (m *MergeAgg) partialAt(qc *QCtx, v *vec.Vector, row int, si int) agg.Parti
 	panic("exec: partial of unsupported merge func")
 }
 
-// remapKey folds NULL keys into the key coding (HashAgg's rule) and
-// materializes encoded vectors; Exchange emits plain vectors, so the
-// scratch path only runs for NULL remapping.
-func (m *MergeAgg) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec.Vector {
-	out := m.keyBufs[i]
-	typ := v.Typ
-	if out == nil || out.Typ != typ || out.Len() < phys {
-		out = vec.New(typ, phys)
-		m.keyBufs[i] = out
-	}
-	if typ == vec.Str {
-		for _, r := range rows {
-			if v.IsNull(int(r)) {
-				out.Str[r] = nullStrRef
-			} else {
-				out.Str[r] = v.StrRefAt(int(r))
-			}
-		}
-		return out
-	}
-	if typ == vec.F64 {
-		for _, r := range rows {
-			if v.IsNull(int(r)) {
-				out.F64[r] = math.Float64frombits(uint64(m.nullCode[i]))
-			} else {
-				out.F64[r] = v.F64[r]
-			}
-		}
-		return out
-	}
-	code := m.nullCode[i]
-	for _, r := range rows {
-		if v.IsNull(int(r)) {
-			out.SetInt64(int(r), code)
-		} else {
-			out.SetInt64(int(r), v.Int64At(int(r)))
-		}
-	}
-	return out
-}
-
-// Next implements Op: emits merged groups in insertion order. The table
-// is monolithic, so record order is first-occurrence order.
+// Next implements Op: emits merged groups in insertion order.
 func (m *MergeAgg) Next(qc *QCtx) *vec.Batch {
 	qc.checkCancel()
-	total := m.tab.Len()
-	if m.emit >= total {
-		return nil
-	}
-	n := total - m.emit
-	if n > vec.Size {
-		n = vec.Size
-	}
-	recIdx := make([]int32, n)
-	rows := make([]int32, n)
-	for i := 0; i < n; i++ {
-		recIdx[i], rows[i] = int32(m.emit+i), int32(i)
-	}
-	for ci := 0; ci < m.NKeys; ci++ {
-		out := m.out.Vecs[ci]
-		m.tab.LoadKey(ci, recIdx, out, rows)
-		if out.Nulls == nil {
-			out.Nulls = make([]bool, out.Len())
-		}
-		for i := 0; i < n; i++ {
-			if out.Typ == vec.Str {
-				out.Nulls[i] = out.Str[i] == nullStrRef
-			} else if out.Typ == vec.F64 {
-				out.Nulls[i] = math.Float64bits(out.F64[i]) == uint64(m.nullCode[ci])
-			} else {
-				out.Nulls[i] = out.Int64At(i) == m.nullCode[ci]
-			}
-		}
-	}
-	for oi, am := range m.specOf {
-		out := m.out.Vecs[m.NKeys+oi]
-		if am.isAvg {
-			sum := vec.New(m.ag.ResultType(am.spec), n)
-			cnt := vec.New(vec.I64, n)
-			m.ag.Result(m.tab, am.spec, recIdx, sum, rows)
-			m.ag.Result(m.tab, am.cnt, recIdx, cnt, rows)
-			for i := 0; i < n; i++ {
-				if c := cnt.I64[i]; c == 0 {
-					out.F64[i] = 0
-				} else {
-					out.F64[i] = sumAsF64(sum, i) / float64(c)
-				}
-			}
-			continue
-		}
-		want := m.meta[m.NKeys+oi].Type
-		got := m.ag.ResultType(am.spec)
-		if want == got {
-			m.ag.Result(m.tab, am.spec, recIdx, out, rows)
-			continue
-		}
-		tmp := vec.New(got, n)
-		m.ag.Result(m.tab, am.spec, recIdx, tmp, rows)
-		for i := 0; i < n; i++ {
-			if want == vec.I128 {
-				out.I128[i] = i128.FromInt64(tmp.I64[i])
-			} else {
-				out.I64[i] = tmp.I128[i].Int64()
-			}
-		}
-	}
-	m.emit += n
-	m.out.Sel = nil
-	m.out.N = n
-	return &m.out
+	return m.g.next()
 }
 
 // Len reports the merged group count.
-func (m *MergeAgg) Len() int { return m.tab.Len() }
+func (m *MergeAgg) Len() int { return m.g.pt.Len() }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"ocht/internal/storage"
-	"ocht/internal/vec"
 )
 
 // Morsel-driven parallel execution (DESIGN.md, "Parallel execution").
@@ -202,9 +201,7 @@ func runParallelAgg(qc *QCtx, root Op, sp spine) *Result {
 	// 1. Open the frontier subtree serially with an empty table: this
 	// builds (and registers) every join hash table below the frontier and
 	// fixes the template's key schema, aggregate layout and radix width.
-	tpl.skipBuild = true
-	tpl.Open(qc)
-	tpl.skipBuild = false
+	tpl.setup(qc)
 
 	// 2–3. Single-threaded USSR warmup, then freeze: from here on the
 	// region is shared read-only and worker Interns fall back to their
@@ -215,7 +212,7 @@ func runParallelAgg(qc *QCtx, root Op, sp spine) *Result {
 		qc.Store.U.Freeze()
 	}
 
-	if tpl.pt.Bits() > 0 {
+	if tpl.g.pt.Bits() > 0 {
 		runPartitionWiseAgg(qc, tpl, sp, wqcs)
 	} else {
 		runMergeAgg(qc, tpl, sp, wqcs)
@@ -242,88 +239,7 @@ func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 	spawn(n, func(i int) { clones[i].Open(wqcs[i]) })
 	joinCtx(qc, wqcs)
 	for _, c := range clones {
-		mergePartial(tpl, c)
-	}
-}
-
-// mergePartial re-aggregates every group of a worker's partial table into
-// the template's table: group keys are loaded back from the partial
-// records (string keys resolve across worker heaps through the shared
-// shard table), located-or-inserted in the template, and the aggregate
-// states combined by agg.Merge — including the carries of optimistically
-// split aggregates, whose hot/cold exception handling is the reason this
-// is aggregate-kind-specific rather than a byte copy.
-func mergePartial(dst, src *HashAgg) {
-	n := len(src.order)
-	if n == 0 {
-		return
-	}
-	keyVecs := make([]*vec.Vector, len(dst.Keys))
-	for ci := range keyVecs {
-		keyVecs[ci] = vec.New(dst.meta[ci].Type, vec.Size)
-	}
-	hashes := make([]uint64, vec.Size)
-	recs := make([]int32, vec.Size)
-	rows := make([]int32, vec.Size)
-	srcRecs := make([][]int32, src.pt.NParts())
-	srcRows := make([][]int32, src.pt.NParts())
-	for base := 0; base < n; base += vec.Size {
-		cnt := n - base
-		if cnt > vec.Size {
-			cnt = vec.Size
-		}
-		// Walk the worker's groups in ITS insertion order (src.order), so
-		// the template's order log — and with it the final emission order
-		// — is independent of how either side was partitioned.
-		chunk := src.order[base : base+cnt]
-		for pi := range srcRecs {
-			srcRecs[pi] = srcRecs[pi][:0]
-			srcRows[pi] = srcRows[pi][:0]
-		}
-		for i, grec := range chunk {
-			pi, local := src.pt.DecodeRec(grec)
-			srcRecs[pi] = append(srcRecs[pi], local)
-			srcRows[pi] = append(srcRows[pi], int32(i))
-		}
-		for i := 0; i < cnt; i++ {
-			rows[i] = int32(i)
-		}
-		rr := rows[:cnt]
-		// Keys come back NULL-coded exactly as stored, so they feed the
-		// template's Prepare without re-remapping.
-		for ci := range keyVecs {
-			for pi := range srcRecs {
-				if len(srcRecs[pi]) == 0 {
-					continue
-				}
-				src.pt.Part(pi).LoadKey(ci, srcRecs[pi], keyVecs[ci], srcRows[pi])
-			}
-		}
-		p := dst.schema.Prepare(keyVecs, rr)
-		dst.schema.Hash(p, rr, hashes)
-		// Worker and template tables may use different radix widths, so
-		// the rows are re-routed against the template's partitions.
-		for dpi := range dst.scratch.partLen {
-			dst.scratch.partLen[dpi] = int32(dst.pt.Part(dpi).Len())
-		}
-		groups := dst.pt.PartitionRows(hashes, rr)
-		for dpi, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			dt := dst.pt.Part(dpi)
-			_, newRecs := dt.FindOrInsert(p, hashes, g, recs)
-			dst.ag.Init(dt, newRecs)
-		}
-		for i, grec := range chunk {
-			spi, slocal := src.pt.DecodeRec(grec)
-			dpi := dst.pt.PartOf(hashes[i])
-			dst.ag.Merge(dst.pt.Part(int(dpi)), recs[i], src.pt.Part(int(spi)), slocal)
-			if rec := recs[i]; rec >= dst.scratch.partLen[dpi] {
-				dst.order = append(dst.order, dst.pt.EncodeRec(dpi, rec))
-				dst.scratch.partLen[dpi] = rec + 1
-			}
-		}
+		tpl.g.merge(&c.g)
 	}
 }
 

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"time"
-
 	"ocht/internal/core"
 	"ocht/internal/i128"
 	"ocht/internal/vec"
@@ -108,51 +106,50 @@ func (c *spillCol) fill(dst *vec.Vector, base, n int) {
 
 // newAggSpill sizes a worker's spill set for the template's shape.
 func newAggSpill(h *HashAgg) *aggSpill {
-	sp := &aggSpill{parts: make([]spillPart, h.pt.NParts())}
+	sp := &aggSpill{parts: make([]spillPart, h.g.pt.NParts())}
 	for pi := range sp.parts {
 		p := &sp.parts[pi]
 		p.keys = make([]spillCol, len(h.Keys))
-		p.args = make([]spillCol, len(h.specs))
-		p.nulls = make([][]bool, len(h.specs))
+		p.args = make([]spillCol, len(h.args))
+		p.nulls = make([][]bool, len(h.args))
 	}
 	return sp
 }
 
 // appendBatch spills one batch's routed rows into partition pi.
-func (p *spillPart) appendBatch(h *HashAgg, g []int32) {
-	for ci := range h.scratch.keys {
-		p.keys[ci].appendRows(h.scratch.keys[ci], g)
+func (p *spillPart) appendBatch(h *HashAgg, rows []int32) {
+	for ci, kv := range h.g.keyVecs {
+		p.keys[ci].appendRows(kv, rows)
 	}
-	for si := range h.specs {
-		arg := h.scratch.args[si]
+	for si, arg := range h.args {
 		if arg == nil {
 			continue
 		}
-		p.args[si].appendRows(arg, g)
-		if e := h.argOf[si]; e != nil && e.Nullable() {
+		p.args[si].appendRows(arg, rows)
+		if h.g.argNullable[si] {
 			nulls := p.nulls[si]
 			if arg.Nulls != nil {
-				for _, r := range g {
+				for _, r := range rows {
 					nulls = append(nulls, arg.Nulls[r])
 				}
 			} else {
-				for range g {
+				for range rows {
 					nulls = append(nulls, false)
 				}
 			}
 			p.nulls[si] = nulls
 		}
 	}
-	for _, r := range g {
-		p.hashes = append(p.hashes, h.scratch.hashes[r])
+	for _, r := range rows {
+		p.hashes = append(p.hashes, h.g.hashes[r])
 	}
-	p.rows += len(g)
+	p.rows += len(rows)
 }
 
-// spillBuild is the phase-1 worker loop: build()'s evaluation front end
+// spillBuild is the phase-1 worker loop: build's evaluation front end
 // with the table writes replaced by spill appends. The operator must have
-// been opened with skipBuild (schema, aggregator and routing table set
-// up, child open, no rows drained).
+// been set up (schema, aggregator and routing table resolved, child open,
+// no rows drained).
 func (h *HashAgg) spillBuild(qc *QCtx) *aggSpill {
 	sp := newAggSpill(h)
 	total := int64(0)
@@ -162,34 +159,11 @@ func (h *HashAgg) spillBuild(qc *QCtx) *aggSpill {
 		if b == nil {
 			break
 		}
-		rows := b.Rows()
-		phys := physOf(b)
-		if phys > len(h.scratch.hashes) {
-			h.scratch.hashes = make([]uint64, phys)
-			h.scratch.recs = make([]int32, phys)
-		}
-		for i, k := range h.Keys {
-			v := k.Eval(qc, b)
-			h.scratch.keys[i] = h.remapKey(i, k, v, rows, phys)
-		}
-		for si := range h.specs {
-			if e := h.argOf[si]; e != nil {
-				h.scratch.args[si] = ensurePlain(e.Eval(qc, b), rows, &h.argBufs[si], phys)
-			} else {
-				h.scratch.args[si] = nil
+		_, rows := h.evalBatch(qc, b)
+		for pi, rg := range h.g.pt.PartitionRows(h.g.hashes, rows) {
+			if len(rg) > 0 {
+				sp.parts[pi].appendBatch(h, rg)
 			}
-		}
-		p := h.schema.Prepare(h.scratch.keys, rows)
-		start := time.Now()
-		h.schema.Hash(p, rows, h.scratch.hashes)
-		qc.Stats.Add(StatHash, time.Since(start))
-
-		groups := h.pt.PartitionRows(h.scratch.hashes, rows)
-		for pi, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			sp.parts[pi].appendBatch(h, g)
 		}
 		total += int64(len(rows))
 	}
@@ -197,92 +171,42 @@ func (h *HashAgg) spillBuild(qc *QCtx) *aggSpill {
 	return sp
 }
 
-// partReplay is the per-owner phase-2 scratch: reusable key/argument
-// vectors, dense row indices and hash/record buffers the spilled chunks
-// are replayed through.
-type partReplay struct {
-	keys   []*vec.Vector
-	args   []*vec.Vector
-	rows   []int32
-	subset []int32
-	hashes []uint64
-	recs   []int32
-}
-
-func newPartReplay(h *HashAgg) *partReplay {
-	rs := &partReplay{
-		keys:   make([]*vec.Vector, len(h.Keys)),
-		args:   make([]*vec.Vector, len(h.specs)),
-		rows:   make([]int32, vec.Size),
-		subset: make([]int32, 0, vec.Size),
-		hashes: make([]uint64, vec.Size),
-		recs:   make([]int32, vec.Size),
-	}
-	for i := range rs.rows {
-		rs.rows[i] = int32(i)
-	}
-	return rs
-}
-
-func (rs *partReplay) vecFor(slot []*vec.Vector, i int, typ vec.Type) *vec.Vector {
-	if v := slot[i]; v != nil && v.Typ == typ {
-		return v
-	}
-	slot[i] = vec.New(typ, vec.Size)
-	return slot[i]
-}
-
 // buildPartition replays every worker's spill for partition pi into a
 // fresh table built against h's (the owner clone's) key schema, so all
 // hashing, matching and string accounting stays on the owner's store.
-// The phase-1 hashes are reused — keys are re-packed for the insert path
-// but never re-hashed.
-func (h *HashAgg) buildPartition(qc *QCtx, pi, hint int, spills []*aggSpill, rs *partReplay) *core.Table {
-	t := core.NewTable(h.schema, h.ag.HotBytes, h.ag.ColdBytes, hint)
+// The chunks replay through the clone's own batch scratch, idle since its
+// phase 1 ended. The phase-1 hashes are reused — keys are re-packed for
+// the insert path but never re-hashed.
+func (h *HashAgg) buildPartition(qc *QCtx, pi, hint int, spills []*aggSpill) *core.Table {
+	g := &h.g
+	t := core.NewTable(g.schema, g.ag.HotBytes, g.ag.ColdBytes, hint)
 	qc.register(t)
 	for _, sp := range spills {
 		p := &sp.parts[pi]
 		for base := 0; base < p.rows; base += vec.Size {
 			qc.checkCancel()
-			cnt := p.rows - base
-			if cnt > vec.Size {
-				cnt = vec.Size
-			}
-			rr := rs.rows[:cnt]
+			cnt := min(p.rows-base, vec.Size)
+			rows := identRows[:cnt]
 			for ci := range p.keys {
-				kv := rs.vecFor(rs.keys, ci, p.keys[ci].typ)
-				p.keys[ci].fill(kv, base, cnt)
-				rs.keys[ci] = kv
+				g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], p.keys[ci].typ, vec.Size)
+				p.keys[ci].fill(g.keyVecs[ci], base, cnt)
 			}
-			copy(rs.hashes[:cnt], p.hashes[base:base+cnt])
-
-			prep := h.schema.Prepare(rs.keys, rr)
-			start := time.Now()
-			_, newRecs := t.FindOrInsert(prep, rs.hashes, rr, rs.recs)
-			qc.Stats.Add(StatLookup, time.Since(start))
-			h.ag.Init(t, newRecs)
-
-			for si := range h.specs {
-				var arg *vec.Vector
-				updateRows := rr
-				if h.argOf[si] != nil {
-					arg = rs.vecFor(rs.args, si, p.args[si].typ)
-					p.args[si].fill(arg, base, cnt)
-					if nulls := p.nulls[si]; nulls != nil {
-						// SQL semantics: NULL inputs do not contribute.
-						rs.subset = rs.subset[:0]
-						for i := 0; i < cnt; i++ {
-							if !nulls[base+i] {
-								rs.subset = append(rs.subset, int32(i))
-							}
-						}
-						updateRows = rs.subset
-					}
+			for si := range h.args {
+				if h.argOf[si] == nil {
+					continue
 				}
-				start = time.Now()
-				h.ag.Update(t, si, rs.recs, updateRows, arg)
-				qc.Stats.Add(StatAggregate, time.Since(start))
+				arg := scratchVec(&h.argBufs[si], p.args[si].typ, vec.Size)
+				p.args[si].fill(arg, base, cnt)
+				arg.Nulls = nil
+				if nulls := p.nulls[si]; nulls != nil {
+					arg.Nulls = nulls[base : base+cnt]
+				}
+				h.args[si] = arg
 			}
+			copy(g.hashes, p.hashes[base:base+cnt])
+
+			g.insertInto(qc.Stats, t, g.schema.Prepare(g.keyVecs, rows), rows)
+			g.fold(qc.Stats, t, rows, h.args)
 		}
 	}
 	return t
@@ -290,11 +214,11 @@ func (h *HashAgg) buildPartition(qc *QCtx, pi, hint int, spills []*aggSpill, rs 
 
 // runPartitionWiseAgg is the owner-computes driver, entered by
 // runParallelAgg when the template table is radix-partitioned. The
-// template tpl has been opened with skipBuild and the USSR is frozen.
+// template tpl has been set up and the USSR is frozen.
 func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 	n := len(wqcs)
-	bits := tpl.pt.Bits()
-	nparts := tpl.pt.NParts()
+	bits := tpl.g.pt.Bits()
+	nparts := tpl.g.pt.NParts()
 	morsels := sp.scan.Table.MorselsFor(n)
 
 	clones := make([]*HashAgg, n)
@@ -306,15 +230,12 @@ func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 		clones[i] = c
 	}
 
-	// Phase 1: scan + spill. skipBuild sets up each clone's schema,
+	// Phase 1: scan + spill. setup resolves each clone's schema,
 	// aggregator and routing table without draining the child.
 	spills := make([]*aggSpill, n)
 	spawn(n, func(i int) {
-		c := clones[i]
-		c.skipBuild = true
-		c.Open(wqcs[i])
-		c.skipBuild = false
-		spills[i] = c.spillBuild(wqcs[i])
+		clones[i].setup(wqcs[i])
+		spills[i] = clones[i].spillBuild(wqcs[i])
 	})
 
 	// Phase 2: owner-computes. Partition pi belongs to worker
@@ -332,22 +253,22 @@ func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 	hint >>= uint(bits)
 	parts := make([]*core.Table, nparts)
 	spawn(n, func(w int) {
-		rs := newPartReplay(clones[w])
 		for pi := 0; pi < nparts; pi++ {
 			if owners[pi] != int32(w) {
 				continue
 			}
 			debugAssertPartOwner(claims, pi, w)
-			parts[pi] = clones[w].buildPartition(wqcs[w], pi, hint, spills, rs)
+			parts[pi] = clones[w].buildPartition(wqcs[w], pi, hint, spills)
 		}
 	})
 	joinCtx(qc, wqcs)
 
 	// Phase 3: the template adopts the partitions; emission order is the
 	// partition-major concatenation of their (insertion-ordered) records.
-	newPT := core.NewPartTableFromParts(tpl.schema, parts)
+	g := &tpl.g
+	newPT := core.NewPartTableFromParts(g.schema, parts)
 	old := map[*core.Table]bool{}
-	for _, t := range tpl.pt.Parts() {
+	for _, t := range g.pt.Parts() {
 		old[t] = true
 	}
 	kept := qc.tables[:0]
@@ -357,11 +278,11 @@ func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 		}
 	}
 	qc.tables = append(kept, parts...)
-	tpl.pt = newPT
-	tpl.order = tpl.order[:0]
+	g.pt = newPT
+	g.order = g.order[:0]
 	for pi := 0; pi < nparts; pi++ {
 		for local := int32(0); local < int32(newPT.Part(pi).Len()); local++ {
-			tpl.order = append(tpl.order, newPT.EncodeRec(uint32(pi), local))
+			g.order = append(g.order, newPT.EncodeRec(uint32(pi), local))
 		}
 	}
 	qc.Stats.Count(CtrPartitionWiseAggs, 1)

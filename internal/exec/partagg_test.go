@@ -2,6 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/big"
+	"sort"
+	"strings"
 	"testing"
 
 	"ocht/internal/agg"
@@ -93,7 +97,7 @@ func TestPartitionWiseAggMatchesSerial(t *testing.T) {
 
 // TestPartitionWiseGate pins the path dispatch: forced monolithic tables
 // merge through agg.Merge, forced radix tables go owner-computes, and the
-// adaptive choice falls back to the merge path below PartitionMinGroups.
+// adaptive choice falls back to the merge path below partitionMinGroups.
 func TestPartitionWiseGate(t *testing.T) {
 	fact, _ := buildFixture(150_000)
 	run := func(bits, workers int) (*QCtx, []string) {
@@ -110,7 +114,7 @@ func TestPartitionWiseGate(t *testing.T) {
 
 	_, serial := run(DefaultPartitionBits, 1)
 
-	// d has 100 distinct values: far below PartitionMinGroups, so the
+	// d has 100 distinct values: far below partitionMinGroups, so the
 	// adaptive parallel plan must keep the merge path.
 	qc, got := run(DefaultPartitionBits, 4)
 	if qc.Stats.Counter(CtrPartitionWiseAggs) != 0 {
@@ -131,20 +135,6 @@ func TestPartitionWiseGate(t *testing.T) {
 	for i := range got {
 		if got[i] != serial[i] {
 			t.Fatalf("partition-wise row %d: %s vs %s", i, got[i], serial[i])
-		}
-	}
-
-	// Dropping the floor lets the adaptive chooser partition even this
-	// aggregation under parallel workers.
-	defer func(old int64) { PartitionMinGroups = old }(PartitionMinGroups)
-	PartitionMinGroups = 0
-	qc, got = run(DefaultPartitionBits, 4)
-	if qc.Stats.Counter(CtrPartitionWiseAggs) != 1 {
-		t.Fatal("with no floor the adaptive parallel plan must partition")
-	}
-	for i := range got {
-		if got[i] != serial[i] {
-			t.Fatalf("floorless row %d: %s vs %s", i, got[i], serial[i])
 		}
 	}
 }
@@ -199,6 +189,258 @@ func TestPartitionWiseFootprint(t *testing.T) {
 		}
 		if got < sum || sum == 0 {
 			t.Fatalf("HashTableBytes %d, frontier partitions hold %d", got, sum)
+		}
+	}
+}
+
+// routeRow is one generated input row of the route-agreement fixture; nil
+// pointers are SQL NULLs.
+type routeRow struct {
+	g    *int64   // nullable int key
+	s    *string  // nullable string key
+	f    *float64 // nullable DOUBLE key
+	v, a *int64   // nullable arguments: wide (SUM/MIN/MAX) and small (AVG)
+	t    *string  // nullable string argument
+}
+
+// routeRowAt generates row i. 60% of the rows share one hot key triple
+// (1, "hot", 1.5) the other rows never use, so under every key subset the
+// hot group holds > 65 535 rows (the 16-bit hot COUNT flushes), its v
+// values of 2^62 carry SUM past 64 bits, and its t values are all NULL
+// (string MIN stays NULL).
+func routeRowAt(i int) routeRow {
+	p := func(x int64) *int64 { return &x }
+	var r routeRow
+	if i%7 != 2 {
+		r.v = p(int64(i%9000) - 4500)
+	}
+	if i%5 != 1 {
+		r.a = p(int64(i%1000) - 500)
+	}
+	if i%5 < 3 {
+		hot, f := "hot", 1.5
+		r.g, r.s, r.f = p(1), &hot, &f
+		if r.v != nil {
+			r.v = p(1 << 62)
+		}
+		return r
+	}
+	h := i * 40503
+	if h%11 != 3 {
+		r.g = p(int64(2 + h%7))
+	}
+	if h%13 != 5 {
+		s := fmt.Sprintf("tag-%d", h%6)
+		r.s = &s
+	}
+	if h%9 != 4 {
+		f := 2.5 + float64(h%5)
+		r.f = &f
+	}
+	if i%3 != 0 {
+		t := fmt.Sprintf("note-%03d", h%500)
+		r.t = &t
+	}
+	return r
+}
+
+func routeFixture(lo, hi int) *storage.Table {
+	names := []string{"g", "s", "f", "v", "a", "t"}
+	types := []vec.Type{vec.I32, vec.Str, vec.F64, vec.I64, vec.I32, vec.Str}
+	cols := make([]*storage.Column, len(names))
+	for ci := range cols {
+		cols[ci] = storage.NewColumn(names[ci], types[ci], true)
+	}
+	appendInt := func(c *storage.Column, x *int64) {
+		if x == nil {
+			c.AppendNull()
+		} else {
+			c.AppendInt(*x)
+		}
+	}
+	appendStr := func(c *storage.Column, x *string) {
+		if x == nil {
+			c.AppendNull()
+		} else {
+			c.AppendString(*x)
+		}
+	}
+	for i := lo; i < hi; i++ {
+		r := routeRowAt(i)
+		appendInt(cols[0], r.g)
+		appendStr(cols[1], r.s)
+		if r.f == nil {
+			cols[2].AppendNull()
+		} else {
+			cols[2].AppendFloat(*r.f)
+		}
+		appendInt(cols[3], r.v)
+		appendInt(cols[4], r.a)
+		appendStr(cols[5], r.t)
+	}
+	tab := storage.NewTable("routes", cols...)
+	tab.Seal()
+	return tab
+}
+
+// routeReference aggregates rows [0, n) with a plain Go map and renders
+// the groups like sortedRows does: the keys, then SUM(v), COUNT(v),
+// COUNT(*), MIN(v), MAX(v), MIN(t), AVG(a).
+func routeReference(n int, keys []string) []string {
+	type group struct {
+		key        string
+		sum        *big.Int
+		cntV, cnt  int64
+		minV, maxV int64
+		minT       *string
+		sumA, cntA int64
+	}
+	groups := map[string]*group{}
+	for i := 0; i < n; i++ {
+		r := routeRowAt(i)
+		key := ""
+		for _, k := range keys {
+			switch {
+			case k == "g" && r.g != nil:
+				key += fmt.Sprintf("%d|", *r.g)
+			case k == "s" && r.s != nil:
+				key += *r.s + "|"
+			case k == "f" && r.f != nil:
+				key += fmt.Sprintf("%.4f|", *r.f)
+			default:
+				key += "NULL|"
+			}
+		}
+		gr := groups[key]
+		if gr == nil {
+			gr = &group{key: key, sum: new(big.Int), minV: math.MaxInt64, maxV: math.MinInt64}
+			groups[key] = gr
+		}
+		gr.cnt++
+		if r.v != nil {
+			gr.sum.Add(gr.sum, big.NewInt(*r.v))
+			gr.cntV++
+			gr.minV, gr.maxV = min(gr.minV, *r.v), max(gr.maxV, *r.v)
+		}
+		if r.t != nil && (gr.minT == nil || *r.t < *gr.minT) {
+			gr.minT = r.t
+		}
+		if r.a != nil {
+			gr.sumA += *r.a
+			gr.cntA++
+		}
+	}
+	var out []string
+	for _, gr := range groups {
+		minT := "NULL"
+		if gr.minT != nil {
+			minT = *gr.minT
+		}
+		out = append(out, fmt.Sprintf("%s%s|%d|%d|%d|%d|%s|%.4f|", gr.key, gr.sum, gr.cntV, gr.cnt,
+			gr.minV, gr.maxV, minT, float64(gr.sumA)/float64(gr.cntA)))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// routePlan aggregates tab by the given keys. With partials set it is the
+// shard fragment of a distributed plan: AVG ships as its SUM and COUNT.
+func routePlan(tab *storage.Table, keys []string, bits int, partials bool) *HashAgg {
+	sc := NewScan(tab, "g", "s", "f", "v", "a", "t")
+	m := sc.Meta()
+	var keyExprs []*Expr
+	for _, k := range keys {
+		keyExprs = append(keyExprs, Col(m, k))
+	}
+	aggs := []AggExpr{
+		{Func: agg.Sum, Arg: Col(m, "v"), Name: "sum_v"},
+		{Func: agg.Count, Arg: Col(m, "v"), Name: "n_v"},
+		{Func: agg.CountStar, Name: "n"},
+		{Func: agg.Min, Arg: Col(m, "v"), Name: "min_v"},
+		{Func: agg.Max, Arg: Col(m, "v"), Name: "max_v"},
+		{Func: agg.Min, Arg: Col(m, "t"), Name: "min_t"},
+	}
+	if partials {
+		aggs = append(aggs,
+			AggExpr{Func: agg.Sum, Arg: Col(m, "a"), Name: "avg_sum"},
+			AggExpr{Func: agg.Count, Arg: Col(m, "a"), Name: "avg_cnt"})
+	} else {
+		aggs = append(aggs, AggExpr{Func: Avg, Arg: Col(m, "a"), Name: "avg_a"})
+	}
+	h := NewHashAgg(sc, keys, keyExprs, aggs)
+	h.PartitionBits = bits
+	return h
+}
+
+// TestGroupTableRoutesAgree feeds one generated input — nullable int,
+// string and DOUBLE keys, nullable arguments, an all-NULL string MIN
+// group, AVG over negative sums, a SUM carrying past 64 bits, a group wide enough to flush
+// the hot COUNT — through every feeder of the group table and pins them
+// all to a naive Go-map reference: serial HashAgg, clone-and-merge,
+// partition-wise owner build, and Exchange→MergeAgg over the input split
+// in two.
+func TestGroupTableRoutesAgree(t *testing.T) {
+	const n = 200_000
+	whole := routeFixture(0, n)
+	halves := []*storage.Table{routeFixture(0, n/2), routeFixture(n/2, n)}
+	routes := []struct {
+		name          string
+		workers, bits int
+		partitionWise int64
+	}{
+		{"serial/bits0", 1, 0, 0},
+		{"serial/bits3", 1, 3, 0},
+		{"clone-merge/w4", 4, 0, 0},
+		{"partition-wise/w4", 4, 3, 1},
+	}
+	for _, keys := range [][]string{{"g"}, {"s"}, {"f"}, {"g", "s", "f"}} {
+		want := routeReference(n, keys)
+		for _, flags := range []core.Flags{core.Vanilla(), {UseUSSR: true}, core.All()} {
+			name := fmt.Sprintf("keys=%s/%s", strings.Join(keys, ","), flagName(flags))
+			check := func(t *testing.T, got []string) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%d groups, reference %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("group %d:\n got  %s\n want %s", i, got[i], want[i])
+					}
+				}
+			}
+			for _, r := range routes {
+				t.Run(name+"/"+r.name, func(t *testing.T) {
+					qc := NewQCtx(flags)
+					qc.Workers = r.workers
+					got := sortedRows(Run(qc, routePlan(whole, keys, r.bits, false)))
+					if pw := qc.Stats.Counter(CtrPartitionWiseAggs); pw != r.partitionWise {
+						t.Fatalf("partition-wise aggs = %d, want %d", pw, r.partitionWise)
+					}
+					check(t, got)
+				})
+			}
+			t.Run(name+"/exchange-merge", func(t *testing.T) {
+				var gathered *Result
+				for _, half := range halves {
+					r := Run(NewQCtx(flags), routePlan(half, keys, DefaultPartitionBits, true))
+					if gathered == nil {
+						gathered = r
+					} else {
+						gathered.Rows = append(gathered.Rows, r.Rows...)
+					}
+				}
+				nk := len(keys)
+				merge := NewMergeAgg(NewExchange(gathered.Names, gathered.Types, gathered.Rows), nk, []MergeSpec{
+					{Func: agg.Sum, Col: nk, Cnt: -1, Name: "sum_v"},
+					{Func: agg.Count, Col: nk + 1, Cnt: -1, Name: "n_v"},
+					{Func: agg.CountStar, Col: nk + 2, Cnt: -1, Name: "n"},
+					{Func: agg.Min, Col: nk + 3, Cnt: -1, Name: "min_v"},
+					{Func: agg.Max, Col: nk + 4, Cnt: -1, Name: "max_v"},
+					{Func: agg.Min, Col: nk + 5, Cnt: -1, Name: "min_t"},
+					{Func: Avg, Col: nk + 6, Cnt: nk + 7, Name: "avg_a"},
+				})
+				check(t, sortedRows(Run(NewQCtx(flags), merge)))
+			})
 		}
 	}
 }

@@ -23,9 +23,6 @@ import (
 	"ocht/internal/vec"
 )
 
-// ussrCodeDomain is the domain of USSR slot codes (Section IV-F).
-var ussrCodeDomain = domain.New(0, 1<<16-1)
-
 // PayloadCol describes one build-side payload column.
 type PayloadCol struct {
 	Name string
@@ -161,7 +158,7 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 				j.payloadOffs[i] = -1
 				j.codeColdOff[i] = j.exceptBytes
 				j.exceptBytes += 8
-				pcols = append(pcols, pack.Col{Name: c.Name, Type: vec.Str, Dom: ussrCodeDomain})
+				pcols = append(pcols, pack.Col{Name: c.Name, Type: vec.Str, Dom: core.USSRCodeDomain})
 				continue
 			}
 			if packable := c.Type.IsInt() && c.Type != vec.I128; !packable {

@@ -103,6 +103,30 @@ func TestWriteEndpoint(t *testing.T) {
 	}
 }
 
+// TestGroupByNullableDouble pins GROUP BY over a nullable DOUBLE column:
+// DOUBLE keys enter the group table as bit patterns and NULL as a coded
+// value, and both come back out at emission.
+func TestGroupByNullableDouble(t *testing.T) {
+	_, ts, _ := writableServer(t, ingest.Config{Fsync: ingest.FsyncNone})
+	for _, w := range []string{
+		"CREATE TABLE m (id BIGINT NOT NULL, d DOUBLE)",
+		"INSERT INTO m VALUES (1, 1.5), (2, NULL), (3, 1.5)",
+	} {
+		if qr, status := postQuery(t, ts.URL, QueryRequest{SQL: w}); status != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", w, status, qr.Error)
+		}
+	}
+	qr, status := postQuery(t, ts.URL, QueryRequest{SQL: "SELECT d, COUNT(*) FROM m GROUP BY d"})
+	if status != http.StatusOK {
+		t.Fatalf("GROUP BY d: status %d: %s", status, qr.Error)
+	}
+	got := renderResp(qr)
+	want := []string{"1.5|2", "<nil>|1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("group by d = %v, want %v", got, want)
+	}
+}
+
 // TestReadOnlyServerRejectsWrites pins the behaviour of a server with no
 // ingest engine: writes get 403 and /metrics has no ingest section.
 func TestReadOnlyServerRejectsWrites(t *testing.T) {

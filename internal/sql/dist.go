@@ -12,9 +12,11 @@ import (
 // (SQL text shipped to every shard, holding everything that can run
 // below the exchange boundary — base-table filters, joins, and partial
 // aggregation) and the coordinator's merge fragment built over an
-// Exchange of the gathered shard rows. Aggregates merge through
-// agg.Merge (via exec.MergeAgg), so the reducer is the same code path as
-// the single-node parallel worker merge.
+// Exchange of the gathered shard rows. exec.MergeAgg feeds those rows
+// into the group table every single-node aggregation uses and folds them
+// with agg.LoadPartial + agg.Merge, so the reducer shares its key
+// coding, insert step and emitter with HashAgg and its fold with the
+// parallel worker merge.
 type DistPlan struct {
 	// ShardSQL is sent verbatim to every shard.
 	ShardSQL string
