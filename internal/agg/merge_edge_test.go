@@ -272,8 +272,8 @@ func TestLoadPartialRoundTrip(t *testing.T) {
 		i128.FromInt64(0),
 		i128.FromInt64(-7),
 		i128.FromInt64(math.MaxInt64),
-		{Hi: 3, Lo: 0xDEADBEEF},            // past 64 bits
-		{Hi: -1, Lo: ^uint64(0) - 41},      // negative 128-bit value
+		{Hi: 3, Lo: 0xDEADBEEF},       // past 64 bits
+		{Hi: -1, Lo: ^uint64(0) - 41}, // negative 128-bit value
 	}
 	ints := []int64{0, -50, 123456789, math.MaxInt64, MinInitExcept, MaxInitExcept}
 	for _, flags := range allFlagCombos {

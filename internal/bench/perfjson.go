@@ -77,4 +77,3 @@ func aggPoints(cfg Config) []AggPoint {
 	}
 	return out
 }
-

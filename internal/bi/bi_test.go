@@ -128,3 +128,21 @@ func TestNullsGroupTogether(t *testing.T) {
 		t.Errorf("expected exactly one NULL dept group, got %d", nullRows)
 	}
 }
+
+// BenchmarkRound times one pass over all 20 queries the way the
+// repository benchmark's bi-strings workload runs them (200 000 rows,
+// USSR-only flags, seal compression on, one worker), so a round can be
+// profiled: go test -run '^$' -bench Round -cpuprofile cpu.out ./internal/bi
+// (the benchmark directory's main package cannot be).
+func BenchmarkRound(b *testing.B) {
+	storage.SetSealCompression(storage.CompressOn)
+	cat := Gen(200_000, 42)
+	storage.SetSealCompression(storage.CompressAuto)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for q := 1; q <= NumQueries; q++ {
+			Q(q, cat, exec.NewQCtx(core.Flags{UseUSSR: true}))
+		}
+	}
+}

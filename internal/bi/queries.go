@@ -62,7 +62,7 @@ func groupCount(cat *storage.Catalog, qc *exec.QCtx, keys []string, pred func(m 
 		{Func: agg.CountStar, Name: "cnt"},
 		{Func: agg.Sum, Arg: col(m, "amount"), Name: "total"},
 	})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: len(keys), Desc: true}).Limit(1000)
+	return exec.RunSorted(qc, h, []exec.SortKey{{Col: len(keys), Desc: true}}, 1000)
 }
 
 var biQueries = [NumQueries]func(*storage.Catalog, *exec.QCtx) *exec.Result{
@@ -172,6 +172,6 @@ var biQueries = [NumQueries]func(*storage.Catalog, *exec.QCtx) *exec.Result{
 			[]string{"award_id", "v_state"},
 			[]*e{col(jm, "award_id"), col(jm, "v_state")},
 			[]exec.AggExpr{{Func: agg.Sum, Arg: col(jm, "amount"), Name: "total"}})
-		return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 2, Desc: true}).Limit(1000)
+		return exec.RunSorted(qc, h, []exec.SortKey{{Col: 2, Desc: true}}, 1000)
 	},
 }

@@ -614,15 +614,9 @@ func (c *Coordinator) read(ctx context.Context, stmt *sql.SelectStmt) (*Result, 
 	}
 	qc := exec.NewQCtx(c.cfg.Flags)
 	qc.Workers = 1 // the merge fragment is small; shards did the heavy lifting
-	res, err := exec.RunCtx(ctx, qc, root)
+	res, err := exec.RunSortedCtx(ctx, qc, root, order, limit)
 	if err != nil {
 		return nil, err
-	}
-	if len(order) > 0 {
-		res.OrderBy(order...)
-	}
-	if limit >= 0 {
-		res.Limit(limit)
 	}
 	return &Result{Columns: res.Names, Rows: res.Rows}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"ocht/internal/core"
@@ -134,10 +133,15 @@ func CatchCancel(f func()) (err error) {
 // parallel workers), so long scans actually stop. On cancellation all
 // worker goroutines have exited by the time RunCtx returns (the parallel
 // driver joins them before unwinding) and the error wraps ErrCanceled.
-func RunCtx(ctx context.Context, qc *QCtx, root Op) (res *Result, err error) {
+func RunCtx(ctx context.Context, qc *QCtx, root Op) (*Result, error) {
+	return RunSortedCtx(ctx, qc, root, nil, -1)
+}
+
+// RunSortedCtx is RunSorted under ctx, with RunCtx's cancellation contract.
+func RunSortedCtx(ctx context.Context, qc *QCtx, root Op, keys []SortKey, limit int) (res *Result, err error) {
 	qc.AttachContext(ctx)
 	defer qc.AttachContext(nil)
-	err = CatchCancel(func() { res = Run(qc, root) })
+	err = CatchCancel(func() { res = RunSorted(qc, root, keys, limit) })
 	if err != nil && ctx != nil && ctx.Err() != nil {
 		err = fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 	}
@@ -237,21 +241,7 @@ func (v Value) String() string {
 }
 
 // Less orders two values of the same type.
-func (v Value) Less(o Value) bool {
-	if v.Null != o.Null {
-		return v.Null // NULLs first
-	}
-	switch v.Typ {
-	case vec.F64:
-		return v.F < o.F
-	case vec.Str:
-		return v.S < o.S
-	case vec.I128:
-		return i128.Cmp(v.I128, o.I128) < 0
-	default:
-		return v.I < o.I
-	}
-}
+func (v Value) Less(o Value) bool { return compareValue(&v, &o) < 0 }
 
 // Result is a fully materialized query result.
 type Result struct {
@@ -265,63 +255,21 @@ type Result struct {
 // plan shape supports it (see runParallel); otherwise, and always at
 // Workers <= 1, it is the classic serial pull loop, so serial execution is
 // byte-identical to the pre-parallel engine.
-func Run(qc *QCtx, root Op) *Result {
+func Run(qc *QCtx, root Op) *Result { return RunSorted(qc, root, nil, -1) }
+
+// RunSorted is Run with the result ordered by keys and cut to its first
+// limit rows (limit < 0 = no limit) inside the result sink (sink.go), so
+// ORDER BY ... LIMIT k boxes k rows, not every row the plan produces, and a
+// bare LIMIT stops pulling once it is satisfied. Rows that tie on every
+// key are ordered by their remaining columns — see Result.OrderBy.
+func RunSorted(qc *QCtx, root Op, keys []SortKey, limit int) *Result {
 	if qc.Workers > 1 {
-		if res, ok := runParallel(qc, root); ok {
+		if res, ok := runParallel(qc, root, keys, limit); ok {
 			return res
 		}
 	}
 	root.Open(qc)
-	return materialize(qc, root)
-}
-
-// materialize drains an opened operator tree into a Result.
-func materialize(qc *QCtx, root Op) *Result {
-	meta := root.Meta()
-	res := &Result{}
-	for _, m := range meta {
-		res.Names = append(res.Names, m.Name)
-		res.Types = append(res.Types, m.Type)
-	}
-	for {
-		qc.checkCancel()
-		b := root.Next(qc)
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows() {
-			row := make([]Value, len(meta))
-			for ci, m := range meta {
-				row[ci] = cellValue(qc, b.Vecs[ci], m.Type, int(r))
-			}
-			res.Rows = append(res.Rows, row)
-		}
-	}
-	return res
-}
-
-func cellValue(qc *QCtx, v *vec.Vector, t vec.Type, i int) Value {
-	val := Value{Typ: t}
-	if v.IsNull(i) {
-		val.Null = true
-		return val
-	}
-	switch t {
-	case vec.F64:
-		val.F = v.F64[i]
-	case vec.Str:
-		ref := v.StrRefAt(i)
-		if ref == nullStrRef {
-			val.Null = true
-			return val
-		}
-		val.S = qc.Store.Get(ref)
-	case vec.I128:
-		val.I128 = v.I128[i]
-	default:
-		val.I = v.Int64At(i)
-	}
-	return val
+	return materialize(qc, root, keys, limit)
 }
 
 // ensurePlain returns v unchanged when it is plain; otherwise it decodes
@@ -341,50 +289,6 @@ func ensurePlain(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int) *vec.
 	buf := scratchVec(bufp, v.Typ, phys)
 	v.MaterializeRowsInto(buf, rows)
 	return buf
-}
-
-// SortKey orders a result column.
-type SortKey struct {
-	Col  int
-	Desc bool
-}
-
-// OrderBy sorts the result rows in place. Rows tying on every sort key
-// are ordered by their remaining columns (ascending, left to right):
-// group emission order is unspecified after a parallel merge, and a total
-// order keeps OrderBy+Limit pipelines deterministic across worker counts
-// and merge strategies.
-func (r *Result) OrderBy(keys ...SortKey) *Result {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, b := r.Rows[i][k.Col], r.Rows[j][k.Col]
-			if a.Less(b) {
-				return !k.Desc
-			}
-			if b.Less(a) {
-				return k.Desc
-			}
-		}
-		for c := range r.Rows[i] {
-			a, b := r.Rows[i][c], r.Rows[j][c]
-			if a.Less(b) {
-				return true
-			}
-			if b.Less(a) {
-				return false
-			}
-		}
-		return false
-	})
-	return r
-}
-
-// Limit truncates the result to the first n rows.
-func (r *Result) Limit(n int) *Result {
-	if len(r.Rows) > n {
-		r.Rows = r.Rows[:n]
-	}
-	return r
 }
 
 // String renders the result as an aligned text table.

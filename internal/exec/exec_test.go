@@ -2,13 +2,16 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"ocht/internal/agg"
 	"ocht/internal/core"
+	"ocht/internal/i128"
 	"ocht/internal/storage"
 	"ocht/internal/vec"
 )
@@ -347,12 +350,351 @@ func TestResultOrderLimit(t *testing.T) {
 	m := scan.Meta()
 	h := NewHashAgg(scan, []string{"region"}, []*Expr{Col(m, "region")},
 		[]AggExpr{{Func: agg.Sum, Arg: Col(m, "qty"), Name: "s"}})
-	r := Run(qc, h).OrderBy(SortKey{Col: 1, Desc: true}).Limit(2)
+	r := RunSorted(qc, h, []SortKey{{Col: 1, Desc: true}}, 2)
 	if len(r.Rows) != 2 {
 		t.Fatal("limit")
 	}
 	if r.Rows[0][1].Less(r.Rows[1][1]) {
 		t.Fatal("descending order violated")
+	}
+}
+
+// referenceOrderLimit is the result tail every caller carried before the
+// sink existed, kept verbatim as the oracle of TestSinkMatchesSortThenCut:
+// box every row, stable-sort with the keys-then-all-columns closure, cut.
+// (It orders floats with `<`, so inputs sorted through it hold no NaN.)
+func referenceOrderLimit(rows [][]Value, keys []SortKey, limit int) [][]Value {
+	rows = append([][]Value(nil), rows...)
+	less := func(a, b Value) bool {
+		if a.Null != b.Null {
+			return a.Null
+		}
+		switch a.Typ {
+		case vec.F64:
+			return a.F < b.F
+		case vec.Str:
+			return a.S < b.S
+		case vec.I128:
+			return i128.Cmp(a.I128, b.I128) < 0
+		default:
+			return a.I < b.I
+		}
+	}
+	if len(keys) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			for _, k := range keys {
+				a, b := rows[i][k.Col], rows[j][k.Col]
+				if less(a, b) {
+					return !k.Desc
+				}
+				if less(b, a) {
+					return k.Desc
+				}
+			}
+			for c := range rows[i] {
+				a, b := rows[i][c], rows[j][c]
+				if less(a, b) {
+					return true
+				}
+				if less(b, a) {
+					return false
+				}
+			}
+			return false
+		})
+	}
+	if limit >= 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rows
+}
+
+// sinkFixture spans three storage blocks (of four pipeline workers one gets
+// an empty range) with a column of every integer width, a DOUBLE and two
+// string columns: s repeats 13 short values (USSR-resident), u draws from
+// 40 000, more than the USSR holds, so its references are a mix of resident
+// and heap-backed. Every column but h, q and u holds NULLs and all but q
+// tie heavily.
+func sinkFixture() *storage.Table {
+	b := storage.NewColumn("b", vec.I8, true)
+	h := storage.NewColumn("h", vec.I16, false)
+	w := storage.NewColumn("w", vec.I32, true)
+	q := storage.NewColumn("q", vec.I64, false)
+	f := storage.NewColumn("f", vec.F64, true)
+	s := storage.NewColumn("s", vec.Str, true)
+	u := storage.NewColumn("u", vec.Str, false)
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 2*storage.BlockRows+1000; i++ {
+		if x := rng.Intn(9); x == 0 {
+			b.AppendNull()
+		} else {
+			b.AppendInt(int64(x - 4))
+		}
+		h.AppendInt(int64(rng.Intn(1000)))
+		if x := rng.Intn(40); x == 0 {
+			w.AppendNull()
+		} else {
+			w.AppendInt(int64(x) * 100_000)
+		}
+		q.AppendInt(rng.Int63n(1<<50) - 1<<49)
+		if x := rng.Intn(7); x == 0 {
+			f.AppendNull()
+		} else {
+			f.AppendFloat(float64(x)*0.5 - 2)
+		}
+		if x := rng.Intn(14); x == 0 {
+			s.AppendNull()
+		} else {
+			s.AppendString(fmt.Sprintf("s%02d", x))
+		}
+		u.AppendString(fmt.Sprintf("u-%06d", rng.Intn(40_000)))
+	}
+	t := storage.NewTable("sinkfix", b, h, w, q, f, s, u)
+	t.Seal()
+	return t
+}
+
+// TestSinkMatchesSortThenCut checks every mode of the result sink, at one
+// and four workers and through both parallel shapes, against
+// referenceOrderLimit over a full serial Run. The pipeline plan hands the
+// sink a scan's dictionary-coded and bit-packed vectors under a selection
+// vector; the aggregation plan is the BI Q6 regime — every COUNT is 1, so
+// ORDER BY cnt is decided by the tie-break columns — and adds an I128 SUM.
+func TestSinkMatchesSortThenCut(t *testing.T) {
+	tab := sinkFixture()
+	plans := []struct {
+		name  string
+		build func() Op
+		keys  [][]SortKey
+	}{
+		{"pipeline", func() Op {
+			sc := NewScan(tab, "b", "h", "w", "q", "f", "s", "u")
+			return NewFilter(sc, Lt(Col(sc.Meta(), "h"), Int(150)))
+		}, [][]SortKey{
+			nil,
+			{{Col: 4}},
+			{{Col: 5, Desc: true}, {Col: 0}},
+			{{Col: 6, Desc: true}},
+			{{Col: 2, Desc: true}, {Col: 4}, {Col: 1, Desc: true}},
+		}},
+		{"agg", func() Op {
+			sc := NewScan(tab, "h", "q", "f", "s", "u")
+			m := sc.Meta()
+			fl := NewFilter(sc, Lt(Col(m, "h"), Int(150)))
+			return NewHashAgg(fl, []string{"u", "f"}, []*Expr{Col(m, "u"), Col(m, "f")}, []AggExpr{
+				{Func: agg.CountStar, Name: "cnt"},
+				{Func: agg.Sum, Arg: Col(m, "q"), Name: "total"},
+				{Func: agg.Min, Arg: Col(m, "s"), Name: "smin"},
+			})
+		}, [][]SortKey{
+			nil,
+			{{Col: 2, Desc: true}},
+			{{Col: 3, Desc: true}},
+			{{Col: 1}, {Col: 4, Desc: true}},
+		}},
+	}
+	// The test means what it says only if the scan really hands the sink
+	// encoded vectors and both kinds of string reference.
+	probe, pqc := plans[0].build(), NewQCtx(core.Flags{UseUSSR: true})
+	probe.Open(pqc)
+	pb := probe.Next(pqc)
+	resident := 0
+	for _, r := range pb.Rows() {
+		if pb.Vecs[6].StrRefAt(int(r)).InUSSR() {
+			resident++
+		}
+	}
+	if pb.Vecs[0].Enc != vec.EncPacked || pb.Vecs[6].Enc != vec.EncDict || pb.Sel == nil || resident == 0 || resident == pb.N {
+		t.Fatalf("fixture: b is %v, u is %v, sel %v, %d of %d u resident", pb.Vecs[0].Enc, pb.Vecs[6].Enc, pb.Sel != nil, resident, pb.N)
+	}
+	for _, plan := range plans {
+		for _, flags := range []core.Flags{core.Vanilla(), {UseUSSR: true}} {
+			full := Run(NewQCtx(flags), plan.build())
+			n := len(full.Rows)
+			if n < 15_000 {
+				t.Fatalf("%s: fixture left only %d rows", plan.name, n)
+			}
+			if plan.name == "agg" && full.Types[3] != vec.I128 {
+				t.Fatalf("agg: SUM column is %v, want I128", full.Types[3])
+			}
+			for ki, keys := range plan.keys {
+				sorted := referenceOrderLimit(full.Rows, keys, -1)
+				for _, limit := range []int{0, 1, 777, n, n + 5, -1} {
+					want := referenceOrderLimit(sorted, nil, limit)
+					for _, workers := range []int{1, 4} {
+						qc := NewQCtx(flags)
+						qc.Workers = workers
+						got := RunSorted(qc, plan.build(), keys, limit)
+						name := fmt.Sprintf("%s/%s/keys%d/limit%d/w%d", plan.name, flagName(flags), ki, limit, workers)
+						if keys == nil && plan.name == "agg" && workers > 1 {
+							// Group emission order is unspecified after a
+							// parallel merge: any limit groups will do.
+							assertSubset(t, name, got, full, len(want))
+							continue
+						}
+						if len(got.Rows) != len(want) {
+							t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), len(want))
+						}
+						for i, row := range got.Rows {
+							if !slices.Equal(row, want[i]) {
+								t.Fatalf("%s: row %d is %v, want %v", name, i, row, want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func assertSubset(t *testing.T, name string, got, full *Result, n int) {
+	t.Helper()
+	if len(got.Rows) != n {
+		t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), n)
+	}
+	all := map[string]int{}
+	for _, r := range renderedRows(full) {
+		all[r]++
+	}
+	for _, r := range renderedRows(got) {
+		if all[r]--; all[r] < 0 {
+			t.Fatalf("%s: row %s is not in the full result", name, r)
+		}
+	}
+}
+
+// floatEdgeValues is NULL plus every kind of DOUBLE the engine can hold:
+// COPY parses "NaN" and "Inf", and arithmetic produces -0.
+func floatEdgeValues() []Value {
+	vals := []Value{{Typ: vec.F64, Null: true}}
+	for _, f := range []float64{math.NaN(), math.Inf(-1), -2.5, math.Copysign(0, -1), 0, 1, 1, 7.5, math.Inf(1), math.NaN()} {
+		vals = append(vals, Value{Typ: vec.F64, F: f})
+	}
+	return vals
+}
+
+// TestValueOrderIsStrictWeak: the cell order must be a strict weak order
+// over DOUBLEs too. `<` alone is not once a NaN is present — NaN ties with
+// 0 and with 1 while 0 < 1 — and neither a sort nor a heap is defined over
+// such a relation.
+func TestValueOrderIsStrictWeak(t *testing.T) {
+	vals := floatEdgeValues()
+	tie := func(a, b Value) bool { return !a.Less(b) && !b.Less(a) }
+	for _, a := range vals {
+		if a.Less(a) {
+			t.Errorf("%v < itself", a)
+		}
+		for _, b := range vals {
+			if a.Less(b) && b.Less(a) {
+				t.Errorf("%v and %v are each less than the other", a, b)
+			}
+			for _, c := range vals {
+				if a.Less(b) && b.Less(c) && !a.Less(c) {
+					t.Errorf("%v < %v < %v but not %v < %v", a, b, c, a, c)
+				}
+				if tie(a, b) && tie(b, c) && !tie(a, c) {
+					t.Errorf("%v ties %v ties %v but not %v with %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+	nan, negZero := vals[1], vals[4]
+	if !vals[0].Less(nan) || !nan.Less(vals[2]) || !tie(nan, vals[len(vals)-1]) {
+		t.Error("want NULL < NaN < -Inf and NaN tying NaN")
+	}
+	if !tie(negZero, vals[5]) {
+		t.Error("want -0 tying +0")
+	}
+}
+
+// TestTopKOverFloatEdges: with the edge values as sort key (and a unique id
+// so that no two rows tie entirely) the full sort puts NULL, NaN, -Inf, the
+// numbers and +Inf in that order, and every top-k is a prefix of it.
+func TestTopKOverFloatEdges(t *testing.T) {
+	rank := func(v Value) int {
+		switch {
+		case v.Null:
+			return 0
+		case math.IsNaN(v.F):
+			return 1
+		}
+		for r, f := range []float64{math.Inf(-1), -2.5, 0, 1, 7.5, math.Inf(1)} {
+			if v.F == f {
+				return 2 + r
+			}
+		}
+		t.Fatalf("unexpected value %v", v)
+		return -1
+	}
+	var rows [][]Value
+	rng := rand.New(rand.NewSource(3))
+	vals := floatEdgeValues()
+	for id := 0; id < 200; id++ {
+		rows = append(rows, []Value{vals[rng.Intn(len(vals))], {Typ: vec.I64, I: int64(id)}})
+	}
+	names, types := []string{"f", "id"}, []vec.Type{vec.F64, vec.I64}
+	run := func(desc bool, limit int) *Result {
+		return RunSorted(NewQCtx(core.Vanilla()), NewExchange(names, types, rows), []SortKey{{Col: 0, Desc: desc}}, limit)
+	}
+	for _, desc := range []bool{false, true} {
+		full := run(desc, -1)
+		for i := 1; i < len(full.Rows); i++ {
+			a, b := rank(full.Rows[i-1][0]), rank(full.Rows[i][0])
+			if (!desc && a > b) || (desc && a < b) {
+				t.Fatalf("desc=%v: row %d (%v) is sorted before row %d (%v)", desc, i-1, full.Rows[i-1][0], i, full.Rows[i][0])
+			}
+		}
+		want := renderedRows(full)
+		for _, k := range []int{0, 1, 7, 64, 199, 200, 500} {
+			got := renderedRows(run(desc, k))
+			if len(got) != min(k, len(want)) {
+				t.Fatalf("desc=%v top-%d has %d rows", desc, k, len(got))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("desc=%v top-%d row %d is %s, the full sort has %s", desc, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSinkRejectPathDoesNotAllocate: once the heap is full, a candidate
+// that loses is compared on the batch vectors and dropped — no boxing, no
+// string materialization, for USSR-resident and heap strings alike.
+func TestSinkRejectPathDoesNotAllocate(t *testing.T) {
+	qc := NewQCtx(core.Flags{UseUSSR: true})
+	meta := []Meta{{Name: "s", Type: vec.Str}, {Name: "f", Type: vec.F64}, {Name: "n", Type: vec.I32}}
+	batch := func(prefix string) *vec.Batch {
+		b := vec.NewBatch(vec.Str, vec.F64, vec.I32)
+		b.N = vec.Size
+		for i := 0; i < vec.Size; i++ {
+			s := fmt.Sprintf("%s-%04d", prefix, i)
+			if i%2 == 0 {
+				b.Vecs[0].Str[i] = qc.Store.Intern(s)
+			} else {
+				b.Vecs[0].Str[i] = qc.Store.Heap.Put(s)
+			}
+			b.Vecs[1].F64[i] = 1
+			b.Vecs[2].I32[i] = int32(i % 3)
+		}
+		return b
+	}
+	// ORDER BY f, s LIMIT 100: f always ties, so the string decides.
+	h := topK{order: newRowOrder([]SortKey{{Col: 1}, {Col: 0}}, len(meta)), limit: 100}
+	h.push(qc, batch("a"), meta)
+	if len(h.rows) != 100 {
+		t.Fatalf("heap holds %d rows, want 100", len(h.rows))
+	}
+	losers := batch("b")
+	if !losers.Vecs[0].Str[0].InUSSR() || losers.Vecs[0].Str[1].InUSSR() {
+		t.Fatal("want both USSR-resident and heap candidates")
+	}
+	if n := testing.AllocsPerRun(10, func() { h.push(qc, losers, meta) }); n != 0 {
+		t.Errorf("%v allocations per rejected batch, want 0", n)
+	}
+	if got := h.rows[0][0].S; got != "a-0099" {
+		t.Errorf("worst kept row is %s, want a-0099", got)
 	}
 }
 

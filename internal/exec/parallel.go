@@ -117,15 +117,15 @@ func warmExpr(qc *QCtx, e *Expr) {
 
 // runParallel executes the plan with qc.Workers workers. ok is false when
 // the plan shape is unsupported; the caller then runs serially.
-func runParallel(qc *QCtx, root Op) (res *Result, ok bool) {
+func runParallel(qc *QCtx, root Op, keys []SortKey, limit int) (res *Result, ok bool) {
 	sp, ok := analyze(root)
 	if !ok {
 		return nil, false
 	}
 	if sp.frontier != nil {
-		return runParallelAgg(qc, root, sp), true
+		return runParallelAgg(qc, root, sp, keys, limit), true
 	}
-	return runParallelPipeline(qc, root, sp), true
+	return runParallelPipeline(qc, root, sp, keys, limit), true
 }
 
 // forkCtx builds the per-worker execution contexts: private string heaps
@@ -195,7 +195,7 @@ func spawn(n int, task func(i int)) {
 //     re-aggregated into the template through agg.Merge. With few groups
 //     the merge touches almost nothing, so the classic path stays the
 //     cheaper one.
-func runParallelAgg(qc *QCtx, root Op, sp spine) *Result {
+func runParallelAgg(qc *QCtx, root Op, sp spine, keys []SortKey, limit int) *Result {
 	tpl := sp.frontier
 
 	// 1. Open the frontier subtree serially with an empty table: this
@@ -222,7 +222,7 @@ func runParallelAgg(qc *QCtx, root Op, sp spine) *Result {
 	// the frontier's Open is short-circuited onto the built table.
 	tpl.driverOpened = true
 	root.Open(qc)
-	return materialize(qc, root)
+	return materialize(qc, root, keys, limit)
 }
 
 // runMergeAgg is the classic parallel build: each worker drives a full
@@ -245,8 +245,10 @@ func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 
 // runParallelPipeline is the no-frontier case: contiguous block ranges per
 // worker, full per-worker pipelines, results concatenated in worker order
-// (which is serial row order).
-func runParallelPipeline(qc *QCtx, root Op, sp spine) *Result {
+// (which is serial row order). Under a limit every worker keeps only its
+// own first or top limit rows — no other row of its range can be in the
+// answer — and the driver orders and cuts the at most Workers*limit rows.
+func runParallelPipeline(qc *QCtx, root Op, sp spine, keys []SortKey, limit int) *Result {
 	// Build all join tables once, serially, with normal USSR priority.
 	root.Open(qc)
 
@@ -260,23 +262,23 @@ func runParallelPipeline(qc *QCtx, root Op, sp spine) *Result {
 	if len(sp.scan.Table.Cols) > 0 {
 		blocks = sp.scan.Table.Cols[0].Blocks()
 	}
+	wkeys := keys
+	if limit < 0 {
+		wkeys = nil // an unbounded sort happens once, in the driver
+	}
 	n := len(wqcs)
 	results := make([]*Result, n)
 	spawn(n, func(i int) {
 		lo, hi := i*blocks/n, (i+1)*blocks/n
 		clone := clonePipeline(root, storage.NewMorselQueueRange(lo, hi), i)
 		clone.Open(wqcs[i])
-		results[i] = materialize(wqcs[i], clone)
+		results[i] = materialize(wqcs[i], clone, wkeys, limit)
 	})
 	joinCtx(qc, wqcs)
 
-	res := &Result{}
-	for _, m := range root.Meta() {
-		res.Names = append(res.Names, m.Name)
-		res.Types = append(res.Types, m.Type)
-	}
+	res := newResult(root.Meta())
 	for _, r := range results {
 		res.Rows = append(res.Rows, r.Rows...)
 	}
-	return res
+	return res.sortCut(keys, limit)
 }

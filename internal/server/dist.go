@@ -151,19 +151,13 @@ func (s *Server) executeShard(ctx context.Context, req *ShardRequest) (resp Shar
 		s.pool.release(u)
 	}()
 
-	res, err := exec.RunCtx(ctx, qc, exec.ClonePlan(entry.root))
+	res, err := exec.RunSortedCtx(ctx, qc, exec.ClonePlan(entry.root), entry.order, entry.limit)
 	if err != nil {
 		resp.Error = err.Error()
 		if ctx.Err() == context.DeadlineExceeded {
 			return resp, http.StatusGatewayTimeout
 		}
 		return resp, statusClientClosed
-	}
-	if len(entry.order) > 0 {
-		res.OrderBy(entry.order...)
-	}
-	if entry.limit >= 0 {
-		res.Limit(entry.limit)
 	}
 
 	resp.Columns = res.Names

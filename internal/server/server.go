@@ -346,7 +346,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest) (resp QueryResp
 		s.pool.release(u)
 	}()
 
-	res, err := exec.RunCtx(ctx, qc, exec.ClonePlan(entry.root))
+	res, err := exec.RunSortedCtx(ctx, qc, exec.ClonePlan(entry.root), entry.order, entry.limit)
 	if err != nil {
 		pc := resp.PlanCache
 		resp = QueryResponse{Error: err.Error(), PlanCache: pc}
@@ -354,12 +354,6 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest) (resp QueryResp
 			return resp, http.StatusGatewayTimeout
 		}
 		return resp, statusClientClosed
-	}
-	if len(entry.order) > 0 {
-		res.OrderBy(entry.order...)
-	}
-	if entry.limit >= 0 {
-		res.Limit(entry.limit)
 	}
 
 	resp.Columns = res.Names

@@ -129,15 +129,9 @@ func runDistributed(t *testing.T, q string, shards []*storage.Catalog, flags cor
 	if err != nil {
 		t.Fatalf("merge %q: %v", q, err)
 	}
-	res, err := exec.RunCtx(nil, exec.NewQCtx(flags), root)
+	res, err := exec.RunSortedCtx(nil, exec.NewQCtx(flags), root, order, limit)
 	if err != nil {
 		t.Fatalf("merge run %q: %v", q, err)
-	}
-	if len(order) > 0 {
-		res.OrderBy(order...)
-	}
-	if limit >= 0 {
-		res.Limit(limit)
 	}
 	return res
 }

@@ -221,7 +221,7 @@ func formatFloat(v float64) string {
 	return s
 }
 
-// quoteSQL single-quotes a string literal with '' escaping.
+// quoteSQL single-quotes a string literal with ” escaping.
 func quoteSQL(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }

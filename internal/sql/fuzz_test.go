@@ -84,14 +84,14 @@ func FuzzParse(f *testing.F) {
 // mis-parse.
 func TestParseFuzzRegressions(t *testing.T) {
 	mustErr := []string{
-		"",                      // empty input
-		"   \t\n  ",             // whitespace only
-		"SELECT",                // truncated after keyword
-		"SELECT a FROM",         // truncated mid-clause
-		"SELECT a FROM t WHERE", // trailing WHERE
-		"SELECT a FROM t GROUP", // GROUP without BY
-		"SELECT a FROM t ORDER", // ORDER without BY
-		"SELECT a FROM t LIMIT", // LIMIT without count
+		"",                                      // empty input
+		"   \t\n  ",                             // whitespace only
+		"SELECT",                                // truncated after keyword
+		"SELECT a FROM",                         // truncated mid-clause
+		"SELECT a FROM t WHERE",                 // trailing WHERE
+		"SELECT a FROM t GROUP",                 // GROUP without BY
+		"SELECT a FROM t ORDER",                 // ORDER without BY
+		"SELECT a FROM t LIMIT",                 // LIMIT without count
 		"SELECT a FROM t LIMIT 'x'",             // non-numeric limit
 		"SELECT a FROM t JOIN",                  // JOIN without table
 		"SELECT a FROM t JOIN u",                // JOIN without ON

@@ -37,21 +37,11 @@ func RunCtx(ctx context.Context, query string, cat Tables, qc *exec.QCtx) (*exec
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.RunCtx(ctx, qc, root)
-	if err != nil {
-		return nil, err
-	}
-	if len(order) > 0 {
-		res.OrderBy(order...)
-	}
-	if limit >= 0 {
-		res.Limit(limit)
-	}
-	return res, nil
+	return exec.RunSortedCtx(ctx, qc, root, order, limit)
 }
 
-// Plan compiles a parsed statement to an operator tree plus the post-run
-// ordering and limit.
+// Plan compiles a parsed statement to an operator tree plus the ordering
+// and limit (-1 = none) to run it under (exec.RunSorted).
 func Plan(stmt *SelectStmt, cat Tables) (exec.Op, []exec.SortKey, int, error) {
 	p := &planner{cat: cat}
 	op, err := p.plan(stmt)

@@ -341,3 +341,46 @@ func TestStringMinMax(t *testing.T) {
 		t.Errorf("food row: %v", res.Rows[0])
 	}
 }
+
+// TestLimitStopsScanning: a bare LIMIT is satisfied by the first rows the
+// plan produces, so the result sink must stop pulling — the scan never
+// reads the table's later blocks — and the first rows are the same at
+// every worker count (pipeline workers own contiguous block ranges).
+func TestLimitStopsScanning(t *testing.T) {
+	id := storage.NewColumn("id", vec.I64, false)
+	tag := storage.NewColumn("tag", vec.Str, false)
+	for i := 0; i < 2*storage.BlockRows+10; i++ {
+		id.AppendInt(int64(i))
+		tag.AppendString(fmt.Sprintf("t%d", i%7))
+	}
+	wide := storage.NewTable("wide", id, tag)
+	wide.Seal()
+	cat := storage.NewCatalog()
+	cat.Add(wide)
+	blocks := int64(id.Blocks())
+	if blocks < 3 {
+		t.Fatalf("fixture sealed into %d blocks, want >= 3", blocks)
+	}
+
+	const q = "SELECT id, tag FROM wide WHERE id >= 5 LIMIT 10"
+	qc := exec.NewQCtx(core.All())
+	serial, err := Run(q, cat, qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Rows) != 10 || serial.Rows[0][0].I != 5 || serial.Rows[9][0].I != 14 {
+		t.Fatalf("LIMIT 10 returned %v", serial)
+	}
+	if read := qc.Stats.Counter(exec.CtrBlocksRead); read >= blocks {
+		t.Errorf("LIMIT 10 read %d of %d blocks; the sink must stop pulling", read, blocks)
+	}
+	qc = exec.NewQCtx(core.All())
+	qc.Workers = 4
+	parallel, err := Run(q, cat, qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallel.String() != serial.String() {
+		t.Errorf("4 workers returned\n%v\nserial\n%v", parallel, serial)
+	}
+}

@@ -41,6 +41,11 @@ type Store struct {
 	// Counters for the Figure 6 breakdown.
 	HashFast, HashSlow   int // pre-computed vs computed hashes
 	EqualFast, EqualSlow int // pointer vs byte-wise comparisons
+
+	// cmpA and cmpB receive USSR-resident operands of Compare, EqualString
+	// and CompareString (Raw copies the slot words out), grown once and
+	// reused; like the counters they make a Store single-goroutine.
+	cmpA, cmpB []byte
 }
 
 // NewStore creates a store; useUSSR selects whether Intern tries the USSR
@@ -231,7 +236,9 @@ func (st *Store) Raw(r vec.StrRef, scratch []byte) (data, scratchOut []byte) {
 
 // EqualString compares the string behind r with a Go string.
 func (st *Store) EqualString(r vec.StrRef, s string) bool {
-	return bytes.Equal(st.rawBytes(r), []byte(s))
+	var d []byte
+	d, st.cmpA = st.Raw(r, st.cmpA)
+	return string(d) == s
 }
 
 // Compare orders the strings behind a and b lexicographically.
@@ -239,22 +246,31 @@ func (st *Store) Compare(a, b vec.StrRef) int {
 	if a.InUSSR() && b.InUSSR() && a == b {
 		return 0
 	}
-	return bytes.Compare(st.rawBytes(a), st.rawBytes(b))
+	var da, db []byte
+	da, st.cmpA = st.Raw(a, st.cmpA)
+	db, st.cmpB = st.Raw(b, st.cmpB)
+	return bytes.Compare(da, db)
+}
+
+// CompareString orders the string behind r against a Go string — the
+// result sink's compare of an in-flight reference with an already boxed
+// cell. Like Compare and EqualString it reads r through Raw into the
+// store's own scratch, so none of the three allocates (the conversions
+// below are comparison operands, which the compiler does not copy).
+func (st *Store) CompareString(r vec.StrRef, s string) int {
+	var d []byte
+	d, st.cmpA = st.Raw(r, st.cmpA)
+	if string(d) < s {
+		return -1
+	}
+	if string(d) > s {
+		return 1
+	}
+	return 0
 }
 
 // HashOf hashes an untracked Go string with the engine hash function.
 func HashOf(s string) uint64 { return strhash.HashString(s) }
-
-func (st *Store) rawBytes(r vec.StrRef) []byte {
-	if r.InUSSR() {
-		return st.U.Bytes(r)
-	}
-	if r == NullRef {
-		return nil
-	}
-	h, lr := st.heapOf(r)
-	return h.Bytes(lr)
-}
 
 // MemoryBytes reports the string memory footprint: the heap arena plus the
 // USSR's fixed region when enabled.

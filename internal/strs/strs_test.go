@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ocht/internal/vec"
 )
 
 func TestInternPrefersUSSR(t *testing.T) {
@@ -71,12 +73,73 @@ func TestHashFastPath(t *testing.T) {
 	}
 }
 
+// TestCompare checks Compare, CompareString and EqualString against
+// strings.Compare over every pairing of backings (USSR-resident and heap),
+// including the empty string, a proper prefix, an embedded NUL (the USSR
+// zero-pads its slot words) and a string longer than one slot word.
 func TestCompare(t *testing.T) {
 	st := NewStore(true)
-	a, b := st.Intern("apple"), st.Intern("banana")
-	if st.Compare(a, b) >= 0 || st.Compare(b, a) <= 0 || st.Compare(a, a) != 0 {
-		t.Error("compare ordering")
+	words := []string{"", "a", "apple", "apple\x00", "apple pie and custard", "banana", "b\xffz"}
+	var resident, heap []refOf
+	for _, w := range words {
+		r := st.Intern(w)
+		if !r.InUSSR() {
+			t.Fatalf("%q must be USSR-resident", w)
+		}
+		resident = append(resident, refOf{r, w})
+		heap = append(heap, refOf{st.Heap.Put(w), w})
 	}
+	all := append(append([]refOf{}, resident...), heap...)
+	for _, a := range all {
+		for _, b := range all {
+			want := strings.Compare(a.s, b.s)
+			if got := st.Compare(a.r, b.r); got != want {
+				t.Errorf("Compare(%q[ussr=%v], %q[ussr=%v]) = %d, want %d", a.s, a.r.InUSSR(), b.s, b.r.InUSSR(), got, want)
+			}
+			if got := st.CompareString(a.r, b.s); got != want {
+				t.Errorf("CompareString(%q[ussr=%v], %q) = %d, want %d", a.s, a.r.InUSSR(), b.s, got, want)
+			}
+			if got := st.EqualString(a.r, b.s); got != (want == 0) {
+				t.Errorf("EqualString(%q[ussr=%v], %q) = %v", a.s, a.r.InUSSR(), b.s, got)
+			}
+		}
+	}
+}
+
+type refOf struct {
+	r vec.StrRef
+	s string
+}
+
+// TestCompareDoesNotAllocate pins the per-row cost of string </> filters,
+// string MIN/MAX and the result sink's reject path: once the store's
+// scratch has grown to the longest resident operand, no compare allocates.
+func TestCompareDoesNotAllocate(t *testing.T) {
+	st := NewStore(true)
+	long := strings.Repeat("resident string of some length ", 8)
+	sa, sb := long+"a", long+"b"
+	ra, rb := st.Intern(sa), st.Intern(sb)
+	if !ra.InUSSR() || !rb.InUSSR() {
+		t.Fatal("operands must be USSR-resident")
+	}
+	ha := st.Heap.Put(sa)
+	sink := 0
+	for name, f := range map[string]func(){
+		"resident/resident": func() { sink += st.Compare(ra, rb) },
+		"resident/heap":     func() { sink += st.Compare(rb, ha) + st.Compare(ha, rb) },
+		"ref/string":        func() { sink += st.CompareString(ra, sb) + st.CompareString(ha, sb) },
+		"EqualString": func() {
+			if st.EqualString(ra, sa) {
+				sink++
+			}
+		},
+	} {
+		f() // grow the scratch
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations per compare, want 0", name, n)
+		}
+	}
+	_ = sink
 }
 
 func TestEqualString(t *testing.T) {

@@ -131,9 +131,7 @@ func q2(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 		[]string{"s_acctbal", "s_name", "n_name", "p_partkey", "p_mfgr", "s_address", "s_phone", "s_comment"},
 		[]*e{col(jm, "s_acctbal"), col(jm, "s_name"), col(jm, "n_name"), col(jm, "ps_partkey"),
 			col(jm, "p_mfgr"), col(jm, "s_address"), col(jm, "s_phone"), col(jm, "s_comment")})
-	return exec.Run(qc, out).OrderBy(
-		exec.SortKey{Col: 0, Desc: true}, exec.SortKey{Col: 2},
-		exec.SortKey{Col: 1}, exec.SortKey{Col: 3}).Limit(100)
+	return exec.RunSorted(qc, out, []exec.SortKey{{Col: 0, Desc: true}, {Col: 2}, {Col: 1}, {Col: 3}}, 100)
 }
 
 // q3: shipping priority.
@@ -155,7 +153,7 @@ func q3(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 		[]string{"l_orderkey", "o_orderdate", "o_shippriority"},
 		[]*e{col(jm, "l_orderkey"), col(jm, "o_orderdate"), col(jm, "o_shippriority")},
 		[]exec.AggExpr{{Func: agg.Sum, Arg: revenue(jm), Name: "revenue"}})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 3, Desc: true}, exec.SortKey{Col: 1}).Limit(10)
+	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 3, Desc: true}, {Col: 1}}, 10)
 }
 
 // q4: order priority checking.
@@ -377,7 +375,7 @@ func q10(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 		[]*e{col(fm, "o_custkey"), col(fm, "c_name"), col(fm, "c_acctbal"), col(fm, "c_phone"),
 			col(fm, "n_name"), col(fm, "c_address"), col(fm, "c_comment")},
 		[]exec.AggExpr{{Func: agg.Sum, Arg: revenue(fm), Name: "revenue"}})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 7, Desc: true}).Limit(20)
+	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 7, Desc: true}}, 20)
 }
 
 // q11: important stock identification.

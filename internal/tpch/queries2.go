@@ -196,7 +196,7 @@ func q18(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 		[]*e{col(fm, "c_name"), col(fm, "o_custkey"), col(fm, "o_orderkey"),
 			col(fm, "o_orderdate"), col(fm, "o_totalprice")},
 		[]exec.AggExpr{{Func: agg.Sum, Arg: col(fm, "sum_qty"), Name: "sum_qty_out"}})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 4, Desc: true}, exec.SortKey{Col: 3}).Limit(100)
+	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 4, Desc: true}, {Col: 3}}, 100)
 }
 
 // q19: discounted revenue (the three-way OR of brand/container/quantity).
@@ -320,7 +320,7 @@ func q21(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	h := exec.NewHashAgg(f,
 		[]string{"s_name"}, []*e{col(wm, "s_name")},
 		[]exec.AggExpr{{Func: agg.CountStar, Name: "numwait"}})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 1, Desc: true}, exec.SortKey{Col: 0}).Limit(100)
+	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 1, Desc: true}, {Col: 0}}, 100)
 }
 
 // q22: global sales opportunity.

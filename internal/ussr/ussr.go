@@ -19,6 +19,7 @@ package ussr
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"ocht/internal/strhash"
 	"ocht/internal/vec"
@@ -229,14 +230,6 @@ func (u *USSR) Get(r vec.StrRef) string {
 // Len returns the length of the resident string r.
 func (u *USSR) Len(r vec.StrRef) int { return int(u.lens[r.USSRSlot()]) }
 
-// Bytes returns the bytes of resident string r as a fresh slice.
-func (u *USSR) Bytes(r vec.StrRef) []byte {
-	b := u.bytesAt(r.USSRSlot())
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
 // RefForSlot rebuilds a reference from a 16-bit slot number, the inverse
 // of vec.StrRef.USSRSlot used when unpacking hot-area slot codes
 // (Section IV-F: base address + slot*8).
@@ -252,7 +245,8 @@ func (u *USSR) bytesAt(slot uint16) []byte {
 func (u *USSR) appendBytes(buf []byte, slot uint16) []byte {
 	n := int(u.lens[slot])
 	start := len(buf)
-	buf = append(buf, make([]byte, (n+7)&^7)...)
+	padded := (n + 7) &^ 7 // whole slot words; allocates only when buf lacks the capacity
+	buf = slices.Grow(buf, padded)[:start+padded]
 	for i, w := 0, int(slot); i < n; i, w = i+8, w+1 {
 		binary.LittleEndian.PutUint64(buf[start+i:], u.data[w])
 	}

@@ -279,7 +279,7 @@ func (q *Query) OrderBy(col int, desc bool) *Query {
 	return q
 }
 
-// Limit truncates the result.
+// Limit truncates the result to its first n rows; 0 = no limit.
 func (q *Query) Limit(n int) *Query {
 	q.limit = n
 	return q
@@ -295,14 +295,11 @@ func (q *Query) Run() *Result {
 		}
 		root = exec.NewHashAgg(root, q.keys, keyExprs, q.aggs)
 	}
-	res := exec.Run(q.qc, root)
-	if len(q.orderBy) > 0 {
-		res.OrderBy(q.orderBy...)
-	}
+	limit := -1
 	if q.limit > 0 {
-		res.Limit(q.limit)
+		limit = q.limit
 	}
-	return res
+	return exec.RunSorted(q.qc, root, q.orderBy, limit)
 }
 
 // Plan runs an arbitrary operator tree built with the exec package under
