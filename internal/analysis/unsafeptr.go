@@ -10,14 +10,12 @@ import (
 const ussrRegionBytes = 512 << 10
 
 // unsafeAllowed are the only packages permitted to import unsafe: the
-// string subsystems that mirror the paper's raw-pointer representation.
+// USSR, which mirrors the paper's raw-pointer string representation.
 var unsafeAllowed = []string{
 	"internal/ussr",
-	"internal/strheap",
-	"internal/strhash",
 }
 
-// UnsafePtr restricts unsafe to the string-subsystem allowlist and, inside
+// UnsafePtr restricts unsafe to the USSR allowlist and, inside
 // the allowlist, enforces the two rules that keep pointer arithmetic sound:
 // a pointer round-tripped through uintptr must stay within a single
 // expression (a stored uintptr is invisible to the GC and stale after any
@@ -26,9 +24,8 @@ var unsafeAllowed = []string{
 // expression masked/modulo'd by one.
 var UnsafePtr = &Analyzer{
 	Name: "unsafeptr",
-	Doc: "restricts unsafe to internal/ussr, internal/strheap and " +
-		"internal/strhash, and flags stored uintptrs and unbounded pointer " +
-		"offsets that can escape the 512 kB self-aligned region",
+	Doc: "restricts unsafe to internal/ussr, and flags stored uintptrs and " +
+		"unbounded pointer offsets that can escape the 512 kB self-aligned region",
 	Run: runUnsafePtr,
 }
 
@@ -41,7 +38,7 @@ func runUnsafePtr(pass *Pass) {
 				importsUnsafe = true
 				if !allowed {
 					pass.Reportf(imp.Pos(),
-						"import of unsafe outside the allowlist (internal/ussr, internal/strheap, internal/strhash)")
+						"import of unsafe outside the allowlist (internal/ussr)")
 				}
 			}
 		}

@@ -79,6 +79,7 @@ type KeySchema struct {
 	// Per-batch scratch reused across Prepare calls. A KeySchema serves a
 	// single query pipeline and is not safe for concurrent use.
 	scratch Prepared
+	regrow  regrow // Table.grow's scratch, apart from the batch in scratch
 }
 
 // NewKeySchema builds the key layout. store supplies string memory and may
@@ -223,14 +224,7 @@ func (s *KeySchema) Prepare(cols []*vec.Vector, rows []int32) *Prepared {
 			// View exactly the batch's physical length so the kernels'
 			// full-vector mode stays in bounds.
 			codes.Str = codes.Str[:phys]
-			src, dst := c.Str, codes.Str
-			for _, r := range rows {
-				if ref := src[r]; ref.InUSSR() {
-					dst[r] = vec.StrRef(ref.USSRSlot())
-				} else {
-					dst[r] = 0 // exception
-				}
-			}
+			ussr.SlotCodes(c.Str, codes.Str, rows)
 			p.planVecs[pi] = codes
 			continue
 		}
@@ -260,7 +254,11 @@ func (s *KeySchema) Prepare(cols []*vec.Vector, rows []int32) *Prepared {
 // into one word are hashed as one (Section II-F) — while string columns
 // outside the plan and all direct-mode columns are hashed by content, with
 // string hashes going through the store's pre-computed fast path when
-// resident.
+// resident. A slot code is canonical for a resident string, but every
+// string the USSR rejected shares code 0, so those rows also fold in the
+// string's content hash: otherwise they would all share one chain. This
+// is the only definition of a key's hash; Table.grow re-hashes stored
+// records through it.
 func (s *KeySchema) Hash(p *Prepared, rows []int32, out []uint64) {
 	first := true
 	if s.plan != nil {
@@ -269,9 +267,18 @@ func (s *KeySchema) Hash(p *Prepared, rows []int32, out []uint64) {
 			first = false
 		}
 		for ci, c := range s.Cols {
-			if c.Type == vec.Str && s.codeCol[ci] < 0 {
+			switch {
+			case c.Type != vec.Str:
+			case s.codeCol[ci] < 0:
 				s.hashStrInto(p.orig[ci].Str, rows, out, first)
 				first = false
+			default:
+				refs, codes := p.orig[ci].Str, p.planVecs[s.codeCol[ci]].Str
+				for _, r := range rows {
+					if codes[r] == 0 {
+						out[r] = pack.Mix64(out[r] ^ s.Store.Hash(refs[r]))
+					}
+				}
 			}
 		}
 	} else {
@@ -311,6 +318,3 @@ func (s *KeySchema) hashStrInto(refs []vec.StrRef, rows []int32, out []uint64, f
 		out[r] = pack.Mix64(out[r] ^ s.Store.Hash(refs[r]))
 	}
 }
-
-// refForCode rebuilds the string reference of a hot-area slot code.
-func refForCode(code uint16) vec.StrRef { return ussr.RefForSlot(code) }

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 
-	"ocht/internal/pack"
+	"ocht/internal/ussr"
 	"ocht/internal/vec"
 )
 
@@ -92,6 +92,10 @@ func (t *Table) Next(rec int32) int32 { return t.next[rec] }
 
 // grow doubles the directory and relinks every record except `skip`
 // (the record currently being inserted, which the caller links itself).
+// The stored keys are re-hashed through KeySchema.Hash, the one definition
+// of a key's hash, a chunk at a time: each chunk's records are loaded back
+// into the Prepared form Hash reads — packed words as stored, string
+// references with their slot codes.
 func (t *Table) grow(skip int32) {
 	size := len(t.heads) * 2
 	t.heads = make([]int32, size)
@@ -99,14 +103,83 @@ func (t *Table) grow(skip int32) {
 		t.heads[i] = -1
 	}
 	t.mask = uint64(size - 1)
-	for rec := 0; rec < t.n; rec++ {
-		if int32(rec) == skip {
-			continue
+
+	s := t.Schema
+	chunk := min(t.n, vec.Size)
+	g := s.regrowScratch(chunk)
+	p := &g.p
+	for lo := 0; lo < t.n; lo += chunk {
+		n := min(chunk, t.n-lo)
+		recs, rows := g.recs[:n], g.rows[:n]
+		for i := range recs {
+			recs[i] = int32(lo + i)
 		}
-		h := t.hashRecord(int32(rec)) & t.mask
-		t.next[rec] = t.heads[h]
-		t.heads[h] = int32(rec)
+		for ci, v := range p.orig {
+			if v != nil {
+				t.LoadKey(ci, recs, v, rows)
+			}
+		}
+		for w, words := range p.words {
+			for i, rec := range recs {
+				words[i] = t.word(rec, w)
+			}
+		}
+		for ci, pi := range s.codeCol {
+			if pi >= 0 {
+				ussr.SlotCodes(p.orig[ci].Str, p.planVecs[pi].Str, rows)
+			}
+		}
+		s.Hash(p, rows, g.hashes)
+		for i, rec := range recs {
+			if rec == skip {
+				continue
+			}
+			b := g.hashes[i] & t.mask
+			t.next[rec] = t.heads[b]
+			t.heads[b] = rec
+		}
 	}
+}
+
+// regrow is Table.grow's scratch. It is kept apart from the schema's batch
+// scratch, which still holds the batch being inserted while a directory
+// grows, and shared by every table on the schema: grows run one at a time,
+// on the goroutine that inserts.
+type regrow struct {
+	p          Prepared // words, string references and slot codes as stored
+	rows, recs []int32
+	hashes     []uint64
+}
+
+// regrowScratch returns the schema's grow scratch with room for n rows.
+func (s *KeySchema) regrowScratch(n int) *regrow {
+	g := &s.regrow
+	if len(g.rows) >= n {
+		return g
+	}
+	g.rows, g.recs, g.hashes = make([]int32, n), make([]int32, n), make([]uint64, n)
+	for i := range g.rows {
+		g.rows[i] = int32(i)
+	}
+	g.p = Prepared{orig: make([]*vec.Vector, len(s.Cols))}
+	for ci, c := range s.Cols {
+		if s.plan == nil || c.Type == vec.Str {
+			g.p.orig[ci] = vec.New(c.Type, n)
+		}
+	}
+	if s.plan != nil {
+		g.p.planVecs = make([]*vec.Vector, len(s.planCols))
+		for _, pi := range s.codeCol {
+			if pi >= 0 {
+				g.p.planVecs[pi] = vec.New(vec.Str, n)
+			}
+		}
+		g.p.words = make([][]uint64, s.plan.Words)
+		for w := range g.p.words {
+			g.p.words[w] = make([]uint64, n)
+		}
+	}
+	return g
 }
 
 // alloc appends a zeroed record and returns its index (not yet linked).
@@ -210,14 +283,8 @@ func (t *Table) storeKeyOne(p *Prepared, row int, rec int32) {
 		switch c.Type {
 		case vec.Str:
 			binary.LittleEndian.PutUint64(t.hot[off:], uint64(p.orig[ci].Str[row]))
-		case vec.I64, vec.F64:
-			var u uint64
-			if c.Type == vec.F64 {
-				u = f64bits(p.orig[ci].F64[row])
-			} else {
-				u = uint64(p.orig[ci].I64[row])
-			}
-			binary.LittleEndian.PutUint64(t.hot[off:], u)
+		case vec.I64:
+			binary.LittleEndian.PutUint64(t.hot[off:], uint64(p.orig[ci].I64[row]))
 		case vec.I32:
 			binary.LittleEndian.PutUint32(t.hot[off:], uint32(p.orig[ci].I32[row]))
 		case vec.I16:
@@ -277,14 +344,8 @@ func (t *Table) matchOne(p *Prepared, row int, rec int32) bool {
 			if !p.store.Equal(p.orig[ci].Str[row], stored) {
 				return false
 			}
-		case vec.I64, vec.F64:
-			var u uint64
-			if c.Type == vec.F64 {
-				u = f64bits(p.orig[ci].F64[row])
-			} else {
-				u = uint64(p.orig[ci].I64[row])
-			}
-			if binary.LittleEndian.Uint64(t.hot[off:]) != u {
+		case vec.I64:
+			if binary.LittleEndian.Uint64(t.hot[off:]) != uint64(p.orig[ci].I64[row]) {
 				return false
 			}
 		case vec.I32:
@@ -309,57 +370,11 @@ func (t *Table) matchOne(p *Prepared, row int, rec int32) bool {
 	return true
 }
 
-// hashRecord recomputes the key hash of a stored record; used when the
-// directory grows. It mirrors KeySchema.Hash exactly.
-func (t *Table) hashRecord(rec int32) uint64 {
-	s := t.Schema
-	var h uint64
-	first := true
-	if s.plan != nil {
-		if s.plan.Words > 0 {
-			h = pack.Mix64(t.word(rec, 0))
-			for w := 1; w < s.plan.Words; w++ {
-				h = pack.Mix64(h ^ pack.Mix64(t.word(rec, w)))
-			}
-			first = false
-		}
-		for ci, c := range s.Cols {
-			if c.Type == vec.Str && s.directOff[ci] >= 0 {
-				sh := s.Store.Hash(t.directRef(rec, ci))
-				if first {
-					h = sh
-				} else {
-					h = pack.Mix64(h ^ sh)
-				}
-				first = false
-			}
-		}
-		return h
-	}
-	base := int(rec) * t.hotWidth
-	for ci, c := range s.Cols {
-		off := base + s.directOff[ci]
-		var hv uint64
-		if c.Type == vec.Str {
-			hv = s.Store.Hash(vec.StrRef(binary.LittleEndian.Uint64(t.hot[off:])))
-		} else {
-			hv = pack.Mix64(t.loadDirect(rec, ci))
-		}
-		if first {
-			h = hv
-		} else {
-			h = pack.Mix64(h ^ hv)
-		}
-		first = false
-	}
-	return h
-}
-
 // loadDirect loads a direct-mode integer column value sign-extended.
 func (t *Table) loadDirect(rec int32, ci int) uint64 {
 	off := int(rec)*t.hotWidth + t.Schema.directOff[ci]
 	switch t.Schema.Cols[ci].Type {
-	case vec.I64, vec.F64, vec.Str:
+	case vec.I64, vec.Str:
 		return binary.LittleEndian.Uint64(t.hot[off:])
 	case vec.I32:
 		return uint64(int64(int32(binary.LittleEndian.Uint32(t.hot[off:]))))
@@ -487,7 +502,7 @@ func (t *Table) LoadKey(ci int, recIdx []int32, out *vec.Vector, rows []int32) {
 		for i, r := range rows {
 			code := uint16(codes.Str[r])
 			if code != 0 {
-				out.Str[r] = refForCode(code)
+				out.Str[r] = ussr.RefForSlot(code)
 			} else {
 				out.Str[r] = t.coldRef(recIdx[i], ci)
 			}
@@ -507,15 +522,11 @@ func (t *Table) LoadKey(ci int, recIdx []int32, out *vec.Vector, rows []int32) {
 		}
 		s.plan.UnpackColumn(pi, t.hot, recIdx, t.hotWidth, 0, out, rows)
 	default:
-		c := s.Cols[ci]
 		for i, r := range rows {
 			u := t.loadDirect(recIdx[i], ci)
-			switch c.Type {
-			case vec.Str:
+			if s.Cols[ci].Type == vec.Str {
 				out.Str[r] = vec.StrRef(u)
-			case vec.F64:
-				out.F64[r] = f64frombits(u)
-			default:
+			} else {
 				out.SetInt64(int(r), int64(u))
 			}
 		}

@@ -669,15 +669,13 @@ func TestSinkRejectPathDoesNotAllocate(t *testing.T) {
 		b := vec.NewBatch(vec.Str, vec.F64, vec.I32)
 		b.N = vec.Size
 		for i := 0; i < vec.Size; i++ {
-			s := fmt.Sprintf("%s-%04d", prefix, i)
-			if i%2 == 0 {
-				b.Vecs[0].Str[i] = qc.Store.Intern(s)
-			} else {
-				b.Vecs[0].Str[i] = qc.Store.Heap.Put(s)
-			}
+			// Odd rows intern with the USSR switched off: heap strings.
+			qc.Store.UseUSSR = i%2 == 0
+			b.Vecs[0].Str[i] = qc.Store.Intern(fmt.Sprintf("%s-%04d", prefix, i))
 			b.Vecs[1].F64[i] = 1
 			b.Vecs[2].I32[i] = int32(i % 3)
 		}
+		qc.Store.UseUSSR = true
 		return b
 	}
 	// ORDER BY f, s LIMIT 100: f always ties, so the string decides.

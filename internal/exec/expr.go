@@ -361,14 +361,15 @@ func (lp likePattern) match(s []byte) bool {
 	return true
 }
 
-// interned resolves the string constants of an expression tree at query
-// open, giving query-text constants USSR insertion priority.
+// intern resolves the string constants of an expression tree at query
+// open. Query-text constants get USSR insertion priority (Section IV-D)
+// because this runs before any scan interns a string.
 func (e *Expr) intern(st *strs.Store) {
 	if e == nil {
 		return
 	}
 	if e.kind == eConstStr {
-		e.cInt = int64(st.InternConstant(e.cStr))
+		e.cInt = int64(st.Intern(e.cStr))
 	}
 	e.l.intern(st)
 	e.r.intern(st)

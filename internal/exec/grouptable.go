@@ -212,13 +212,10 @@ func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec
 		}
 	case vec.F64:
 		for _, r := range rows {
-			switch f := v.F64[r]; {
-			case v.IsNull(int(r)):
+			if v.IsNull(int(r)) {
 				out.I64[r] = code
-			case f == 0:
-				out.I64[r] = 0 // -0 and +0 are one group
-			default:
-				out.I64[r] = int64(math.Float64bits(f))
+			} else {
+				out.I64[r] = doubleKey(v.F64[r])
 			}
 		}
 	default:
@@ -231,6 +228,16 @@ func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec
 		}
 	}
 	return out
+}
+
+// doubleKey is the key coding of a DOUBLE: the hash-table key kernels
+// pack and hash integers and string references only, so grouping and join
+// keys enter them as 64-bit patterns, with -0 and +0 one key.
+func doubleKey(f float64) int64 {
+	if f == 0 {
+		return 0
+	}
+	return int64(math.Float64bits(f))
 }
 
 // hashKeys packs the batch's remapped key vectors (g.keyVecs) and hashes

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ocht/internal/core"
+	"ocht/internal/domain"
 	"ocht/internal/join"
 	"ocht/internal/vec"
 )
@@ -248,7 +249,14 @@ func (h *HashJoin) Open(qc *QCtx) {
 	var keyCols []core.KeyCol
 	for i, bi := range h.buildIdx {
 		m := bm[bi]
-		keyCols = append(keyCols, core.KeyCol{Name: h.BuildKeys[i], Type: m.Type, Dom: m.Dom})
+		kc := core.KeyCol{Name: h.BuildKeys[i], Type: m.Type, Dom: m.Dom}
+		switch {
+		case m.Type == vec.F64:
+			kc.Type, kc.Dom = vec.I64, domain.Unknown // joinKey's doubleKey coding
+		case m.Type != pm[h.probeIdx[i]].Type:
+			kc.Type = vec.I64 // integers of two widths meet as I64 (joinKey)
+		}
+		keyCols = append(keyCols, kc)
 	}
 	var payloadCols []join.PayloadCol
 	for _, pi := range h.payloadIdx {
@@ -309,7 +317,7 @@ func (h *HashJoin) Open(qc *QCtx) {
 		}
 		phys := physOf(b)
 		for i := range keyVecs {
-			keyVecs[i] = ensurePlain(keyVecs[i], rows, &keyBufs[i], phys)
+			keyVecs[i] = joinKey(keyVecs[i], keyCols[i].Type, rows, &keyBufs[i], phys)
 		}
 		for i := range plVecs {
 			plVecs[i] = ensurePlain(plVecs[i], rows, &plBufs[i], phys)
@@ -327,6 +335,25 @@ func (h *HashJoin) Open(qc *QCtx) {
 	h.matchPos = 0
 	h.probeRows, h.probePos = nil, 0
 	h.probedRows, h.matchedTotal = 0, 0
+}
+
+// joinKey brings a key vector into the hash table's key type typ at the
+// given rows, into *bufp when a copy is needed: encoded vectors are
+// decoded, and a vector of another type is coded as I64 — DOUBLEs as
+// doubleKey bit patterns, narrower integers sign-extended.
+func joinKey(v *vec.Vector, typ vec.Type, rows []int32, bufp **vec.Vector, phys int) *vec.Vector {
+	if v.Typ == typ {
+		return ensurePlain(v, rows, bufp, phys)
+	}
+	out := scratchVec(bufp, vec.I64, phys)
+	for _, r := range rows {
+		if v.Typ == vec.F64 {
+			out.I64[r] = doubleKey(v.F64[r])
+		} else {
+			out.I64[r] = v.Int64At(int(r))
+		}
+	}
+	return out
 }
 
 func dropNullKeyRows(rows []int32, keys []*vec.Vector, sel []int32) ([]int32, []int32) {
@@ -387,8 +414,8 @@ func (h *HashJoin) startBatch(qc *QCtx, b *vec.Batch) []int32 {
 		h.probeKeyBufs = make([]*vec.Vector, len(h.probeIdx))
 	}
 	phys := physOf(b)
-	for i := range h.keyVecs {
-		h.keyVecs[i] = ensurePlain(h.keyVecs[i], probeRows, &h.probeKeyBufs[i], phys)
+	for i, kc := range h.j.Schema.Cols {
+		h.keyVecs[i] = joinKey(h.keyVecs[i], kc.Type, probeRows, &h.probeKeyBufs[i], phys)
 	}
 	start := time.Now()
 	survivors := h.j.PrepareProbe(h.keyVecs, probeRows)

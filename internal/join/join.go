@@ -321,13 +321,7 @@ func (j *Join) Build(keyCols, payloadCols []*vec.Vector, rows []int32) {
 				// Translate references to slot codes; exceptions get
 				// code 0 and their full reference in the cold area.
 				codes := vec.New(vec.Str, v.Len())
-				for _, r := range rows {
-					if ref := v.Str[r]; ref.InUSSR() {
-						codes.Str[r] = vec.StrRef(ref.USSRSlot())
-					} else {
-						codes.Str[r] = 0
-					}
-				}
+				ussr.SlotCodes(v.Str, codes.Str, rows)
 				exVec[i] = v
 				v = codes
 			case j.payloadSample[i]:

@@ -346,6 +346,36 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
+// HashBytes is the engine's string hash: the string heap, the USSR's
+// pre-computed hashes and the hash-table operators all hash strings through
+// it. Its cost grows with the string's length — exactly the cost the USSR's
+// stored hashes avoid (Section IV-E), which is what makes the hashing
+// speedups of Figure 7 grow with string length.
+func HashBytes[T string | []byte](s T) uint64 {
+	h := uint64(0x9e3779b97f4a7c15) ^ uint64(len(s))*hashPrime
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashMix(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+	}
+	if len(s) > 0 {
+		var tail uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			tail = tail<<8 | uint64(s[i])
+		}
+		h = hashMix(h ^ tail)
+	}
+	return hashMix(h)
+}
+
+const hashPrime = 0xff51afd7ed558ccd
+
+// hashMix is HashBytes' word mixer (the murmur3 finalizer's first half).
+func hashMix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= hashPrime
+	return x ^ x>>33
+}
+
 func physLen(cols []*vec.Vector) int {
 	n := 0
 	for _, c := range cols {

@@ -1,7 +1,10 @@
 package pack
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -346,6 +349,52 @@ func TestMix64Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashBytesPinned pins the string hash: USSR bucket placement, and so
+// which strings the region admits, depends on these exact values.
+func TestHashBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		s    string
+		want uint64
+	}{
+		{"", 0x9341ca263702a9e6},
+		{"a", 0x7ccaf66ef22b8a89},
+		{"abcdefgh", 0x22dbb90d6b8c1333},
+		{"hello, world", 0x8ff64c6f12eb72a9},
+		{strings.Repeat("xyz", 20), 0x7bdb9caa623ef0},
+	} {
+		if got := HashBytes(c.s); got != c.want {
+			t.Errorf("HashBytes(%q) = %#x, want %#x", c.s, got, c.want)
+		}
+	}
+}
+
+func TestHashBytesStringAndSliceAgree(t *testing.T) {
+	f := func(b []byte) bool { return HashBytes(b) == HashBytes(string(b)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestHashBytesDistinct(t *testing.T) {
+	seen := map[uint64]string{}
+	for i := 0; i < 100_000; i++ {
+		s := fmt.Sprintf("key-%d", i)
+		h := HashBytes(s)
+		if prev, ok := seen[h]; ok {
+			t.Fatalf("collision between %q and %q", prev, s)
+		}
+		seen[h] = s
+	}
+	// Length takes part: trailing NULs change the hash.
+	if HashBytes("ab") == HashBytes("ab\x00") || HashBytes("") == HashBytes("\x00") {
+		t.Error("trailing NUL must change the hash")
+	}
+	// Flipping one input bit changes roughly half the output bits.
+	if n := bits.OnesCount64(HashBytes("dispersal-test-string") ^ HashBytes("dispersal-test-strinh")); n < 16 || n > 48 {
+		t.Errorf("poor dispersion: %d differing bits", n)
 	}
 }
 

@@ -342,22 +342,43 @@ func splitJoinOn(on Node, probeMeta, buildMeta []exec.Meta) (probeKeys, buildKey
 		if !lok || !rok {
 			return nil, nil, errf(t.nodePos(), "JOIN ON supports only column = column")
 		}
+		var pk, bk string
 		switch {
 		case hasCol(probeMeta, lc.Name) && hasCol(buildMeta, rc.Name):
-			probeKeys = append(probeKeys, lc.Name)
-			buildKeys = append(buildKeys, rc.Name)
+			pk, bk = lc.Name, rc.Name
 		case hasCol(probeMeta, rc.Name) && hasCol(buildMeta, lc.Name):
-			probeKeys = append(probeKeys, rc.Name)
-			buildKeys = append(buildKeys, lc.Name)
+			pk, bk = rc.Name, lc.Name
 		default:
 			return nil, nil, errf(t.nodePos(),
 				"JOIN ON columns %q and %q do not span the two sides", lc.Name, rc.Name)
 		}
+		pt, bt := colType(probeMeta, pk), colType(buildMeta, bk)
+		if c := joinKeyClass(pt); c == "" || c != joinKeyClass(bt) {
+			return nil, nil, errf(t.nodePos(),
+				"JOIN ON %s = %s compares %s with %s; join keys must be both integer, both DOUBLE or both VARCHAR",
+				pk, bk, pt, bt)
+		}
+		probeKeys = append(probeKeys, pk)
+		buildKeys = append(buildKeys, bk)
 	}
 	if len(probeKeys) == 0 {
 		return nil, nil, errf(on.nodePos(), "JOIN ON needs at least one equality")
 	}
 	return probeKeys, buildKeys, nil
+}
+
+// joinKeyClass names the class of key types that can join each other, or
+// "" for a type that cannot be a join key.
+func joinKeyClass(t vec.Type) string {
+	switch t {
+	case vec.Bool, vec.I8, vec.I16, vec.I32, vec.I64:
+		return "integer"
+	case vec.F64:
+		return "DOUBLE"
+	case vec.Str:
+		return "VARCHAR"
+	}
+	return ""
 }
 
 // flattenAnd splits an AST predicate into its top-level AND conjuncts.
@@ -388,6 +409,15 @@ func colsWithin(n Node, meta []exec.Meta) bool {
 		return nil
 	})
 	return ok
+}
+
+func colType(meta []exec.Meta, name string) vec.Type {
+	for _, m := range meta {
+		if m.Name == name {
+			return m.Type
+		}
+	}
+	panic("sql: colType of unknown column " + name)
 }
 
 func hasCol(meta []exec.Meta, name string) bool {

@@ -7,9 +7,9 @@ package strs
 
 import (
 	"bytes"
+	"encoding/binary"
 
-	"ocht/internal/strhash"
-	"ocht/internal/strheap"
+	"ocht/internal/pack"
 	"ocht/internal/ussr"
 	"ocht/internal/vec"
 )
@@ -31,12 +31,12 @@ const (
 // Store owns a query's string memory. When UseUSSR is false (the vanilla
 // baseline) every Intern allocates on the heap.
 type Store struct {
-	Heap    strheap.Heap
 	U       *ussr.USSR
 	UseUSSR bool
 
-	shard  vec.StrRef      // this store's pre-shifted shard tag; 0 in serial mode
-	shards []*strheap.Heap // shared shard table; nil outside parallel execution
+	heap   arena      // strings Intern could not place in the USSR
+	shard  vec.StrRef // this store's pre-shifted shard tag; 0 in serial mode
+	shards []*arena   // shared shard table; nil outside parallel execution
 
 	// Counters for the Figure 6 breakdown.
 	HashFast, HashSlow   int // pre-computed vs computed hashes
@@ -76,7 +76,7 @@ func NewStoreUSSR(u *ussr.USSR) *Store {
 // keep resolving.
 func (st *Store) Shard(n int) []*Store {
 	if st.shards == nil {
-		st.shards = []*strheap.Heap{&st.Heap}
+		st.shards = []*arena{&st.heap}
 	}
 	base := len(st.shards)
 	if base+n > 1<<shardBits {
@@ -90,7 +90,7 @@ func (st *Store) Shard(n int) []*Store {
 			shard:   vec.StrRef(base+i) << shardShift,
 			shards:  nil, // set below, after the table stops growing
 		}
-		st.shards = append(st.shards, &w.Heap)
+		st.shards = append(st.shards, &w.heap)
 		workers[i] = w
 	}
 	for _, w := range workers {
@@ -99,14 +99,19 @@ func (st *Store) Shard(n int) []*Store {
 	return workers
 }
 
-// heapOf routes a heap reference to its backing heap, stripping the shard
-// tag. Outside parallel execution (shards == nil) references carry no
-// shard bits and resolve against the store's own heap.
-func (st *Store) heapOf(r vec.StrRef) (*strheap.Heap, vec.StrRef) {
-	if st.shards == nil {
-		return &st.Heap, r
+// heapBytes returns the bytes of heap reference r, aliasing the owning
+// arena: the shard tag routes it to a worker's heap, and outside parallel
+// execution (shards == nil) references carry no shard bits and resolve
+// against the store's own heap.
+func (st *Store) heapBytes(r vec.StrRef) []byte {
+	if r == NullRef {
+		return nil
 	}
-	return st.shards[r>>shardShift&((1<<shardBits)-1)], r &^ shardMask
+	h := &st.heap
+	if st.shards != nil {
+		h, r = st.shards[r>>shardShift&((1<<shardBits)-1)], r&^shardMask
+	}
+	return h.bytes(r)
 }
 
 // Intern returns a reference for s: USSR-resident when possible, otherwise
@@ -124,7 +129,7 @@ func (st *Store) Intern(s string) vec.StrRef {
 			return r
 		}
 	}
-	return st.Heap.Put(s) | st.shard
+	return st.heap.put(s) | st.shard
 }
 
 // Warm inserts s into the USSR without a heap fallback: rejected strings
@@ -136,21 +141,12 @@ func (st *Store) Warm(s string) {
 	}
 }
 
-// InternConstant interns a query-text string constant. Constants get
-// priority: they are inserted before any scan strings (Section IV-D), which
-// callers arrange by interning constants at plan-build time.
-func (st *Store) InternConstant(s string) vec.StrRef { return st.Intern(s) }
-
 // Get materializes the string behind r.
 func (st *Store) Get(r vec.StrRef) string {
 	if r.InUSSR() {
 		return st.U.Get(r)
 	}
-	if r == NullRef {
-		return ""
-	}
-	h, lr := st.heapOf(r)
-	return h.Get(lr)
+	return string(st.heapBytes(r))
 }
 
 // Len returns the byte length of the string behind r.
@@ -158,11 +154,7 @@ func (st *Store) Len(r vec.StrRef) int {
 	if r.InUSSR() {
 		return st.U.Len(r)
 	}
-	if r == NullRef {
-		return 0
-	}
-	h, lr := st.heapOf(r)
-	return h.Len(lr)
+	return len(st.heapBytes(r))
 }
 
 // Hash returns the hash of the string behind r. For USSR-resident strings
@@ -177,8 +169,7 @@ func (st *Store) Hash(r vec.StrRef) uint64 {
 		return 0x9e3779b97f4a7c15 // fixed hash for SQL NULL
 	}
 	st.HashSlow++
-	h, lr := st.heapOf(r)
-	return h.Hash(lr)
+	return pack.HashBytes(st.heapBytes(r))
 }
 
 // NullRef is the reference representing SQL NULL strings. It compares
@@ -210,14 +201,6 @@ func (st *Store) Equal(a, b vec.StrRef) bool {
 	return bytes.Equal(st.heapBytes(a), st.heapBytes(b))
 }
 
-func (st *Store) heapBytes(r vec.StrRef) []byte {
-	if r == NullRef {
-		return nil
-	}
-	h, lr := st.heapOf(r)
-	return h.Bytes(lr)
-}
-
 // Raw returns the bytes of the string behind r without allocating when
 // possible: heap strings alias the arena, USSR strings are materialized
 // into scratch. The returned scratch (possibly grown) must be threaded
@@ -227,11 +210,7 @@ func (st *Store) Raw(r vec.StrRef, scratch []byte) (data, scratchOut []byte) {
 		out := st.U.AppendBytes(scratch[:0], r)
 		return out, out
 	}
-	if r == NullRef {
-		return nil, scratch
-	}
-	h, lr := st.heapOf(r)
-	return h.Bytes(lr), scratch
+	return st.heapBytes(r), scratch
 }
 
 // EqualString compares the string behind r with a Go string.
@@ -269,13 +248,10 @@ func (st *Store) CompareString(r vec.StrRef, s string) int {
 	return 0
 }
 
-// HashOf hashes an untracked Go string with the engine hash function.
-func HashOf(s string) uint64 { return strhash.HashString(s) }
-
 // MemoryBytes reports the string memory footprint: the heap arena plus the
 // USSR's fixed region when enabled.
 func (st *Store) MemoryBytes() int {
-	n := st.Heap.Size()
+	n := len(st.heap.buf)
 	if st.U != nil {
 		n += ussr.DataSlots*8 + ussr.Buckets*4
 	}
@@ -285,4 +261,32 @@ func (st *Store) MemoryBytes() int {
 // ResetCounters zeroes the fast/slow path counters.
 func (st *Store) ResetCounters() {
 	st.HashFast, st.HashSlow, st.EqualFast, st.EqualSlow = 0, 0, 0, 0
+}
+
+// arena is the baseline query string heap. Without the USSR, materializing
+// operators allocate every string here (Section IV-A). It performs no
+// deduplication — every put appends, which is what makes peak memory grow
+// with duplicate-heavy string data and what the USSR's opportunistic
+// deduplication avoids. A reference is the byte offset of the string's
+// 4-byte length prefix (USSR tag clear); the zero value is ready to use.
+type arena struct{ buf []byte }
+
+func (a *arena) put(s string) vec.StrRef {
+	if len(a.buf) == 0 {
+		// Offsets 0 and 1 stay reserved: StrRef 0 is the exception
+		// marker and NullRef is 1.
+		a.buf = append(a.buf, 0, 0, 0, 0)
+	}
+	off := len(a.buf)
+	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(s)))
+	a.buf = append(a.buf, s...)
+	return vec.StrRef(off)
+}
+
+// bytes returns the string at r, aliasing the arena: it must not be
+// modified or retained across puts.
+func (a *arena) bytes(r vec.StrRef) []byte {
+	off := int(r.HeapOffset())
+	n := int(binary.LittleEndian.Uint32(a.buf[off:]))
+	return a.buf[off+4 : off+4+n]
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ocht/internal/pack"
 	"ocht/internal/vec"
 )
 
@@ -43,6 +44,22 @@ func TestVanillaStoreNeverUsesUSSR(t *testing.T) {
 	}
 }
 
+// TestHeapRoundTrip: a store without the USSR keeps every string on its
+// heap, which hands out untagged references and never reuses 0 (the
+// exception marker) or 1 (NullRef).
+func TestHeapRoundTrip(t *testing.T) {
+	st := NewStore(false)
+	for _, w := range []string{"", "a", "hello", strings.Repeat("z", 10_000)} {
+		r := st.Intern(w)
+		if r.InUSSR() || r == 0 || r == NullRef {
+			t.Fatalf("heap reference %#x for %q", r, w)
+		}
+		if st.Get(r) != w || st.Len(r) != len(w) || st.Hash(r) != pack.HashBytes(w) {
+			t.Errorf("round trip of %q", w)
+		}
+	}
+}
+
 func TestEqualFastPath(t *testing.T) {
 	st := NewStore(true)
 	a := st.Intern("x")
@@ -62,10 +79,10 @@ func TestHashFastPath(t *testing.T) {
 	a := st.Intern("hashed")
 	h := st.Intern(strings.Repeat("H", 50_000)) // heap-backed
 	st.ResetCounters()
-	if st.Hash(a) != HashOf("hashed") {
+	if st.Hash(a) != pack.HashBytes("hashed") {
 		t.Error("USSR hash mismatch")
 	}
-	if st.Hash(h) != HashOf(strings.Repeat("H", 50_000)) {
+	if st.Hash(h) != pack.HashBytes(strings.Repeat("H", 50_000)) {
 		t.Error("heap hash mismatch")
 	}
 	if st.HashFast != 1 || st.HashSlow != 1 {
@@ -87,7 +104,7 @@ func TestCompare(t *testing.T) {
 			t.Fatalf("%q must be USSR-resident", w)
 		}
 		resident = append(resident, refOf{r, w})
-		heap = append(heap, refOf{st.Heap.Put(w), w})
+		heap = append(heap, refOf{st.heap.put(w), w})
 	}
 	all := append(append([]refOf{}, resident...), heap...)
 	for _, a := range all {
@@ -122,7 +139,7 @@ func TestCompareDoesNotAllocate(t *testing.T) {
 	if !ra.InUSSR() || !rb.InUSSR() {
 		t.Fatal("operands must be USSR-resident")
 	}
-	ha := st.Heap.Put(sa)
+	ha := st.heap.put(sa)
 	sink := 0
 	for name, f := range map[string]func(){
 		"resident/resident": func() { sink += st.Compare(ra, rb) },
@@ -158,7 +175,7 @@ func TestMixedBackingEquality(t *testing.T) {
 	}
 	target := "resident-target"
 	ru := st.Intern(target) // may or may not be resident by now
-	rh := st.Heap.Put(target)
+	rh := st.heap.put(target)
 	if !st.Equal(ru, rh) {
 		t.Error("equal strings with mixed backing must compare equal")
 	}

@@ -21,7 +21,7 @@ import (
 	"encoding/binary"
 	"slices"
 
-	"ocht/internal/strhash"
+	"ocht/internal/pack"
 	"ocht/internal/vec"
 )
 
@@ -121,7 +121,7 @@ func (u *USSR) Stats() Stats {
 // is not resident and could not be inserted (sampling rejection, region
 // full, or probe-sequence cap); the caller then falls back to the heap.
 func (u *USSR) Insert(s string) (vec.StrRef, bool) {
-	return u.InsertHashed(s, strhash.HashString(s))
+	return u.InsertHashed(s, pack.HashBytes(s))
 }
 
 // InsertHashed is Insert for callers that already computed the hash.
@@ -191,7 +191,7 @@ func (u *USSR) InsertHashed(s string, h uint64) (vec.StrRef, bool) {
 
 // Lookup finds s without inserting.
 func (u *USSR) Lookup(s string) (vec.StrRef, bool) {
-	h := strhash.HashString(s)
+	h := pack.HashBytes(s)
 	idx := uint32(h) & (Buckets - 1)
 	extract := uint16(h >> 16)
 	for i := 0; i < MaxProbe; i++ {
@@ -235,6 +235,19 @@ func (u *USSR) Len(r vec.StrRef) int { return int(u.lens[r.USSRSlot()]) }
 // (Section IV-F: base address + slot*8).
 func RefForSlot(slot uint16) vec.StrRef {
 	return vec.USSRTag | vec.StrRef(slot)
+}
+
+// SlotCodes is RefForSlot's inverse over a batch: codes[r] receives the
+// 16-bit slot code of refs[r] for every active row — the slot of a resident
+// string, or 0, the exception code, for any other reference (Section IV-F).
+func SlotCodes(refs, codes []vec.StrRef, rows []int32) {
+	for _, r := range rows {
+		if ref := refs[r]; ref.InUSSR() {
+			codes[r] = vec.StrRef(ref.USSRSlot())
+		} else {
+			codes[r] = 0
+		}
+	}
 }
 
 func (u *USSR) bytesAt(slot uint16) []byte {

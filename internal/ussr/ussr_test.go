@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"ocht/internal/strhash"
+	"ocht/internal/pack"
 	"ocht/internal/vec"
 )
 
@@ -58,7 +58,7 @@ func TestPrecomputedHash(t *testing.T) {
 	u := New()
 	s := "precomputed hash lives in the slot before the string"
 	r, _ := u.Insert(s)
-	if u.Hash(r) != strhash.HashString(s) {
+	if u.Hash(r) != pack.HashBytes(s) {
 		t.Error("stored hash must equal the string hash")
 	}
 }
