@@ -391,9 +391,9 @@ func JoinSelRun(cfg Config) []JoinSelVariant {
 		name string
 		opts join.Options
 	}{
-		{"monolithic", join.Options{PartitionBits: 0, Bloom: join.BloomOff}},
-		{"partitioned", join.Options{PartitionBits: -1, Bloom: join.BloomOff, EstRows: joinSelCard}},
-		{"partitioned+bloom", join.Options{PartitionBits: -1, Bloom: join.BloomOn, EstRows: joinSelCard, Selective: true}},
+		{"monolithic", join.Options{PartitionBits: 0}},
+		{"partitioned", join.Options{PartitionBits: -1, EstRows: joinSelCard}},
+		{"partitioned+bloom", join.Options{PartitionBits: -1, EstRows: joinSelCard, Selective: true}},
 	}
 	out := make([]JoinSelVariant, 0, len(variants))
 	var baseNs float64

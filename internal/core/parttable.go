@@ -190,6 +190,30 @@ func (pt *PartTable) PartitionRows(hashes []uint64, rows []int32) [][]int32 {
 	return pt.partRows
 }
 
+// SplitRecs groups global records by partition, the inverse of the
+// EncodeRec a probe or an insertion log applied: recs[p] receives the
+// local records of partition p and pos[p] the matching entries of rows, in
+// input order. recs and pos are caller-owned scratch with one entry per
+// partition, refilled on every call, because probe clones share one
+// PartTable.
+//
+//ocht:hot
+func (pt *PartTable) SplitRecs(grecs, rows []int32, recs, pos [][]int32) {
+	if pt.bits == 0 {
+		recs[0] = append(recs[0][:0], grecs...)
+		pos[0] = append(pos[0][:0], rows...)
+		return
+	}
+	for p := range recs {
+		recs[p], pos[p] = recs[p][:0], pos[p][:0]
+	}
+	for i, grec := range grecs {
+		part, local := pt.DecodeRec(grec)
+		recs[part] = append(recs[part], local)
+		pos[part] = append(pos[part], rows[i])
+	}
+}
+
 // ProbeChainsStaged is the two-phase batched probe: phase one snapshots
 // every active row's bucket head into the heads scratch — independent
 // loads over the partition directories that the hardware prefetcher can
@@ -206,9 +230,9 @@ func (pt *PartTable) ProbeChainsStaged(p *Prepared, hashes []uint64, rows []int3
 		t := parts[pt.PartOf(h)]
 		heads[i] = t.heads[h&t.mask]
 	}
-	if s := pt.Schema; s.intOnly && s.plan != nil && s.plan.Words == 1 && s.plan.WordBits == 64 {
-		// Single-word fast path, as in Table.ProbeChains: the whole key
-		// is one packed 64-bit word; one load, one compare per record.
+	if pt.Schema.oneWord {
+		// Single-word fast path (Section II-F's "execute the join as if
+		// there were just one column"): one load, one compare per record.
 		w0 := p.words[0]
 		for i, r := range rows {
 			if !p.inDom[r] {

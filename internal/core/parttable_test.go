@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"ocht/internal/domain"
 	"ocht/internal/strs"
 	"ocht/internal/vec"
 )
@@ -138,6 +139,125 @@ func TestPartitionedProbeEquivalence(t *testing.T) {
 							bits, ka.I64[0], kb.I32[0], pcols[0].I64[r], pcols[1].I32[r])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestSplitRecsRoundTrip checks that SplitRecs inverts EncodeRec: every
+// global record lands in its partition as its local record, paired with
+// its own row, once, in input order; and refilled scratch keeps no stale
+// entries.
+func TestSplitRecsRoundTrip(t *testing.T) {
+	schema, err := NewKeySchema(Vanilla(), intKeyCols(), strs.NewStore(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, bits := range []int{0, 3, 6} {
+		pt := NewPartTable(schema, 0, 0, 64, bits)
+		recs := make([][]int32, pt.NParts())
+		pos := make([][]int32, pt.NParts())
+		const n = 3000
+		grecs := make([]int32, n)
+		rows := make([]int32, n)
+		at := make(map[int32]int, n) // row -> input index
+		for i := range grecs {
+			grecs[i] = pt.EncodeRec(uint32(rng.Intn(pt.NParts())), int32(rng.Intn(1<<20)))
+			rows[i] = int32(3*i + 1)
+			at[rows[i]] = i
+		}
+		for _, m := range []int{n, 7} { // the second call reuses the scratch
+			pt.SplitRecs(grecs[:m], rows[:m], recs, pos)
+			total := 0
+			for p := range recs {
+				if len(recs[p]) != len(pos[p]) {
+					t.Fatalf("bits=%d: partition %d has %d records, %d rows", bits, p, len(recs[p]), len(pos[p]))
+				}
+				last := -1
+				for k, local := range recs[p] {
+					i, ok := at[pos[p][k]]
+					if !ok || i >= m {
+						t.Fatalf("bits=%d: row %d was not an input", bits, pos[p][k])
+					}
+					if got := pt.EncodeRec(uint32(p), local); got != grecs[i] {
+						t.Fatalf("bits=%d: input %d split to (%d,%d), re-encoding %d, want %d", bits, i, p, local, got, grecs[i])
+					}
+					if i <= last {
+						t.Fatalf("bits=%d: partition %d out of input order", bits, p)
+					}
+					last = i
+				}
+				total += len(recs[p])
+			}
+			if total != m {
+				t.Fatalf("bits=%d: split %d records, want %d", bits, total, m)
+			}
+		}
+	}
+}
+
+// TestProbeChainsNoAlloc pins the chain walk at zero allocations once the
+// match lists have capacity, on the generic match path and on the
+// single-word fast path, through the table's own entry point (more than
+// one vector of rows) and the partitioned one.
+func TestProbeChainsNoAlloc(t *testing.T) {
+	cases := []struct {
+		name    string
+		flags   Flags
+		cols    []KeyCol
+		oneWord bool
+	}{
+		{"vanilla", Vanilla(), intKeyCols(), false},
+		{"compressed", Flags{Compress: true}, intKeyCols(), false},
+		{"one-word", All(), []KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(0, 1<<40)}}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			schema, err := NewKeySchema(c.flags, c.cols, strs.NewStore(c.flags.UseUSSR))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if schema.oneWord != c.oneWord {
+				t.Fatalf("oneWord = %v, want %v", schema.oneWord, c.oneWord)
+			}
+			const n, distinct = 1600, 40 // more than one vector; every key 40 times
+			keys := make([]*vec.Vector, len(c.cols))
+			for ci, kc := range c.cols {
+				keys[ci] = vec.New(kc.Type, n)
+				for i := 0; i < n; i++ {
+					keys[ci].SetInt64(i, kc.Dom.Min+int64(i%distinct))
+				}
+			}
+			rows := make([]int32, n)
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			hashes := make([]uint64, n)
+			recOut := make([]int32, n)
+			p := schema.Prepare(keys, rows)
+			schema.Hash(p, rows, hashes)
+			mono := NewTable(schema, 0, 0, 16)
+			mono.InsertBatch(p, hashes, rows, recOut)
+			pt := NewPartTable(schema, 0, 0, 16, 3)
+			for pi, g := range pt.PartitionRows(hashes, rows) {
+				pt.Part(pi).InsertBatch(p, hashes, g, recOut)
+			}
+
+			heads := make([]int32, n)
+			outRows, outRecs := mono.ProbeChains(p, hashes, rows, nil, nil)
+			if want := n * n / distinct; len(outRows) != want {
+				t.Fatalf("ProbeChains found %d matches, want %d", len(outRows), want)
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				outRows, outRecs = mono.ProbeChains(p, hashes, rows, outRows[:0], outRecs[:0])
+			}); a != 0 {
+				t.Errorf("ProbeChains: %v allocations per call", a)
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				outRows, outRecs = pt.ProbeChainsStaged(p, hashes, rows, heads, outRows[:0], outRecs[:0])
+			}); a != 0 {
+				t.Errorf("ProbeChainsStaged: %v allocations per call", a)
 			}
 		})
 	}

@@ -72,9 +72,10 @@ type KeySchema struct {
 	strCold   []int // schema column -> cold byte offset of exception ref, or -1
 	coldBytes int   // cold bytes owned by the key schema
 
-	// intOnly marks schemas with no string columns: every key bit lives
-	// in the plan words, enabling the single-word fast compare paths.
-	intOnly bool
+	// oneWord marks compressed schemas whose whole key is one packed
+	// 64-bit word (no string columns): FindOrInsert and the staged probe
+	// then compare one load per record (Section II-F).
+	oneWord bool
 
 	// Per-batch scratch reused across Prepare calls. A KeySchema serves a
 	// single query pipeline and is not safe for concurrent use.
@@ -93,13 +94,13 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 		directOff: make([]int, len(cols)),
 		strCold:   make([]int, len(cols)),
 	}
-	s.intOnly = true
+	intOnly := true
 	for i := range cols {
 		s.codeCol[i] = -1
 		s.directOff[i] = -1
 		s.strCold[i] = -1
 		if cols[i].Type == vec.Str {
-			s.intOnly = false
+			intOnly = false
 		}
 	}
 
@@ -129,6 +130,7 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 			return nil, err
 		}
 		s.plan = plan
+		s.oneWord = intOnly && plan.Words == 1 && plan.WordBits == 64
 		s.keyBytes = plan.RecordBytes()
 		for i, c := range cols {
 			if c.Type == vec.Str && s.codeCol[i] < 0 {
@@ -157,16 +159,6 @@ func (s *KeySchema) ColdBytes() int { return s.coldBytes }
 
 // Plan exposes the packing plan in compressed mode (nil otherwise).
 func (s *KeySchema) Plan() *pack.Plan { return s.plan }
-
-// UncompressedKeyBytes returns the vanilla key-record width for the same
-// columns, the baseline of the footprint experiments.
-func (s *KeySchema) UncompressedKeyBytes() int {
-	n := 0
-	for _, c := range s.Cols {
-		n += c.Type.Width()
-	}
-	return n
-}
 
 // Prepared carries the per-batch working state of the key kernels.
 type Prepared struct {

@@ -393,7 +393,7 @@ func (t *Table) loadDirect(rec int32, ci int) uint64 {
 // slices give the rows and record indices of newly created groups, so the
 // caller can initialize aggregate state.
 func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
-	if s := t.Schema; s.intOnly && s.plan != nil && s.plan.Words == 1 && s.plan.WordBits == 64 {
+	if t.Schema.oneWord {
 		// Single-word fast path (Section II-F): grouping on the packed
 		// word is one compare, fewer branches.
 		w0 := p.words[0]
@@ -453,38 +453,20 @@ func (t *Table) InsertBatch(p *Prepared, hashes []uint64, rows []int32, recOut [
 }
 
 // ProbeChains walks the chain of each active row and appends every
-// matching (row, record) pair: the hash-join probe. The pairs are appended
-// to the provided slices and returned.
+// matching (row, record) pair: the hash-join probe. It is the 0-bit call
+// of PartTable.ProbeChainsStaged, the one chain walk, with the head
+// snapshot on the stack a vector at a time. The pairs are appended to the
+// provided slices and returned.
+//
+//ocht:hot
 func (t *Table) ProbeChains(p *Prepared, hashes []uint64, rows []int32, outRows, outRecs []int32) ([]int32, []int32) {
-	if s := t.Schema; s.intOnly && s.plan != nil && s.plan.Words == 1 && s.plan.WordBits == 64 {
-		// Fast path: the whole key is one packed 64-bit word
-		// (Section II-F's "execute the join as if there were just one
-		// column"): one load, one compare per chain record.
-		w0 := p.words[0]
-		hw := t.hotWidth
-		hot := t.hot
-		for _, r := range rows {
-			if !p.inDom[r] {
-				continue
-			}
-			key := w0[r]
-			for rec := t.heads[hashes[r]&t.mask]; rec >= 0; rec = t.next[rec] {
-				if binary.LittleEndian.Uint64(hot[int(rec)*hw:]) == key {
-					outRows = append(outRows, r)
-					outRecs = append(outRecs, rec)
-				}
-			}
-		}
-		return outRows, outRecs
-	}
-	for _, r := range rows {
-		row := int(r)
-		for rec := t.heads[hashes[r]&t.mask]; rec >= 0; rec = t.next[rec] {
-			if t.matchOne(p, row, rec) {
-				outRows = append(outRows, r)
-				outRecs = append(outRecs, rec)
-			}
-		}
+	parts := [1]*Table{t}
+	pt := PartTable{Schema: t.Schema, parts: parts[:]}
+	var heads [vec.Size]int32
+	for len(rows) > 0 {
+		n := min(len(rows), len(heads))
+		outRows, outRecs = pt.ProbeChainsStaged(p, hashes, rows[:n], heads[:n], outRows, outRecs)
+		rows = rows[n:]
 	}
 	return outRows, outRecs
 }

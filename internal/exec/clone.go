@@ -60,7 +60,6 @@ func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 			Kind:          t.Kind,
 			Selective:     t.Selective,
 			PartitionBits: t.PartitionBits,
-			BloomMode:     t.BloomMode,
 			prebuilt:      t.j,
 		}
 	case *HashAgg:
@@ -90,7 +89,6 @@ func ClonePlan(o Op) Op {
 		c := NewHashJoin(t.Kind, ClonePlan(t.Probe), ClonePlan(t.Build), t.ProbeKeys, t.BuildKeys, t.Payload)
 		c.Selective = t.Selective
 		c.PartitionBits = t.PartitionBits
-		c.BloomMode = t.BloomMode
 		return c
 	case *HashAgg:
 		c := NewHashAgg(ClonePlan(t.Child), t.KeyNames, cloneExprs(t.Keys), cloneAggs(t.Aggs))

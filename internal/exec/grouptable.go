@@ -15,7 +15,7 @@ import (
 // groupTable is the executor's one aggregation primitive: a
 // radix-partitioned, optimistically compressed table of groups plus the
 // steps every aggregation route repeats — resolve the key and aggregate
-// layouts, NULL-remap key vectors, find-or-insert groups while logging
+// layouts, code key vectors, find-or-insert groups while logging
 // their first-occurrence order, fold argument vectors into aggregate
 // state, emit. The routes are thin feeders that differ only in where rows
 // come from and how they fold:
@@ -28,10 +28,9 @@ import (
 //   - MergeAgg: finalized shard partials, folded by LoadPartial +
 //     agg.Merge.
 type groupTable struct {
-	meta     []Meta // output columns: nKeys group keys, then the aggregates
-	nKeys    int
-	keyTypes []vec.Type // per key: the type of its coded vectors (meta's, or I64 when widened)
-	nullCode []int64    // per key: NULL code for non-string keys, math.MinInt64 = none
+	meta  []Meta // output columns: nKeys group keys, then the aggregates
+	nKeys int
+	keys  []keyCoding // per key: coded type (meta's, or I64 when widened) and NULL code
 
 	specs       []agg.Spec // internal layouts (AVG -> SUM + COUNT)
 	specOf      []aggMap   // output aggregate -> internal spec(s)
@@ -41,7 +40,7 @@ type groupTable struct {
 	ag     *agg.Aggregator
 	pt     *core.PartTable
 
-	// Per-batch scratch, all row-indexed: the remapped key vectors (and the
+	// Per-batch scratch, all row-indexed: the coded key vectors (and the
 	// buffers encoded or nullable keys are decoded into, active rows only),
 	// key hashes, and each row's partition-local group record. Partitions
 	// own disjoint row sets, so one recs buffer serves all of them.
@@ -58,8 +57,8 @@ type groupTable struct {
 	// the flag-dependent hash that routes rows to partitions.
 	order     []int32
 	emit      int           // orders already emitted
-	chunkRecs [][]int32     // per-partition local records of the current order chunk
-	chunkRows [][]int32     // matching positions inside the chunk
+	chunkRecs [][]int32     // SplitRecs scratch: per-partition local records of an order chunk
+	chunkRows [][]int32     // and their positions inside the chunk
 	tmp       []*vec.Vector // per output aggregate: AVG sum / type-conversion temporary
 	cnt       *vec.Vector   // AVG count temporary
 	out       vec.Batch
@@ -104,14 +103,13 @@ func scratchVec(bufp **vec.Vector, typ vec.Type, n int) *vec.Vector {
 func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, nKeys int, ins []aggInput) {
 	*g = groupTable{meta: meta, nKeys: nKeys}
 	keyCols := make([]core.KeyCol, nKeys)
-	g.keyTypes = make([]vec.Type, nKeys)
-	g.nullCode = make([]int64, nKeys)
+	g.keys = make([]keyCoding, nKeys)
 	for i, k := range meta[:nKeys] {
 		kc := core.KeyCol{Name: k.Name, Type: k.Type, Dom: k.Dom}
 		if k.Type == vec.F64 {
 			// The key schema packs and hashes integers and string refs
 			// only: DOUBLE keys enter it as their 64-bit patterns
-			// (remapKey) and are restored at emission.
+			// (keyCoding.code) and are restored at emission.
 			kc.Type, kc.Dom = vec.I64, domain.Unknown
 		}
 		code := int64(math.MinInt64) // no remapping
@@ -132,8 +130,7 @@ func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, n
 				kc.Type = vec.I64
 			}
 		}
-		g.keyTypes[i] = kc.Type
-		g.nullCode[i] = code
+		g.keys[i] = keyCoding{typ: kc.Type, nullable: k.Nullable, nullCode: code}
 		keyCols[i] = kc
 	}
 
@@ -190,17 +187,25 @@ func (g *groupTable) reserve(phys int) {
 	}
 }
 
-// remapKey folds key i into the key coding: non-string NULLs become the
-// extended domain code, string NULLs the null reference, DOUBLEs their bit
-// pattern (-0 grouped with +0). Encoded key vectors materialize into the
-// per-key scratch on the way (the key schema hashes raw slices); plain
-// non-nullable integer and string keys pass through untouched.
-func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec.Vector {
-	if g.keyTypes[i] == v.Typ && !g.meta[i].Nullable {
-		return ensurePlain(v, rows, &g.keyBufs[i], phys)
+// keyCoding is how one key column enters a key schema, the one coding the
+// group table and the hash join share: the type its coded vectors have
+// and, for a nullable key, the code a NULL becomes.
+type keyCoding struct {
+	typ      vec.Type
+	nullable bool  // rows may carry NULLs (join keys never do: they are dropped)
+	nullCode int64 // NULL code of a non-string key; strings use the null reference
+}
+
+// code brings key vector v into the coding at the given rows, into *bufp
+// when a copy is needed: encoded vectors are decoded (the key schema hashes
+// raw slices), DOUBLEs become their doubleKey bit pattern, narrower
+// integers are widened to typ, and NULLs become their code. A plain
+// non-nullable vector that already has the coded type passes through.
+func (c keyCoding) code(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int) *vec.Vector {
+	if v.Typ == c.typ && !c.nullable {
+		return ensurePlain(v, rows, bufp, phys)
 	}
-	out := scratchVec(&g.keyBufs[i], g.keyTypes[i], phys)
-	code := g.nullCode[i]
+	out := scratchVec(bufp, c.typ, phys)
 	switch v.Typ {
 	case vec.Str:
 		for _, r := range rows {
@@ -213,7 +218,7 @@ func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec
 	case vec.F64:
 		for _, r := range rows {
 			if v.IsNull(int(r)) {
-				out.I64[r] = code
+				out.I64[r] = c.nullCode
 			} else {
 				out.I64[r] = doubleKey(v.F64[r])
 			}
@@ -221,7 +226,7 @@ func (g *groupTable) remapKey(i int, v *vec.Vector, rows []int32, phys int) *vec
 	default:
 		for _, r := range rows {
 			if v.IsNull(int(r)) {
-				out.SetInt64(int(r), code)
+				out.SetInt64(int(r), c.nullCode)
 			} else {
 				out.SetInt64(int(r), v.Int64At(int(r)))
 			}
@@ -240,7 +245,7 @@ func doubleKey(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
-// hashKeys packs the batch's remapped key vectors (g.keyVecs) and hashes
+// hashKeys packs the batch's coded key vectors (g.keyVecs) and hashes
 // them into g.hashes.
 func (g *groupTable) hashKeys(st *Stats, rows []int32) *core.Prepared {
 	p := g.schema.Prepare(g.keyVecs, rows)
@@ -318,21 +323,6 @@ func (g *groupTable) insert(st *Stats, p *core.Prepared, rows []int32, args []*v
 	}
 }
 
-// splitChunk splits a run of the order log by partition: the local records
-// and their positions inside the run, which feed the per-partition
-// gathers.
-func (g *groupTable) splitChunk(chunk []int32) {
-	for pi := range g.chunkRecs {
-		g.chunkRecs[pi] = g.chunkRecs[pi][:0]
-		g.chunkRows[pi] = g.chunkRows[pi][:0]
-	}
-	for i, grec := range chunk {
-		pi, local := g.pt.DecodeRec(grec)
-		g.chunkRecs[pi] = append(g.chunkRecs[pi], local)
-		g.chunkRows[pi] = append(g.chunkRows[pi], int32(i))
-	}
-}
-
 // loadKey gathers key column ci of the split chunk, NULL-coded as stored.
 func (g *groupTable) loadKey(ci int, out *vec.Vector) {
 	for pi, recs := range g.chunkRecs {
@@ -365,11 +355,11 @@ func (g *groupTable) merge(src *groupTable) {
 		// how either side was partitioned.
 		chunk := src.order[base:min(base+vec.Size, len(src.order))]
 		rows := identRows[:len(chunk)]
-		src.splitChunk(chunk)
-		// Keys come back NULL-coded exactly as stored, so they feed g's
-		// Prepare without re-remapping.
+		src.pt.SplitRecs(chunk, rows, src.chunkRecs, src.chunkRows)
+		// Keys come back coded exactly as stored, so they feed g's Prepare
+		// without coding them again.
 		for ci := range g.keyVecs {
-			g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], g.keyTypes[ci], vec.Size)
+			g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], g.keys[ci].typ, vec.Size)
 			src.loadKey(ci, g.keyVecs[ci])
 		}
 		// The two tables may use different radix widths, so the rows are
@@ -398,12 +388,12 @@ func (g *groupTable) next() *vec.Batch {
 		}
 		g.tmp = make([]*vec.Vector, len(g.specOf))
 	}
-	g.splitChunk(g.order[g.emit : g.emit+n])
+	g.pt.SplitRecs(g.order[g.emit:g.emit+n], identRows[:n], g.chunkRecs, g.chunkRows)
 
 	for ci, k := range g.meta[:g.nKeys] {
 		out := g.out.Vecs[ci]
 		coded := out
-		if g.keyTypes[ci] != k.Type {
+		if g.keys[ci].typ != k.Type {
 			coded = scratchVec(&g.keyBufs[ci], vec.I64, vec.Size)
 		}
 		g.loadKey(ci, coded)
@@ -426,7 +416,7 @@ func (g *groupTable) next() *vec.Batch {
 			if k.Type == vec.Str {
 				out.Nulls[i] = out.Str[i] == nullStrRef
 			} else {
-				out.Nulls[i] = coded.Int64At(i) == g.nullCode[ci]
+				out.Nulls[i] = coded.Int64At(i) == g.keys[ci].nullCode
 			}
 		}
 	}

@@ -241,7 +241,7 @@ func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) (*core.Prepared, []int32) {
 	phys := physOf(b)
 	g.reserve(phys)
 	for i, k := range h.Keys {
-		g.keyVecs[i] = g.remapKey(i, k.Eval(qc, b), rows, phys)
+		g.keyVecs[i] = g.keys[i].code(k.Eval(qc, b), rows, &g.keyBufs[i], phys)
 	}
 	for si, e := range h.argOf {
 		if e != nil {

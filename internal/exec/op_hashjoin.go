@@ -34,18 +34,15 @@ type HashJoin struct {
 	ProbeKeys    []string
 	Payload      []string
 	Kind         JoinKind
-	// Selective hints that most probes miss; with Optimistic Splitting
-	// the payload then moves to the cold area (Section III-B) and the
-	// join carries a Bloom filter under join.BloomAuto.
+	// Selective hints that most probes miss: the join carries a Bloom
+	// filter, and with Optimistic Splitting the payload moves to the cold
+	// area (Section III-B).
 	Selective bool
 	// PartitionBits sets the build side's radix-partitioning width:
 	// negative (the constructor default) picks it adaptively from the
 	// build-side cardinality bound, 0 forces one monolithic table, and
 	// positive values force 2^bits partitions.
 	PartitionBits int
-	// BloomMode is the join.Bloom* pre-pass mode; the zero value
-	// (BloomAuto) enables the filter exactly for selective joins.
-	BloomMode int
 
 	// prebuilt, when set, is a join whose hash table was already built
 	// (serially, by the parallel driver on the template pipeline). Open
@@ -195,45 +192,13 @@ func (h *HashJoin) MaxRows() int64 {
 // prebuilt join is attached, only the probe side is opened and the shared
 // build table is probed through a worker-private clone.
 func (h *HashJoin) Open(qc *QCtx) {
-	if h.prebuilt != nil {
-		h.Probe.Open(qc)
-		h.Meta()
-		bm := h.Build.Meta()
-		pm := h.Probe.Meta()
-		h.probeIdx = h.probeIdx[:0]
-		for _, k := range h.ProbeKeys {
-			h.probeIdx = append(h.probeIdx, colIndex(pm, k))
-		}
-		h.payloadIdx = h.payloadIdx[:0]
-		for _, p := range h.Payload {
-			h.payloadIdx = append(h.payloadIdx, colIndex(bm, p))
-		}
-		// Clone with this worker's store so probe-side fast/slow counters
-		// and scratch buffers stay private; the underlying tables are shared
-		// read-only and were already registered by the template, so they are
-		// not registered again here.
-		h.j = h.prebuilt.ProbeClone(qc.Store)
-		h.outBufs = make([]*vec.Vector, len(h.meta))
-		for i, m := range h.meta {
-			h.outBufs[i] = vec.New(m.Type, vec.Size)
-		}
-		h.curBatch = nil
-		h.matchPos = 0
-		h.probeRows, h.probePos = nil, 0
-		h.probedRows, h.matchedTotal = 0, 0
-		return
+	if h.prebuilt == nil {
+		h.Build.Open(qc)
 	}
-
-	h.Build.Open(qc)
 	h.Probe.Open(qc)
 	h.Meta()
-
 	bm := h.Build.Meta()
 	pm := h.Probe.Meta()
-	h.buildIdx = h.buildIdx[:0]
-	for _, k := range h.BuildKeys {
-		h.buildIdx = append(h.buildIdx, colIndex(bm, k))
-	}
 	h.probeIdx = h.probeIdx[:0]
 	for _, k := range h.ProbeKeys {
 		h.probeIdx = append(h.probeIdx, colIndex(pm, k))
@@ -241,6 +206,31 @@ func (h *HashJoin) Open(qc *QCtx) {
 	h.payloadIdx = h.payloadIdx[:0]
 	for _, p := range h.Payload {
 		h.payloadIdx = append(h.payloadIdx, colIndex(bm, p))
+	}
+	if h.prebuilt != nil {
+		// Clone with this worker's store so probe-side fast/slow counters
+		// and scratch buffers stay private; the underlying tables are shared
+		// read-only and were already registered by the template, so they are
+		// not registered again here.
+		h.j = h.prebuilt.ProbeClone(qc.Store)
+	} else {
+		h.build(qc, bm, pm)
+	}
+	h.outBufs = make([]*vec.Vector, len(h.meta))
+	for i, m := range h.meta {
+		h.outBufs[i] = vec.New(m.Type, vec.Size)
+	}
+	h.curBatch = nil
+	h.matchPos = 0
+	h.probeRows, h.probePos = nil, 0
+	h.probedRows, h.matchedTotal = 0, 0
+}
+
+// build creates the join table and drains the build side into it.
+func (h *HashJoin) build(qc *QCtx, bm, pm []Meta) {
+	h.buildIdx = h.buildIdx[:0]
+	for _, k := range h.BuildKeys {
+		h.buildIdx = append(h.buildIdx, colIndex(bm, k))
 	}
 
 	// Key columns: the stored keys take the build-side domains. The
@@ -252,9 +242,9 @@ func (h *HashJoin) Open(qc *QCtx) {
 		kc := core.KeyCol{Name: h.BuildKeys[i], Type: m.Type, Dom: m.Dom}
 		switch {
 		case m.Type == vec.F64:
-			kc.Type, kc.Dom = vec.I64, domain.Unknown // joinKey's doubleKey coding
+			kc.Type, kc.Dom = vec.I64, domain.Unknown // keyCoding's doubleKey
 		case m.Type != pm[h.probeIdx[i]].Type:
-			kc.Type = vec.I64 // integers of two widths meet as I64 (joinKey)
+			kc.Type = vec.I64 // integers of two widths meet as I64
 		}
 		keyCols = append(keyCols, kc)
 	}
@@ -279,7 +269,6 @@ func (h *HashJoin) Open(qc *QCtx) {
 		CapacityHint:  int(hint),
 		PartitionBits: h.PartitionBits,
 		EstRows:       h.Build.MaxRows(),
-		Bloom:         h.BloomMode,
 	})
 	if err != nil {
 		panic(err)
@@ -317,7 +306,7 @@ func (h *HashJoin) Open(qc *QCtx) {
 		}
 		phys := physOf(b)
 		for i := range keyVecs {
-			keyVecs[i] = joinKey(keyVecs[i], keyCols[i].Type, rows, &keyBufs[i], phys)
+			keyVecs[i] = keyCoding{typ: keyCols[i].Type}.code(keyVecs[i], rows, &keyBufs[i], phys)
 		}
 		for i := range plVecs {
 			plVecs[i] = ensurePlain(plVecs[i], rows, &plBufs[i], phys)
@@ -326,34 +315,6 @@ func (h *HashJoin) Open(qc *QCtx) {
 		h.j.Build(keyVecs, plVecs, rows)
 		qc.Stats.Add(StatLookup, time.Since(start))
 	}
-
-	h.outBufs = make([]*vec.Vector, len(h.meta))
-	for i, m := range h.meta {
-		h.outBufs[i] = vec.New(m.Type, vec.Size)
-	}
-	h.curBatch = nil
-	h.matchPos = 0
-	h.probeRows, h.probePos = nil, 0
-	h.probedRows, h.matchedTotal = 0, 0
-}
-
-// joinKey brings a key vector into the hash table's key type typ at the
-// given rows, into *bufp when a copy is needed: encoded vectors are
-// decoded, and a vector of another type is coded as I64 — DOUBLEs as
-// doubleKey bit patterns, narrower integers sign-extended.
-func joinKey(v *vec.Vector, typ vec.Type, rows []int32, bufp **vec.Vector, phys int) *vec.Vector {
-	if v.Typ == typ {
-		return ensurePlain(v, rows, bufp, phys)
-	}
-	out := scratchVec(bufp, vec.I64, phys)
-	for _, r := range rows {
-		if v.Typ == vec.F64 {
-			out.I64[r] = doubleKey(v.F64[r])
-		} else {
-			out.I64[r] = v.Int64At(int(r))
-		}
-	}
-	return out
 }
 
 func dropNullKeyRows(rows []int32, keys []*vec.Vector, sel []int32) ([]int32, []int32) {
@@ -415,7 +376,7 @@ func (h *HashJoin) startBatch(qc *QCtx, b *vec.Batch) []int32 {
 	}
 	phys := physOf(b)
 	for i, kc := range h.j.Schema.Cols {
-		h.keyVecs[i] = joinKey(h.keyVecs[i], kc.Type, probeRows, &h.probeKeyBufs[i], phys)
+		h.keyVecs[i] = keyCoding{typ: kc.Type}.code(h.keyVecs[i], probeRows, &h.probeKeyBufs[i], phys)
 	}
 	start := time.Now()
 	survivors := h.j.PrepareProbe(h.keyVecs, probeRows)
@@ -584,13 +545,6 @@ func (h *HashJoin) nextSemiAnti(qc *QCtx) *vec.Batch {
 }
 
 func (h *HashJoin) curVecs(b *vec.Batch) []*vec.Vector { return b.Vecs }
-
-// Table exposes the first partition of the join hash table for footprint
-// experiments; Join exposes the full handle (all partitions, Bloom).
-func (h *HashJoin) Table() *core.Table { return h.j.Table() }
-
-// Join exposes the underlying join handle (Bloom counters, partitions).
-func (h *HashJoin) Join() *join.Join { return h.j }
 
 // gather copies src values at the given physical rows densely into
 // dst[0:len(rows)]. The caller pre-sizes dst.Nulls when src carries a

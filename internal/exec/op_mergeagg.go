@@ -124,7 +124,7 @@ func (m *MergeAgg) Open(qc *QCtx) {
 		phys := physOf(b)
 		g.reserve(phys)
 		for i := range g.keyVecs {
-			g.keyVecs[i] = g.remapKey(i, b.Vecs[i], rows, phys)
+			g.keyVecs[i] = g.keys[i].code(b.Vecs[i], rows, &g.keyBufs[i], phys)
 		}
 		p := g.hashKeys(nil, rows)
 		if m.scratch == nil && len(rows) > 0 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"ocht/internal/core"
@@ -17,12 +18,12 @@ func partitionFixture(probeRows, buildRows int) (*storage.Table, *storage.Table)
 	fk := storage.NewColumn("fk", vec.I32, true)
 	v := storage.NewColumn("v", vec.I64, false)
 	for i := 0; i < probeRows; i++ {
-		if i%13 == 0 {
-			fk.AppendNull()
+		if k, ok := partitionKey(i, buildRows); ok {
+			fk.AppendInt(k)
 		} else {
-			fk.AppendInt(int64(i*2654435761) % int64(2*buildRows))
+			fk.AppendNull()
 		}
-		v.AppendInt(int64(i%1000) - 500)
+		v.AppendInt(partitionVal(i))
 	}
 	fact := storage.NewTable("pfact", fk, v)
 	fact.Seal()
@@ -31,14 +32,64 @@ func partitionFixture(probeRows, buildRows int) (*storage.Table, *storage.Table)
 	bn := storage.NewColumn("bn", vec.Str, false)
 	for i := 0; i < buildRows; i++ {
 		bk.AppendInt(int64(i))
-		bn.AppendString(fmt.Sprintf("d-%05d", i))
+		bn.AppendString(partitionName(i))
 	}
 	dim := storage.NewTable("pdim", bk, bn)
 	dim.Seal()
 	return fact, dim
 }
 
-func partitionJoinPlan(fact, dim *storage.Table, kind JoinKind, bits, bloom int) Op {
+// partitionKey is probe row i's join key; ok is false for a NULL key.
+func partitionKey(i, buildRows int) (k int64, ok bool) {
+	if i%13 == 0 {
+		return 0, false
+	}
+	return int64(i*2654435761) % int64(2*buildRows), true
+}
+
+func partitionVal(i int) int64 { return int64(i%1000) - 500 }
+
+// partitionName is build row i's payload; its key is i.
+func partitionName(i int) string { return fmt.Sprintf("d-%05d", i) }
+
+// referenceJoin computes partitionJoinPlan's answer row at a time from the
+// fixture's generating functions, with a Go map for the build side: NULL
+// keys match nothing (so Anti keeps them and LeftOuter pads them), and
+// rows render as sortedRows renders them.
+func referenceJoin(probeRows, buildRows int, kind JoinKind) []string {
+	dim := make(map[int64][]string, buildRows)
+	for i := 0; i < buildRows; i++ {
+		dim[int64(i)] = append(dim[int64(i)], partitionName(i))
+	}
+	var out []string
+	for i := 0; i < probeRows; i++ {
+		k, ok := partitionKey(i, buildRows)
+		row := "NULL|"
+		var names []string
+		if ok {
+			row = fmt.Sprintf("%d|", k)
+			names = dim[k]
+		}
+		row += fmt.Sprintf("%d|", partitionVal(i))
+		switch kind {
+		case Semi, Anti:
+			if (len(names) > 0) == (kind == Semi) {
+				out = append(out, row)
+			}
+		default:
+			for _, n := range names {
+				out = append(out, row+n+"|")
+			}
+			if kind == LeftOuter && len(names) == 0 {
+				out = append(out, row+"NULL|")
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func partitionJoinPlan(fact, dim *storage.Table, kind JoinKind, bits int) Op {
 	sc := NewScan(fact, "fk", "v")
 	dsc := NewScan(dim, "bk", "bn")
 	var payload []string
@@ -47,41 +98,40 @@ func partitionJoinPlan(fact, dim *storage.Table, kind JoinKind, bits, bloom int)
 	}
 	j := NewHashJoin(kind, sc, dsc, []string{"fk"}, []string{"bk"}, payload)
 	j.PartitionBits = bits
-	j.BloomMode = bloom
 	return j
 }
 
 // TestPartitionedJoinMatchesMonolithic drives every join kind over NULL
-// probe keys for each radix width and worker count, against the serial
-// monolithic Bloom-free oracle: the match multiset must never change.
+// probe keys for each radix width and worker count, against a Go-map
+// reference join: no width, worker count or Bloom pre-pass may change the
+// match multiset.
 func TestPartitionedJoinMatchesMonolithic(t *testing.T) {
-	fact, dim := partitionFixture(150_000, 4000)
+	const probeRows, buildRows = 150_000, 4000
+	fact, dim := partitionFixture(probeRows, buildRows)
 	kinds := []struct {
 		name string
 		kind JoinKind
 	}{
 		{"inner", Inner}, {"semi", Semi}, {"anti", Anti}, {"leftouter", LeftOuter},
 	}
-	for fi, flags := range []core.Flags{core.Vanilla(), core.All()} {
-		for _, k := range kinds {
-			oracle := sortedRows(Run(NewQCtx(flags),
-				partitionJoinPlan(fact, dim, k.kind, 0, 0)))
-			if len(oracle) == 0 {
-				t.Fatalf("%s oracle found no rows", k.name)
-			}
+	for _, k := range kinds {
+		want := referenceJoin(probeRows, buildRows, k.kind)
+		if len(want) == 0 {
+			t.Fatalf("%s reference found no rows", k.name)
+		}
+		for fi, flags := range []core.Flags{core.Vanilla(), core.All()} {
 			for _, bits := range []int{0, 3, 6, -1} {
 				for _, workers := range []int{1, 2, 4, 8} {
 					t.Run(fmt.Sprintf("flags%d/%s/bits%d/w%d", fi, k.name, bits, workers), func(t *testing.T) {
 						qc := NewQCtx(flags)
 						qc.Workers = workers
-						got := sortedRows(Run(qc,
-							partitionJoinPlan(fact, dim, k.kind, bits, 0)))
-						if len(got) != len(oracle) {
-							t.Fatalf("%d rows, oracle %d", len(got), len(oracle))
+						got := sortedRows(Run(qc, partitionJoinPlan(fact, dim, k.kind, bits)))
+						if len(got) != len(want) {
+							t.Fatalf("%d rows, reference %d", len(got), len(want))
 						}
 						for i := range got {
-							if got[i] != oracle[i] {
-								t.Fatalf("row %d:\n got    %s\n oracle %s", i, got[i], oracle[i])
+							if got[i] != want[i] {
+								t.Fatalf("row %d:\n got       %s\n reference %s", i, got[i], want[i])
 							}
 						}
 					})

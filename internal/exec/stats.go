@@ -172,14 +172,3 @@ func (s *Stats) String() string {
 	}
 	return b.String()
 }
-
-// timed runs f and charges its duration to bucket name.
-func (s *Stats) timed(name string, f func()) {
-	if s == nil {
-		f()
-		return
-	}
-	start := time.Now()
-	f()
-	s.Add(name, time.Since(start))
-}

@@ -14,6 +14,9 @@
 package join
 
 import (
+	"encoding/binary"
+	"math"
+
 	"ocht/internal/core"
 	"ocht/internal/domain"
 	"ocht/internal/hashtab"
@@ -38,20 +41,11 @@ type PayloadCol struct {
 	SampleDom domain.D
 }
 
-// Bloom filter modes for Options.Bloom.
-const (
-	// BloomAuto builds the filter exactly when the join is Selective:
-	// that is where shedding misses before the table probe pays.
-	BloomAuto = iota
-	BloomOn
-	BloomOff
-)
-
 // Options tunes the join layout.
 type Options struct {
-	// Selective marks joins where most probes are expected to miss; with
-	// Optimistic Splitting this moves the payload columns to the cold
-	// area (Section III-B).
+	// Selective marks joins where most probes are expected to miss: the
+	// join carries a Bloom filter, and with Optimistic Splitting the
+	// payload columns move to the cold area (Section III-B).
 	Selective bool
 	// CapacityHint pre-sizes the table.
 	CapacityHint int
@@ -65,8 +59,6 @@ type Options struct {
 	// derived); it drives the adaptive partition width and the Bloom
 	// filter sizing. Zero falls back to CapacityHint.
 	EstRows int64
-	// Bloom selects the Bloom pre-pass mode (BloomAuto/BloomOn/BloomOff).
-	Bloom int
 }
 
 // Join is a hash join: Build inserts the inner relation, Probe streams the
@@ -90,8 +82,13 @@ type Join struct {
 	exceptBytes   int        // cold bytes for payload exceptions
 	payloadSize   int
 
-	// Per-handle scratch; ProbeClone resets all of it so clones never
-	// share mutable state with the build-side handle.
+	// ProbeClone gives each clone a fresh handle, so clones never share
+	// mutable state with the build-side handle.
+	handle
+}
+
+// handle is the per-handle scratch and Bloom counters of a Join.
+type handle struct {
 	scratch   []uint64
 	hashBuf   []uint64
 	recBuf    []int32
@@ -99,11 +96,15 @@ type Join struct {
 	headBuf   []int32
 	survivors []int32
 	probePrep *core.Prepared
-	gRecs     [][]int32 // fetch-side per-partition local records
-	gRows     [][]int32 // fetch-side per-partition output rows
+	gRecs     [][]int32 // FetchPayload's SplitRecs scratch: per-partition local records
+	gRows     [][]int32 // and their output rows
 
 	bloomChecked int64
 	bloomDropped int64
+}
+
+func newHandle(nParts int) handle {
+	return handle{gRecs: make([][]int32, nParts), gRows: make([][]int32, nParts)}
 }
 
 func (j *Join) buffers(n int) ([]uint64, []int32) {
@@ -162,10 +163,11 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 				continue
 			}
 			if packable := c.Type.IsInt() && c.Type != vec.I128; !packable {
-				// Uncoded strings (references) and floats are stored
-				// directly after the packed words at their full width.
+				// Uncoded strings (references), floats and 128-bit
+				// integers are stored directly after the packed words at
+				// their full width.
 				j.payloadOffs[i] = strBytes // resolved after the plan width is known
-				strBytes += 8
+				strBytes += c.Type.Width()
 				continue
 			}
 			j.payloadOffs[i] = -1
@@ -206,11 +208,10 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+hotExtra)
 	}
 	j.pt = core.NewPartTable(schema, hotExtra, coldExtra, cap, bits)
-	if opts.Bloom == BloomOn || (opts.Bloom == BloomAuto && opts.Selective) {
+	if opts.Selective {
 		j.bloom = hashtab.NewBloom(int(est))
 	}
-	j.gRecs = make([][]int32, j.pt.NParts())
-	j.gRows = make([][]int32, j.pt.NParts())
+	j.handle = newHandle(j.pt.NParts())
 	return j, nil
 }
 
@@ -241,9 +242,6 @@ func (j *Join) MemoryBytes() int {
 // how many it shed before any table access, for this handle.
 func (j *Join) BloomStats() (checked, dropped int64) { return j.bloomChecked, j.bloomDropped }
 
-// HasBloom reports whether the join carries a Bloom filter.
-func (j *Join) HasBloom() bool { return j.bloom != nil }
-
 // ProbeClone returns a handle on the same (fully built, now immutable)
 // tables for concurrent probing by another goroutine. The clone shares
 // the partitioned table, Bloom filter and payload layout but owns a fresh
@@ -259,17 +257,7 @@ func (j *Join) ProbeClone(store *strs.Store) *Join {
 		panic("join: ProbeClone schema: " + err.Error())
 	}
 	clone.Schema = schema
-	clone.scratch = nil
-	clone.hashBuf = nil
-	clone.recBuf = nil
-	clone.recIdx = nil
-	clone.headBuf = nil
-	clone.survivors = nil
-	clone.probePrep = nil
-	clone.gRecs = make([][]int32, j.pt.NParts())
-	clone.gRows = make([][]int32, j.pt.NParts())
-	clone.bloomChecked = 0
-	clone.bloomDropped = 0
+	clone.handle = newHandle(j.pt.NParts())
 	return &clone
 }
 
@@ -410,8 +398,8 @@ func (j *Join) PrepareProbe(keyCols []*vec.Vector, rows []int32) []int32 {
 // ProbeStaged walks the chains for rows (a sub-chunk of the selection
 // vector returned by the last PrepareProbe) in the two-phase staged
 // sweep, appending matching (probe row, build record) pairs to the given
-// slices. Records are partition-encoded; pass them back to FetchPayload /
-// FetchKey unchanged.
+// slices. Records are partition-encoded; pass them back to FetchPayload
+// unchanged.
 func (j *Join) ProbeStaged(rows []int32, outRows, outRecs []int32) ([]int32, []int32) {
 	if cap(j.headBuf) < len(rows) {
 		j.headBuf = make([]int32, len(rows))
@@ -427,37 +415,15 @@ func (j *Join) Probe(keyCols []*vec.Vector, rows []int32) (matchRows, matchRecs 
 	return j.ProbeStaged(surv, nil, nil)
 }
 
-// groupByPart splits parallel (record, row) pairs by record partition
-// into reused scratch, so the per-partition fetch loops below touch one
-// partition's area at a time. Identity (single group) when monolithic.
-func (j *Join) groupByPart(recs, rows []int32) (gRecs, gRows [][]int32) {
-	if j.pt.Bits() == 0 {
-		j.gRecs[0] = append(j.gRecs[0][:0], recs...)
-		j.gRows[0] = append(j.gRows[0][:0], rows...)
-		return j.gRecs, j.gRows
-	}
-	for p := range j.gRecs {
-		j.gRecs[p] = j.gRecs[p][:0]
-		j.gRows[p] = j.gRows[p][:0]
-	}
-	for i, grec := range recs {
-		part, local := j.pt.DecodeRec(grec)
-		j.gRecs[part] = append(j.gRecs[part], local)
-		j.gRows[part] = append(j.gRows[part], rows[i])
-	}
-	return j.gRecs, j.gRows
-}
-
 // FetchPayload reconstructs payload column ci of the given build records
 // into out at positions rows (tuple reconstruction after the probe).
 // recs are partition-encoded records as returned by the probe.
 func (j *Join) FetchPayload(ci int, recs []int32, out *vec.Vector, rows []int32) {
-	gRecs, gRows := j.groupByPart(recs, rows)
-	for pi := range gRecs {
-		if len(gRecs[pi]) == 0 {
-			continue
+	j.pt.SplitRecs(recs, rows, j.gRecs, j.gRows)
+	for pi, precs := range j.gRecs {
+		if len(precs) > 0 {
+			j.fetchPayloadPart(j.pt.Part(pi), ci, precs, out, j.gRows[pi])
 		}
-		j.fetchPayloadPart(j.pt.Part(pi), ci, gRecs[pi], out, gRows[pi])
 	}
 }
 
@@ -484,7 +450,7 @@ func (j *Join) fetchPayloadPart(t *core.Table, ci int, recs []int32, out *vec.Ve
 					out.Str[r] = ussr.RefForSlot(code)
 				} else {
 					pos := int(recs[i])*t.ColdWidth() + coldOff
-					out.Str[r] = vec.StrRef(getU64(cold[pos:]))
+					out.Str[r] = vec.StrRef(binary.LittleEndian.Uint64(cold[pos:]))
 				}
 			}
 		case j.payloadSample != nil && j.payloadSample[ci]:
@@ -499,25 +465,13 @@ func (j *Join) fetchPayloadPart(t *core.Table, ci int, recs []int32, out *vec.Ve
 					out.SetInt64(int(r), sd.Min+code-1)
 				} else {
 					pos := int(recs[i])*t.ColdWidth() + coldOff
-					out.SetInt64(int(r), int64(getU64(cold[pos:])))
+					out.SetInt64(int(r), int64(binary.LittleEndian.Uint64(cold[pos:])))
 				}
 			}
 		}
 		return
 	}
 	loadDirect(buf, stride, base+off, j.Payload[ci].Type, out, recs, rows)
-}
-
-// FetchKey reconstructs key column ci for the given build records.
-// recs are partition-encoded records as returned by the probe.
-func (j *Join) FetchKey(ci int, recs []int32, out *vec.Vector, rows []int32) {
-	gRecs, gRows := j.groupByPart(recs, rows)
-	for pi := range gRecs {
-		if len(gRecs[pi]) == 0 {
-			continue
-		}
-		j.pt.Part(pi).LoadKey(ci, gRecs[pi], out, gRows[pi])
-	}
 }
 
 // asI64 widens an integer vector to int64 at the active rows.
@@ -552,51 +506,61 @@ func physLen(a, b []*vec.Vector, rows []int32) int {
 	return n
 }
 
+// storeDirect writes column v of the given rows at byte offset off of
+// records recIdx, at the type's full width.
 func storeDirect(buf []byte, stride, off int, t vec.Type, v *vec.Vector, rows, recIdx []int32) {
+	le := binary.LittleEndian
 	for i, r := range rows {
-		pos := int(recIdx[i])*stride + off
+		b := buf[int(recIdx[i])*stride+off:]
 		switch t {
 		case vec.Str:
-			putU64(buf[pos:], uint64(v.Str[r]))
+			le.PutUint64(b, uint64(v.Str[r]))
+		case vec.I128:
+			le.PutUint64(b, v.I128[r].Lo)
+			le.PutUint64(b[8:], uint64(v.I128[r].Hi))
 		case vec.I64:
-			putU64(buf[pos:], uint64(v.I64[r]))
+			le.PutUint64(b, uint64(v.I64[r]))
 		case vec.F64:
-			putU64(buf[pos:], f64bits(v.F64[r]))
+			le.PutUint64(b, math.Float64bits(v.F64[r]))
 		case vec.I32:
-			putU32(buf[pos:], uint32(v.I32[r]))
+			le.PutUint32(b, uint32(v.I32[r]))
 		case vec.I16:
-			putU16(buf[pos:], uint16(v.I16[r]))
+			le.PutUint16(b, uint16(v.I16[r]))
 		case vec.I8:
-			buf[pos] = byte(v.I8[r])
+			b[0] = byte(v.I8[r])
 		case vec.Bool:
+			b[0] = 0
 			if v.Bool[r] {
-				buf[pos] = 1
-			} else {
-				buf[pos] = 0
+				b[0] = 1
 			}
 		}
 	}
 }
 
+// loadDirect is storeDirect's inverse: records recs into out at rows.
 func loadDirect(buf []byte, stride, off int, t vec.Type, out *vec.Vector, recs, rows []int32) {
+	le := binary.LittleEndian
 	for i, rec := range recs {
-		pos := int(rec)*stride + off
-		r := int(rows[i])
+		b := buf[int(rec)*stride+off:]
+		r := rows[i]
 		switch t {
 		case vec.Str:
-			out.Str[r] = vec.StrRef(getU64(buf[pos:]))
+			out.Str[r] = vec.StrRef(le.Uint64(b))
+		case vec.I128:
+			out.I128[r].Lo = le.Uint64(b)
+			out.I128[r].Hi = int64(le.Uint64(b[8:]))
 		case vec.I64:
-			out.I64[r] = int64(getU64(buf[pos:]))
+			out.I64[r] = int64(le.Uint64(b))
 		case vec.F64:
-			out.F64[r] = f64frombits(getU64(buf[pos:]))
+			out.F64[r] = math.Float64frombits(le.Uint64(b))
 		case vec.I32:
-			out.I32[r] = int32(getU32(buf[pos:]))
+			out.I32[r] = int32(le.Uint32(b))
 		case vec.I16:
-			out.I16[r] = int16(getU16(buf[pos:]))
+			out.I16[r] = int16(le.Uint16(b))
 		case vec.I8:
-			out.I8[r] = int8(buf[pos])
+			out.I8[r] = int8(b[0])
 		case vec.Bool:
-			out.Bool[r] = buf[pos] != 0
+			out.Bool[r] = b[0] != 0
 		}
 	}
 }

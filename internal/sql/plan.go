@@ -353,7 +353,7 @@ func splitJoinOn(on Node, probeMeta, buildMeta []exec.Meta) (probeKeys, buildKey
 				"JOIN ON columns %q and %q do not span the two sides", lc.Name, rc.Name)
 		}
 		pt, bt := colType(probeMeta, pk), colType(buildMeta, bk)
-		if c := joinKeyClass(pt); c == "" || c != joinKeyClass(bt) {
+		if c := keyClass(pt); c == "" || c != keyClass(bt) {
 			return nil, nil, errf(t.nodePos(),
 				"JOIN ON %s = %s compares %s with %s; join keys must be both integer, both DOUBLE or both VARCHAR",
 				pk, bk, pt, bt)
@@ -367,9 +367,9 @@ func splitJoinOn(on Node, probeMeta, buildMeta []exec.Meta) (probeKeys, buildKey
 	return probeKeys, buildKeys, nil
 }
 
-// joinKeyClass names the class of key types that can join each other, or
+// keyClass names the class of key types that can join each other, or
 // "" for a type that cannot be a join key.
-func joinKeyClass(t vec.Type) string {
+func keyClass(t vec.Type) string {
 	switch t {
 	case vec.Bool, vec.I8, vec.I16, vec.I32, vec.I64:
 		return "integer"
