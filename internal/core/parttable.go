@@ -56,11 +56,13 @@ type PartTable struct {
 	bits   uint
 	parts  []*Table
 
-	// partRows is the build-side grouping scratch. Building is
-	// single-threaded per PartTable (parallel workers own private
-	// tables; join builds run on the template before the fork), so the
-	// scratch lives here; the probe path takes caller-owned scratch
-	// because probe clones share one built PartTable.
+	// partRows is PartitionRows' grouping scratch. Inserting is
+	// single-threaded per PartTable: a serial build fills it on one
+	// goroutine, and a parallel build has each owner worker fill whole
+	// partition Tables that NewPartTableFromParts assembles afterwards.
+	// Callers that route rows concurrently against one shared PartTable
+	// (probe clones, the spill phase of a parallel join build) pass their
+	// own scratch to SplitRows and SplitRecs.
 	partRows [][]int32
 }
 
@@ -92,12 +94,13 @@ func NewPartTable(schema *KeySchema, hotExtra, coldExtra, capacityHint, bits int
 }
 
 // NewPartTableFromParts assembles a partitioned table from 2^bits
-// already-built partition Tables. The partition-wise parallel aggregation
-// driver uses it to install tables each owner worker built with its own
-// (layout-identical) KeySchema: record addressing, emission and footprint
-// accounting then work exactly as if the partitions had been built here,
-// while key matching inside each partition stayed on its owner's string
-// store. len(parts) must be a power of two <= 2^MaxPartitionBits.
+// already-built partition Tables. The partition-wise parallel builds (group
+// tables and join tables alike) use it to install tables each owner worker
+// built with its own (layout-identical) KeySchema: record addressing,
+// emission, probing and footprint accounting then work exactly as if the
+// partitions had been built here, while key matching inside each partition
+// stayed on its owner's string store. len(parts) must be a power of two <=
+// 2^MaxPartitionBits.
 func NewPartTableFromParts(schema *KeySchema, parts []*Table) *PartTable {
 	bits := 0
 	for 1<<bits < len(parts) {
@@ -173,21 +176,28 @@ func (pt *PartTable) MemoryBytes() int { return pt.HotAreaBytes() + pt.ColdAreaB
 // PartitionRows groups the active rows by partition into reused scratch:
 // the local-partitioning pass of a radix build. The returned slices are
 // valid until the next call and are indexed by partition.
+func (pt *PartTable) PartitionRows(hashes []uint64, rows []int32) [][]int32 {
+	pt.SplitRows(hashes, rows, pt.partRows)
+	return pt.partRows
+}
+
+// SplitRows is PartitionRows into caller-owned scratch: out[p] receives
+// the active rows routed to partition p, in input order. out has one entry
+// per partition and is refilled on every call.
 //
 //ocht:hot
-func (pt *PartTable) PartitionRows(hashes []uint64, rows []int32) [][]int32 {
+func (pt *PartTable) SplitRows(hashes []uint64, rows []int32, out [][]int32) {
 	if pt.bits == 0 {
-		pt.partRows[0] = append(pt.partRows[0][:0], rows...)
-		return pt.partRows
+		out[0] = append(out[0][:0], rows...)
+		return
 	}
-	for p := range pt.partRows {
-		pt.partRows[p] = pt.partRows[p][:0]
+	for p := range out {
+		out[p] = out[p][:0]
 	}
 	for _, r := range rows {
 		p := pt.PartOf(hashes[r])
-		pt.partRows[p] = append(pt.partRows[p], r)
+		out[p] = append(out[p], r)
 	}
-	return pt.partRows
 }
 
 // SplitRecs groups global records by partition, the inverse of the

@@ -38,7 +38,9 @@ func cloneExpr(e *Expr) *Expr {
 // cursor. HashAgg clones get a private group table, filled from the
 // clone's own morsel stream (built by Open on the merge path, spilled
 // after setup on the partition-wise path) and combined by the driver
-// afterwards.
+// afterwards — except an aggregation the driver has already filled, the
+// spine's source, whose clone is a partScan over the partitions the
+// worker claims.
 func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 	switch t := o.(type) {
 	case *Scan:
@@ -63,6 +65,11 @@ func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 			prebuilt:      t.j,
 		}
 	case *HashAgg:
+		if t.driverOpened {
+			// A filled aggregation is the spine's source: the clone emits
+			// the groups of the partitions it claims.
+			return &partScan{src: t, morsels: morsels, worker: worker}
+		}
 		c := NewHashAgg(clonePipeline(t.Child, morsels, worker), t.KeyNames, cloneExprs(t.Keys), cloneAggs(t.Aggs))
 		c.PartitionBits = t.PartitionBits
 		return c

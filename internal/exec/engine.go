@@ -32,8 +32,9 @@ type QCtx struct {
 	// Workers selects the degree of morsel-driven parallelism. Values <= 1
 	// run the classic serial pull loop; higher values split table scans
 	// into block-aligned morsels executed by Workers goroutines, each with
-	// a private compressed hash table and string heap, followed by a merge
-	// phase (DESIGN.md, "Parallel execution").
+	// private compressed hash tables and a private string heap, for the
+	// query's aggregation frontier and for each large join build side
+	// (DESIGN.md, "Parallel execution").
 	Workers int
 
 	// EagerMaterialize forces scans to decompress every block into plain
@@ -52,8 +53,14 @@ type QCtx struct {
 	tables []*core.Table
 
 	// workerFootprints records, per parallel worker, the bytes of the
-	// private hash table(s) it built during the last Run.
+	// hash tables it built, summed over every parallel phase of the most
+	// recent Run; nil when that Run was serial.
 	workerFootprints []int
+
+	// par is the driver state of the parallel Run in progress. It is nil
+	// outside a parallel Run and always nil in the worker contexts
+	// themselves, so a join build only fans out from the driver.
+	par *parallelRun
 
 	// done, when non-nil, is the query's cancellation signal (a
 	// context.Done() channel). Operators poll it at batch/morsel
@@ -150,8 +157,10 @@ func RunSortedCtx(ctx context.Context, qc *QCtx, root Op, keys []SortKey, limit 
 
 func (qc *QCtx) register(t *core.Table) { qc.tables = append(qc.tables, t) }
 
-// WorkerFootprints returns the per-worker private hash-table footprints of
-// the last parallel Run (nil after a serial run).
+// WorkerFootprints returns, per worker, the bytes of the hash tables that
+// worker built during the most recent Run, summed over all of its parallel
+// phases (join builds, the aggregation frontier). It is nil after a serial
+// Run.
 func (qc *QCtx) WorkerFootprints() []int { return qc.workerFootprints }
 
 // HashTableBytes returns the summed footprint of all hash tables built by
@@ -263,6 +272,7 @@ func Run(qc *QCtx, root Op) *Result { return RunSorted(qc, root, nil, -1) }
 // bare LIMIT stops pulling once it is satisfied. Rows that tie on every
 // key are ordered by their remaining columns — see Result.OrderBy.
 func RunSorted(qc *QCtx, root Op, keys []SortKey, limit int) *Result {
+	qc.workerFootprints = nil
 	if qc.Workers > 1 {
 		if res, ok := runParallel(qc, root, keys, limit); ok {
 			return res

@@ -35,9 +35,11 @@ type HashAgg struct {
 	meta []Meta
 	g    groupTable
 
-	// driverOpened marks that the parallel driver has already opened this
-	// operator and populated its table; the next Open call (the serial
-	// pass over the plan above the frontier) must not rebuild anything.
+	// driverOpened marks that the parallel driver has filled this
+	// operator's table during the parallel Run in progress: Open (the
+	// serial pass over the plan above it) only rewinds emission, and a
+	// spine above it takes it as its source. The driver clears it when the
+	// Run ends.
 	driverOpened bool
 
 	argOf []*Expr // per internal spec: the aggregate argument expression, or nil
@@ -159,10 +161,8 @@ func (h *HashAgg) groupEstimate() int64 {
 // Open implements Op: it drains the child and builds the table.
 func (h *HashAgg) Open(qc *QCtx) {
 	if h.driverOpened {
-		// Already built and merged by the parallel driver; this call comes
-		// from the serial pass over the plan above the frontier and must
-		// only rewind emission.
-		h.driverOpened = false
+		// Already built by the parallel driver; this call comes from the
+		// serial pass over the plan above it and must only rewind emission.
 		h.g.emit = 0
 		return
 	}

@@ -44,10 +44,10 @@ type HashJoin struct {
 	// positive values force 2^bits partitions.
 	PartitionBits int
 
-	// prebuilt, when set, is a join whose hash table was already built
-	// (serially, by the parallel driver on the template pipeline). Open
-	// then skips the build drain entirely and probes a per-worker clone of
-	// the shared read-only table.
+	// prebuilt, when set, is a join whose hash table the template already
+	// built — serially, or on the parallel driver's workers. Open then
+	// skips the build side entirely and probes a per-worker clone of the
+	// shared read-only table.
 	prebuilt *join.Join
 
 	meta       []Meta
@@ -190,9 +190,13 @@ func (h *HashJoin) MaxRows() int64 {
 
 // Open implements Op: drains the build side into the hash table. When a
 // prebuilt join is attached, only the probe side is opened and the shared
-// build table is probed through a worker-private clone.
+// build table is probed through a worker-private clone. On the parallel
+// driver a large build side runs on the workers (parallelBuild).
 func (h *HashJoin) Open(qc *QCtx) {
+	var sp spine
+	partitionWise := false
 	if h.prebuilt == nil {
+		sp, partitionWise = h.parallelBuild(qc)
 		h.Build.Open(qc)
 	}
 	h.Probe.Open(qc)
@@ -207,14 +211,22 @@ func (h *HashJoin) Open(qc *QCtx) {
 	for _, p := range h.Payload {
 		h.payloadIdx = append(h.payloadIdx, colIndex(bm, p))
 	}
-	if h.prebuilt != nil {
+	switch {
+	case h.prebuilt != nil:
 		// Clone with this worker's store so probe-side fast/slow counters
 		// and scratch buffers stay private; the underlying tables are shared
 		// read-only and were already registered by the template, so they are
 		// not registered again here.
 		h.j = h.prebuilt.ProbeClone(qc.Store)
-	} else {
-		h.build(qc, bm, pm)
+	case partitionWise:
+		h.layout(qc, bm, pm, len(qc.par.workers))
+		h.buildPartitionWise(qc, sp)
+	default:
+		h.layout(qc, bm, pm, 0)
+		for _, t := range h.j.Tables() {
+			qc.register(t)
+		}
+		h.build(qc)
 	}
 	h.outBufs = make([]*vec.Vector, len(h.meta))
 	for i, m := range h.meta {
@@ -226,8 +238,28 @@ func (h *HashJoin) Open(qc *QCtx) {
 	h.probedRows, h.matchedTotal = 0, 0
 }
 
-// build creates the join table and drains the build side into it.
-func (h *HashJoin) build(qc *QCtx, bm, pm []Meta) {
+// parallelBuild runs the build side's parallel phases when the join opens
+// on the parallel driver (worker contexts never fan out again): every
+// large aggregation on the build spine is filled on the workers, bottom-up
+// (fillSpine). It reports whether the plain pipeline left above them — or
+// the whole build side, when it has no aggregation — is large enough to be
+// built partition-wise; otherwise the serial drain builds from it.
+func (h *HashJoin) parallelBuild(qc *QCtx) (spine, bool) {
+	if qc.par == nil {
+		return spine{}, false
+	}
+	sp, pipeline, filled := fillSpine(qc, h.Build)
+	if pipeline || filled {
+		qc.Stats.Count(CtrParallelJoinBuilds, 1)
+	}
+	return sp, pipeline
+}
+
+// layout resolves the build key columns and creates the empty join table;
+// owners is join.Options.Owners, the worker count of a partition-wise
+// build (which, like HashAgg.setup, raises the width to at least four
+// partitions per worker) or 0 for a serial one.
+func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	h.buildIdx = h.buildIdx[:0]
 	for _, k := range h.BuildKeys {
 		h.buildIdx = append(h.buildIdx, colIndex(bm, k))
@@ -269,52 +301,74 @@ func (h *HashJoin) build(qc *QCtx, bm, pm []Meta) {
 		CapacityHint:  int(hint),
 		PartitionBits: h.PartitionBits,
 		EstRows:       h.Build.MaxRows(),
+		Owners:        owners,
 	})
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range h.j.Tables() {
-		qc.register(t)
-	}
+}
 
-	// Drain the build side. The hash-table kernels (core.KeySchema,
-	// join.Build) read raw slices, so encoded vectors are materialized here
-	// at the operator boundary — but only the rows that survived the NULL
-	// drop, into per-slot scratch reused across batches.
-	keyVecs := make([]*vec.Vector, len(h.buildIdx))
-	plVecs := make([]*vec.Vector, len(h.payloadIdx))
-	keyBufs := make([]*vec.Vector, len(h.buildIdx))
-	plBufs := make([]*vec.Vector, len(h.payloadIdx))
-	var sel []int32
+// build drains the build side into the join table.
+func (h *HashJoin) build(qc *QCtx) {
+	bb := h.newBuildBatch()
 	for {
 		qc.checkCancel()
 		b := h.Build.Next(qc)
 		if b == nil {
-			break
+			return
 		}
-		for i, bi := range h.buildIdx {
-			keyVecs[i] = b.Vecs[bi]
-		}
-		for i, pi := range h.payloadIdx {
-			plVecs[i] = b.Vecs[pi]
-		}
-		rows := b.Rows()
-		// SQL: NULL keys never join; drop them at build.
-		rows, sel = dropNullKeyRows(rows, keyVecs, sel)
+		rows := bb.code(h, b)
 		if len(rows) == 0 {
 			continue
 		}
-		phys := physOf(b)
-		for i := range keyVecs {
-			keyVecs[i] = keyCoding{typ: keyCols[i].Type}.code(keyVecs[i], rows, &keyBufs[i], phys)
-		}
-		for i := range plVecs {
-			plVecs[i] = ensurePlain(plVecs[i], rows, &plBufs[i], phys)
-		}
 		start := time.Now()
-		h.j.Build(keyVecs, plVecs, rows)
+		h.j.Build(bb.keys, bb.payload, rows)
 		qc.Stats.Add(StatLookup, time.Since(start))
 	}
+}
+
+// buildBatch is one build batch as the join table takes it, plus the
+// scratch its columns are coded into; the serial build and each worker
+// of a parallel build own one.
+type buildBatch struct {
+	keys, payload   []*vec.Vector // coded keys and plain payloads of the batch
+	keyBufs, plBufs []*vec.Vector // per-slot scratch, reused across batches
+	sel             []int32       // dropNullKeyRows scratch
+}
+
+func (h *HashJoin) newBuildBatch() *buildBatch {
+	nk, np := len(h.buildIdx), len(h.payloadIdx)
+	return &buildBatch{
+		keys: make([]*vec.Vector, nk), payload: make([]*vec.Vector, np),
+		keyBufs: make([]*vec.Vector, nk), plBufs: make([]*vec.Vector, np),
+	}
+}
+
+// code binds build batch b and returns the rows that enter the table.
+// SQL NULL keys never join, so their rows are dropped. The hash-table
+// kernels (core.KeySchema, join.Build) read raw slices, so keys are brought
+// into the join's key coding and encoded payloads materialized here at the
+// operator boundary — only the surviving rows, into bb's scratch.
+func (bb *buildBatch) code(h *HashJoin, b *vec.Batch) []int32 {
+	for i, bi := range h.buildIdx {
+		bb.keys[i] = b.Vecs[bi]
+	}
+	for i, pi := range h.payloadIdx {
+		bb.payload[i] = b.Vecs[pi]
+	}
+	var rows []int32
+	rows, bb.sel = dropNullKeyRows(b.Rows(), bb.keys, bb.sel)
+	if len(rows) == 0 {
+		return rows
+	}
+	phys := physOf(b)
+	for i, kc := range h.j.Schema.Cols {
+		bb.keys[i] = keyCoding{typ: kc.Type}.code(bb.keys[i], rows, &bb.keyBufs[i], phys)
+	}
+	for i := range bb.payload {
+		bb.payload[i] = ensurePlain(bb.payload[i], rows, &bb.plBufs[i], phys)
+	}
+	return rows
 }
 
 func dropNullKeyRows(rows []int32, keys []*vec.Vector, sel []int32) ([]int32, []int32) {

@@ -4,28 +4,46 @@ import (
 	"sync"
 
 	"ocht/internal/storage"
+	"ocht/internal/vec"
 )
 
 // Morsel-driven parallel execution (DESIGN.md, "Parallel execution").
 //
-// The driver splits a plan at its lowest hash aggregation (the frontier):
-// everything below the frontier — scan, filters, projections, join probes —
-// is cloned per worker and driven by a shared morsel queue over the scan's
-// blocks, with each worker building a private optimistically compressed
-// aggregate table against a private string heap; join build sides and the
-// USSR are built once, single-threaded, and shared read-only. A final merge
-// phase re-aggregates the per-worker tables into the template's table,
-// after which the plan above the frontier runs serially as before.
+// The driver forks its worker contexts once per Run: it warms the USSR
+// with every string the whole plan (build sides included) can produce,
+// freezes it, and then runs one or more parallel phases on those workers.
+// Everything a phase parallelizes is a spine — a scan with filters,
+// projections and join probes above it — cloned per worker and driven by
+// a shared morsel queue over the scan's blocks:
 //
-// Plans without an aggregation frontier (pure scan→filter→project→probe
-// pipelines) are instead range-partitioned: each worker runs a full clone
-// over a contiguous slab of blocks and the per-worker results are
-// concatenated in worker order, which reproduces the serial row order.
+//   - The plan's own spine. With an aggregation frontier (its lowest hash
+//     aggregation) the workers fill the frontier's table — partition-wise
+//     or through private tables merged afterwards — and the plan above the
+//     frontier runs serially; without one the spine is range-partitioned
+//     and the per-worker results are concatenated in worker order, which
+//     reproduces the serial row order.
+//   - Each large join build side, when its Open runs on the driver. A
+//     build spine that ends in an aggregation fills that frontier the same
+//     way and the join drains it serially; a plain build spine is built
+//     partition-wise (partagg.go): workers spill coded, hashed rows per
+//     radix partition and one owner builds each partition whole.
+//
+// Build sides open bottom-up, so a build spine's own joins are built (in
+// parallel where large) before the spine is cloned; the clones probe the
+// finished tables read-only.
+// parallelRun is the driver state of one parallel Run.
+type parallelRun struct {
+	workers []*QCtx    // forked once when the Run starts, shared by every phase
+	filled  []*HashAgg // aggregations filled on the workers; reset when the Run ends
+}
 
-// spine is the root→scan path of a plan.
+// spine is the root→source path of a plan. Its source — what its morsels
+// come from — is a scan's blocks, or the partitions of an aggregation the
+// driver has already filled partition-wise.
 type spine struct {
-	frontier *HashAgg // lowest HashAgg on the path, nil for pure pipelines
-	scan     *Scan
+	frontier *HashAgg // lowest HashAgg above the source, nil for pure pipelines
+	scan     *Scan    // the source: a scan,
+	src      *HashAgg // or a filled aggregation (partScan clones emit it)
 }
 
 // analyze walks the plan's spine. ok is false when the plan contains an
@@ -46,6 +64,12 @@ func analyze(root Op) (sp spine, ok bool) {
 		case *Project:
 			o = t.Child
 		case *HashAgg:
+			if t.driverOpened {
+				// Filled on the workers already: a source when its
+				// partitions can be handed out, else the end of the road.
+				sp.src = t
+				return sp, t.g.pt.Bits() > 0
+			}
 			sp.frontier = t // keep descending: the lowest one wins
 			o = t.Child
 		case *HashJoin:
@@ -53,6 +77,93 @@ func analyze(root Op) (sp spine, ok bool) {
 		default:
 			return sp, false
 		}
+	}
+}
+
+// morsels returns the affinity queue over the spine source's morsels for
+// n workers: blocks of the scan, or partitions of the filled aggregation.
+func (sp spine) morsels(n int) *storage.MorselQueue {
+	if sp.src != nil {
+		return storage.NewMorselQueueAffinity(sp.src.g.pt.NParts(), n)
+	}
+	return sp.scan.Table.MorselsFor(n)
+}
+
+// large reports whether a parallel phase over the spine drains enough rows
+// to pay for itself: the frontier's input, or for a pure pipeline the root's
+// output bound, must reach partitionMinGroups.
+func (sp spine) large(root Op) bool {
+	if sp.frontier != nil {
+		return sp.frontier.Child.MaxRows() >= partitionMinGroups
+	}
+	return root.MaxRows() >= partitionMinGroups
+}
+
+// fillSpine fills the aggregations on root's spine bottom-up on the
+// driver's workers — the lowest from the scan, each further one from the
+// partitions of the one below it — while the next phase is large. It
+// returns the spine left above the last one filled, whether that remaining
+// pure pipeline is large enough to run on the workers too (pipeline), and
+// whether any aggregation was filled. Whatever it leaves runs serially.
+func fillSpine(qc *QCtx, root Op) (sp spine, pipeline, filled bool) {
+	for {
+		sp, ok := analyze(root)
+		if !ok || !sp.large(root) {
+			return sp, false, filled
+		}
+		if sp.frontier == nil {
+			return sp, true, filled
+		}
+		fillFrontier(qc, sp)
+		filled = true
+	}
+}
+
+// partScan is a worker's view of an aggregation the driver filled
+// partition-wise, the source of a phase above it: it emits the groups of
+// the partitions it claims from the morsel queue, so partitions play the
+// part blocks play for a Scan. The table is shared read-only; the view owns
+// its emission scratch.
+type partScan struct {
+	src     *HashAgg
+	morsels *storage.MorselQueue
+	worker  int
+	g       groupTable // src's table with private emission state
+	offs    []int      // partition p's groups are src.g.order[offs[p]:offs[p+1]]
+}
+
+func (s *partScan) Meta() []Meta   { return s.src.Meta() }
+func (s *partScan) MaxRows() int64 { return s.src.MaxRows() }
+
+// Open implements Op.
+func (s *partScan) Open(qc *QCtx) {
+	src := &s.src.g
+	n := src.pt.NParts()
+	s.g = groupTable{
+		meta: src.meta, nKeys: src.nKeys, keys: src.keys,
+		specs: src.specs, specOf: src.specOf, schema: src.schema, ag: src.ag, pt: src.pt,
+		keyBufs:   make([]*vec.Vector, src.nKeys),
+		chunkRecs: make([][]int32, n),
+		chunkRows: make([][]int32, n),
+	}
+	s.offs = make([]int, n+1)
+	for p := 0; p < n; p++ {
+		s.offs[p+1] = s.offs[p] + src.pt.Part(p).Len()
+	}
+}
+
+// Next implements Op.
+func (s *partScan) Next(qc *QCtx) *vec.Batch {
+	for {
+		qc.checkCancel()
+		if b := s.g.next(); b != nil {
+			return b
+		}
+		p, ok := s.morsels.NextFor(s.worker)
+		if !ok {
+			return nil
+		}
+		s.g.order, s.g.emit = s.src.g.order[s.offs[p]:s.offs[p+1]], 0
 	}
 }
 
@@ -122,10 +233,34 @@ func runParallel(qc *QCtx, root Op, keys []SortKey, limit int) (res *Result, ok 
 	if !ok {
 		return nil, false
 	}
-	if sp.frontier != nil {
-		return runParallelAgg(qc, root, sp, keys, limit), true
+	// Single-threaded USSR warmup, then freeze: from here on the region is
+	// shared read-only, worker Interns fall back to their private heaps and
+	// the driver's serial work (small join builds, the plan above the
+	// frontier) interns into its own heap.
+	warmTree(qc, root)
+	wqcs := forkCtx(qc, qc.Workers)
+	if qc.Store.U != nil {
+		qc.Store.U.Freeze()
 	}
-	return runParallelPipeline(qc, root, sp, keys, limit), true
+	qc.par = &parallelRun{workers: wqcs}
+	defer func() {
+		for _, h := range qc.par.filled {
+			h.driverOpened = false
+		}
+		qc.par = nil
+	}()
+	if sp.frontier != nil {
+		fillFrontier(qc, sp)
+		fillSpine(qc, root)
+		// Serial tail: the plan above the filled aggregations runs exactly
+		// as before; the top one's Open is short-circuited onto its table.
+		root.Open(qc)
+		res = materialize(qc, root, keys, limit)
+	} else {
+		res = runParallelPipeline(qc, root, sp, keys, limit)
+	}
+	joinCtx(qc, wqcs)
+	return res, true
 }
 
 // forkCtx builds the per-worker execution contexts: private string heaps
@@ -145,20 +280,20 @@ func forkCtx(qc *QCtx, n int) []*QCtx {
 }
 
 // joinCtx folds the workers' stats, counters and hash-table footprints
-// back into the query context.
+// back into the query context once the Run's last parallel phase is done.
+// A worker registers every table it builds in any phase, so its footprint
+// is the sum over phases.
 func joinCtx(qc *QCtx, wqcs []*QCtx) {
-	qc.workerFootprints = qc.workerFootprints[:0]
-	for _, w := range wqcs {
+	qc.workerFootprints = make([]int, len(wqcs))
+	for i, w := range wqcs {
 		qc.Stats.Merge(w.Stats)
 		qc.Store.HashFast += w.Store.HashFast
 		qc.Store.HashSlow += w.Store.HashSlow
 		qc.Store.EqualFast += w.Store.EqualFast
 		qc.Store.EqualSlow += w.Store.EqualSlow
-		fp := 0
 		for _, t := range w.tables {
-			fp += t.MemoryBytes()
+			qc.workerFootprints[i] += t.MemoryBytes()
 		}
-		qc.workerFootprints = append(qc.workerFootprints, fp)
 	}
 }
 
@@ -183,9 +318,10 @@ func spawn(n int, task func(i int)) {
 	}
 }
 
-// runParallelAgg is the frontier case. It opens the template frontier
-// with an empty table, freezes the USSR, and then picks the parallel
-// build strategy by the template's radix width:
+// fillFrontier opens the frontier subtree serially with an empty table —
+// this builds every join below the frontier and fixes the template's key
+// schema, aggregate layout and radix width — and then fills the table on
+// the driver's workers, picking the strategy by the template's width:
 //
 //   - bits > 0: partition-wise owner-computes (partagg.go) — workers
 //     spill hash-routed rows during the scan, each partition is built
@@ -195,49 +331,35 @@ func spawn(n int, task func(i int)) {
 //     re-aggregated into the template through agg.Merge. With few groups
 //     the merge touches almost nothing, so the classic path stays the
 //     cheaper one.
-func runParallelAgg(qc *QCtx, root Op, sp spine, keys []SortKey, limit int) *Result {
+//
+// The frontier is left driver-opened for the rest of the Run: its Opens,
+// from the serial pass over the operators above it, only rewind emission,
+// and a spine above it takes it as its source.
+func fillFrontier(qc *QCtx, sp spine) {
 	tpl := sp.frontier
-
-	// 1. Open the frontier subtree serially with an empty table: this
-	// builds (and registers) every join hash table below the frontier and
-	// fixes the template's key schema, aggregate layout and radix width.
 	tpl.setup(qc)
-
-	// 2–3. Single-threaded USSR warmup, then freeze: from here on the
-	// region is shared read-only and worker Interns fall back to their
-	// private heaps.
-	warmTree(qc, root)
-	wqcs := forkCtx(qc, qc.Workers)
-	if qc.Store.U != nil {
-		qc.Store.U.Freeze()
-	}
-
 	if tpl.g.pt.Bits() > 0 {
-		runPartitionWiseAgg(qc, tpl, sp, wqcs)
+		runPartitionWiseAgg(qc, tpl, sp)
 	} else {
-		runMergeAgg(qc, tpl, sp, wqcs)
+		runMergeAgg(qc, tpl, sp)
 	}
-
-	// Serial tail: the plan above the frontier runs exactly as before;
-	// the frontier's Open is short-circuited onto the built table.
 	tpl.driverOpened = true
-	root.Open(qc)
-	return materialize(qc, root, keys, limit)
+	qc.par.filled = append(qc.par.filled, tpl)
 }
 
 // runMergeAgg is the classic parallel build: each worker drives a full
 // clone of the frontier over the shared affinity morsel queue (opening a
 // HashAgg drains its child, so Open alone builds the worker's partial
 // table), then the per-worker tables fold into the template serially.
-func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
+func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine) {
+	wqcs := qc.par.workers
 	n := len(wqcs)
-	morsels := sp.scan.Table.MorselsFor(n)
+	morsels := sp.morsels(n)
 	clones := make([]*HashAgg, n)
 	for i := range clones {
 		clones[i] = clonePipeline(tpl, morsels, i).(*HashAgg)
 	}
 	spawn(n, func(i int) { clones[i].Open(wqcs[i]) })
-	joinCtx(qc, wqcs)
 	for _, c := range clones {
 		tpl.g.merge(&c.g)
 	}
@@ -249,14 +371,8 @@ func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine, wqcs []*QCtx) {
 // own first or top limit rows — no other row of its range can be in the
 // answer — and the driver orders and cuts the at most Workers*limit rows.
 func runParallelPipeline(qc *QCtx, root Op, sp spine, keys []SortKey, limit int) *Result {
-	// Build all join tables once, serially, with normal USSR priority.
+	// Build all join tables first; large build sides fan out themselves.
 	root.Open(qc)
-
-	warmTree(qc, root)
-	wqcs := forkCtx(qc, qc.Workers)
-	if qc.Store.U != nil {
-		qc.Store.U.Freeze()
-	}
 
 	blocks := 0
 	if len(sp.scan.Table.Cols) > 0 {
@@ -266,6 +382,7 @@ func runParallelPipeline(qc *QCtx, root Op, sp spine, keys []SortKey, limit int)
 	if limit < 0 {
 		wkeys = nil // an unbounded sort happens once, in the driver
 	}
+	wqcs := qc.par.workers
 	n := len(wqcs)
 	results := make([]*Result, n)
 	spawn(n, func(i int) {
@@ -274,7 +391,6 @@ func runParallelPipeline(qc *QCtx, root Op, sp spine, keys []SortKey, limit int)
 		clone.Open(wqcs[i])
 		results[i] = materialize(wqcs[i], clone, wkeys, limit)
 	})
-	joinCtx(qc, wqcs)
 
 	res := newResult(root.Meta())
 	for _, r := range results {

@@ -52,6 +52,17 @@ const (
 	CtrPartitionWiseAggs = "partition-wise aggs"
 )
 
+// Parallel join build counters, their join-side twins: ParallelJoinBuilds
+// counts join build sides that ran on the parallel driver's workers —
+// plain build pipelines built partition-wise, and build sides ending in an
+// aggregation whose frontier the workers filled (that fill also counts
+// under the aggregation counters above) — and JoinRowsSpilled the build
+// rows the partition-wise builds routed through phase-1 spill buffers.
+const (
+	CtrParallelJoinBuilds = "parallel join builds"
+	CtrJoinRowsSpilled    = "join rows spilled"
+)
+
 // NewStats creates an empty breakdown.
 func NewStats() *Stats {
 	return &Stats{buckets: map[string]time.Duration{}, counters: map[string]int64{}}

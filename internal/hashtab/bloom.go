@@ -46,6 +46,25 @@ func NewBloom(nKeys int) *Bloom {
 	return &Bloom{words: make([]uint64, blocks*bloomWordsPerBlock), shift: shift}
 }
 
+// Empty returns an empty filter of b's shape. Parallel builders each fill
+// one and Union them into the shared filter after the build, so no filter
+// word is ever written by two goroutines.
+func (b *Bloom) Empty() *Bloom {
+	return &Bloom{words: make([]uint64, len(b.words)), shift: b.shift}
+}
+
+// Union ORs o into b word by word; afterwards b holds every key added to
+// either filter, exactly as if all had been added to b. o must share b's
+// shape (Empty).
+func (b *Bloom) Union(o *Bloom) {
+	if len(o.words) != len(b.words) || o.shift != b.shift {
+		panic("hashtab: Bloom.Union of filters with different shapes")
+	}
+	for i, w := range o.words {
+		b.words[i] |= w
+	}
+}
+
 // MemoryBytes returns the filter footprint.
 func (b *Bloom) MemoryBytes() int { return len(b.words) * 8 }
 

@@ -77,3 +77,32 @@ func TestBloomSizing(t *testing.T) {
 		t.Errorf("filter exceeds cap: %dB", huge.MemoryBytes())
 	}
 }
+
+// TestBloomUnionExact pins the parallel-build contract: filters filled by
+// disjoint builders and ORed together hold exactly the bits one filter
+// fed every key would hold.
+func TestBloomUnionExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	whole := NewBloom(1 << 12)
+	parts := []*Bloom{whole.Empty(), whole.Empty(), whole.Empty()}
+	for i := 0; i < 1<<12; i++ {
+		h := rng.Uint64()
+		whole.Add(h)
+		parts[i%len(parts)].Add(h)
+	}
+	union := whole.Empty()
+	for _, p := range parts {
+		union.Union(p)
+	}
+	for i := range whole.words {
+		if union.words[i] != whole.words[i] {
+			t.Fatalf("word %d: union %#x, single filter %#x", i, union.words[i], whole.words[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Union of differently shaped filters must panic")
+		}
+	}()
+	union.Union(NewBloom(1 << 16))
+}

@@ -59,6 +59,14 @@ type Options struct {
 	// derived); it drives the adaptive partition width and the Bloom
 	// filter sizing. Zero falls back to CapacityHint.
 	EstRows int64
+	// Owners, when positive, declares a partition-wise parallel build on
+	// that many owner workers (NewOwner, Owner.BuildPart, Adopt) in place
+	// of Build calls. An adaptive width is raised until there are at least
+	// four partitions per owner, so whole partitions balance across them
+	// (forced widths stay as forced), and a selective join's Bloom filter
+	// waits for SizeBloom, which sizes it from the exact build row count
+	// instead of EstRows.
+	Owners int
 }
 
 // Join is a hash join: Build inserts the inner relation, Probe streams the
@@ -73,6 +81,7 @@ type Join struct {
 
 	pt            *core.PartTable
 	bloom         *hashtab.Bloom
+	bloomDeferred bool       // selective, Bloom filter waiting for SizeBloom
 	payloadPlan   *pack.Plan // compressed payloads (integer columns + codes)
 	payloadOffs   []int      // direct payload offsets (vanilla mode / uncoded strings)
 	payloadCode   []bool     // per column: stored as a 16-bit USSR slot code
@@ -81,6 +90,8 @@ type Join struct {
 	codeColdOff   []int      // per coded column: cold offset of the exception value
 	exceptBytes   int        // cold bytes for payload exceptions
 	payloadSize   int
+	hotExtra      int // per-record bytes after the key area: payloads unless cold
+	coldExtra     int // per-record bytes after the key schema's cold bytes
 
 	// ProbeClone gives each clone a fresh handle, so clones never share
 	// mutable state with the build-side handle.
@@ -191,9 +202,9 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 		}
 	}
 
-	hotExtra, coldExtra := j.payloadSize, j.exceptBytes
+	j.hotExtra, j.coldExtra = j.payloadSize, j.exceptBytes
 	if j.payloadCold {
-		hotExtra, coldExtra = 0, j.payloadSize
+		j.hotExtra, j.coldExtra = 0, j.payloadSize
 	}
 	cap := opts.CapacityHint
 	if cap == 0 {
@@ -205,10 +216,16 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 	}
 	bits := opts.PartitionBits
 	if bits < 0 {
-		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+hotExtra)
+		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+j.hotExtra)
+		for 1<<bits < 4*opts.Owners && bits < core.MaxPartitionBits {
+			bits++
+		}
 	}
-	j.pt = core.NewPartTable(schema, hotExtra, coldExtra, cap, bits)
-	if opts.Selective {
+	j.pt = core.NewPartTable(schema, j.hotExtra, j.coldExtra, cap, bits)
+	switch {
+	case opts.Selective && opts.Owners > 0:
+		j.bloomDeferred = true
+	case opts.Selective:
 		j.bloom = hashtab.NewBloom(int(est))
 	}
 	j.handle = newHandle(j.pt.NParts())
@@ -292,83 +309,185 @@ func (j *Join) Build(keyCols, payloadCols []*vec.Vector, rows []int32) {
 	if j.bloom != nil {
 		j.bloomAddBatch(hashes, rows)
 	}
-
-	// Translate coded payload columns once per batch, in row-position
-	// space; the per-partition loop below only scatters.
-	var ints []*vec.Vector
-	var exVec []*vec.Vector // per payload col: cold exception source, or nil
-	if j.payloadPlan != nil {
-		exVec = make([]*vec.Vector, len(j.Payload))
-		for i := range j.Payload {
-			if j.payloadOffs[i] >= 0 {
-				continue
-			}
-			v := payloadCols[i]
-			switch {
-			case j.payloadCode[i]:
-				// Translate references to slot codes; exceptions get
-				// code 0 and their full reference in the cold area.
-				codes := vec.New(vec.Str, v.Len())
-				ussr.SlotCodes(v.Str, codes.Str, rows)
-				exVec[i] = v
-				v = codes
-			case j.payloadSample[i]:
-				// Sample-guided code: offset+1 inside the sample domain,
-				// 0 for outliers (full value in the cold area).
-				sd := j.Payload[i].SampleDom
-				codes := vec.New(vec.I64, v.Len())
-				for _, r := range rows {
-					val := v.Int64At(int(r))
-					if sd.Contains(val) {
-						codes.I64[r] = val - sd.Min + 1
-					} else {
-						codes.I64[r] = 0
-					}
-				}
-				exVec[i] = asI64(v, rows)
-				v = codes
-			}
-			ints = append(ints, v)
-		}
-		if cap(j.scratch) < n {
-			j.scratch = make([]uint64, n)
+	pl := j.codePayload(payloadCols, rows, n)
+	for pi, g := range j.pt.PartitionRows(hashes, rows) {
+		if len(g) > 0 {
+			j.insertPart(j.pt.Part(pi), p, hashes, g, recs, pl)
 		}
 	}
+}
 
-	groups := j.pt.PartitionRows(hashes, rows)
-	for pi, g := range groups {
-		if len(g) == 0 {
+// codedPayload is one batch's payload columns as the partition loop
+// stores them: the plain columns, the packable ones (coded payloads
+// translated to their codes) in plan order, and per column the cold
+// exception source of a coded payload, or nil.
+type codedPayload struct {
+	cols, ints, exVec []*vec.Vector
+	n                 int // physical batch length
+}
+
+// codePayload translates coded payload columns once per batch, in
+// row-position space; insertPart only scatters.
+func (j *Join) codePayload(payloadCols []*vec.Vector, rows []int32, n int) codedPayload {
+	pl := codedPayload{cols: payloadCols, n: n}
+	if j.payloadPlan == nil {
+		return pl
+	}
+	pl.exVec = make([]*vec.Vector, len(j.Payload))
+	for i := range j.Payload {
+		if j.payloadOffs[i] >= 0 {
 			continue
 		}
-		t := j.pt.Part(pi)
-		t.InsertBatch(p, hashes, g, recs)
-		if cap(j.recIdx) < len(g) {
-			j.recIdx = make([]int32, len(g))
-		}
-		recIdx := j.recIdx[:len(g)]
-		for k, r := range g {
-			recIdx[k] = recs[r]
-		}
-		buf, stride, base := j.payloadArea(t)
-		if j.payloadPlan != nil {
-			for i := range j.Payload {
-				if ev := exVec[i]; ev != nil {
-					et := vec.I64
-					if j.payloadCode[i] {
-						et = vec.Str
-					}
-					storeDirect(t.RawCold(), t.ColdWidth(),
-						t.Schema.ColdBytes()+j.codeColdOff[i], et, ev, g, recIdx)
+		v := payloadCols[i]
+		switch {
+		case j.payloadCode[i]:
+			// Translate references to slot codes; exceptions get
+			// code 0 and their full reference in the cold area.
+			codes := vec.New(vec.Str, v.Len())
+			ussr.SlotCodes(v.Str, codes.Str, rows)
+			pl.exVec[i] = v
+			v = codes
+		case j.payloadSample[i]:
+			// Sample-guided code: offset+1 inside the sample domain,
+			// 0 for outliers (full value in the cold area).
+			sd := j.Payload[i].SampleDom
+			codes := vec.New(vec.I64, v.Len())
+			for _, r := range rows {
+				val := v.Int64At(int(r))
+				if sd.Contains(val) {
+					codes.I64[r] = val - sd.Min + 1
+				} else {
+					codes.I64[r] = 0
 				}
 			}
-			j.payloadPlan.PackRecords(ints, g, buf, recIdx, stride, base, j.scratch[:n])
+			pl.exVec[i] = asI64(v, rows)
+			v = codes
 		}
-		for i, c := range j.Payload {
-			off := j.payloadOffs[i]
-			if off < 0 {
-				continue // packed above
+		pl.ints = append(pl.ints, v)
+	}
+	if cap(j.scratch) < n {
+		j.scratch = make([]uint64, n)
+	}
+	return pl
+}
+
+// insertPart is the one per-partition build step, shared by the serial
+// Build and the parallel owners' BuildPart: insert rows g — all routed to
+// partition table t, hashes indexed by row — and scatter their payloads
+// into the new records. recs is row-indexed scratch.
+func (j *Join) insertPart(t *core.Table, p *core.Prepared, hashes []uint64, g, recs []int32, pl codedPayload) {
+	t.InsertBatch(p, hashes, g, recs)
+	if cap(j.recIdx) < len(g) {
+		j.recIdx = make([]int32, len(g))
+	}
+	recIdx := j.recIdx[:len(g)]
+	for k, r := range g {
+		recIdx[k] = recs[r]
+	}
+	buf, stride, base := j.payloadArea(t)
+	if j.payloadPlan != nil {
+		for i := range j.Payload {
+			if ev := pl.exVec[i]; ev != nil {
+				et := vec.I64
+				if j.payloadCode[i] {
+					et = vec.Str
+				}
+				storeDirect(t.RawCold(), t.ColdWidth(),
+					t.Schema.ColdBytes()+j.codeColdOff[i], et, ev, g, recIdx)
 			}
-			storeDirect(buf, stride, base+off, c.Type, payloadCols[i], g, recIdx)
+		}
+		j.payloadPlan.PackRecords(pl.ints, g, buf, recIdx, stride, base, j.scratch[:pl.n])
+	}
+	for i, c := range j.Payload {
+		off := j.payloadOffs[i]
+		if off < 0 {
+			continue // packed above
+		}
+		storeDirect(buf, stride, base+off, c.Type, pl.cols[i], g, recIdx)
+	}
+}
+
+// Owner is one worker's handle on a join whose build runs partition-wise
+// in parallel. In the spill phase it hashes and routes the worker's build
+// batches (Route); in the owner phase it builds whole partition tables on
+// its own key schema — so hashing, string matching and fast/slow counters
+// stay on the worker's store — through the step the serial Build runs
+// (BuildPart), and fills a private Bloom filter. Adopt installs the
+// partitions and ORs the filters into the join's.
+type Owner struct {
+	j         *Join     // the owner's handle: private key schema, scratch and Bloom filter
+	of        *Join     // the join under construction, read only
+	partsRows [][]int32 // Route's per-partition grouping scratch
+}
+
+// NewOwner returns a build handle bound to store for a join declared with
+// Options.Owners. It shares the join's layout and reads it only, so owners
+// may be created and used concurrently; the join itself must not be built
+// or probed until Adopt.
+func (j *Join) NewOwner(store *strs.Store) *Owner {
+	return &Owner{j: j.ProbeClone(store), of: j, partsRows: make([][]int32, j.pt.NParts())}
+}
+
+// SizeBloom creates the deferred Bloom filter of a selective join declared
+// with Options.Owners, for n build keys: the count a parallel build knows
+// once its spill phase is done. It must run before any Owner.BuildPart; it
+// is a no-op for joins without a deferred filter.
+func (j *Join) SizeBloom(n int) {
+	if j.bloomDeferred {
+		j.bloom = hashtab.NewBloom(n)
+		j.bloomDeferred = false
+	}
+}
+
+// Route packs and hashes the active rows' keys and groups the rows by
+// radix partition. Both results are owned by the handle and valid until
+// the next Route or BuildPart: hashes is indexed by row, parts by
+// partition.
+func (o *Owner) Route(keyCols []*vec.Vector, rows []int32) (hashes []uint64, parts [][]int32) {
+	j := o.j
+	p := j.Schema.Prepare(keyCols, rows)
+	hashes, _ = j.buffers(physLen(keyCols, nil, rows))
+	j.Schema.Hash(p, rows, hashes)
+	j.pt.SplitRows(hashes, rows, o.partsRows)
+	return hashes, o.partsRows
+}
+
+// NewPart creates an empty partition table of the join's layout, on the
+// owner's key schema, with a directory sized for hint records.
+func (o *Owner) NewPart(hint int) *core.Table {
+	return core.NewTable(o.j.Schema, o.j.hotExtra, o.j.coldExtra, hint)
+}
+
+// BuildPart inserts the active rows into t, a partition table from NewPart
+// that every row routes to, reusing the hashes Route computed for them
+// (indexed by row), and adds the hashes to the owner's Bloom filter, an
+// empty twin of the join's (SizeBloom) made on first use.
+func (o *Owner) BuildPart(t *core.Table, keyCols, payloadCols []*vec.Vector, hashes []uint64, rows []int32) {
+	j := o.j
+	n := physLen(keyCols, payloadCols, rows)
+	p := j.Schema.Prepare(keyCols, rows)
+	_, recs := j.buffers(n)
+	if o.of.bloom != nil {
+		if j.bloom == nil {
+			j.bloom = o.of.bloom.Empty()
+		}
+		j.bloomAddBatch(hashes, rows)
+	}
+	j.insertPart(t, p, hashes, rows, recs, j.codePayload(payloadCols, rows, n))
+}
+
+// Adopt installs owner-built partition tables — parts[p] built by the
+// owner of partition p, one per partition of the join's width — as the
+// join's table, and ORs every owner's Bloom filter into the join's. The
+// owners must be done building.
+func (j *Join) Adopt(parts []*core.Table, owners []*Owner) {
+	if len(parts) != j.pt.NParts() {
+		panic("join: Adopt needs one table per partition")
+	}
+	j.pt = core.NewPartTableFromParts(j.Schema, parts)
+	for _, o := range owners {
+		if o.j.bloom != nil {
+			j.bloom.Union(o.j.bloom)
 		}
 	}
 }

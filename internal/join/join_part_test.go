@@ -45,6 +45,9 @@ const (
 	bloomDropped
 )
 
+// runPartJoin builds the fixture — through Build, or like a parallel
+// build through opts.Owners owners when that is positive — and returns
+// its matches against the probe side.
 func runPartJoin(t *testing.T, flags core.Flags, opts Options, bloom int) []matchTuple {
 	t.Helper()
 	store := strs.NewStore(flags.UseUSSR)
@@ -77,9 +80,13 @@ func runPartJoin(t *testing.T, flags core.Flags, opts Options, bloom int) []matc
 		p1.I64[i] = int64(i)
 		p2.I32[i] = int32(i%11) - 5
 	}
-	// Build in two batches so partition scratch reuse is exercised.
-	j.Build([]*vec.Vector{k1, k2}, []*vec.Vector{p1, p2}, batchRows(nb)[:nb/2])
-	j.Build([]*vec.Vector{k1, k2}, []*vec.Vector{p1, p2}, batchRows(nb)[nb/2:])
+	if opts.Owners > 0 {
+		ownerBuild(j, store, []*vec.Vector{k1, k2}, []*vec.Vector{p1, p2}, nb, opts.Owners)
+	} else {
+		// Build in two batches so partition scratch reuse is exercised.
+		j.Build([]*vec.Vector{k1, k2}, []*vec.Vector{p1, p2}, batchRows(nb)[:nb/2])
+		j.Build([]*vec.Vector{k1, k2}, []*vec.Vector{p1, p2}, batchRows(nb)[nb/2:])
+	}
 	if j.Len() != nb {
 		t.Fatalf("build stored %d", j.Len())
 	}
@@ -107,6 +114,41 @@ func runPartJoin(t *testing.T, flags core.Flags, opts Options, bloom int) []matc
 	}
 	sortTuples(tuples)
 	return tuples
+}
+
+// ownerBuild builds rows [0, n) into j the way a parallel build does: each
+// owner routes its share of the rows, then the owner of partition p
+// inserts p's rows of every share with the routed hashes, and j adopts the
+// partition tables.
+func ownerBuild(j *Join, store *strs.Store, keys, payload []*vec.Vector, n, owners int) {
+	type share struct {
+		hashes []uint64
+		parts  [][]int32
+	}
+	os := make([]*Owner, owners)
+	shares := make([]share, owners)
+	rows := batchRows(n)
+	for w := range os {
+		os[w] = j.NewOwner(store)
+		hashes, parts := os[w].Route(keys, rows[w*n/owners:(w+1)*n/owners])
+		sh := share{hashes: append([]uint64(nil), hashes...)}
+		for _, p := range parts {
+			sh.parts = append(sh.parts, append([]int32(nil), p...))
+		}
+		shares[w] = sh
+	}
+	j.SizeBloom(n)
+	tabs := make([]*core.Table, len(j.Tables()))
+	for p := range tabs {
+		o := os[p*owners/len(tabs)]
+		tabs[p] = o.NewPart(0)
+		for _, sh := range shares {
+			if len(sh.parts[p]) > 0 {
+				o.BuildPart(tabs[p], keys, payload, sh.hashes, sh.parts[p])
+			}
+		}
+	}
+	j.Adopt(tabs, os)
 }
 
 // nestedLoopJoin is runPartJoin's reference: every (probe, build) pair of
@@ -140,6 +182,35 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 					name := fmt.Sprintf("%s/selective=%v/bits=%d/bloom=%d", flagName(flags), selective, bits, bloom)
 					t.Run(name, func(t *testing.T) {
 						got := runPartJoin(t, flags, Options{Selective: selective, PartitionBits: bits}, bloom)
+						if len(got) != len(want) {
+							t.Fatalf("%d matches, reference found %d", len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("tuple %d diverges: %+v vs %+v", i, got[i], want[i])
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestOwnerBuildEquivalence builds the fixture partition-wise through
+// owners — the parallel build's join API — and checks the matches and
+// payloads, with the owners' Bloom filters ORed into the join's, against
+// the nested-loop reference.
+func TestOwnerBuildEquivalence(t *testing.T) {
+	want := nestedLoopJoin()
+	for _, flags := range flagCombos {
+		for _, selective := range []bool{false, true} {
+			for _, bits := range []int{0, 3, 6, -1} {
+				for _, owners := range []int{1, 2, 3} {
+					name := fmt.Sprintf("%s/selective=%v/bits=%d/owners=%d", flagName(flags), selective, bits, owners)
+					t.Run(name, func(t *testing.T) {
+						opts := Options{Selective: selective, PartitionBits: bits, Owners: owners}
+						got := runPartJoin(t, flags, opts, bloomAsBuilt)
 						if len(got) != len(want) {
 							t.Fatalf("%d matches, reference found %d", len(got), len(want))
 						}
@@ -191,5 +262,28 @@ func TestBloomShedsMisses(t *testing.T) {
 	if float64(dropped) < 0.9*float64(misses) {
 		t.Errorf("Bloom shed %d of %d misses (%.1f%%), want > 90%%",
 			dropped, misses, 100*float64(dropped)/float64(misses))
+	}
+}
+
+// TestOwnersRaiseAdaptiveWidth pins Options.Owners' width rule: an
+// adaptive width gives every owner at least four partitions (up to the
+// cap), a forced width stays as forced.
+func TestOwnersRaiseAdaptiveWidth(t *testing.T) {
+	keys := []core.KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(0, 99)}}
+	for _, owners := range []int{1, 2, 3, 8, 32} {
+		j, err := New(core.All(), keys, nil, strs.NewStore(true), Options{PartitionBits: -1, EstRows: 100, Owners: owners})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := 1 << j.Bits(); got < 4*owners && j.Bits() < core.MaxPartitionBits {
+			t.Errorf("%d owners: %d partitions, want at least %d", owners, got, 4*owners)
+		}
+		j, err = New(core.All(), keys, nil, strs.NewStore(true), Options{PartitionBits: 2, Owners: owners})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Bits() != 2 {
+			t.Errorf("%d owners: forced width 2 became %d", owners, j.Bits())
+		}
 	}
 }

@@ -66,3 +66,41 @@ func TestWorkersOneBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelBuildsMultiBlock runs the queries whose large build sides the
+// parallel driver builds on its workers — partition-wise pipelines (Q4,
+// Q13), aggregations (Q18, Q21) and both nested (Q20) — on a catalog whose
+// big tables span several storage blocks: catFor's catalog is one block,
+// one morsel, per table, so no scan there is ever split between workers.
+func TestParallelBuildsMultiBlock(t *testing.T) {
+	cat := Gen(0.05, 42)
+	if b := cat.Table("lineitem").Cols[0].Blocks(); b < 3 {
+		t.Fatalf("lineitem has %d blocks; the check needs a split scan", b)
+	}
+	for _, fs := range []struct {
+		name  string
+		flags core.Flags
+	}{{"vanilla", core.Vanilla()}, {"all", core.All()}} {
+		for _, q := range []int{4, 13, 18, 20, 21} {
+			serial := resKey(Q(q, cat, exec.NewQCtx(fs.flags)))
+			for _, workers := range []int{2, 4} {
+				t.Run(fmt.Sprintf("%s/q%d/w%d", fs.name, q, workers), func(t *testing.T) {
+					qc := exec.NewQCtx(fs.flags)
+					qc.Workers = workers
+					got := resKey(Q(q, cat, qc))
+					if len(got) != len(serial) {
+						t.Fatalf("row count %d, serial %d", len(got), len(serial))
+					}
+					for i := range got {
+						if got[i] != serial[i] {
+							t.Fatalf("row %d:\n  parallel %s\n  serial   %s", i, got[i], serial[i])
+						}
+					}
+					if qc.Stats.Counter(exec.CtrParallelJoinBuilds) == 0 {
+						t.Fatal("no join build side ran on the workers")
+					}
+				})
+			}
+		}
+	}
+}
