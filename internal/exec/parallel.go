@@ -12,25 +12,28 @@ import (
 // The driver forks its worker contexts once per Run: it warms the USSR
 // with every string the whole plan (build sides included) can produce,
 // freezes it, and then runs one or more parallel phases on those workers.
-// Everything a phase parallelizes is a spine — a scan with filters,
-// projections and join probes above it — cloned per worker and driven by
-// a shared morsel queue over the scan's blocks:
+// What a phase parallelizes is a spine — filters, projections and join
+// probes over a source — cloned per worker and driven by a shared morsel
+// queue over the source: a scan's blocks, or the radix partitions of an
+// aggregation an earlier phase filled partition-wise.
 //
 //   - The plan's own spine. With an aggregation frontier (its lowest hash
 //     aggregation) the workers fill the frontier's table — partition-wise
-//     or through private tables merged afterwards — and the plan above the
-//     frontier runs serially; without one the spine is range-partitioned
-//     and the per-worker results are concatenated in worker order, which
+//     or through private tables merged afterwards — then each large
+//     aggregation above it from the one below, and the rest of the plan
+//     runs serially; without one the spine is range-partitioned and the
+//     per-worker results are concatenated in worker order, which
 //     reproduces the serial row order.
-//   - Each large join build side, when its Open runs on the driver. A
-//     build spine that ends in an aggregation fills that frontier the same
-//     way and the join drains it serially; a plain build spine is built
+//   - Each large join build side, when its Open runs on the driver. The
+//     aggregations on the build spine fill the same way; a plain pipeline
+//     over the scan or over the top filled aggregation is built
 //     partition-wise (partagg.go): workers spill coded, hashed rows per
 //     radix partition and one owner builds each partition whole.
 //
 // Build sides open bottom-up, so a build spine's own joins are built (in
 // parallel where large) before the spine is cloned; the clones probe the
 // finished tables read-only.
+
 // parallelRun is the driver state of one parallel Run.
 type parallelRun struct {
 	workers []*QCtx    // forked once when the Run starts, shared by every phase
@@ -250,6 +253,8 @@ func runParallel(qc *QCtx, root Op, keys []SortKey, limit int) (res *Result, ok 
 		qc.par = nil
 	}()
 	if sp.frontier != nil {
+		// The plan's own frontier fills whatever its size, the
+		// aggregations above it only when large.
 		fillFrontier(qc, sp)
 		fillSpine(qc, root)
 		// Serial tail: the plan above the filled aggregations runs exactly

@@ -90,8 +90,6 @@ type Join struct {
 	codeColdOff   []int      // per coded column: cold offset of the exception value
 	exceptBytes   int        // cold bytes for payload exceptions
 	payloadSize   int
-	hotExtra      int // per-record bytes after the key area: payloads unless cold
-	coldExtra     int // per-record bytes after the key schema's cold bytes
 
 	// ProbeClone gives each clone a fresh handle, so clones never share
 	// mutable state with the build-side handle.
@@ -202,9 +200,9 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 		}
 	}
 
-	j.hotExtra, j.coldExtra = j.payloadSize, j.exceptBytes
+	hotExtra, coldExtra := j.payloadSize, j.exceptBytes
 	if j.payloadCold {
-		j.hotExtra, j.coldExtra = 0, j.payloadSize
+		hotExtra, coldExtra = 0, j.payloadSize
 	}
 	cap := opts.CapacityHint
 	if cap == 0 {
@@ -216,12 +214,12 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 	}
 	bits := opts.PartitionBits
 	if bits < 0 {
-		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+j.hotExtra)
+		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+hotExtra)
 		for 1<<bits < 4*opts.Owners && bits < core.MaxPartitionBits {
 			bits++
 		}
 	}
-	j.pt = core.NewPartTable(schema, j.hotExtra, j.coldExtra, cap, bits)
+	j.pt = core.NewPartTable(schema, hotExtra, coldExtra, cap, bits)
 	switch {
 	case opts.Selective && opts.Owners > 0:
 		j.bloomDeferred = true
@@ -455,7 +453,8 @@ func (o *Owner) Route(keyCols []*vec.Vector, rows []int32) (hashes []uint64, par
 // NewPart creates an empty partition table of the join's layout, on the
 // owner's key schema, with a directory sized for hint records.
 func (o *Owner) NewPart(hint int) *core.Table {
-	return core.NewTable(o.j.Schema, o.j.hotExtra, o.j.coldExtra, hint)
+	layout := o.of.pt.Part(0)
+	return core.NewTable(o.j.Schema, layout.HotExtra, layout.ColdExtra, hint)
 }
 
 // BuildPart inserts the active rows into t, a partition table from NewPart
