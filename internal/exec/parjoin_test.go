@@ -134,15 +134,6 @@ func (f *parJoinFixture) plan(kind JoinKind, shape parJoinShape, strKey bool, bi
 // reference computes the plan's rows with Go maps, rendered like
 // sortedRows renders a Result.
 func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey bool) []string {
-	render := func(k int64) string {
-		if k < 0 {
-			return "NULL"
-		}
-		if strKey {
-			return keyStr(k)
-		}
-		return fmt.Sprint(k)
-	}
 	// matches[k] lists the payload cells of every build row (or group)
 	// with key k.
 	matches := map[int64][]string{}
@@ -163,7 +154,7 @@ func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey boo
 			if k < 0 {
 				continue
 			}
-			cell := render(k)
+			cell := renderKey(k, strKey)
 			if shape == shapeProbe {
 				cell = fmt.Sprintf("dim-%02d", f.bd[i])
 			}
@@ -172,7 +163,7 @@ func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey boo
 	}
 	var out []string
 	for _, k := range f.pk {
-		probe := fmt.Sprintf("%s|%s|", render2(k, false), render2(k, true))
+		probe := fmt.Sprintf("%s|%s|", renderKey(k, false), renderKey(k, true))
 		ms := matches[k]
 		if k < 0 {
 			ms = nil
@@ -203,8 +194,9 @@ func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey boo
 	return out
 }
 
-// render2 renders probe column pk (str false) or ps (str true) of key k.
-func render2(k int64, str bool) string {
+// renderKey renders key k as its int column (str false) or its string
+// column (str true) shows it.
+func renderKey(k int64, str bool) string {
 	switch {
 	case k < 0:
 		return "NULL"

@@ -16,8 +16,8 @@ import (
 // group table and re-aggregates them serially through agg.Merge — the
 // merge phase grows with the total group count and throttles scaling.
 // This file is the owner-computes alternative the radix-partitioned
-// tables (PR 5) make possible, and the one spill → owner build that fills
-// both group records and join records:
+// tables make possible, and the one spill → owner build that fills both
+// group records and join records:
 //
 //	Phase 1 (scan + spill):   every worker drains its morsels through a
 //	    private pipeline clone, evaluates/NULL-remaps keys and aggregate

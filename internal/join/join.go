@@ -423,7 +423,9 @@ type Owner struct {
 // may be created and used concurrently; the join itself must not be built
 // or probed until Adopt.
 func (j *Join) NewOwner(store *strs.Store) *Owner {
-	return &Owner{j: j.ProbeClone(store), of: j, partsRows: make([][]int32, j.pt.NParts())}
+	h := j.ProbeClone(store)
+	h.bloom = nil // the owner's own filter, made on first use
+	return &Owner{j: h, of: j, partsRows: make([][]int32, j.pt.NParts())}
 }
 
 // SizeBloom creates the deferred Bloom filter of a selective join declared
