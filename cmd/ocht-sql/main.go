@@ -36,8 +36,6 @@ func main() {
 	load := flag.String("load", "", "load a saved dataset directory (see ocht-dbgen) instead of generating")
 	dataDir := flag.String("data-dir", "", "enable CREATE/INSERT/COPY: WAL + checkpoint directory (recovered at start)")
 	fsync := flag.String("fsync", "always", "WAL durability: always | interval | none (with -data-dir)")
-	eagerScan := flag.Bool("eager-scan", false, "decompress every block at scan time (disables compressed execution)")
-	noZoneSkip := flag.Bool("no-zone-skip", false, "read every block even when zone maps prove it empty")
 	sealCompress := flag.String("seal-compress", "auto", "string-block seal compression: on | off | auto (keep only when smaller)")
 	flag.Parse()
 
@@ -95,7 +93,7 @@ func main() {
 			}
 		}()
 	}
-	repl(cat, eng, *eagerScan, *noZoneSkip)
+	repl(cat, eng)
 }
 
 // isWriteSQL reports whether the statement's leading keyword routes it
@@ -111,7 +109,7 @@ func isWriteSQL(q string) bool {
 
 // repl reads statements from stdin and executes them against cat; write
 // statements go through eng when one is attached.
-func repl(cat *storage.Catalog, eng *ingest.Engine, eagerScan, noZoneSkip bool) {
+func repl(cat *storage.Catalog, eng *ingest.Engine) {
 	flags := core.All()
 	timing := true
 	in := bufio.NewScanner(os.Stdin)
@@ -168,8 +166,6 @@ func repl(cat *storage.Catalog, eng *ingest.Engine, eagerScan, noZoneSkip bool) 
 			continue
 		}
 		qc := exec.NewQCtx(flags)
-		qc.EagerMaterialize = eagerScan
-		qc.DisableZoneSkip = noZoneSkip
 		start := time.Now()
 		res, err := sql.Run(line, cat, qc)
 		el := time.Since(start)

@@ -48,8 +48,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); timed-out queries report CANCELED")
 	partBits := flag.Int("partbits", -1, "hash-table radix partition bits (-1 = adaptive, 0 = monolithic)")
-	eagerScan := flag.Bool("eager-scan", false, "decompress every block at scan time (disables compressed execution)")
-	noZoneSkip := flag.Bool("no-zone-skip", false, "read every block even when zone maps prove it empty")
 	sealCompress := flag.String("seal-compress", "auto", "string-block seal compression: on | off | auto (keep only when smaller)")
 	flag.Parse()
 	exec.DefaultPartitionBits = *partBits
@@ -71,8 +69,6 @@ func main() {
 	run := func(q int) {
 		qc := exec.NewQCtx(flags)
 		qc.Workers = *workers
-		qc.EagerMaterialize = *eagerScan
-		qc.DisableZoneSkip = *noZoneSkip
 		ctx := context.Background()
 		if *timeout > 0 {
 			var cancel context.CancelFunc

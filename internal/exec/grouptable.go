@@ -105,33 +105,15 @@ func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, n
 	keyCols := make([]core.KeyCol, nKeys)
 	g.keys = make([]keyCoding, nKeys)
 	for i, k := range meta[:nKeys] {
-		kc := core.KeyCol{Name: k.Name, Type: k.Type, Dom: k.Dom}
+		typ, dom := k.Type, k.Dom
 		if k.Type == vec.F64 {
 			// The key schema packs and hashes integers and string refs
 			// only: DOUBLE keys enter it as their 64-bit patterns
 			// (keyCoding.code) and are restored at emission.
-			kc.Type, kc.Dom = vec.I64, domain.Unknown
+			typ, dom = vec.I64, domain.Unknown
 		}
-		code := int64(math.MinInt64) // no remapping
-		// Arithmetic never produces Str, so string key vectors keep their
-		// source type and NULL strings are remapped to the null ref.
-		if k.Nullable && k.Type != vec.Str {
-			if kc.Dom.Valid && kc.Dom.Max < math.MaxInt64 {
-				code = kc.Dom.Max + 1
-				kc.Dom = domain.New(kc.Dom.Min, code)
-			} else {
-				// Unknown domain: use an improbable sentinel.
-				code = math.MinInt64 + 1
-			}
-			// A code outside the range of a narrow key type (any code, for
-			// Bool) would alias a real value once stored in the key vector:
-			// such keys are coded as I64.
-			if w := k.Type.Bits(); k.Type == vec.Bool || w < 64 && !domain.ForType(w).Contains(code) {
-				kc.Type = vec.I64
-			}
-		}
-		g.keys[i] = keyCoding{typ: kc.Type, nullable: k.Nullable, nullCode: code}
-		keyCols[i] = kc
+		g.keys[i], dom = nullCoding(typ, dom, k.Nullable)
+		keyCols[i] = core.KeyCol{Name: k.Name, Type: g.keys[i].typ, Dom: dom}
 	}
 
 	mk := func(in aggInput, f agg.Func) int {
@@ -187,13 +169,39 @@ func (g *groupTable) reserve(phys int) {
 	}
 }
 
-// keyCoding is how one key column enters a key schema, the one coding the
-// group table and the hash join share: the type its coded vectors have
-// and, for a nullable key, the code a NULL becomes.
+// keyCoding is how one column enters a hash table, the one coding group
+// keys, join keys and join payloads share: the type its coded vectors have
+// and, for a nullable column, the code a NULL becomes. The table then
+// stores NULLs as values and needs no NULL mask.
 type keyCoding struct {
 	typ      vec.Type
 	nullable bool  // rows may carry NULLs (join keys never do: they are dropped)
-	nullCode int64 // NULL code of a non-string key; strings use the null reference
+	nullCode int64 // NULL code of a non-string column; strings use the null reference
+}
+
+// nullCoding codes a column of type typ and domain dom, returning the
+// coded domain. A NULL becomes the value one past the domain's maximum,
+// or an improbable sentinel when the domain is unknown (for a DOUBLE, the
+// value whose bits are that sentinel). A narrow integer type that cannot
+// hold the code is coded as I64. Strings keep their type: arithmetic never
+// produces one, and NULL becomes the null reference.
+func nullCoding(typ vec.Type, dom domain.D, nullable bool) (keyCoding, domain.D) {
+	c := keyCoding{typ: typ, nullable: nullable, nullCode: math.MinInt64} // no remapping
+	if !nullable || typ == vec.Str {
+		return c, dom
+	}
+	if dom.Valid && dom.Max < math.MaxInt64 {
+		c.nullCode = dom.Max + 1
+		dom = domain.New(dom.Min, c.nullCode)
+	} else {
+		c.nullCode = math.MinInt64 + 1
+	}
+	// A code outside the range of a narrow type (any code, for Bool) would
+	// alias a real value once stored in the coded vector.
+	if w := typ.Bits(); typ == vec.Bool || w < 64 && !domain.ForType(w).Contains(c.nullCode) {
+		c.typ = vec.I64
+	}
+	return c, dom
 }
 
 // code brings key vector v into the coding at the given rows, into *bufp
@@ -217,9 +225,15 @@ func (c keyCoding) code(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int
 		}
 	case vec.F64:
 		for _, r := range rows {
-			if v.IsNull(int(r)) {
+			switch {
+			case c.typ == vec.F64: // a payload keeps its bits, -0 included
+				out.F64[r] = v.F64[r]
+				if v.IsNull(int(r)) {
+					out.F64[r] = math.Float64frombits(uint64(c.nullCode))
+				}
+			case v.IsNull(int(r)):
 				out.I64[r] = c.nullCode
-			} else {
+			default:
 				out.I64[r] = doubleKey(v.F64[r])
 			}
 		}
@@ -233,6 +247,37 @@ func (c keyCoding) code(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int
 		}
 	}
 	return out
+}
+
+// restore is code's inverse on the dense rows [0, n): it writes the coded
+// values into out, of the column's own type (coded may be out itself),
+// and marks the NULL codes in out's NULL mask.
+func (c keyCoding) restore(coded, out *vec.Vector, n int) {
+	if coded != out {
+		for i := 0; i < n; i++ {
+			if out.Typ == vec.F64 {
+				out.F64[i] = math.Float64frombits(uint64(coded.I64[i]))
+			} else {
+				out.SetInt64(i, coded.I64[i])
+			}
+		}
+	}
+	if !c.nullable {
+		return
+	}
+	if out.Nulls == nil {
+		out.Nulls = make([]bool, out.Len())
+	}
+	for i := 0; i < n; i++ {
+		switch coded.Typ {
+		case vec.Str:
+			out.Nulls[i] = coded.Str[i] == nullStrRef
+		case vec.F64:
+			out.Nulls[i] = math.Float64bits(coded.F64[i]) == uint64(c.nullCode)
+		default:
+			out.Nulls[i] = coded.Int64At(i) == c.nullCode
+		}
+	}
 }
 
 // doubleKey is the key coding of a DOUBLE: the hash-table key kernels
@@ -397,28 +442,7 @@ func (g *groupTable) next() *vec.Batch {
 			coded = scratchVec(&g.keyBufs[ci], vec.I64, vec.Size)
 		}
 		g.loadKey(ci, coded)
-		if coded != out {
-			for i := 0; i < n; i++ {
-				if k.Type == vec.F64 {
-					out.F64[i] = math.Float64frombits(uint64(coded.I64[i]))
-				} else {
-					out.SetInt64(i, coded.I64[i])
-				}
-			}
-		}
-		if !k.Nullable {
-			continue
-		}
-		if out.Nulls == nil {
-			out.Nulls = make([]bool, out.Len())
-		}
-		for i := 0; i < n; i++ {
-			if k.Type == vec.Str {
-				out.Nulls[i] = out.Str[i] == nullStrRef
-			} else {
-				out.Nulls[i] = coded.Int64At(i) == g.keys[ci].nullCode
-			}
-		}
+		g.keys[ci].restore(coded, out, n)
 	}
 
 	for oi, m := range g.specOf {

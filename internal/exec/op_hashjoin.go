@@ -54,6 +54,7 @@ type HashJoin struct {
 	buildIdx   []int
 	probeIdx   []int
 	payloadIdx []int
+	payloadCod []keyCoding // per payload: how it is stored (payloadCoding)
 	j          *join.Join
 
 	// Emission state for chunking inner/outer matches.
@@ -71,6 +72,7 @@ type HashJoin struct {
 	probeKeyBufs []*vec.Vector
 	out          vec.Batch
 	outBufs      []*vec.Vector
+	fetchBufs    []*vec.Vector // per payload: coded fetch scratch when the coded type differs
 
 	// Match-list scratch reused across probe chunks, and emitChunk's
 	// (row, record, null-row) gather scratch — no per-Next allocations.
@@ -207,9 +209,12 @@ func (h *HashJoin) Open(qc *QCtx) {
 	for _, k := range h.ProbeKeys {
 		h.probeIdx = append(h.probeIdx, colIndex(pm, k))
 	}
-	h.payloadIdx = h.payloadIdx[:0]
+	h.payloadIdx, h.payloadCod = h.payloadIdx[:0], h.payloadCod[:0]
 	for _, p := range h.Payload {
-		h.payloadIdx = append(h.payloadIdx, colIndex(bm, p))
+		pi := colIndex(bm, p)
+		c, _ := payloadCoding(bm[pi])
+		h.payloadIdx = append(h.payloadIdx, pi)
+		h.payloadCod = append(h.payloadCod, c)
 	}
 	switch {
 	case h.prebuilt != nil:
@@ -232,6 +237,7 @@ func (h *HashJoin) Open(qc *QCtx) {
 	for i, m := range h.meta {
 		h.outBufs[i] = vec.New(m.Type, vec.Size)
 	}
+	h.fetchBufs = make([]*vec.Vector, len(h.payloadIdx))
 	h.curBatch = nil
 	h.matchPos = 0
 	h.probeRows, h.probePos = nil, 0
@@ -282,8 +288,8 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	}
 	var payloadCols []join.PayloadCol
 	for _, pi := range h.payloadIdx {
-		m := bm[pi]
-		payloadCols = append(payloadCols, join.PayloadCol{Name: m.Name, Type: m.Type, Dom: m.Dom})
+		c, dom := payloadCoding(bm[pi])
+		payloadCols = append(payloadCols, join.PayloadCol{Name: bm[pi].Name, Type: c.typ, Dom: dom})
 	}
 	hint := h.Build.MaxRows()
 	if hint > 1<<12 {
@@ -306,6 +312,14 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	if err != nil {
 		panic(err)
 	}
+}
+
+// payloadCoding is how build column m is stored as join payload: in its
+// key coding, so a nullable column keeps its NULLs as codes and the table
+// needs no NULL mask. 128-bit integers have no NULL code; no plan joins a
+// nullable one.
+func payloadCoding(m Meta) (keyCoding, domain.D) {
+	return nullCoding(m.Type, m.Dom, m.Nullable && m.Type != vec.I128)
 }
 
 // build drains the build side into the join table.
@@ -346,9 +360,9 @@ func (h *HashJoin) newBuildBatch() *buildBatch {
 
 // code binds build batch b and returns the rows that enter the table.
 // SQL NULL keys never join, so their rows are dropped. The hash-table
-// kernels (core.KeySchema, join.Build) read raw slices, so keys are brought
-// into the join's key coding and encoded payloads materialized here at the
-// operator boundary — only the surviving rows, into bb's scratch.
+// kernels (core.KeySchema, join.Build) read raw slices, so keys and
+// payloads are brought into their coding here at the operator boundary —
+// only the surviving rows, into bb's scratch.
 func (bb *buildBatch) code(h *HashJoin, b *vec.Batch) []int32 {
 	for i, bi := range h.buildIdx {
 		bb.keys[i] = b.Vecs[bi]
@@ -365,8 +379,8 @@ func (bb *buildBatch) code(h *HashJoin, b *vec.Batch) []int32 {
 	for i, kc := range h.j.Schema.Cols {
 		bb.keys[i] = keyCoding{typ: kc.Type}.code(bb.keys[i], rows, &bb.keyBufs[i], phys)
 	}
-	for i := range bb.payload {
-		bb.payload[i] = ensurePlain(bb.payload[i], rows, &bb.plBufs[i], phys)
+	for i, c := range h.payloadCod {
+		bb.payload[i] = c.code(bb.payload[i], rows, &bb.plBufs[i], phys)
 	}
 	return rows
 }
@@ -529,7 +543,8 @@ func (h *HashJoin) emitChunk(qc *QCtx) *vec.Batch {
 		}
 		gather(dst, src, mr)
 	}
-	// Fetch build payloads; rows with record -1 (outer misses) get NULL.
+	// Fetch build payloads, restoring their NULL codes; rows with record -1
+	// (outer misses) get NULL.
 	h.emitRows = h.emitRows[:0]
 	h.emitRecs = h.emitRecs[:0]
 	h.emitNull = h.emitNull[:0]
@@ -541,14 +556,19 @@ func (h *HashJoin) emitChunk(qc *QCtx) *vec.Batch {
 		h.emitRows = append(h.emitRows, int32(i))
 		h.emitRecs = append(h.emitRecs, rec)
 	}
-	for pi := range h.payloadIdx {
+	for pi, c := range h.payloadCod {
 		dst := h.outBufs[len(pm)+pi]
 		if dst.Nulls != nil {
 			for i := range dst.Nulls {
 				dst.Nulls[i] = false
 			}
 		}
-		h.j.FetchPayload(pi, h.emitRecs, dst, h.emitRows)
+		coded := dst
+		if c.typ != dst.Typ {
+			coded = scratchVec(&h.fetchBufs[pi], c.typ, vec.Size)
+		}
+		h.j.FetchPayload(pi, h.emitRecs, coded, h.emitRows)
+		c.restore(coded, dst, n)
 		for _, i := range h.emitNull {
 			dst.SetNull(int(i))
 		}

@@ -31,14 +31,16 @@ func keyStr(k int64) string {
 const parJoinRows = 3*storage.BlockRows + 4321
 
 // parJoinFixture is a build table of parJoinRows rows with a nullable int
-// key bk, a nullable string key bs, an int payload bv and a dimension key
-// bd; a probe table whose keys partly match, partly miss and are partly
-// NULL; and a 50-row dimension table for a build side that probes a join.
+// key bk, a nullable string key bs, an int payload bv, a dimension key bd
+// and nullable int and string payloads bn and bt; a probe table whose keys
+// partly match, partly miss and are partly NULL; and a 50-row dimension
+// table for a build side that probes a join.
 type parJoinFixture struct {
 	build, probe, dim *storage.Table
 
 	bk, pk []int64 // -1 = NULL
 	bv, bd []int64
+	bn     []int64 // -1 = NULL; bt is NULL where bn is
 }
 
 func newParJoinFixture() *parJoinFixture {
@@ -47,6 +49,8 @@ func newParJoinFixture() *parJoinFixture {
 	bs := storage.NewColumn("bs", vec.Str, true)
 	bv := storage.NewColumn("bv", vec.I64, false)
 	bd := storage.NewColumn("bd", vec.I32, false)
+	bn := storage.NewColumn("bn", vec.I32, true)
+	bt := storage.NewColumn("bt", vec.Str, true)
 	for i := int64(0); i < parJoinRows; i++ {
 		k := (i * 7919) % 60000
 		if i%17 == 3 {
@@ -59,9 +63,18 @@ func newParJoinFixture() *parJoinFixture {
 		}
 		bv.AppendInt(i)
 		bd.AppendInt(i % 50)
-		f.bk, f.bv, f.bd = append(f.bk, k), append(f.bv, i), append(f.bd, i%50)
+		n := i % 1000
+		if i%11 == 5 {
+			n = -1
+			bn.AppendNull()
+			bt.AppendNull()
+		} else {
+			bn.AppendInt(n)
+			bt.AppendString(payloadStr(n))
+		}
+		f.bk, f.bv, f.bd, f.bn = append(f.bk, k), append(f.bv, i), append(f.bd, i%50), append(f.bn, n)
 	}
-	f.build = storage.NewTable("pjbuild", bk, bs, bv, bd)
+	f.build = storage.NewTable("pjbuild", bk, bs, bv, bd, bn, bt)
 	f.build.Seal()
 
 	pk := storage.NewColumn("pk", vec.I64, true)
@@ -109,10 +122,10 @@ func (f *parJoinFixture) plan(kind JoinKind, shape parJoinShape, strKey bool, bi
 	if strKey {
 		probeKey, buildKey = "ps", "bs"
 	}
-	sc := NewScan(f.build, buildKey, "bv", "bd")
+	sc := NewScan(f.build, buildKey, "bv", "bd", "bn", "bt")
 	sm := sc.Meta()
 	var build Op = NewFilter(sc, Ge(Col(sm, "bv"), Int(0)))
-	payload := []string{"bv", buildKey}
+	payload := []string{"bv", buildKey, "bn", "bt"}
 	switch shape {
 	case shapeAgg:
 		bm := build.Meta()
@@ -135,8 +148,12 @@ func (f *parJoinFixture) plan(kind JoinKind, shape parJoinShape, strKey bool, bi
 // sortedRows renders a Result.
 func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey bool) []string {
 	// matches[k] lists the payload cells of every build row (or group)
-	// with key k.
+	// with key k; miss is the cells of an outer-join miss.
 	matches := map[int64][]string{}
+	miss := "NULL|NULL|"
+	if shape == shapePipeline {
+		miss += "NULL|NULL|" // bn and bt
+	}
 	switch shape {
 	case shapeAgg:
 		n, s := map[int64]int64{}, map[int64]int64{}
@@ -154,11 +171,11 @@ func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey boo
 			if k < 0 {
 				continue
 			}
-			cell := renderKey(k, strKey)
+			cells := fmt.Sprintf("%d|%s|%s", f.bv[i], renderKey(k, strKey), renderPayload(f.bn[i]))
 			if shape == shapeProbe {
-				cell = fmt.Sprintf("dim-%02d", f.bd[i])
+				cells = fmt.Sprintf("%d|dim-%02d|", f.bv[i], f.bd[i])
 			}
-			matches[k] = append(matches[k], fmt.Sprintf("%d|%s|", f.bv[i], cell))
+			matches[k] = append(matches[k], cells)
 		}
 	}
 	var out []string
@@ -175,7 +192,7 @@ func (f *parJoinFixture) reference(kind JoinKind, shape parJoinShape, strKey boo
 			}
 		case LeftOuter:
 			if len(ms) == 0 {
-				out = append(out, probe+"NULL|NULL|")
+				out = append(out, probe+miss)
 			}
 			for _, m := range ms {
 				out = append(out, probe+m)
@@ -205,6 +222,17 @@ func renderKey(k int64, str bool) string {
 	default:
 		return fmt.Sprint(k)
 	}
+}
+
+// payloadStr is the string payload bt of a row whose bn is n.
+func payloadStr(n int64) string { return fmt.Sprintf("t%03d", n%300) }
+
+// renderPayload renders the cells of the nullable payloads bn and bt.
+func renderPayload(n int64) string {
+	if n < 0 {
+		return "NULL|NULL|"
+	}
+	return fmt.Sprintf("%d|%s|", n, payloadStr(n))
 }
 
 // parJoinCase is one plan of the parallel-join matrix.

@@ -303,26 +303,3 @@ func JoinTables(stmt *SelectStmt) []string {
 	}
 	return out
 }
-
-// JoinKeyPairs syntactically extracts the equality column pairs of each
-// JOIN clause as (left, right) name pairs, without schema resolution.
-// The coordinator uses them to decide whether a join is co-partitioned
-// (both sides join on their partition keys) or needs a broadcast side.
-func JoinKeyPairs(stmt *SelectStmt) ([][][2]string, error) {
-	out := make([][][2]string, len(stmt.Joins))
-	for ji, j := range stmt.Joins {
-		for _, t := range flattenAnd(j.On) {
-			b, ok := t.(*BinOp)
-			if !ok || b.Op != "=" {
-				return nil, errf(t.nodePos(), "JOIN ON supports only equality conjunctions")
-			}
-			lc, lok := b.L.(*ColRef)
-			rc, rok := b.R.(*ColRef)
-			if !lok || !rok {
-				return nil, errf(t.nodePos(), "JOIN ON supports only column = column")
-			}
-			out[ji] = append(out[ji], [2]string{lc.Name, rc.Name})
-		}
-	}
-	return out, nil
-}

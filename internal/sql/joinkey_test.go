@@ -180,3 +180,100 @@ func TestManyDistinctStringKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinPayloadNulls carries nullable build columns — int, narrow int
+// (its NULL code needs a wider type), string and DOUBLE (-0 included) —
+// through inner and left outer joins: a NULL payload must come back as
+// NULL, every other value unchanged.
+func TestJoinPayloadNulls(t *testing.T) {
+	const nl, nr = 4000, 3000 // ids >= nr miss; the build side compresses under All()
+	id := storage.NewColumn("id", vec.I64, false)
+	for i := 0; i < nl; i++ {
+		id.AppendInt(int64(i))
+	}
+	rid := storage.NewColumn("rid", vec.I64, false)
+	nv := storage.NewColumn("nv", vec.I32, true)
+	nb := storage.NewColumn("nb", vec.I8, true)
+	nt := storage.NewColumn("nt", vec.Str, true)
+	nd := storage.NewColumn("nd", vec.F64, true)
+	cells := make([]string, nr) // the payload cells of build row j
+	for j := 0; j < nr; j++ {
+		rid.AppendInt(int64(j))
+		var c []string
+		if j%7 == 0 {
+			nv.AppendNull()
+			c = append(c, "NULL")
+		} else {
+			nv.AppendInt(int64(j % 100))
+			c = append(c, fmt.Sprint(j%100))
+		}
+		if j%3 == 0 {
+			nb.AppendNull()
+			c = append(c, "NULL")
+		} else {
+			nb.AppendInt(int64(j % 128))
+			c = append(c, fmt.Sprint(j%128))
+		}
+		if j%5 == 0 {
+			nt.AppendNull()
+			c = append(c, "NULL")
+		} else {
+			nt.AppendString(fmt.Sprintf("t%02d", j%40))
+			c = append(c, fmt.Sprintf("t%02d", j%40))
+		}
+		switch {
+		case j%4 == 1:
+			nd.AppendNull()
+			c = append(c, "NULL")
+		case j%8 == 0:
+			nd.AppendFloat(math.Copysign(0, -1))
+			c = append(c, "-0.0000")
+		default:
+			nd.AppendFloat(float64(j) / 8)
+			c = append(c, fmt.Sprintf("%.4f", float64(j)/8))
+		}
+		cells[j] = strings.Join(c, "|")
+	}
+	cat := storage.NewCatalog()
+	for _, tb := range []*storage.Table{storage.NewTable("l", id), storage.NewTable("r", rid, nv, nb, nt, nd)} {
+		tb.Seal()
+		cat.Add(tb)
+	}
+	for _, left := range []bool{false, true} {
+		var want []string
+		for i := 0; i < nl; i++ {
+			switch {
+			case i < nr:
+				want = append(want, fmt.Sprintf("%d|%s", i, cells[i]))
+			case left:
+				want = append(want, fmt.Sprintf("%d|NULL|NULL|NULL|NULL", i))
+			}
+		}
+		q := "SELECT id, nv, nb, nt, nd FROM l JOIN r ON id = rid ORDER BY id"
+		if left {
+			q = strings.Replace(q, "JOIN", "LEFT JOIN", 1)
+		}
+		for name, flags := range keyTestFlags {
+			res, err := Run(q, cat, exec.NewQCtx(flags))
+			if err != nil {
+				t.Fatalf("%s: %q: %v", name, q, err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				var c []string
+				for _, v := range r {
+					c = append(c, v.String())
+				}
+				got = append(got, strings.Join(c, "|"))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %q returned %d rows, want %d", name, q, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %q row %d: got %s, want %s", name, q, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

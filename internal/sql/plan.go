@@ -3,6 +3,8 @@ package sql
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"ocht/internal/agg"
@@ -60,11 +62,31 @@ type planner struct {
 }
 
 func (p *planner) plan(stmt *SelectStmt) (exec.Op, error) {
-	// FROM: base scan plus hash joins. All columns of each table are
-	// scanned; name collisions across joined tables are rejected.
-	var op exec.Op
-	baseTab := p.cat.Table(stmt.Table)
-	op = exec.NewScan(baseTab)
+	// Column pruning: each scan reads only the columns the statement
+	// references, and each join carries as payload only the build columns
+	// referenced above it — by the select items, WHERE, GROUP BY, HAVING
+	// or a later join's ON clause. above[i] holds the references above
+	// join i; the loop leaves used holding every reference.
+	star := false
+	for _, it := range stmt.Items {
+		star = star || it.Star
+	}
+	used := map[string]bool{}
+	addRefs(used, stmt.Where, stmt.Having)
+	addRefs(used, stmt.GroupBy...)
+	for _, it := range stmt.Items {
+		addRefs(used, it.Expr)
+	}
+	above := make([]map[string]bool, len(stmt.Joins))
+	for i := len(stmt.Joins) - 1; i >= 0; i-- {
+		above[i] = maps.Clone(used)
+		addRefs(used, stmt.Joins[i].On)
+	}
+
+	// FROM: base scan plus hash joins. A referenced column name must
+	// belong to one table only.
+	var op exec.Op = scanUsed(p.cat.Table(stmt.Table), used, star)
+	scanned := slices.Clone(op.Meta())
 
 	// Predicate pushdown: WHERE conjuncts that touch only base-table
 	// columns filter directly above the base scan, below the joins. That
@@ -93,26 +115,26 @@ func (p *planner) plan(stmt *SelectStmt) (exec.Op, error) {
 		}
 	}
 
-	for _, j := range stmt.Joins {
-		buildTab := p.cat.Table(j.Table)
-		build := exec.NewScan(buildTab)
+	for i, j := range stmt.Joins {
+		build := scanUsed(p.cat.Table(j.Table), used, star)
 		probeKeys, buildKeys, err := splitJoinOn(j.On, op.Meta(), build.Meta())
 		if err != nil {
 			return nil, err
 		}
+		var payload []string
 		for _, m := range build.Meta() {
-			if hasCol(op.Meta(), m.Name) {
+			if hasCol(scanned, m.Name) {
 				return nil, errf(j.On.nodePos(),
 					"ambiguous column %q: joined tables must have distinct column names", m.Name)
 			}
+			if star || above[i][m.Name] {
+				payload = append(payload, m.Name)
+			}
 		}
+		scanned = append(scanned, build.Meta()...)
 		kind := exec.Inner
 		if j.Left {
 			kind = exec.LeftOuter
-		}
-		var payload []string
-		for _, m := range build.Meta() {
-			payload = append(payload, m.Name)
 		}
 		op = exec.NewHashJoin(kind, op, build, probeKeys, buildKeys, payload)
 	}
@@ -396,6 +418,37 @@ func andAll(terms []Node) Node {
 		out = &BinOp{Op: "AND", L: out, R: t}
 	}
 	return out
+}
+
+// scanUsed scans the columns of t that used names, in table order: all
+// of them under SELECT *, and the first when the statement names none
+// (COUNT(*) still needs rows to count).
+func scanUsed(t *storage.Table, used map[string]bool, star bool) *exec.Scan {
+	if star {
+		return exec.NewScan(t)
+	}
+	var cols []string
+	for _, c := range t.Cols {
+		if used[c.Name] {
+			cols = append(cols, c.Name)
+		}
+	}
+	if len(cols) == 0 {
+		cols = []string{t.Cols[0].Name}
+	}
+	return exec.NewScan(t, cols...)
+}
+
+// addRefs adds the column names the expressions reference to set.
+func addRefs(set map[string]bool, nodes ...Node) {
+	for _, n := range nodes {
+		walk(n, func(n Node) error {
+			if c, ok := n.(*ColRef); ok {
+				set[c.Name] = true
+			}
+			return nil
+		})
+	}
 }
 
 // colsWithin reports whether every column the expression references
