@@ -259,16 +259,17 @@ func TestScanNextSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScanCrossBlockAllocs bounds the per-block cost: crossing block
-// boundaries reuses the view scratch, so draining a multi-block table
-// after warm-up stays allocation-free as well.
+// TestScanCrossBlockAllocs bounds the per-block cost: crossing a block
+// boundary reuses the view scratch (only a string column's code table is
+// new per block), so draining a multi-block table after warm-up stays
+// allocation-free per batch as well.
 func TestScanCrossBlockAllocs(t *testing.T) {
 	tab := sortedTable(2)
 	scan := NewScan(tab, "id", "grp")
 	qc := NewQCtx(core.All())
 	scan.Open(qc)
 	// Warm one full block plus the first batch of the second, so every
-	// lazily-grown scratch (dict ref tables included) reaches final size.
+	// lazily-grown scratch reaches final size.
 	warm := storage.BlockRows/vec.Size + 1
 	for i := 0; i < warm; i++ {
 		if scan.Next(qc) == nil {
@@ -282,5 +283,38 @@ func TestScanCrossBlockAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Scan.Next allocates %v times per batch after block crossing, want 0", allocs)
+	}
+}
+
+// TestDictCompareAcrossBlocks filters a string column whose two blocks
+// hold the same three strings under different dictionary codes, so the
+// code tables have equal length. A comparison's or LIKE's per-code
+// verdict table must be rebuilt for every block.
+func TestDictCompareAcrossBlocks(t *testing.T) {
+	defer storage.SetSealCompression(storage.SealCompression())
+	storage.SetSealCompression(storage.CompressOff) // plain dictionaries, codes in first-seen order
+	tag := storage.NewColumn("tag", vec.Str, false)
+	want := 0
+	for _, names := range [][]string{{"a", "b", "c"}, {"c", "a", "a", "a", "b"}} {
+		for i := 0; i < storage.BlockRows; i++ {
+			tag.AppendString(names[i%len(names)])
+			if names[i%len(names)] == "b" {
+				want++
+			}
+		}
+	}
+	tab := storage.NewTable("tags", tag)
+	tab.Seal()
+	for name, pred := range map[string]func([]Meta) *Expr{
+		"eq":   func(m []Meta) *Expr { return Eq(Col(m, "tag"), Str("b")) },
+		"like": func(m []Meta) *Expr { return Like(Col(m, "tag"), "b%") },
+	} {
+		for _, flags := range []core.Flags{core.Vanilla(), core.All()} {
+			scan := NewScan(tab, "tag")
+			res := Run(NewQCtx(flags), NewFilter(scan, pred(scan.Meta())))
+			if len(res.Rows) != want {
+				t.Errorf("%s %+v: %d rows, want %d", name, flags, len(res.Rows), want)
+			}
+		}
 	}
 }

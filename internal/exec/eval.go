@@ -481,7 +481,8 @@ func (e *Expr) likeDictTable(qc *QCtx, l *vec.Vector, want bool) {
 // ensureCodeOK sizes the per-code verdict table for l's dictionary and
 // marks it stale when the dictionary is not the one it was built for.
 // Batches windowed out of one block share the same DictRefs slice, so the
-// identity check amortizes the rebuild over the whole block.
+// identity check amortizes the rebuild over the whole block; Scan gives
+// every block a fresh slice, so a new block always rebuilds.
 func (e *Expr) ensureCodeOK(l *vec.Vector) {
 	d := l.DictRefs
 	if len(e.codeDict) == len(d) && len(d) > 0 && &e.codeDict[0] == &d[0] {

@@ -44,7 +44,6 @@ type Scan struct {
 	bufs     []*vec.Vector // eager materialization buffers (eager path only)
 	views    []*vec.Vector // per-column whole-block views, reused per block
 	win      []*vec.Vector // per-column window views handed out, reused per Next
-	dictRefs [][]vec.StrRef
 	out      *vec.Batch
 	block    int
 	blockLen int
@@ -103,7 +102,6 @@ func (s *Scan) Open(qc *QCtx) {
 	if len(s.views) != len(s.cols) {
 		s.views = make([]*vec.Vector, len(s.cols))
 		s.win = make([]*vec.Vector, len(s.cols))
-		s.dictRefs = make([][]vec.StrRef, len(s.cols))
 		for i := range s.views {
 			s.views[i] = &vec.Vector{}
 			s.win[i] = &vec.Vector{}
@@ -142,9 +140,10 @@ func (s *Scan) Next(qc *QCtx) *vec.Batch {
 				s.blockLen = c.ScanBlock(bi, s.bufs[i], qc.Store)
 				bytes += s.blockLen * c.Type.Width()
 			} else {
-				n, refs, db := c.ViewBlock(bi, s.views[i], qc.Store, s.dictRefs[i])
-				//ocht:retain-checked the scan owns this scratch: refs is handed back to the next ViewBlock call for reuse and is never read after that call
-				s.dictRefs[i] = refs
+				// Each block gets a fresh code table: string comparisons
+				// cache per-code verdicts by the table's identity, so a
+				// reused one would keep the last block's verdicts.
+				n, _, db := c.ViewBlock(bi, s.views[i], qc.Store, nil)
 				s.blockLen = n
 				bytes += db
 			}

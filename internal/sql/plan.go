@@ -62,17 +62,45 @@ type planner struct {
 }
 
 func (p *planner) plan(stmt *SelectStmt) (exec.Op, error) {
+	tables := []*storage.Table{p.cat.Table(stmt.Table)}
+	for _, j := range stmt.Joins {
+		tables = append(tables, p.cat.Table(j.Table))
+	}
+
+	// Predicate pushdown: a WHERE conjunct whose columns all belong to one
+	// table filters that table's scan, if the table is the base table or
+	// an inner join's build side. There Filter.Open can derive zone ranges
+	// for the scan, and a build hash table holds only the rows that pass.
+	// Dropping those rows early removes only rows the WHERE would drop: a
+	// join pairs each of its output rows with one row of each such table.
+	// A conjunct over a LEFT JOIN's build table stays above the joins,
+	// because it must also drop the NULL-extended rows; so do conjuncts
+	// over two or more tables and conjuncts with no column.
+	pushed := make([][]Node, len(tables))
+	var residual []Node
+	if stmt.Where != nil {
+		for _, c := range flattenAnd(stmt.Where) {
+			if t := ownerTable(c, tables); t == 0 || t > 0 && !stmt.Joins[t-1].Left {
+				pushed[t] = append(pushed[t], c)
+			} else {
+				residual = append(residual, c)
+			}
+		}
+	}
+
 	// Column pruning: each scan reads only the columns the statement
 	// references, and each join carries as payload only the build columns
-	// referenced above it — by the select items, WHERE, GROUP BY, HAVING
-	// or a later join's ON clause. above[i] holds the references above
-	// join i; the loop leaves used holding every reference.
+	// referenced above it — by the select items, the residual WHERE,
+	// GROUP BY, HAVING or a later join's ON clause. above[i] holds the
+	// references above join i. A pushed conjunct's columns are scanned but
+	// never carried; their names belong to one table, so only it scans them.
 	star := false
 	for _, it := range stmt.Items {
 		star = star || it.Star
 	}
 	used := map[string]bool{}
-	addRefs(used, stmt.Where, stmt.Having)
+	addRefs(used, residual...)
+	addRefs(used, stmt.Having)
 	addRefs(used, stmt.GroupBy...)
 	for _, it := range stmt.Items {
 		addRefs(used, it.Expr)
@@ -82,41 +110,33 @@ func (p *planner) plan(stmt *SelectStmt) (exec.Op, error) {
 		above[i] = maps.Clone(used)
 		addRefs(used, stmt.Joins[i].On)
 	}
+	for _, conjuncts := range pushed {
+		addRefs(used, conjuncts...)
+	}
+	scan := func(t int) (exec.Op, error) {
+		s := scanUsed(tables[t], used, star)
+		if len(pushed[t]) == 0 {
+			return s, nil
+		}
+		pred, err := compile(andAll(pushed[t]), s.Meta())
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewFilter(s, pred), nil
+	}
 
 	// FROM: base scan plus hash joins. A referenced column name must
 	// belong to one table only.
-	var op exec.Op = scanUsed(p.cat.Table(stmt.Table), used, star)
-	scanned := slices.Clone(op.Meta())
-
-	// Predicate pushdown: WHERE conjuncts that touch only base-table
-	// columns filter directly above the base scan, below the joins. That
-	// places them where Filter.Open can derive zone ranges for the scan,
-	// and is semantics-preserving: the base table is the probe side of
-	// every join (Inner and LeftOuter alike), so dropping its rows early
-	// only removes rows the upper filter would drop anyway. The remaining
-	// conjuncts stay above the joins.
-	var residual []Node
-	if stmt.Where != nil {
-		conjuncts := flattenAnd(stmt.Where)
-		var pushed []Node
-		for _, c := range conjuncts {
-			if len(stmt.Joins) > 0 && colsWithin(c, op.Meta()) {
-				pushed = append(pushed, c)
-			} else {
-				residual = append(residual, c)
-			}
-		}
-		if len(pushed) > 0 {
-			pred, err := compile(andAll(pushed), op.Meta())
-			if err != nil {
-				return nil, err
-			}
-			op = exec.NewFilter(op, pred)
-		}
+	op, err := scan(0)
+	if err != nil {
+		return nil, err
 	}
-
+	scanned := slices.Clone(op.Meta())
 	for i, j := range stmt.Joins {
-		build := scanUsed(p.cat.Table(j.Table), used, star)
+		build, err := scan(i + 1)
+		if err != nil {
+			return nil, err
+		}
 		probeKeys, buildKeys, err := splitJoinOn(j.On, op.Meta(), build.Meta())
 		if err != nil {
 			return nil, err
@@ -451,17 +471,26 @@ func addRefs(set map[string]bool, nodes ...Node) {
 	}
 }
 
-// colsWithin reports whether every column the expression references
-// resolves in the given schema.
-func colsWithin(n Node, meta []exec.Meta) bool {
-	ok := true
-	walk(n, func(n Node) error {
-		if c, isCol := n.(*ColRef); isCol && !hasCol(meta, c.Name) {
-			ok = false
+// ownerTable returns the index of the one table that has every column
+// the expression references, or -1 when it references no column or its
+// columns do not all resolve in exactly one table.
+func ownerTable(n Node, tables []*storage.Table) int {
+	refs := map[string]bool{}
+	addRefs(refs, n)
+	owner := -1
+	for i, t := range tables {
+		all := len(refs) > 0
+		for name := range refs {
+			all = all && t.ColIndex(name) >= 0
 		}
-		return nil
-	})
-	return ok
+		if all {
+			if owner >= 0 {
+				return -1
+			}
+			owner = i
+		}
+	}
+	return owner
 }
 
 func colType(meta []exec.Meta, name string) vec.Type {

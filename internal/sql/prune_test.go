@@ -11,15 +11,15 @@ import (
 	"ocht/internal/vec"
 )
 
-// planShape renders a plan's scans ("table(cols)") and join payloads
-// ("join(cols)" or "left(cols)"), bottom-up: probe side, then build
-// side, then the join.
+// planShape renders a plan's scans ("table(cols)"), filters ("filter")
+// and join payloads ("join(cols)" or "left(cols)"), bottom-up: probe
+// side, then build side, then the join; a filter follows its input.
 func planShape(op exec.Op) []string {
 	switch o := op.(type) {
 	case *exec.Scan:
 		return []string{fmt.Sprintf("%s(%s)", o.Table.Name, strings.Join(o.Columns, ","))}
 	case *exec.Filter:
-		return planShape(o.Child)
+		return append(planShape(o.Child), "filter")
 	case *exec.Project:
 		return planShape(o.Child)
 	case *exec.HashAgg:
@@ -56,8 +56,8 @@ func chainCatalog() *storage.Catalog {
 }
 
 // TestPlanPrunesColumns checks that scans read only the columns a
-// statement references, in table order, and that a join carries only the
-// build columns used above it.
+// statement references, in table order, that a join carries only the
+// build columns used above it, and where each WHERE conjunct filters.
 func TestPlanPrunesColumns(t *testing.T) {
 	sales, chain := testCatalog(), chainCatalog()
 	cases := []struct {
@@ -67,7 +67,7 @@ func TestPlanPrunesColumns(t *testing.T) {
 	}{
 		// region only in GROUP BY, qty only in WHERE, price only in HAVING.
 		{sales, "SELECT COUNT(*) FROM sales WHERE qty > 3 GROUP BY region HAVING MAX(price) > 10",
-			[]string{"sales(region,qty,price)"}},
+			[]string{"sales(region,qty,price)", "filter", "filter"}},
 		// No column referenced: the first one is scanned to count rows.
 		{sales, "SELECT COUNT(*) FROM sales", []string{"sales(region)"}},
 		{sales, "SELECT * FROM sales JOIN products ON product_id = pid",
@@ -80,7 +80,18 @@ func TestPlanPrunesColumns(t *testing.T) {
 		{chain, "SELECT ax, SUM(cv) FROM a JOIN b ON ak = bk JOIN c ON bc = ck GROUP BY ax",
 			[]string{"a(ak,ax)", "b(bk,bc)", "join(bc)", "c(ck,cv)", "join(cv)"}},
 		{chain, "SELECT ax, bz FROM a LEFT JOIN b ON ak = bk WHERE ay > 2",
-			[]string{"a(ak,ax,ay)", "b(bk,bz)", "left(bz)"}},
+			[]string{"a(ak,ax,ay)", "filter", "b(bk,bz)", "left(bz)"}},
+		// Each one-table conjunct filters its own scan below the inner
+		// joins; bz and cw, named only by those filters, are not carried.
+		{chain, "SELECT ax, SUM(cv) FROM a JOIN b ON ak = bk JOIN c ON bc = ck WHERE bz > 2 AND cw < 5 AND ay = 1 GROUP BY ax",
+			[]string{"a(ak,ax,ay)", "filter", "b(bk,bc,bz)", "filter", "join(bc)", "c(ck,cv,cw)", "filter", "join(cv)"}},
+		// A conjunct over a LEFT JOIN's build table must also drop the
+		// NULL-extended rows, so it filters above the join.
+		{chain, "SELECT ax FROM a LEFT JOIN b ON ak = bk WHERE bz > 2",
+			[]string{"a(ak,ax)", "b(bk,bz)", "left(bz)", "filter"}},
+		// Conjuncts over two tables, or none, filter above the joins.
+		{chain, "SELECT ax FROM a JOIN b ON ak = bk WHERE ax = bz AND 1 = 1",
+			[]string{"a(ak,ax)", "b(bk,bz)", "join(bz)", "filter"}},
 	}
 	for _, c := range cases {
 		stmt, err := Parse(c.q)
@@ -93,6 +104,86 @@ func TestPlanPrunesColumns(t *testing.T) {
 		}
 		if got := planShape(root); !slices.Equal(got, c.want) {
 			t.Errorf("%q:\n got  %v\n want %v", c.q, got, c.want)
+		}
+	}
+}
+
+// TestBuildFiltersMatchNestedLoop checks WHERE conjuncts over a join's
+// build table against a nested-loop reference: pushed below an inner
+// join, and kept above a LEFT JOIN, where they decide the NULL-extended
+// rows too.
+func TestBuildFiltersMatchNestedLoop(t *testing.T) {
+	const na, nb = 3000, 2000 // ak >= nb has no match
+	ak, ax := storage.NewColumn("ak", vec.I64, false), storage.NewColumn("ax", vec.I64, false)
+	for i := 0; i < na; i++ {
+		ak.AppendInt(int64(i))
+		ax.AppendInt(int64(i % 7))
+	}
+	// b row j has bz = j%10, NULL when j%13 == 0.
+	bk, bz := storage.NewColumn("bk", vec.I64, false), storage.NewColumn("bz", vec.I64, true)
+	for j := 0; j < nb; j++ {
+		bk.AppendInt(int64(j))
+		if j%13 == 0 {
+			bz.AppendNull()
+		} else {
+			bz.AppendInt(int64(j % 10))
+		}
+	}
+	cat := storage.NewCatalog()
+	for _, tb := range []*storage.Table{storage.NewTable("a", ak, ax), storage.NewTable("b", bk, bz)} {
+		tb.Seal()
+		cat.Add(tb)
+	}
+
+	// reference renders "ak|bz" for every a row i whose joined row the
+	// WHERE keeps; z is nil for a NULL bz or a NULL-extended row.
+	reference := func(left bool, where func(i int, z *int64) bool) []string {
+		var out []string
+		for i := 0; i < na; i++ {
+			var z *int64
+			if i < nb && i%13 != 0 {
+				v := int64(i % 10)
+				z = &v
+			}
+			if (i < nb || left) && where(i, z) {
+				cell := "NULL"
+				if z != nil {
+					cell = fmt.Sprint(*z)
+				}
+				out = append(out, fmt.Sprintf("%d|%s", i, cell))
+			}
+		}
+		return out
+	}
+	above5 := func(_ int, z *int64) bool { return z != nil && *z > 5 }
+	cases := []struct {
+		q    string
+		want []string
+	}{
+		{"SELECT ak, bz FROM a JOIN b ON ak = bk WHERE bz > 5 ORDER BY ak", reference(false, above5)},
+		{"SELECT ak, bz FROM a LEFT JOIN b ON ak = bk WHERE bz > 5 ORDER BY ak", reference(true, above5)},
+		{"SELECT ak, bz FROM a LEFT JOIN b ON ak = bk WHERE bz IS NULL ORDER BY ak",
+			reference(true, func(_ int, z *int64) bool { return z == nil })},
+		{"SELECT ak, bz FROM a LEFT JOIN b ON ak = bk WHERE ax = bz AND ak > 100 ORDER BY ak",
+			reference(true, func(i int, z *int64) bool { return z != nil && int64(i%7) == *z && i > 100 })},
+	}
+	for name, flags := range keyTestFlags {
+		for _, workers := range []int{1, 4} {
+			for _, c := range cases {
+				qc := exec.NewQCtx(flags)
+				qc.Workers = workers
+				res, err := Run(c.q, cat, qc)
+				if err != nil {
+					t.Fatalf("%s: %q: %v", name, c.q, err)
+				}
+				var got []string
+				for _, r := range res.Rows {
+					got = append(got, r[0].String()+"|"+r[1].String())
+				}
+				if !slices.Equal(got, c.want) {
+					t.Errorf("%s W=%d: %q returned %d rows, the nested loop %d", name, workers, c.q, len(got), len(c.want))
+				}
+			}
 		}
 	}
 }

@@ -723,10 +723,11 @@ func badBlockType(t vec.Type) {
 // the stored words; string blocks become EncDict vectors whose code table
 // is built by interning each distinct dictionary string once per block
 // (with the USSR enabled this is the paper's scan-side dictionary
-// insertion, Section IV-D), reusing refScratch across blocks. It returns
-// the row count, the (possibly grown) ref scratch, and the bytes of data
-// actually materialized — dictionary references only; everything else is
-// aliased.
+// insertion, Section IV-D), into refScratch. A caller that passes back
+// the previous block's table for reuse must not cache anything by that
+// table's identity; exec.Scan passes nil. It returns the row count, the
+// (possibly grown) ref scratch, and the bytes of data actually
+// materialized — dictionary references only; everything else is aliased.
 func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch []vec.StrRef) (rows int, refs []vec.StrRef, bytes int) {
 	b := c.blocks[bi]
 	*out = vec.Vector{Typ: c.Type, Nulls: b.Nulls}

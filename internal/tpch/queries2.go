@@ -6,37 +6,6 @@ import (
 	"ocht/internal/storage"
 )
 
-// q12: shipping modes and order priority.
-func q12(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
-	l := exec.NewScan(cat.Table("lineitem"),
-		"l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate")
-	lm := l.Meta()
-	lf := exec.NewFilter(l, exec.And(exec.And(
-		exec.Or(
-			exec.Eq(col(lm, "l_shipmode"), cs("MAIL")),
-			exec.Eq(col(lm, "l_shipmode"), cs("SHIP"))),
-		exec.And(
-			exec.Lt(col(lm, "l_commitdate"), col(lm, "l_receiptdate")),
-			exec.Lt(col(lm, "l_shipdate"), col(lm, "l_commitdate")))),
-		exec.And(
-			exec.Ge(col(lm, "l_receiptdate"), ci(Date(1994, 1, 1))),
-			exec.Lt(col(lm, "l_receiptdate"), ci(Date(1995, 1, 1))))))
-	o := exec.NewScan(cat.Table("orders"), "o_orderkey", "o_orderpriority")
-	j := exec.NewHashJoin(exec.Inner, lf, o,
-		[]string{"l_orderkey"}, []string{"o_orderkey"}, []string{"o_orderpriority"})
-	jm := j.Meta()
-	isHigh := exec.Or(
-		exec.Eq(col(jm, "o_orderpriority"), cs("1-URGENT")),
-		exec.Eq(col(jm, "o_orderpriority"), cs("2-HIGH")))
-	h := exec.NewHashAgg(j,
-		[]string{"l_shipmode"}, []*e{col(jm, "l_shipmode")},
-		[]exec.AggExpr{
-			{Func: agg.Sum, Arg: exec.Case(isHigh, ci(1), ci(0)), Name: "high_line_count"},
-			{Func: agg.Sum, Arg: exec.Case(isHigh, ci(0), ci(1)), Name: "low_line_count"},
-		})
-	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 0})
-}
-
 // q13: customer distribution.
 func q13(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	c := exec.NewScan(cat.Table("customer"), "c_custkey")
@@ -54,31 +23,6 @@ func q13(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 		[]string{"c_count"}, []*e{col(pm, "c_count")},
 		[]exec.AggExpr{{Func: agg.CountStar, Name: "custdist"}})
 	return exec.Run(qc, dist).OrderBy(exec.SortKey{Col: 1, Desc: true}, exec.SortKey{Col: 0, Desc: true})
-}
-
-// q14: promotion effect.
-func q14(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
-	l := exec.NewScan(cat.Table("lineitem"), "l_partkey", "l_extendedprice", "l_discount", "l_shipdate")
-	lm := l.Meta()
-	lf := exec.NewFilter(l, exec.And(
-		exec.Ge(col(lm, "l_shipdate"), ci(Date(1995, 9, 1))),
-		exec.Lt(col(lm, "l_shipdate"), ci(Date(1995, 10, 1)))))
-	p := exec.NewScan(cat.Table("part"), "p_partkey", "p_type")
-	j := exec.NewHashJoin(exec.Inner, lf, p,
-		[]string{"l_partkey"}, []string{"p_partkey"}, []string{"p_type"})
-	jm := j.Meta()
-	rev := revenue(jm)
-	promo := exec.Case(exec.Like(col(jm, "p_type"), "PROMO%"), rev, ci(0))
-	h := exec.NewHashAgg(j, nil, nil, []exec.AggExpr{
-		{Func: agg.Sum, Arg: promo, Name: "promo"},
-		{Func: agg.Sum, Arg: rev, Name: "total"},
-	})
-	hm := h.Meta()
-	out := exec.NewProject(h, []string{"promo_revenue"},
-		[]*e{exec.Div(
-			exec.Mul(exec.F64Const(100), exec.ToF64(col(hm, "promo"))),
-			exec.ToF64(col(hm, "total")))})
-	return exec.Run(qc, out)
 }
 
 // revenuePerSupplier is Q15's revenue view.
@@ -199,47 +143,6 @@ func q18(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 4, Desc: true}, {Col: 3}}, 100)
 }
 
-// q19: discounted revenue (the three-way OR of brand/container/quantity).
-func q19(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
-	l := exec.NewScan(cat.Table("lineitem"),
-		"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct")
-	lm := l.Meta()
-	lf := exec.NewFilter(l, exec.And(
-		exec.Or(exec.Eq(col(lm, "l_shipmode"), cs("AIR")), exec.Eq(col(lm, "l_shipmode"), cs("AIR REG"))),
-		exec.Eq(col(lm, "l_shipinstruct"), cs("DELIVER IN PERSON"))))
-	p := exec.NewScan(cat.Table("part"), "p_partkey", "p_brand", "p_container", "p_size")
-	j := exec.NewHashJoin(exec.Inner, lf, p,
-		[]string{"l_partkey"}, []string{"p_partkey"},
-		[]string{"p_brand", "p_container", "p_size"})
-	jm := j.Meta()
-	contIn := func(vals ...string) *e {
-		out := exec.Eq(col(jm, "p_container"), cs(vals[0]))
-		for _, v := range vals[1:] {
-			out = exec.Or(out, exec.Eq(col(jm, "p_container"), cs(v)))
-		}
-		return out
-	}
-	qty := col(jm, "l_quantity")
-	size := col(jm, "p_size")
-	branch := func(brand string, conts []string, qlo, qhi, smax int64) *e {
-		return exec.And(exec.And(
-			exec.Eq(col(jm, "p_brand"), cs(brand)),
-			contIn(conts...)),
-			exec.And(exec.And(
-				exec.Ge(qty, ci(qlo)), exec.Le(qty, ci(qhi))),
-				exec.And(exec.Ge(size, ci(1)), exec.Le(size, ci(smax)))))
-	}
-	pred := exec.Or(exec.Or(
-		branch("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5),
-		branch("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10)),
-		branch("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15))
-	f := exec.NewFilter(j, pred)
-	fm := f.Meta()
-	h := exec.NewHashAgg(f, nil, nil,
-		[]exec.AggExpr{{Func: agg.Sum, Arg: revenue(fm), Name: "revenue"}})
-	return exec.Run(qc, h)
-}
-
 // q20: potential part promotion.
 func q20(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	p := exec.NewScan(cat.Table("part"), "p_partkey", "p_name")
@@ -343,7 +246,7 @@ func q22(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	avgBal := exec.NewHashAgg(pos, nil, nil,
 		[]exec.AggExpr{{Func: exec.Avg, Arg: col(sm, "c_acctbal"), Name: "avg_bal"}})
 
-	main, mm := custWithCode()
+	main, _ := custWithCode()
 	withAvg := exec.NewHashJoin(exec.Inner, main, avgBal, nil, nil, []string{"avg_bal"})
 	wm := withAvg.Meta()
 	rich := exec.NewFilter(withAvg, exec.Gt(
@@ -357,6 +260,5 @@ func q22(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 			{Func: agg.CountStar, Name: "numcust"},
 			{Func: agg.Sum, Arg: col(nm, "c_acctbal"), Name: "totacctbal"},
 		})
-	_ = mm
 	return exec.Run(qc, h).OrderBy(exec.SortKey{Col: 0})
 }
