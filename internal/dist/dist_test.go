@@ -442,12 +442,19 @@ func TestFanoutHedgesStragglers(t *testing.T) {
 // first fatal shard error must cancel the in-flight sibling subqueries
 // rather than waiting them out.
 func TestFanoutCancelsSiblingsOnFatal(t *testing.T) {
-	siblingCanceled := make(chan struct{})
+	siblingStarted, siblingCanceled := make(chan struct{}), make(chan struct{})
 	hang := scriptedShard(t, func(call int, w http.ResponseWriter, r *http.Request) {
+		close(siblingStarted)
 		<-r.Context().Done()
 		close(siblingCanceled)
 	})
 	fatal := scriptedShard(t, func(call int, w http.ResponseWriter, r *http.Request) {
+		// Fail only once the sibling is in flight: a sibling canceled
+		// before its request reached the shard never runs the handler.
+		select {
+		case <-siblingStarted:
+		case <-time.After(10 * time.Second):
+		}
 		w.WriteHeader(http.StatusBadRequest)
 		fmt.Fprint(w, `{"error":"boom"}`)
 	})
