@@ -1,24 +1,21 @@
 // Command ocht-bench regenerates the tables and figures of the paper's
 // evaluation (Section V). Each experiment prints the same rows/series the
-// paper reports, at a configurable laptop-friendly scale.
+// paper reports, at a configurable laptop-friendly scale. Engine-layer and
+// service measurements (storage, ingest, server, join probe, scan) live
+// in the benchmark module under benchmark/, not here.
 //
 // Usage:
 //
 //	ocht-bench -exp fig4            # one experiment
 //	ocht-bench -exp all -sf 0.05    # everything, larger TPC-H scale
 //	ocht-bench -list                # list experiments
-//
-// With -serve-url it becomes a load generator against a running
-// ocht-serve instance instead of running local experiments:
-//
-//	ocht-bench -serve-url http://localhost:8080 -clients 8 -duration 30s
+//	ocht-bench -exp scaling -json-out BENCH_scaling.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"ocht/internal/bench"
 )
@@ -33,26 +30,8 @@ func main() {
 	flag.IntVar(&cfg.MaxCard, "maxcard", cfg.MaxCard, "Fig 8 maximum build cardinality")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel workers for the scaling experiment")
-	jsonOut := flag.String("json-out", "", "write a machine-readable perf report to this file and exit (full join/agg/scaling/scan/compress report, or the standalone scaling report with -exp scaling)")
-	serveURL := flag.String("serve-url", "", "load-generator mode: base URL of a running ocht-serve")
-	clients := flag.Int("clients", 4, "loadgen concurrent clients")
-	duration := flag.Duration("duration", 10*time.Second, "loadgen run length")
-	timeout := flag.Duration("timeout", 0, "loadgen per-query deadline sent to the server (0 = server default)")
+	jsonOut := flag.String("json-out", "", "with -exp scaling: write the machine-readable scaling report to this file and exit")
 	flag.Parse()
-
-	if *serveURL != "" {
-		err := bench.LoadGen(os.Stdout, bench.LoadGenConfig{
-			URL:      *serveURL,
-			Clients:  *clients,
-			Duration: *duration,
-			Timeout:  *timeout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, name := range bench.RunnerNames {
@@ -61,17 +40,17 @@ func main() {
 		return
 	}
 	if *jsonOut != "" {
+		if *exp != "scaling" {
+			fmt.Fprintln(os.Stderr, "-json-out needs -exp scaling")
+			os.Exit(1)
+		}
 		f, err := os.Create(*jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		write := bench.PerfJSON
-		if *exp == "scaling" {
-			write = bench.ScalingJSON
-		}
-		if err := write(f, cfg); err != nil {
+		if err := bench.ScalingJSON(f, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

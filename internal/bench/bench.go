@@ -1,7 +1,10 @@
 // Package bench is the experiment harness: one runner per table and
 // figure of the paper's evaluation (Section V), each printing the same
-// rows/series the paper reports. EXPERIMENTS.md records paper-vs-measured
-// shape for every runner.
+// rows/series the paper reports, plus the parallel-scaling sweep the CI
+// scaling job gates on and the scatter-gather experiment. EXPERIMENTS.md
+// records paper-vs-measured shape for every runner. Layer and service
+// measurements (storage, ingest, server, join probe, scan) are made only
+// by the benchmark module under benchmark/.
 package bench
 
 import (
@@ -32,32 +35,27 @@ func DefaultConfig() Config {
 
 // Runner names every experiment.
 var Runners = map[string]func(w io.Writer, cfg Config){
-	"fig4":     Fig4,
-	"table2":   Table2,
-	"fig5":     Fig5,
-	"table3":   Table3,
-	"fig6":     Fig6,
-	"fig7":     Fig7,
-	"fig8":     Fig8,
-	"fig9":     Fig9,
-	"table4":   Table4,
-	"fig10":    Fig10,
-	"fig11":    Fig11,
-	"scaling":  Scaling,
-	"ingest":   IngestExp,
-	"joinsel":  JoinSel,
-	"scansel":  ScanSel,
-	"compress": CompressExp,
-	"dist":     DistExp,
+	"fig4":    Fig4,
+	"table2":  Table2,
+	"fig5":    Fig5,
+	"table3":  Table3,
+	"fig6":    Fig6,
+	"fig7":    Fig7,
+	"fig8":    Fig8,
+	"fig9":    Fig9,
+	"table4":  Table4,
+	"fig10":   Fig10,
+	"fig11":   Fig11,
+	"scaling": Scaling,
+	"dist":    DistExp,
 }
 
 // RunnerNames lists the experiments in paper order; the scaling and
-// ingest experiments (not in the paper, which measures single-threaded
-// reads over static data) go last.
+// distribution experiments (not in the paper, which measures
+// single-threaded reads on one node) go last.
 var RunnerNames = []string{
 	"fig4", "table2", "fig5", "table3", "fig6",
-	"fig7", "fig8", "fig9", "table4", "fig10", "fig11", "scaling", "ingest",
-	"joinsel", "scansel", "compress", "dist",
+	"fig7", "fig8", "fig9", "table4", "fig10", "fig11", "scaling", "dist",
 }
 
 // All runs every experiment in paper order.

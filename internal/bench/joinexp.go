@@ -15,10 +15,10 @@ import (
 	"ocht/internal/vec"
 )
 
-// buildSyntheticJoin creates and fills a join with nKeys key columns over
-// the given domain, and payload columns over [0, 10]. Zero-value opts give
-// the monolithic, Bloom-free table the paper experiments measure.
-func buildSyntheticJoin(flags core.Flags, nKeys int, keyDom domain.D, payloads, card int, opts join.Options, rng *rand.Rand) (*join.Join, []*vec.Vector) {
+// buildSyntheticJoin creates and fills a monolithic, Bloom-free join (the
+// table the paper experiments measure) with nKeys key columns over the
+// given domain, and payload columns over [0, 10].
+func buildSyntheticJoin(flags core.Flags, nKeys int, keyDom domain.D, payloads, card int, rng *rand.Rand) *join.Join {
 	store := strs.NewStore(flags.UseUSSR)
 	keys := make([]core.KeyCol, nKeys)
 	for i := range keys {
@@ -28,10 +28,7 @@ func buildSyntheticJoin(flags core.Flags, nKeys int, keyDom domain.D, payloads, 
 	for i := range pls {
 		pls[i] = join.PayloadCol{Name: fmt.Sprintf("p%d", i), Type: vec.I64, Dom: domain.New(0, 10)}
 	}
-	if opts.CapacityHint == 0 {
-		opts.CapacityHint = card
-	}
-	j, err := join.New(flags, keys, pls, store, opts)
+	j, err := join.New(flags, keys, pls, store, join.Options{CapacityHint: card})
 	if err != nil {
 		panic(err)
 	}
@@ -65,7 +62,7 @@ func buildSyntheticJoin(flags core.Flags, nKeys int, keyDom domain.D, payloads, 
 		}
 		j.Build(keyVecs, plVecs, rows[:n])
 	}
-	return j, keyVecs
+	return j
 }
 
 // probeOnce probes nProbe random keys (drawn from the key domain) and
@@ -205,7 +202,7 @@ func Fig8(w io.Writer, cfg Config) {
 				flags core.Flags
 			}{{"vanilla", core.Vanilla()}, {"compact", core.Flags{Compress: true, Split: true}}} {
 				rng := rand.New(rand.NewSource(cfg.Seed))
-				j, _ := buildSyntheticJoin(mode.flags, v.nKeys, v.dom, 4, card, join.Options{}, rng)
+				j := buildSyntheticJoin(mode.flags, v.nKeys, v.dom, 4, card, rng)
 				res[mode.name] = best(cfg.Reps, func() time.Duration {
 					return probeOnce(j, v.nKeys, v.dom, 4, nProbe, rand.New(rand.NewSource(cfg.Seed+1)))
 				})
@@ -244,7 +241,7 @@ func Fig9(w io.Writer, cfg Config) {
 				times[mi] = best(cfg.Reps, func() time.Duration {
 					rng := rand.New(rand.NewSource(cfg.Seed))
 					start := time.Now()
-					j, _ := buildSyntheticJoin(flags, nKeys, dom, 0, card, join.Options{}, rng)
+					j := buildSyntheticJoin(flags, nKeys, dom, 0, card, rng)
 					el := time.Since(start)
 					jEnd = j
 					return el
@@ -360,76 +357,5 @@ func baselineFootprint(design string, card, k int, seed int64) int {
 func putLE64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
-	}
-}
-
-// JoinSelVariant is one variant's measurement of the selective-join
-// experiment, in the shape the -json-out perf report records.
-type JoinSelVariant struct {
-	Name             string  `json:"name"`
-	PartitionBits    int     `json:"partition_bits"`
-	NsPerProbeRow    float64 `json:"ns_per_probe_row"`
-	BytesPerBuildRow float64 `json:"bytes_per_build_row"`
-	BloomShedPct     float64 `json:"bloom_shed_pct"`
-	SpeedupVsBase    float64 `json:"speedup_vs_baseline"`
-}
-
-// joinSelCard sizes the selective-join build: 2^20 records put the hot
-// area well past 4x a 512 KB L2, the regime where radix partitioning and
-// the Bloom pre-pass matter.
-const joinSelCard = 1 << 20
-
-// JoinSelRun measures a miss-heavy single-key probe (~1.6% hit rate, the
-// selective semi-join regime) against a build larger than 4x L2, in three
-// configurations: the monolithic baseline, radix-partitioned build, and
-// partitioned build with the Bloom-guarded probe pre-pass.
-func JoinSelRun(cfg Config) []JoinSelVariant {
-	const nProbe = 1 << 20
-	dom := domain.New(0, (1<<26)-1)
-	flags := core.Flags{Compress: true, Split: true}
-	variants := []struct {
-		name string
-		opts join.Options
-	}{
-		{"monolithic", join.Options{PartitionBits: 0}},
-		{"partitioned", join.Options{PartitionBits: -1, EstRows: joinSelCard}},
-		{"partitioned+bloom", join.Options{PartitionBits: -1, EstRows: joinSelCard, Selective: true}},
-	}
-	out := make([]JoinSelVariant, 0, len(variants))
-	var baseNs float64
-	for _, v := range variants {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		j, _ := buildSyntheticJoin(flags, 1, dom, 2, joinSelCard, v.opts, rng)
-		el := best(cfg.Reps, func() time.Duration {
-			return probeOnce(j, 1, dom, 2, nProbe, rand.New(rand.NewSource(cfg.Seed+1)))
-		})
-		ns := float64(el.Nanoseconds()) / float64(nProbe)
-		r := JoinSelVariant{
-			Name:             v.name,
-			PartitionBits:    j.Bits(),
-			NsPerProbeRow:    ns,
-			BytesPerBuildRow: float64(j.MemoryBytes()) / float64(j.Len()),
-		}
-		if checked, dropped := j.BloomStats(); checked > 0 {
-			r.BloomShedPct = 100 * float64(dropped) / float64(checked)
-		}
-		if len(out) == 0 {
-			baseNs = ns
-		}
-		r.SpeedupVsBase = baseNs / ns
-		out = append(out, r)
-	}
-	return out
-}
-
-// JoinSel prints the selective-join experiment.
-func JoinSel(w io.Writer, cfg Config) {
-	header(w, "JoinSel: selective probe vs radix partitioning and Bloom pre-pass")
-	fmt.Fprintf(w, "build=%d rows (hot area > 4x L2), probe=2^20 rows, ~1.6%% hit rate\n", joinSelCard)
-	line(w, "variant", "bits", "ns/probe-row", "bytes/build-row", "bloom-shed", "speedup")
-	for _, v := range JoinSelRun(cfg) {
-		fmt.Fprintf(w, "%-18s %4d %13.1f %15.1f %9.1f%% %7.2fx\n",
-			v.Name, v.PartitionBits, v.NsPerProbeRow, v.BytesPerBuildRow,
-			v.BloomShedPct, v.SpeedupVsBase)
 	}
 }

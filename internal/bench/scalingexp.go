@@ -84,7 +84,7 @@ func Scaling(w io.Writer, cfg Config) {
 	}
 }
 
-// ScalingReport is the standalone machine-readable scaling record written
+// ScalingReport is the machine-readable scaling record written
 // by `ocht-bench -exp scaling -json-out BENCH_scaling.json`. It pins down
 // the machine it ran on (cpus, GOMAXPROCS) so a flat curve from a
 // single-CPU container is distinguishable from a real parallel
@@ -184,7 +184,7 @@ func ScalingRun(cfg Config, rows int) ScalingReport {
 	return rep
 }
 
-// ScalingJSON writes the standalone scaling report for
+// ScalingJSON writes the scaling report for
 // `ocht-bench -exp scaling -json-out FILE`.
 func ScalingJSON(w io.Writer, cfg Config) error {
 	rep := ScalingRun(cfg, cfg.BIRows*10)

@@ -60,7 +60,6 @@ func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 			ProbeKeys:     t.ProbeKeys,
 			Payload:       t.Payload,
 			Kind:          t.Kind,
-			Selective:     t.Selective,
 			PartitionBits: t.PartitionBits,
 			prebuilt:      t.j,
 		}
@@ -94,7 +93,6 @@ func ClonePlan(o Op) Op {
 		return NewProject(ClonePlan(t.Child), t.Names, cloneExprs(t.Exprs))
 	case *HashJoin:
 		c := NewHashJoin(t.Kind, ClonePlan(t.Probe), ClonePlan(t.Build), t.ProbeKeys, t.BuildKeys, t.Payload)
-		c.Selective = t.Selective
 		c.PartitionBits = t.PartitionBits
 		return c
 	case *HashAgg:

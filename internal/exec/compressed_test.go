@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"ocht/internal/agg"
@@ -148,8 +149,11 @@ func sortedTable(blocks int) *storage.Table {
 }
 
 // TestZoneSkipBlocks checks that a pushed-down predicate skips exactly the
-// blocks its range excludes, that DisableZoneSkip restores full reads, and
-// that the answer is identical either way.
+// blocks its range excludes, that DisableZoneSkip restores full reads,
+// and that every knob setting returns the same rows. It is also the CI
+// scan-smoke gate: the default config (encoded blocks, zone skipping)
+// must decompress at most half the bytes of the eager, non-skipping
+// baseline.
 func TestZoneSkipBlocks(t *testing.T) {
 	tab := sortedTable(3)
 	lo := int64(2 * storage.BlockRows) // entirely inside the last block
@@ -159,29 +163,41 @@ func TestZoneSkipBlocks(t *testing.T) {
 		return NewFilter(scan, Ge(Col(m, "id"), Int(lo)))
 	}
 
-	qc := NewQCtx(core.All())
-	res := Run(qc, build())
-	if got := len(res.Rows); got != storage.BlockRows {
-		t.Fatalf("filter kept %d rows, want %d", got, storage.BlockRows)
-	}
-	if skipped := qc.Stats.Counter(CtrBlocksSkipped); skipped != 2 {
-		t.Fatalf("zone map skipped %d blocks, want 2", skipped)
-	}
-	if read := qc.Stats.Counter(CtrBlocksRead); read != 1 {
-		t.Fatalf("read %d blocks, want 1", read)
+	ctxs := map[string]*QCtx{}
+	rows := map[string][]string{}
+	for name, tune := range scanConfigs() {
+		qc := NewQCtx(core.All())
+		tune(qc)
+		ctxs[name], rows[name] = qc, sortedRows(Run(qc, build()))
 	}
 
-	off := NewQCtx(core.All())
-	off.DisableZoneSkip = true
-	resOff := Run(off, build())
+	def := ctxs["compressed"]
+	if got := len(rows["compressed"]); got != storage.BlockRows {
+		t.Fatalf("filter kept %d rows, want %d", got, storage.BlockRows)
+	}
+	if skipped := def.Stats.Counter(CtrBlocksSkipped); skipped != 2 {
+		t.Fatalf("zone map skipped %d blocks, want 2", skipped)
+	}
+	if read := def.Stats.Counter(CtrBlocksRead); read != 1 {
+		t.Fatalf("read %d blocks, want 1", read)
+	}
+	off := ctxs["noskip"]
 	if skipped := off.Stats.Counter(CtrBlocksSkipped); skipped != 0 {
 		t.Fatalf("DisableZoneSkip still skipped %d blocks", skipped)
 	}
 	if read := off.Stats.Counter(CtrBlocksRead); read != 3 {
 		t.Fatalf("DisableZoneSkip read %d blocks, want 3", read)
 	}
-	if len(resOff.Rows) != len(res.Rows) {
-		t.Fatalf("skipping changed the answer: %d vs %d rows", len(res.Rows), len(resOff.Rows))
+	for name, got := range rows {
+		if !slices.Equal(got, rows["compressed"]) {
+			t.Fatalf("%s returned %d rows that differ from the default config's %d",
+				name, len(got), len(rows["compressed"]))
+		}
+	}
+	got := def.Stats.Counter(CtrBytesDecompressed)
+	base := ctxs["eager-noskip"].Stats.Counter(CtrBytesDecompressed)
+	if got*2 > base {
+		t.Fatalf("default config decompressed %dB, eager-noskip %dB: less than a 2x saving", got, base)
 	}
 
 	// A contradictory range skips everything and returns nothing.

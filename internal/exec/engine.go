@@ -46,7 +46,7 @@ type QCtx struct {
 	EagerMaterialize bool
 
 	// DisableZoneSkip turns off zone-map block skipping independent of the
-	// scan encoding; the scansel experiment uses it as its measurement
+	// scan encoding; TestZoneSkipBlocks uses it as its decompression
 	// baseline.
 	DisableZoneSkip bool
 
@@ -205,12 +205,12 @@ type Op interface {
 // rowsCap saturates cardinality estimates.
 const rowsCap = int64(1) << 62
 
-// CompressMinBuildRows is the optimizer threshold below which hash tables
+// compressMinBuildRows is the optimizer threshold below which hash tables
 // are left uncompressed: Domain-Guided Prefix Suppression "does not make
 // sense for CPU cache-resident hash tables, so we do not enable it if the
 // hash table is small, based on optimizer estimates" (Section V-A). The
 // estimate compared against it is the table's worst-case row bound.
-var CompressMinBuildRows = int64(2048)
+const compressMinBuildRows = 2048
 
 func satMul(a, b int64) int64 {
 	if a == 0 || b == 0 {

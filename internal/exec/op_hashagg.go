@@ -195,7 +195,7 @@ func (h *HashAgg) setup(qc *QCtx) {
 	// (Section V-A, limitation (c)); the group-count bound is that
 	// estimate here.
 	flags := qc.Flags
-	if flags.Compress && h.MaxRows() < CompressMinBuildRows {
+	if flags.Compress && h.MaxRows() < compressMinBuildRows {
 		flags.Compress = false
 	}
 	g := &h.g

@@ -25,19 +25,16 @@ const (
 // hash table. Payload lists the build columns carried to the output.
 //
 // The probe pipeline is cache-conscious: each probe batch is hashed once
-// (PrepareProbe), a Bloom pre-pass sheds proven misses for selective
-// joins, and the surviving selection vector is walked in a staged
-// two-phase sweep over the radix-partitioned build tables.
+// (PrepareProbe), a Bloom pre-pass sheds proven misses for semi and anti
+// joins (join.Options.Selective), and the surviving selection vector is
+// walked in a staged two-phase sweep over the radix-partitioned build
+// tables.
 type HashJoin struct {
 	Build, Probe Op
 	BuildKeys    []string
 	ProbeKeys    []string
 	Payload      []string
 	Kind         JoinKind
-	// Selective hints that most probes miss: the join carries a Bloom
-	// filter, and with Optimistic Splitting the payload moves to the cold
-	// area (Section III-B).
-	Selective bool
 	// PartitionBits sets the build side's radix-partitioning width:
 	// negative (the constructor default) picks it adaptively from the
 	// build-side cardinality bound, 0 forces one monolithic table, and
@@ -298,12 +295,12 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	// Small build sides stay uncompressed, mirroring the paper's
 	// optimizer gating for cache-resident hash tables (Section V-A).
 	flags := qc.Flags
-	if flags.Compress && h.Build.MaxRows() < CompressMinBuildRows {
+	if flags.Compress && h.Build.MaxRows() < compressMinBuildRows {
 		flags.Compress = false
 	}
 	var err error
 	h.j, err = join.New(flags, keyCols, payloadCols, qc.Store, join.Options{
-		Selective:     h.Selective || h.Kind == Semi || h.Kind == Anti,
+		Selective:     h.Kind == Semi || h.Kind == Anti,
 		CapacityHint:  int(hint),
 		PartitionBits: h.PartitionBits,
 		EstRows:       h.Build.MaxRows(),

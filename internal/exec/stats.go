@@ -32,9 +32,10 @@ const (
 	StatOther     = "remaining primitives"
 )
 
-// Counter names: the compressed-scan accounting behind the scansel
-// experiment. BlocksRead and BlocksSkipped partition the blocks a scan
-// considered; BytesDecompressed counts bytes actually written by
+// Counter names: the compressed-scan accounting behind the benchmark's
+// exec.blocks_skipped / exec.bytes_decompressed metrics and
+// TestZoneSkipBlocks. BlocksRead and BlocksSkipped partition the blocks a
+// scan considered; BytesDecompressed counts bytes actually written by
 // decompression (zero-copy encoded views decompress nothing but their
 // per-block dictionary reference tables).
 const (

@@ -11,7 +11,6 @@ import (
 
 	"ocht/internal/exec"
 	"ocht/internal/sql"
-	"ocht/internal/ussr"
 	"ocht/internal/vec"
 )
 
@@ -102,62 +101,21 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// executeShard compiles and runs a shard subquery through the same plan
-// cache and snapshot discipline as /query, differing in the response
-// shape: typed columns, no row truncation.
-func (s *Server) executeShard(ctx context.Context, req *ShardRequest) (resp ShardResponse, status int) {
-	defer func() {
-		if p := recover(); p != nil {
-			resp = ShardResponse{Error: fmt.Sprint(p)}
-			status = http.StatusBadRequest
-		}
-	}()
-
+// executeShard runs a shard subquery through the same statement runner
+// as /query, after checking the coordinator's catalog-version floor. The
+// response differs in shape: typed columns, no row truncation.
+func (s *Server) executeShard(ctx context.Context, req *ShardRequest) (ShardResponse, int) {
 	snap := s.cat.Snapshot()
-	resp.CatalogVersion = snap.Version()
+	resp := ShardResponse{CatalogVersion: snap.Version()}
 	if req.MinCatalogVersion > 0 && snap.Version() < req.MinCatalogVersion {
 		resp.Error = fmt.Sprintf("catalog at version %d, coordinator requires %d (replica catching up)",
 			snap.Version(), req.MinCatalogVersion)
 		return resp, http.StatusConflict
 	}
-	key := fmt.Sprintf("%d|%s", snap.Version(), normalizeSQL(req.SQL))
-	entry, hit := s.cache.get(key)
-	if !hit {
-		stmt, err := sql.Parse(req.SQL)
-		if err != nil {
-			resp.Error = err.Error()
-			return resp, http.StatusBadRequest
-		}
-		root, order, limit, err := sql.Plan(stmt, snap)
-		if err != nil {
-			resp.Error = err.Error()
-			return resp, http.StatusBadRequest
-		}
-		entry = &planEntry{root: root, order: order, limit: limit}
-		s.cache.put(key, entry)
-	}
-
-	var u *ussr.USSR
-	if s.cfg.Flags.UseUSSR {
-		u = s.pool.acquire()
-	}
-	qc := exec.NewQCtxUSSR(s.cfg.Flags, u)
-	qc.Workers = s.cfg.Workers
-	if req.Workers > 0 {
-		qc.Workers = req.Workers
-	}
-	defer func() {
-		s.stats.Merge(qc.Stats)
-		s.pool.release(u)
-	}()
-
-	res, err := exec.RunSortedCtx(ctx, qc, exec.ClonePlan(entry.root), entry.order, entry.limit)
+	res, _, status, err := s.runRead(ctx, snap, req.SQL, req.Workers)
 	if err != nil {
 		resp.Error = err.Error()
-		if ctx.Err() == context.DeadlineExceeded {
-			return resp, http.StatusGatewayTimeout
-		}
-		return resp, statusClientClosed
+		return resp, status
 	}
 
 	resp.Columns = res.Names

@@ -297,63 +297,17 @@ func (s *Server) executeWrite(req *QueryRequest) (QueryResponse, int) {
 	return QueryResponse{RowsAffected: n}, http.StatusOK
 }
 
-// execute compiles (or reuses) and runs one statement. The planner layer
-// signals some errors by panicking (unknown tables, schema conflicts);
-// recover turns those into client errors instead of killing the server.
-func (s *Server) execute(ctx context.Context, req *QueryRequest) (resp QueryResponse, status int) {
-	defer func() {
-		if p := recover(); p != nil {
-			resp = QueryResponse{Error: fmt.Sprint(p)}
-			status = http.StatusBadRequest
-		}
-	}()
-
-	// Pin a copy-on-write snapshot for the whole query: planning and
-	// execution see one consistent set of tables even while the ingest
-	// engine publishes commits, and the snapshot version in the cache
-	// key retires stale plans the moment the catalog changes.
-	snap := s.cat.Snapshot()
-	key := fmt.Sprintf("%d|%s", snap.Version(), normalizeSQL(req.SQL))
-	entry, hit := s.cache.get(key)
-	resp.PlanCache = "hit"
-	if !hit {
-		resp.PlanCache = "miss"
-		stmt, err := sql.Parse(req.SQL)
-		if err != nil {
-			return QueryResponse{Error: err.Error(), PlanCache: "miss"}, http.StatusBadRequest
-		}
-		root, order, limit, err := sql.Plan(stmt, snap)
-		if err != nil {
-			return QueryResponse{Error: err.Error(), PlanCache: "miss"}, http.StatusBadRequest
-		}
-		entry = &planEntry{root: root, order: order, limit: limit}
-		s.cache.put(key, entry)
+// execute runs one read statement for /query: the response reports the
+// plan-cache outcome and truncates rows past MaxResultRows.
+func (s *Server) execute(ctx context.Context, req *QueryRequest) (QueryResponse, int) {
+	res, hit, status, err := s.runRead(ctx, s.cat.Snapshot(), req.SQL, req.Workers)
+	resp := QueryResponse{PlanCache: "miss"}
+	if hit {
+		resp.PlanCache = "hit"
 	}
-
-	// Per-query engine context: pooled USSR, private stats, the query's
-	// own clone of the cached plan template.
-	var u *ussr.USSR
-	if s.cfg.Flags.UseUSSR {
-		u = s.pool.acquire()
-	}
-	qc := exec.NewQCtxUSSR(s.cfg.Flags, u)
-	qc.Workers = s.cfg.Workers
-	if req.Workers > 0 {
-		qc.Workers = req.Workers
-	}
-	defer func() {
-		s.stats.Merge(qc.Stats)
-		s.pool.release(u)
-	}()
-
-	res, err := exec.RunSortedCtx(ctx, qc, exec.ClonePlan(entry.root), entry.order, entry.limit)
 	if err != nil {
-		pc := resp.PlanCache
-		resp = QueryResponse{Error: err.Error(), PlanCache: pc}
-		if ctx.Err() == context.DeadlineExceeded {
-			return resp, http.StatusGatewayTimeout
-		}
-		return resp, statusClientClosed
+		resp.Error = err.Error()
+		return resp, status
 	}
 
 	resp.Columns = res.Names
@@ -372,6 +326,62 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest) (resp QueryResp
 		resp.Rows[i] = row
 	}
 	return resp, http.StatusOK
+}
+
+// runRead is the one statement runner behind /query and /shard/query. It
+// compiles (or reuses) the statement against the pinned snapshot, so
+// planning and execution see one consistent set of tables even while the
+// ingest engine publishes commits, and the snapshot version in the cache
+// key retires stale plans the moment the catalog changes. It then runs
+// the query's own clone of the cached plan on a per-query engine context
+// (pooled USSR, private stats) and maps failures to an HTTP status. hit
+// reports whether the plan came from the cache. The planner layer signals
+// some errors by panicking (unknown tables, schema conflicts); recover
+// turns those into client errors instead of killing the server.
+func (s *Server) runRead(ctx context.Context, snap *storage.Snapshot, query string, workers int) (res *exec.Result, hit bool, status int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, status, err = nil, http.StatusBadRequest, errors.New(fmt.Sprint(p))
+		}
+	}()
+
+	key := fmt.Sprintf("%d|%s", snap.Version(), normalizeSQL(query))
+	entry, hit := s.cache.get(key)
+	if !hit {
+		stmt, err := sql.Parse(query)
+		if err != nil {
+			return nil, false, http.StatusBadRequest, err
+		}
+		root, order, limit, err := sql.Plan(stmt, snap)
+		if err != nil {
+			return nil, false, http.StatusBadRequest, err
+		}
+		entry = &planEntry{root: root, order: order, limit: limit}
+		s.cache.put(key, entry)
+	}
+
+	var u *ussr.USSR
+	if s.cfg.Flags.UseUSSR {
+		u = s.pool.acquire()
+	}
+	qc := exec.NewQCtxUSSR(s.cfg.Flags, u)
+	qc.Workers = s.cfg.Workers
+	if workers > 0 {
+		qc.Workers = workers
+	}
+	defer func() {
+		s.stats.Merge(qc.Stats)
+		s.pool.release(u)
+	}()
+
+	res, err = exec.RunSortedCtx(ctx, qc, exec.ClonePlan(entry.root), entry.order, entry.limit)
+	if err != nil {
+		if ctx.Err() == context.DeadlineExceeded {
+			return nil, hit, http.StatusGatewayTimeout, err
+		}
+		return nil, hit, statusClientClosed, err
+	}
+	return res, hit, http.StatusOK, nil
 }
 
 func cellJSON(v exec.Value) any {
