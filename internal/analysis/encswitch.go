@@ -26,6 +26,19 @@ var encPayloadFields = map[string]bool{
 	"Packed": true,
 }
 
+// lazyDictFields are the EncDict fields a consumer must not read raw: a
+// block view interns a dictionary entry the first time a row reads it, so
+// an unread DictRefs entry is still 0, and DictBytes/DictOffs alias the
+// scan's decode scratch. Vector.DictRef / StrRefAt fill the code table and
+// Vector.DictEntry slices an entry. Taking the table whole (identity
+// checks, windowing) is fine; indexing it, slicing it or ranging over its
+// values is not.
+var lazyDictFields = map[string]bool{
+	"DictRefs":  true,
+	"DictBytes": true,
+	"DictOffs":  true,
+}
+
 // encConsumerPackages are where batch vectors arrive from scans still in
 // their stored encoding, so raw payload access needs proof of plainness.
 var encConsumerPackages = []string{
@@ -69,6 +82,10 @@ func (plainResultFact) AFact() {}
 //   - an if/else-if chain dispatching on .Enc equality (two or more arms)
 //     must end in an else or cover all three encodings — a single
 //     fast-path guard (`if v.Enc == EncPacked { ...; return }`) is fine;
+//   - in the consumer packages, the lazily interned dictionary of an
+//     EncDict view (DictRefs, DictBytes, DictOffs) is never indexed,
+//     sliced or ranged over by value, whatever the guards: entries are
+//     read through DictRef/StrRefAt and DictEntry;
 //   - in the consumer packages, raw payload indexing (v.Str[i], v.Codes,
 //     v.I64, v.Packed...) of a vector that arrived from a batch
 //     (b.Vecs[i], or a call carrying the encoded-source fact, e.g.
@@ -77,9 +94,10 @@ func (plainResultFact) AFact() {}
 //     function the plain-result fact marks, discovered cross-package).
 var EncSwitch = &Analyzer{
 	Name: "encswitch",
-	Doc: "flags non-exhaustive dispatch over vec.Vector.Enc and raw payload " +
+	Doc: "flags non-exhaustive dispatch over vec.Vector.Enc, raw payload " +
 		"access to possibly-encoded batch vectors without a dominating " +
-		"encoding branch or materializer call",
+		"encoding branch or materializer call, and raw reads of a lazily " +
+		"interned dictionary",
 	Run: runEncSwitch,
 }
 
@@ -361,6 +379,9 @@ func (w *encWalker) stmt(s ast.Stmt, guards []string) {
 		}
 	case *ast.RangeStmt:
 		w.exprs(guards, t.X)
+		if t.Value != nil {
+			w.checkLazyDict(t.X)
+		}
 		w.block(t.Body, guards)
 	case *ast.SelectStmt:
 		for _, c := range t.Body.List {
@@ -489,13 +510,30 @@ func (w *encWalker) exprs(guards []string, es ...ast.Expr) {
 				w.block(t.Body, guards)
 				return false
 			case *ast.IndexExpr:
+				w.checkLazyDict(t.X)
 				w.checkAccess(t.X, guards)
 			case *ast.SliceExpr:
+				w.checkLazyDict(t.X)
 				w.checkAccess(t.X, guards)
 			}
 			return true
 		})
 	}
+}
+
+// checkLazyDict reports a raw read of a vector's lazily interned
+// dictionary.
+func (w *encWalker) checkLazyDict(x ast.Expr) {
+	if !w.report {
+		return
+	}
+	sel, ok := x.(*ast.SelectorExpr)
+	if !ok || !lazyDictFields[sel.Sel.Name] || !isVectorExpr(w.pass, sel.X) {
+		return
+	}
+	w.pass.Reportf(sel.Pos(),
+		"%s.%s read raw, but a block view's dictionary fills on first use (an unread entry is 0) and its bytes alias scan scratch; read entries through DictRef/StrRefAt or DictEntry",
+		exprKey(sel.X), sel.Sel.Name)
 }
 
 // checkAccess reports raw payload indexing of a possibly-encoded vector.

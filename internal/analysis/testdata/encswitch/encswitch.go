@@ -18,14 +18,24 @@ const (
 // StrRef mirrors vec.StrRef.
 type StrRef struct{ Off, Len uint32 }
 
-// Vector mirrors vec.Vector's payload layout.
+// Vector mirrors vec.Vector's payload layout, including the lazily
+// interned dictionary of a block view.
 type Vector struct {
-	Enc    Encoding
-	I64    []int64
-	Str    []StrRef
-	Codes  []uint32
-	Packed []uint64
+	Enc       Encoding
+	I64       []int64
+	Str       []StrRef
+	Codes     []uint32
+	Packed    []uint64
+	DictRefs  []StrRef
+	DictBytes []byte
+	DictOffs  []int32
 }
+
+// DictRef mirrors vec.Vector.DictRef: it interns entry c on first use.
+func (v *Vector) DictRef(c uint32) StrRef { return StrRef{Off: c} }
+
+// DictEntry mirrors vec.Vector.DictEntry.
+func (v *Vector) DictEntry(c uint32) []byte { _ = c; return nil }
 
 // Batch mirrors vec.Batch: its vectors arrive in their stored encoding.
 type Batch struct {
@@ -141,4 +151,45 @@ func suppressed(b *Batch) int64 {
 	v := b.Vecs[0]
 	//ocht:allow(encswitch) decoder self-test reads raw words deliberately
 	return v.I64[0]
+}
+
+// rawDictRef indexes the code table under an EncDict guard: the guard
+// proves the encoding, not that the entry was interned.
+func rawDictRef(b *Batch) StrRef {
+	v := b.Vecs[0]
+	if v.Enc == EncDict {
+		return v.DictRefs[v.Codes[0]] // want "fills on first use"
+	}
+	return StrRef{}
+}
+
+// rangeDictRefs reads every entry's reference by value.
+func rangeDictRefs(v *Vector) int {
+	n := 0
+	for _, r := range v.DictRefs { // want "fills on first use"
+		n += int(r.Len)
+	}
+	return n
+}
+
+// rawDictBytes slices the decode scratch by hand.
+func rawDictBytes(v *Vector, c int32) []byte {
+	lo := v.DictOffs[c]     // want "v.DictOffs read raw"
+	return v.DictBytes[lo:] // want "read entries through DictRef/StrRefAt or DictEntry"
+}
+
+// dictAccessors are the sanctioned reads: the accessors, the table's
+// length and identity, and ranging over its indices.
+func dictAccessors(b *Batch, ok []bool) int {
+	v := b.Vecs[0]
+	n := len(v.DictRefs)
+	for c := range v.DictRefs {
+		ok[c] = len(v.DictEntry(uint32(c))) > 0
+	}
+	table := v.DictRefs
+	_ = table
+	if v.Enc == EncDict {
+		n += int(v.DictRef(v.Codes[0]).Len)
+	}
+	return n
 }

@@ -103,3 +103,48 @@ func suppressed(b *Block, c *cache) {
 	//ocht:allow(viewlife) cache is invalidated before the block is resealed
 	c.codes = b.ZCodes
 }
+
+// Vector mirrors vec.Vector's lazily interned dictionary view: DictBytes
+// and DictOffs alias the scan's decode scratch, which the next block view
+// overwrites.
+type Vector struct {
+	DictRefs  []StrRef
+	DictBytes []byte
+	DictOffs  []int32
+}
+
+// DictEntry returns entry c's bytes, aliasing the decode scratch.
+func (v *Vector) DictEntry(c int32) []byte {
+	return v.DictBytes[v.DictOffs[c]:v.DictOffs[c+1]]
+}
+
+// escapeDictEntry parks a decoded entry in a field: the next block's
+// decode overwrites it.
+func escapeDictEntry(v *Vector, h *holder) {
+	h.bytes = v.DictEntry(3) // want "stored into field h.bytes"
+}
+
+// escapeDictScratch keeps the whole decode scratch.
+func escapeDictScratch(v *Vector, h *holder) {
+	h.bytes = v.DictBytes // want "stored into field h.bytes"
+}
+
+// escapeDictViaLocal shows the taint following a local alias.
+func escapeDictViaLocal(v *Vector, m map[int][]byte) {
+	e := v.DictEntry(1)
+	m[1] = e // want "element m[1]"
+}
+
+// dictUses are the sanctioned reads: compare or copy the entry, keep the
+// code table (its references outlive the scratch).
+func dictUses(v *Vector, h *holder) bool {
+	h.refs = v.DictRefs
+	h.bytes = append(h.bytes[:0], v.DictEntry(2)...)
+	return string(v.DictEntry(0)) == "north"
+}
+
+// window shares a block view's scratch with a window over it: audited.
+func window(dst, src *Vector) {
+	//ocht:retain-checked the window lives no longer than the view it slices
+	dst.DictBytes, dst.DictOffs = src.DictBytes, src.DictOffs
+}

@@ -9,16 +9,22 @@ import (
 // viewRootNames are the zero-copy accessors whose slice results alias
 // per-column scratch buffers that the next ViewBlock/StrAt call on the
 // same receiver overwrites: storage.Column.ViewBlock (dictionary refs),
-// Column.StrAt / blockzip.Dict.StrAt (string bytes decoded into scratch).
+// Column.StrAt / blockzip.Dict.StrAt (string bytes decoded into scratch),
+// vec.Vector.DictEntry (an entry of a block view's decoded dictionary).
 var viewRootNames = map[string]bool{
 	"ViewBlock": true,
 	"StrAt":     true,
+	"DictEntry": true,
 }
 
 // viewRootFields are struct fields whose slices alias the sealed block's
-// compressed payload (valid only while the block is resident).
+// compressed payload (valid only while the block is resident), or the
+// scan's dictionary decode scratch that the next block view overwrites
+// (vec.Vector.DictBytes / DictOffs).
 var viewRootFields = map[string]bool{
-	"ZCodes": true,
+	"ZCodes":    true,
+	"DictBytes": true,
+	"DictOffs":  true,
 }
 
 // retainDirective marks a store the author has audited: the receiver is
@@ -43,7 +49,7 @@ func (viewFact) AFact() {}
 // comment on the store's line or the line above.
 var ViewLife = &Analyzer{
 	Name: "viewlife",
-	Doc: "flags zero-copy view slices (ViewBlock refs, StrAt bytes, ZCodes) " +
+	Doc: "flags zero-copy view slices (ViewBlock refs, StrAt bytes, ZCodes, decoded dictionaries) " +
 		"escaping into fields, maps or globals without an explicit copy or " +
 		"//ocht:retain-checked audit marker",
 	Run: runViewLife,

@@ -74,6 +74,15 @@ func TestRoundTripAllEntries(t *testing.T) {
 		if seen != len(tc) {
 			t.Fatalf("ForEach visited %d of %d", seen, len(tc))
 		}
+		data, offs := d.AppendEntries([]byte("stale"), []int32{5})
+		if len(offs) != len(tc)+1 {
+			t.Fatalf("AppendEntries gave %d offsets for %d entries", len(offs), len(tc))
+		}
+		for i, want := range tc {
+			if got := string(data[offs[i]:offs[i+1]]); got != want {
+				t.Fatalf("AppendEntries entry %d = %q, want %q", i, got, want)
+			}
+		}
 	}
 }
 

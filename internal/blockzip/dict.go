@@ -132,10 +132,30 @@ func (d *Dict) StrAt(i int, buf []byte) (s []byte, decoded int, scratch []byte) 
 	return buf, dec, buf
 }
 
+// AppendEntries decodes every entry in order onto data and appends each
+// entry's end offset to offs, so that with an empty data and offs = [0],
+// entry i is data[offs[i]:offs[i+1]]. A front-coded entry copies its
+// shared prefix from its predecessor in data, so the whole dictionary
+// decodes with no scratch besides the two buffers, which grow only when
+// their capacity is short. This is the bulk path block-view setup uses.
+func (d *Dict) AppendEntries(data []byte, offs []int32) ([]byte, []int32) {
+	prev := len(data)
+	for i := 0; i < d.n; i++ {
+		start := len(data)
+		if i&(1<<d.bucketShift-1) != 0 {
+			lcp := min(int(d.lcps[i]), start-prev)
+			data = append(data, data[prev:prev+lcp]...)
+		}
+		data, _ = d.appendEntry(i, data)
+		offs = append(offs, int32(len(data)))
+		prev = start
+	}
+	return data, offs
+}
+
 // ForEach decodes every entry in order, calling fn with the entry index
 // and its bytes. The byte slice is reused between calls; fn must copy if
-// it retains. This is the bulk path block-view setup uses to intern each
-// distinct dictionary string exactly once per block.
+// it retains.
 func (d *Dict) ForEach(fn func(i int, s []byte)) {
 	var buf []byte
 	for i := 0; i < d.n; i++ {

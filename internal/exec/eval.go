@@ -172,7 +172,7 @@ func (e *Expr) Eval(qc *QCtx, b *vec.Batch) *vec.Vector {
 			return out
 		}
 		if l.Enc == vec.EncDict && e.r.kind == eConstStr {
-			e.cmpDictConst(qc, l, rows, out)
+			e.cmpDictConst(l, rows, out)
 			return out
 		}
 		r := e.r.Eval(qc, b)
@@ -226,7 +226,7 @@ func (e *Expr) Eval(qc *QCtx, b *vec.Batch) *vec.Vector {
 			// Dictionary fast path: run the pattern over each distinct
 			// string once per block, then map codes through the verdict
 			// table.
-			e.likeDictTable(qc, l, want)
+			e.likeDictTable(l, want)
 			if l.Codes != nil {
 				for _, i := range rows {
 					out.Bool[i] = e.codeOK[l.Codes[i]] && !l.IsNull(int(i))
@@ -430,26 +430,16 @@ func (e *Expr) cmpPackedConst(l *vec.Vector, c int64, rows []int32, out *vec.Vec
 
 // cmpDictConst compares a dictionary-coded string vector against a string
 // constant by pre-filtering the code table: each distinct string is
-// compared once per block, then rows just index the verdict table.
+// compared once per block, on the decoded dictionary bytes — so the filter
+// interns nothing — then rows just index the verdict table.
 //
 //ocht:hot
-func (e *Expr) cmpDictConst(qc *QCtx, l *vec.Vector, rows []int32, out *vec.Vector) {
+func (e *Expr) cmpDictConst(l *vec.Vector, rows []int32, out *vec.Vector) {
 	e.ensureCodeOK(l)
 	if e.codeStale {
 		e.codeStale = false
-		st := qc.Store
-		cref := vec.StrRef(e.r.cInt)
-		for c, ref := range l.DictRefs {
-			var v bool
-			switch e.op {
-			case opEQ:
-				v = st.Equal(ref, cref)
-			case opNE:
-				v = !st.Equal(ref, cref)
-			default:
-				v = cmpHolds(e.op, st.Compare(ref, cref))
-			}
-			e.codeOK[c] = v
+		for c := range e.codeOK {
+			e.codeOK[c] = entryHolds(e.op, l.DictEntry(int32(c)), e.r.cStr)
 		}
 	}
 	if l.Codes != nil {
@@ -463,18 +453,17 @@ func (e *Expr) cmpDictConst(qc *QCtx, l *vec.Vector, rows []int32, out *vec.Vect
 	}
 }
 
-// likeDictTable (re)builds the per-code LIKE verdict table when the block's
-// dictionary changed since the last batch.
-func (e *Expr) likeDictTable(qc *QCtx, l *vec.Vector, want bool) {
+// likeDictTable (re)builds the per-code LIKE verdict table from the
+// decoded dictionary bytes when the block's dictionary changed since the
+// last batch.
+func (e *Expr) likeDictTable(l *vec.Vector, want bool) {
 	e.ensureCodeOK(l)
 	if !e.codeStale {
 		return
 	}
 	e.codeStale = false
-	for c, ref := range l.DictRefs {
-		var raw []byte
-		raw, e.scratch = qc.Store.Raw(ref, e.scratch)
-		e.codeOK[c] = e.like.match(raw) == want
+	for c := range e.codeOK {
+		e.codeOK[c] = e.like.match(l.DictEntry(int32(c))) == want
 	}
 }
 
@@ -494,6 +483,18 @@ func (e *Expr) ensureCodeOK(l *vec.Vector) {
 	e.codeOK = e.codeOK[:len(d)]
 	e.codeDict = d
 	e.codeStale = true
+}
+
+// entryHolds evaluates op between a dictionary entry's bytes and a string
+// constant. The conversions are comparison operands, which do not copy.
+func entryHolds(op cmpOp, entry []byte, c string) bool {
+	cmp := 0
+	if string(entry) < c {
+		cmp = -1
+	} else if string(entry) > c {
+		cmp = 1
+	}
+	return cmpHolds(op, cmp)
 }
 
 func cmpHolds(op cmpOp, c int) bool {

@@ -412,9 +412,10 @@ func referenceOrderLimit(rows [][]Value, keys []SortKey, limit int) [][]Value {
 // sinkFixture spans three storage blocks (of four pipeline workers one gets
 // an empty range) with a column of every integer width, a DOUBLE and two
 // string columns: s repeats 13 short values (USSR-resident), u draws from
-// 40 000, more than the USSR holds, so its references are a mix of resident
-// and heap-backed. Every column but h, q and u holds NULLs and all but q
-// tie heavily.
+// 40 000 values of 40 bytes, so even the entries of the rows a filter keeps
+// outgrow the USSR and u's references are a mix of resident and
+// heap-backed. Every column but h, q and u holds NULLs and all but q tie
+// heavily.
 func sinkFixture() *storage.Table {
 	b := storage.NewColumn("b", vec.I8, true)
 	h := storage.NewColumn("h", vec.I16, false)
@@ -447,7 +448,7 @@ func sinkFixture() *storage.Table {
 		} else {
 			s.AppendString(fmt.Sprintf("s%02d", x))
 		}
-		u.AppendString(fmt.Sprintf("u-%06d", rng.Intn(40_000)))
+		u.AppendString(fmt.Sprintf("u-%06d-%031d", rng.Intn(40_000), 0))
 	}
 	t := storage.NewTable("sinkfix", b, h, w, q, f, s, u)
 	t.Seal()
@@ -494,18 +495,26 @@ func TestSinkMatchesSortThenCut(t *testing.T) {
 		}},
 	}
 	// The test means what it says only if the scan really hands the sink
-	// encoded vectors and both kinds of string reference.
+	// encoded vectors and both kinds of string reference. Dictionary
+	// entries are interned when a surviving row first reads them, so the
+	// mix shows over the whole run rather than in its first batch.
 	probe, pqc := plans[0].build(), NewQCtx(core.Flags{UseUSSR: true})
 	probe.Open(pqc)
 	pb := probe.Next(pqc)
-	resident := 0
-	for _, r := range pb.Rows() {
-		if pb.Vecs[6].StrRefAt(int(r)).InUSSR() {
-			resident++
+	if pb.Vecs[0].Enc != vec.EncPacked || pb.Vecs[6].Enc != vec.EncDict || pb.Sel == nil {
+		t.Fatalf("fixture: b is %v, u is %v, sel %v", pb.Vecs[0].Enc, pb.Vecs[6].Enc, pb.Sel != nil)
+	}
+	resident, rows := 0, 0
+	for ; pb != nil; pb = probe.Next(pqc) {
+		for _, r := range pb.Rows() {
+			rows++
+			if pb.Vecs[6].StrRefAt(int(r)).InUSSR() {
+				resident++
+			}
 		}
 	}
-	if pb.Vecs[0].Enc != vec.EncPacked || pb.Vecs[6].Enc != vec.EncDict || pb.Sel == nil || resident == 0 || resident == pb.N {
-		t.Fatalf("fixture: b is %v, u is %v, sel %v, %d of %d u resident", pb.Vecs[0].Enc, pb.Vecs[6].Enc, pb.Sel != nil, resident, pb.N)
+	if resident == 0 || resident == rows {
+		t.Fatalf("fixture: %d of %d u references resident, want a mix", resident, rows)
 	}
 	for _, plan := range plans {
 		for _, flags := range []core.Flags{core.Vanilla(), {UseUSSR: true}} {

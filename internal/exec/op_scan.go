@@ -9,7 +9,8 @@ import (
 
 // Scan reads a stored table block by block. By default it emits each block
 // in its stored encoding — dictionary codes with a per-block reference
-// table for strings (priming the USSR, Section IV-D), frame-of-reference
+// table for strings, whose entries are interned (primed into the USSR,
+// Section IV-D) when a row first reads them, frame-of-reference
 // packed words for narrow integers — as zero-copy views, and uses the
 // out-of-band zone maps (Section II-A) both for domain derivation and to
 // skip blocks that cannot satisfy pushed-down predicate ranges. With
@@ -227,6 +228,8 @@ func windowInto(out, v *vec.Vector, pos, n int) {
 			w.PackLen = n
 		}
 		w.DictRefs = v.DictRefs
+		//ocht:retain-checked a window lives no longer than the block view whose decode scratch it shares
+		w.DictBytes, w.DictOffs, w.DictIntern = v.DictBytes, v.DictOffs, v.DictIntern
 	case vec.EncPacked:
 		w.Packed = v.Packed
 		w.PackBits = v.PackBits

@@ -222,7 +222,7 @@ func warmExpr(qc *QCtx, e *Expr) {
 		return
 	}
 	if e.kind == eConstStr {
-		qc.Store.Warm(e.cStr)
+		qc.Store.Warm([]byte(e.cStr))
 	}
 	warmExpr(qc, e.l)
 	warmExpr(qc, e.r)

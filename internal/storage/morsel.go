@@ -164,21 +164,21 @@ func (t *Table) MorselsFor(workers int) *MorselQueue {
 // WarmDictionaries inserts every per-block dictionary string of the column
 // into the store's USSR (no heap fallback — rejected strings simply stay
 // dictionary-only). The parallel executor runs this single-threaded before
-// freezing the USSR, so that the parallel scans' ScanBlock interning
+// freezing the USSR, so that the parallel scans' first-touch interning
 // resolves by lookup against a read-only region — the paper's "the scan
 // inserts all dictionary strings into the USSR" (Section IV-D) hoisted
-// into a warmup pass.
+// into a warmup pass. Entries are decoded into one reused buffer and
+// hashed once each, so the warm-up allocates nothing per entry.
 func (c *Column) WarmDictionaries(st *strs.Store) {
 	if c.Type != vec.Str {
 		return
 	}
+	var data []byte
+	var offs []int32
 	for _, b := range c.blocks {
-		if b.DictCompressed() {
-			b.ZDict.ForEach(func(_ int, s []byte) { st.Warm(string(s)) })
-			continue
-		}
-		for _, s := range b.Dict {
-			st.Warm(s)
+		data, offs = decodeDict(b, data, offs)
+		for i := 1; i < len(offs); i++ {
+			st.Warm(data[offs[i-1]:offs[i]])
 		}
 	}
 }

@@ -5,13 +5,15 @@
 // bitmaps.
 //
 // Scans decompress dictionary codes through an in-memory pointer array set
-// up per block; with the USSR enabled, the dictionary strings are inserted
-// into the USSR at array-setup time so in-flight references point there
-// (Section IV-D).
+// up per block. The array starts empty and an entry is interned — with the
+// USSR enabled, inserted into the USSR (Section IV-D) — the first time a
+// row reads it, so in-flight references point there and entries no
+// surviving row needs are never touched.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -607,11 +609,9 @@ func (t *Table) Footprint() (compressed, plain int64) {
 }
 
 // ScanBlock materializes block bi into out (which must have capacity for
-// BlockRows). For string columns it sets up the per-block dictionary
-// pointer array through the store: every distinct dictionary string is
-// interned once per block — with the USSR enabled this is exactly the
-// paper's "the scan inserts all dictionary strings into the USSR"
-// (Section IV-D). Returns the number of rows.
+// BlockRows). A string block goes through the same lazily interned
+// dictionary view as ViewBlock; since every row is materialized, every
+// entry a row uses is interned once. Returns the number of rows.
 func (c *Column) ScanBlock(bi int, out *vec.Vector, st *strs.Store) int {
 	b := c.blocks[bi]
 	if b.Packed() {
@@ -630,22 +630,10 @@ func (c *Column) ScanBlock(bi int, out *vec.Vector, st *strs.Store) int {
 	case vec.F64:
 		copy(out.F64, b.F64)
 	case vec.Str:
-		if b.ZDict != nil {
-			refs := make([]vec.StrRef, b.ZDict.Len())
-			b.ZDict.ForEach(func(i int, s []byte) {
-				refs[i] = st.Intern(string(s))
-			})
-			for i := 0; i < b.N; i++ {
-				out.Str[i] = refs[b.ZCodes.At(i)]
-			}
-			break
-		}
-		refs := make([]vec.StrRef, len(b.Dict))
-		for i, s := range b.Dict {
-			refs[i] = st.Intern(s)
-		}
-		for i, code := range b.Codes {
-			out.Str[i] = refs[code]
+		var view vec.Vector
+		c.ViewBlock(bi, &view, st, nil)
+		for i := 0; i < b.N; i++ {
+			out.Str[i] = view.StrRefAt(i)
 		}
 	}
 	return finishScan(b, out)
@@ -720,16 +708,22 @@ func badBlockType(t vec.Type) {
 // ViewBlock configures out as a zero-copy encoded view of block bi — the
 // compressed-execution scan path. Plain integer and float blocks alias the
 // sealed slices directly; bit-packed blocks become EncPacked vectors over
-// the stored words; string blocks become EncDict vectors whose code table
-// is built by interning each distinct dictionary string once per block
-// (with the USSR enabled this is the paper's scan-side dictionary
-// insertion, Section IV-D), into refScratch. A caller that passes back
-// the previous block's table for reuse must not cache anything by that
-// table's identity; exec.Scan passes nil. It returns the row count, the
-// (possibly grown) ref scratch, and the bytes of data actually
-// materialized — dictionary references only; everything else is aliased.
+// the stored words. A string block becomes an EncDict vector: its
+// dictionary is decoded once into out's own DictBytes/DictOffs buffers,
+// which ViewBlock reuses from call to call (they are the scan's decode
+// scratch, and the next call on out overwrites them), and its code table
+// — refScratch, resized and zeroed — starts empty. Nothing is interned
+// here: a row's first read of an entry interns it through st (with the
+// USSR enabled, the paper's scan-side dictionary insertion, Section IV-D,
+// now paid only for entries a surviving row uses), and filters build
+// their per-code verdicts from the decoded bytes. A caller that passes
+// back the previous block's table for reuse must not cache anything by
+// that table's identity; exec.Scan passes nil. It returns the row count,
+// the code table, and the bytes of data actually materialized — the
+// decoded dictionary and its code table; everything else is aliased.
 func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch []vec.StrRef) (rows int, refs []vec.StrRef, bytes int) {
 	b := c.blocks[bi]
+	data, offs := out.DictBytes, out.DictOffs
 	*out = vec.Vector{Typ: c.Type, Nulls: b.Nulls}
 	switch {
 	case b.Packed():
@@ -739,33 +733,31 @@ func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch [
 		out.PackMin = b.PackMin
 		out.PackOff = 0
 		out.PackLen = b.N
-	case c.Type == vec.Str && b.ZDict != nil:
-		// Compressed dictionary: decode each distinct string exactly once
-		// (that is the only decompression the block view pays — row codes
-		// stay bit-packed and alias the sealed words zero-copy), and count
-		// the decoded dictionary bytes against the decompression budget.
-		refScratch = refScratch[:0]
-		b.ZDict.ForEach(func(_ int, s []byte) {
-			refScratch = append(refScratch, st.Intern(string(s)))
-			bytes += len(s)
-		})
-		out.Enc = vec.EncDict
-		out.DictRefs = refScratch
-		out.Packed = b.ZCodes.Words
-		out.PackBits = b.ZCodes.Bits
-		out.PackMin = 0
-		out.PackOff = 0
-		out.PackLen = b.N
-		bytes += b.ZDict.Len() * 8
 	case c.Type == vec.Str:
-		refScratch = refScratch[:0]
-		for _, s := range b.Dict {
-			refScratch = append(refScratch, st.Intern(s))
+		data, offs = decodeDict(b, data, offs)
+		n := b.DictLen()
+		if cap(refScratch) < n {
+			refScratch = make([]vec.StrRef, n)
+		} else {
+			refScratch = refScratch[:n]
+			clear(refScratch)
 		}
 		out.Enc = vec.EncDict
-		out.Codes = b.Codes
 		out.DictRefs = refScratch
-		bytes = len(b.Dict) * 8
+		//ocht:retain-checked out owns this scratch: it is handed back here on the next view
+		out.DictBytes, out.DictOffs = data, offs
+		out.DictIntern = st
+		if b.ZDict != nil {
+			// Row codes stay bit-packed and alias the sealed words.
+			out.Packed = b.ZCodes.Words
+			out.PackBits = b.ZCodes.Bits
+			out.PackMin = 0
+			out.PackOff = 0
+			out.PackLen = b.N
+		} else {
+			out.Codes = b.Codes
+		}
+		bytes = len(data) + n*8
 	default:
 		switch c.Type {
 		case vec.I8:
@@ -783,6 +775,23 @@ func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch [
 		}
 	}
 	return b.N, refScratch, bytes
+}
+
+// decodeDict decodes string block b's dictionary into data and offs,
+// reusing their capacity: entry c becomes data[offs[c]:offs[c+1]]. A
+// compressed dictionary is decompressed, a plain one copied, so every
+// consumer reads entries one way and none allocates per entry.
+func decodeDict(b *Block, data []byte, offs []int32) ([]byte, []int32) {
+	offs = append(slices.Grow(offs[:0], b.DictLen()+1), 0)
+	if b.ZDict != nil {
+		return b.ZDict.AppendEntries(slices.Grow(data[:0], int(b.ZDict.RawBytes())), offs)
+	}
+	data = data[:0]
+	for _, s := range b.Dict {
+		data = append(data, s...)
+		offs = append(offs, int32(len(data)))
+	}
+	return data, offs
 }
 
 // Zone returns the out-of-band zone map of block bi: the min/max over the

@@ -38,9 +38,11 @@ type Store struct {
 	shard  vec.StrRef // this store's pre-shifted shard tag; 0 in serial mode
 	shards []*arena   // shared shard table; nil outside parallel execution
 
-	// Counters for the Figure 6 breakdown.
-	HashFast, HashSlow   int // pre-computed vs computed hashes
-	EqualFast, EqualSlow int // pointer vs byte-wise comparisons
+	// Counters for the Figure 6 breakdown. Every hash is one load of a
+	// stored word; HashFast counts those of USSR-resident strings and
+	// HashSlow those of heap strings.
+	HashFast, HashSlow   int
+	EqualFast, EqualSlow int // reference vs hash-then-byte comparisons
 
 	// cmpA and cmpB receive USSR-resident operands of Compare, EqualString
 	// and CompareString (Raw copies the slot words out), grown once and
@@ -99,45 +101,70 @@ func (st *Store) Shard(n int) []*Store {
 	return workers
 }
 
+// heapOf routes heap reference r to its owning arena: the shard tag
+// selects a worker's heap, and outside parallel execution (shards == nil)
+// references carry no shard bits and resolve against the store's own heap.
+// It returns r with the shard bits cleared.
+func (st *Store) heapOf(r vec.StrRef) (*arena, vec.StrRef) {
+	if st.shards != nil {
+		return st.shards[r>>shardShift&((1<<shardBits)-1)], r &^ shardMask
+	}
+	return &st.heap, r
+}
+
 // heapBytes returns the bytes of heap reference r, aliasing the owning
-// arena: the shard tag routes it to a worker's heap, and outside parallel
-// execution (shards == nil) references carry no shard bits and resolve
-// against the store's own heap.
+// arena.
 func (st *Store) heapBytes(r vec.StrRef) []byte {
 	if r == NullRef {
 		return nil
 	}
-	h := &st.heap
-	if st.shards != nil {
-		h, r = st.shards[r>>shardShift&((1<<shardBits)-1)], r&^shardMask
-	}
+	h, r := st.heapOf(r)
 	return h.bytes(r)
 }
 
+// heapHash returns the hash stored with heap reference r.
+func (st *Store) heapHash(r vec.StrRef) uint64 {
+	h, r := st.heapOf(r)
+	return h.hash(r)
+}
+
 // Intern returns a reference for s: USSR-resident when possible, otherwise
-// heap-allocated. Scans call this when setting up per-block dictionary
-// arrays; expression evaluation calls it for computed strings. Once the
-// USSR is frozen, Intern consults it read-only (Lookup) and falls back to
-// this store's private heap, so concurrent workers can keep interning.
-func (st *Store) Intern(s string) vec.StrRef {
+// heap-allocated. Expression evaluation calls it for computed strings and
+// query constants; scans intern a dictionary entry through InternBytes the
+// first time a row reads it. The hash is computed here, once: the USSR
+// stores it in the slot before a resident string, the heap in the word
+// before a rejected one. Once the USSR is frozen, Intern consults it
+// read-only and falls back to this store's private heap, so concurrent
+// workers can keep interning.
+func (st *Store) Intern(s string) vec.StrRef { return intern(st, s) }
+
+// InternBytes is Intern for bytes that alias a scratch buffer, such as a
+// decoded dictionary entry; what the store keeps, it copies.
+func (st *Store) InternBytes(b []byte) vec.StrRef { return intern(st, b) }
+
+func intern[S string | []byte](st *Store, s S) vec.StrRef {
+	h := pack.HashBytes(s)
 	if st.UseUSSR {
+		var r vec.StrRef
+		var ok bool
 		if st.U.Frozen() {
-			if r, ok := st.U.Lookup(s); ok {
-				return r
-			}
-		} else if r, ok := st.U.Insert(s); ok {
+			r, ok = ussr.LookupHashed(st.U, s, h)
+		} else {
+			r, ok = ussr.InsertHashed(st.U, s, h)
+		}
+		if ok {
 			return r
 		}
 	}
-	return st.heap.put(s) | st.shard
+	return put(&st.heap, s, h) | st.shard
 }
 
-// Warm inserts s into the USSR without a heap fallback: rejected strings
+// Warm inserts b into the USSR without a heap fallback: rejected strings
 // are simply not resident. The parallel executor warms scan dictionaries
 // and plan constants through this before freezing the region.
-func (st *Store) Warm(s string) {
+func (st *Store) Warm(b []byte) {
 	if st.UseUSSR && !st.U.Frozen() {
-		st.U.Insert(s)
+		ussr.InsertHashed(st.U, b, pack.HashBytes(b))
 	}
 }
 
@@ -157,27 +184,35 @@ func (st *Store) Len(r vec.StrRef) int {
 	return len(st.heapBytes(r))
 }
 
-// Hash returns the hash of the string behind r. For USSR-resident strings
-// this is the pre-computed hash — one load instead of a length-proportional
-// computation (the paper's inline hash(char*) of Section IV-E).
+// Hash returns the hash of the string behind r: one load, from the slot
+// before a USSR-resident string or from the word before a heap string,
+// never a computation over the bytes (the paper's inline hash(char*) of
+// Section IV-E, extended to the strings the USSR rejected). HashFast counts
+// resident strings and HashSlow heap strings.
 func (st *Store) Hash(r vec.StrRef) uint64 {
 	if r.InUSSR() {
 		st.HashFast++
 		return st.U.Hash(r)
 	}
 	if r == NullRef {
-		return 0x9e3779b97f4a7c15 // fixed hash for SQL NULL
+		return nullHash
 	}
 	st.HashSlow++
-	return pack.HashBytes(st.heapBytes(r))
+	return st.heapHash(r)
 }
 
 // NullRef is the reference representing SQL NULL strings. It compares
 // equal only to itself (grouping semantics), never to any real string.
 const NullRef = vec.StrRef(1)
 
+// nullHash is the fixed hash of SQL NULL.
+const nullHash = 0x9e3779b97f4a7c15
+
 // Equal compares the strings behind a and b. When both are USSR-resident,
 // uniqueness makes reference equality sufficient (Section IV-E's equal()).
+// Otherwise the stored hashes are compared before any byte — the
+// hash == hash && !strcmp order — so unequal strings rarely reach the
+// byte comparison.
 func (st *Store) Equal(a, b vec.StrRef) bool {
 	if a.InUSSR() && b.InUSSR() {
 		st.EqualFast++
@@ -193,12 +228,12 @@ func (st *Store) Equal(a, b vec.StrRef) bool {
 	// Mixed backing: compare the heap bytes against the USSR words in
 	// place, without materializing the resident string.
 	if a.InUSSR() {
-		return st.U.EqualBytes(a, st.heapBytes(b))
+		return st.U.Hash(a) == st.heapHash(b) && st.U.EqualBytes(a, st.heapBytes(b))
 	}
 	if b.InUSSR() {
-		return st.U.EqualBytes(b, st.heapBytes(a))
+		return st.U.Hash(b) == st.heapHash(a) && st.U.EqualBytes(b, st.heapBytes(a))
 	}
-	return bytes.Equal(st.heapBytes(a), st.heapBytes(b))
+	return st.heapHash(a) == st.heapHash(b) && bytes.Equal(st.heapBytes(a), st.heapBytes(b))
 }
 
 // Raw returns the bytes of the string behind r without allocating when
@@ -248,10 +283,18 @@ func (st *Store) CompareString(r vec.StrRef, s string) int {
 	return 0
 }
 
-// MemoryBytes reports the string memory footprint: the heap arena plus the
-// USSR's fixed region when enabled.
+// MemoryBytes reports the string memory footprint: the heap arenas plus
+// the USSR's fixed region when enabled. After Shard, the heaps are every
+// shard's — the parent's and each worker's — so call it only while no
+// worker is interning.
 func (st *Store) MemoryBytes() int {
-	n := len(st.heap.buf)
+	n := st.heap.used
+	if st.shards != nil {
+		n = 0
+		for _, h := range st.shards {
+			n += h.used
+		}
+	}
 	if st.U != nil {
 		n += ussr.DataSlots*8 + ussr.Buckets*4
 	}
@@ -267,26 +310,66 @@ func (st *Store) ResetCounters() {
 // operators allocate every string here (Section IV-A). It performs no
 // deduplication — every put appends, which is what makes peak memory grow
 // with duplicate-heavy string data and what the USSR's opportunistic
-// deduplication avoids. A reference is the byte offset of the string's
-// 4-byte length prefix (USSR tag clear); the zero value is ready to use.
-type arena struct{ buf []byte }
+// deduplication avoids. A string is laid out as [hash u64][len u32][bytes],
+// so the heap, like the USSR, answers a hash with one load.
+//
+// The heap is a list of chunks of up to chunkSize bytes, so growing it
+// never copies the strings already placed (one flat buffer grown by append
+// copied every string on each doubling and held both copies meanwhile). A
+// reference is chunk<<chunkShift | the offset of the hash word within the
+// chunk (USSR tag clear); a string longer than a chunk gets a chunk of its
+// own. The zero value is ready to use.
+type arena struct {
+	chunks [][]byte
+	used   int // bytes in use over all chunks
+}
 
-func (a *arena) put(s string) vec.StrRef {
-	if len(a.buf) == 0 {
-		// Offsets 0 and 1 stay reserved: StrRef 0 is the exception
-		// marker and NullRef is 1.
-		a.buf = append(a.buf, 0, 0, 0, 0)
+const (
+	// heapHeader is the size of the hash word plus the length prefix.
+	heapHeader = 12
+
+	chunkShift = 20
+	chunkSize  = 1 << chunkShift
+)
+
+func put[S string | []byte](a *arena, s S, h uint64) vec.StrRef {
+	need := heapHeader + len(s)
+	if len(a.chunks) == 0 {
+		// Offsets 0 and 1 of the first chunk stay reserved: StrRef 0 is
+		// the exception marker (and an unfilled dictionary entry) and
+		// NullRef is 1. The first chunk grows from small, so a query
+		// that places a few strings keeps a small heap.
+		a.chunks = append(a.chunks, make([]byte, 4, 4+need))
+		a.used = 4
+	} else if c := a.chunks[len(a.chunks)-1]; len(c)+need > chunkSize {
+		a.chunks = append(a.chunks, make([]byte, 0, max(chunkSize, need)))
 	}
-	off := len(a.buf)
-	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(s)))
-	a.buf = append(a.buf, s...)
-	return vec.StrRef(off)
+	i := len(a.chunks) - 1
+	c := a.chunks[i]
+	off := len(c)
+	c = binary.LittleEndian.AppendUint64(c, h)
+	c = binary.LittleEndian.AppendUint32(c, uint32(len(s)))
+	a.chunks[i] = append(c, s...)
+	a.used += need
+	return vec.StrRef(i)<<chunkShift | vec.StrRef(off)
+}
+
+// at returns the chunk holding r and r's offset within it.
+func (a *arena) at(r vec.StrRef) ([]byte, int) {
+	off := r.HeapOffset()
+	return a.chunks[off>>chunkShift], int(off & (chunkSize - 1))
+}
+
+// hash returns the hash stored with the string at r.
+func (a *arena) hash(r vec.StrRef) uint64 {
+	c, off := a.at(r)
+	return binary.LittleEndian.Uint64(c[off:])
 }
 
 // bytes returns the string at r, aliasing the arena: it must not be
-// modified or retained across puts.
+// modified.
 func (a *arena) bytes(r vec.StrRef) []byte {
-	off := int(r.HeapOffset())
-	n := int(binary.LittleEndian.Uint32(a.buf[off:]))
-	return a.buf[off+4 : off+4+n]
+	c, off := a.at(r)
+	n := int(binary.LittleEndian.Uint32(c[off+8:]))
+	return c[off+heapHeader : off+heapHeader+n]
 }

@@ -1,11 +1,13 @@
 package strs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
 	"ocht/internal/pack"
+	"ocht/internal/ussr"
 	"ocht/internal/vec"
 )
 
@@ -104,7 +106,7 @@ func TestCompare(t *testing.T) {
 			t.Fatalf("%q must be USSR-resident", w)
 		}
 		resident = append(resident, refOf{r, w})
-		heap = append(heap, refOf{st.heap.put(w), w})
+		heap = append(heap, refOf{heapPut(st, w), w})
 	}
 	all := append(append([]refOf{}, resident...), heap...)
 	for _, a := range all {
@@ -123,6 +125,11 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// heapPut places s on st's own heap, bypassing the USSR.
+func heapPut(st *Store, s string) vec.StrRef {
+	return put(&st.heap, s, pack.HashBytes(s))
+}
+
 type refOf struct {
 	r vec.StrRef
 	s string
@@ -139,7 +146,7 @@ func TestCompareDoesNotAllocate(t *testing.T) {
 	if !ra.InUSSR() || !rb.InUSSR() {
 		t.Fatal("operands must be USSR-resident")
 	}
-	ha := st.heap.put(sa)
+	ha := heapPut(st, sa)
 	sink := 0
 	for name, f := range map[string]func(){
 		"resident/resident": func() { sink += st.Compare(ra, rb) },
@@ -175,7 +182,7 @@ func TestMixedBackingEquality(t *testing.T) {
 	}
 	target := "resident-target"
 	ru := st.Intern(target) // may or may not be resident by now
-	rh := st.heap.put(target)
+	rh := heapPut(st, target)
 	if !st.Equal(ru, rh) {
 		t.Error("equal strings with mixed backing must compare equal")
 	}
@@ -199,3 +206,178 @@ func TestMemoryBytes(t *testing.T) {
 		t.Error("USSR-enabled store must account its fixed 768 kB")
 	}
 }
+
+// TestHashIsStoredForEveryKind pins Hash(Intern(s)) == pack.HashBytes(s)
+// for each way a string can end up stored — resident, rejected by length,
+// rejected because the region is full, the empty string — and that Hash
+// never recomputes: the heap returns the hash Intern stored.
+func TestHashIsStoredForEveryKind(t *testing.T) {
+	st := NewStore(true)
+	check := func(kind, s string, wantResident bool) vec.StrRef {
+		t.Helper()
+		r := st.Intern(s)
+		if r.InUSSR() != wantResident {
+			t.Fatalf("%s: resident=%v, want %v", kind, r.InUSSR(), wantResident)
+		}
+		if got := st.Hash(r); got != pack.HashBytes(s) {
+			t.Errorf("%s: Hash = %#x, want %#x", kind, got, pack.HashBytes(s))
+		}
+		if st.Get(r) != s {
+			t.Errorf("%s: round trip", kind)
+		}
+		return r
+	}
+	check("resident", "resident", true)
+	check("empty", "", true)
+	check("rejected by length", strings.Repeat("L", 100_000), false)
+
+	// Fill the region with two-slot strings until no slot pair is free.
+	for i := 0; st.U.Stats().SizeBytes < (ussr.DataSlots-2)*8; i++ {
+		if i > 1_000_000 {
+			t.Fatal("region never filled")
+		}
+		st.Intern(fmt.Sprintf("%08d", i))
+	}
+	rejected := st.U.Stats().Rejected
+	full := check("rejected, region full", "z", false)
+	if st.U.Stats().Rejected != rejected+1 {
+		t.Error("a full region must count the rejection")
+	}
+	vanilla := NewStore(false)
+	if r := vanilla.Intern(""); vanilla.Hash(r) != pack.HashBytes("") {
+		t.Error("empty heap string hash")
+	}
+	if st.Hash(NullRef) != nullHash || st.Hash(NullRef) == pack.HashBytes("") {
+		t.Error("NULL hashes to its own fixed value")
+	}
+
+	// Hash is a load: overwrite the stored word and Hash returns it.
+	c, off := st.heap.at(full)
+	binary.LittleEndian.PutUint64(c[off:], 42)
+	if st.Hash(full) != 42 {
+		t.Error("Hash must read the stored word, not rehash the bytes")
+	}
+}
+
+// TestEqualComparesHashesFirst: two heap strings with the same bytes but
+// different stored hashes compare unequal, so Equal decided on the hash
+// word without reading the bytes.
+func TestEqualComparesHashesFirst(t *testing.T) {
+	st := NewStore(false)
+	a := put(&st.heap, "same", pack.HashBytes("same"))
+	b := put(&st.heap, "same", pack.HashBytes("same")^1)
+	c := put(&st.heap, "same", pack.HashBytes("same"))
+	if st.Equal(a, b) {
+		t.Error("differing stored hashes must decide inequality")
+	}
+	if !st.Equal(a, c) {
+		t.Error("equal hashes and bytes are equal")
+	}
+}
+
+// TestShardedHeaps covers parallel execution's shard-tagged references:
+// worker stores intern into private heaps behind a frozen USSR, and any
+// store holding the shard table hashes and compares any worker's
+// reference — hashes come from the owning heap's stored word.
+func TestShardedHeaps(t *testing.T) {
+	parent := NewStore(true)
+	parent.Intern("warm")
+	parent.U.Freeze()
+	workers := parent.Shard(2)
+	long := strings.Repeat("w", 20_000) // rejected by length: heap-backed
+	r0 := workers[0].Intern(long)
+	r1 := workers[1].Intern(long)
+	other := workers[1].Intern(long + "!")
+	if r0.InUSSR() || r1.InUSSR() || r0 == r1 {
+		t.Fatalf("worker refs %#x %#x must be distinct heap refs", r0, r1)
+	}
+	if r := workers[0].Intern("warm"); !r.InUSSR() {
+		t.Error("a frozen region still resolves resident strings")
+	}
+	for _, st := range []*Store{parent, workers[0], workers[1]} {
+		if st.Hash(r0) != pack.HashBytes(long) || st.Hash(r1) != pack.HashBytes(long) {
+			t.Error("shard-tagged hash")
+		}
+		if !st.Equal(r0, r1) {
+			t.Error("the same string on two worker heaps must compare equal")
+		}
+		if st.Equal(r0, other) {
+			t.Error("different strings on two worker heaps must differ")
+		}
+		if st.Get(r1) != long {
+			t.Error("shard-tagged round trip")
+		}
+	}
+}
+
+// TestMemoryBytesSumsShards: after Shard, the parent's footprint includes
+// every worker heap.
+func TestMemoryBytesSumsShards(t *testing.T) {
+	parent := NewStore(false)
+	parent.Intern("parent")
+	before := parent.MemoryBytes()
+	workers := parent.Shard(2)
+	workers[0].Intern(strings.Repeat("a", 1000))
+	workers[1].Intern(strings.Repeat("b", 2000))
+	want := before + 2*4 + 3000 + 2*heapHeader
+	if got := parent.MemoryBytes(); got != want {
+		t.Errorf("parent MemoryBytes = %d, want %d (own heap plus both worker heaps)", got, want)
+	}
+}
+
+// TestHeapChunks places more than a chunk's worth of strings plus one
+// longer than a chunk, and checks every reference still resolves to its
+// bytes and hash — across chunk boundaries and after later puts — and
+// that MemoryBytes counts bytes in use, not chunk capacity.
+func TestHeapChunks(t *testing.T) {
+	st := NewStore(false)
+	var refs []refOf
+	used := 4
+	for i := 0; used < 3*chunkSize; i++ {
+		s := fmt.Sprintf("string-%07d-%s", i, strings.Repeat("x", i%200))
+		if i == 1000 {
+			s = strings.Repeat("L", chunkSize+5)
+		}
+		refs = append(refs, refOf{st.Intern(s), s})
+		used += heapHeader + len(s)
+	}
+	if len(st.heap.chunks) < 4 {
+		t.Fatalf("%d chunks, want the strings to span at least four", len(st.heap.chunks))
+	}
+	for _, c := range st.heap.chunks[1:] {
+		if len(c) > chunkSize && len(c) != heapHeader+chunkSize+5 {
+			t.Fatalf("chunk of %d bytes holds more than one chunk's worth of small strings", len(c))
+		}
+	}
+	for _, r := range refs {
+		if st.Get(r.r) != r.s || st.Hash(r.r) != pack.HashBytes(r.s) {
+			t.Fatalf("reference %#x no longer resolves to %.20q", r.r, r.s)
+		}
+	}
+	if st.MemoryBytes() != used {
+		t.Errorf("MemoryBytes = %d, want %d", st.MemoryBytes(), used)
+	}
+}
+
+// BenchmarkHash times Store.Hash per backing: a USSR-resident string and a
+// heap string (rejected by length) both answer with one stored-word load,
+// so the heap case no longer grows with the string's length.
+func BenchmarkHash(b *testing.B) {
+	st := NewStore(true)
+	refs := map[string]vec.StrRef{
+		"resident": st.Intern("a resident string of forty bytes or so.."),
+		"heap-40":  heapPut(st, "a heap string of forty bytes or so......"),
+		"heap-10k": st.Intern(strings.Repeat("h", 10_000)),
+	}
+	for name, r := range refs {
+		b.Run(name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink ^= st.Hash(r)
+			}
+			hashSink = sink
+		})
+	}
+}
+
+var hashSink uint64

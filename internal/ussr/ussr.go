@@ -121,11 +121,18 @@ func (u *USSR) Stats() Stats {
 // is not resident and could not be inserted (sampling rejection, region
 // full, or probe-sequence cap); the caller then falls back to the heap.
 func (u *USSR) Insert(s string) (vec.StrRef, bool) {
-	return u.InsertHashed(s, pack.HashBytes(s))
+	return InsertHashed(u, s, pack.HashBytes(s))
 }
 
-// InsertHashed is Insert for callers that already computed the hash.
-func (u *USSR) InsertHashed(s string, h uint64) (vec.StrRef, bool) {
+// Lookup finds s without inserting.
+func (u *USSR) Lookup(s string) (vec.StrRef, bool) {
+	return LookupHashed(u, s, pack.HashBytes(s))
+}
+
+// InsertHashed is Insert for callers that already computed h =
+// pack.HashBytes(s); s may be a string or bytes aliasing a scratch buffer
+// (the region copies what it keeps).
+func InsertHashed[S string | []byte](u *USSR, s S, h uint64) (vec.StrRef, bool) {
 	if u.frozen {
 		panic("ussr: Insert after Freeze (region is shared read-only)")
 	}
@@ -141,7 +148,7 @@ func (u *USSR) InsertHashed(s string, h uint64) (vec.StrRef, bool) {
 		}
 		if uint16(b>>16) == extract {
 			slot := uint16(b)
-			if u.data[slot-1] == h && u.equalAt(slot, s) {
+			if u.data[slot-1] == h && equalAt(u, slot, s) {
 				return vec.USSRTag | vec.StrRef(slot), true
 			}
 		}
@@ -189,9 +196,10 @@ func (u *USSR) InsertHashed(s string, h uint64) (vec.StrRef, bool) {
 	return vec.USSRTag | vec.StrRef(uint16(slot)), true
 }
 
-// Lookup finds s without inserting.
-func (u *USSR) Lookup(s string) (vec.StrRef, bool) {
-	h := pack.HashBytes(s)
+// LookupHashed is Lookup for callers that already computed h =
+// pack.HashBytes(s). It only reads, so it is the probe a frozen region
+// answers.
+func LookupHashed[S string | []byte](u *USSR, s S, h uint64) (vec.StrRef, bool) {
 	idx := uint32(h) & (Buckets - 1)
 	extract := uint16(h >> 16)
 	for i := 0; i < MaxProbe; i++ {
@@ -201,7 +209,7 @@ func (u *USSR) Lookup(s string) (vec.StrRef, bool) {
 		}
 		if uint16(b>>16) == extract {
 			slot := uint16(b)
-			if u.data[slot-1] == h && u.equalAt(slot, s) {
+			if u.data[slot-1] == h && equalAt(u, slot, s) {
 				return vec.USSRTag | vec.StrRef(slot), true
 			}
 		}
@@ -275,39 +283,19 @@ func (u *USSR) AppendBytes(buf []byte, r vec.StrRef) []byte {
 // EqualBytes compares resident string r against raw bytes without
 // materializing the resident string.
 func (u *USSR) EqualBytes(r vec.StrRef, b []byte) bool {
-	slot := r.USSRSlot()
-	if int(u.lens[slot]) != len(b) {
-		return false
-	}
-	i := 0
-	w := int(slot)
-	for ; i+8 <= len(b); i += 8 {
-		if u.data[w] != binary.LittleEndian.Uint64(b[i:]) {
-			return false
-		}
-		w++
-	}
-	if i < len(b) {
-		var tail uint64
-		for j := len(b) - 1; j >= i; j-- {
-			tail = tail<<8 | uint64(b[j])
-		}
-		if u.data[w] != tail {
-			return false
-		}
-	}
-	return true
+	return equalAt(u, r.USSRSlot(), b)
 }
 
-func (u *USSR) equalAt(slot uint16, s string) bool {
+// equalAt compares the string at slot with s, 8 bytes at a time against
+// the slot words.
+func equalAt[S string | []byte](u *USSR, slot uint16, s S) bool {
 	if int(u.lens[slot]) != len(s) {
 		return false
 	}
-	// Compare 8 bytes at a time against the slot words.
 	i := 0
 	w := int(slot)
 	for ; i+8 <= len(s); i += 8 {
-		if u.data[w] != le64str(s[i:]) {
+		if u.data[w] != le64(s[i:]) {
 			return false
 		}
 		w++
@@ -324,11 +312,11 @@ func (u *USSR) equalAt(slot uint16, s string) bool {
 	return true
 }
 
-func copyIntoSlots(dst []uint64, s string) {
+func copyIntoSlots[S string | []byte](dst []uint64, s S) {
 	i := 0
 	w := 0
 	for ; i+8 <= len(s); i += 8 {
-		dst[w] = le64str(s[i:])
+		dst[w] = le64(s[i:])
 		w++
 	}
 	if i < len(s) {
@@ -342,7 +330,7 @@ func copyIntoSlots(dst []uint64, s string) {
 	}
 }
 
-func le64str(s string) uint64 {
+func le64[S string | []byte](s S) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56

@@ -54,11 +54,36 @@ func (v *Vector) packedAt(i int) int64 {
 func (v *Vector) StrRefAt(i int) StrRef {
 	if v.Enc == EncDict {
 		if v.Codes != nil {
-			return v.DictRefs[v.Codes[i]]
+			return v.DictRef(v.Codes[i])
 		}
-		return v.DictRefs[v.packedAt(i)]
+		return v.DictRef(int32(v.packedAt(i)))
 	}
 	return v.Str[i]
+}
+
+// DictRef returns the reference of dictionary entry c of an EncDict
+// vector, interning the entry the first time any row reads it.
+//
+//ocht:hot
+func (v *Vector) DictRef(c int32) StrRef {
+	if r := v.DictRefs[c]; r != 0 {
+		return r
+	}
+	return v.fillDictRef(c)
+}
+
+// fillDictRef interns dictionary entry c and records its reference in the
+// code table shared by every window of the block.
+func (v *Vector) fillDictRef(c int32) StrRef {
+	r := v.DictIntern.InternBytes(v.DictEntry(c))
+	v.DictRefs[c] = r
+	return r
+}
+
+// DictEntry returns the bytes of dictionary entry c, aliasing the block
+// view's decode scratch: valid until the scan views its next block.
+func (v *Vector) DictEntry(c int32) []byte {
+	return v.DictBytes[v.DictOffs[c]:v.DictOffs[c+1]]
 }
 
 // CodeAt returns the dictionary code at physical position i of an EncDict
@@ -84,14 +109,8 @@ func (v *Vector) MaterializeInto(dst *Vector) {
 	switch v.Enc {
 	case EncDict:
 		out := dst.Str[:n]
-		if v.Codes != nil {
-			for i, c := range v.Codes {
-				out[i] = v.DictRefs[c]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				out[i] = v.DictRefs[v.packedAt(i)]
-			}
+		for i := range out {
+			out[i] = v.DictRef(v.CodeAt(i))
 		}
 	case EncPacked:
 		bits := uint(v.PackBits)
@@ -158,13 +177,25 @@ func (v *Vector) MaterializeRowsInto(dst *Vector, rows []int32) {
 	dst.Nulls = v.Nulls
 	switch v.Enc {
 	case EncDict:
+		// refs is hoisted: a fill writes into the same backing array.
+		refs := v.DictRefs
 		if v.Codes != nil {
 			for _, r := range rows {
-				dst.Str[r] = v.DictRefs[v.Codes[r]]
+				c := v.Codes[r]
+				ref := refs[c]
+				if ref == 0 {
+					ref = v.fillDictRef(c)
+				}
+				dst.Str[r] = ref
 			}
 		} else {
 			for _, r := range rows {
-				dst.Str[r] = v.DictRefs[v.packedAt(int(r))]
+				c := int32(v.packedAt(int(r)))
+				ref := refs[c]
+				if ref == 0 {
+					ref = v.fillDictRef(c)
+				}
+				dst.Str[r] = ref
 			}
 		}
 	case EncPacked:

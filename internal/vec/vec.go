@@ -116,6 +116,12 @@ func (r StrRef) USSRSlot() uint16 { return uint16(r) }
 // InUSSR() is false.
 func (r StrRef) HeapOffset() uint64 { return uint64(r) &^ uint64(USSRTag) }
 
+// Interner interns the bytes of a dictionary entry; strs.Store implements
+// it. The bytes alias scratch, so an implementation copies what it keeps.
+type Interner interface {
+	InternBytes(b []byte) StrRef
+}
+
 // Vector is a typed array of values. For plain vectors exactly one of the
 // data slices is non-nil, matching Typ. Nulls, when non-nil, marks NULL
 // values at the same physical positions as the data.
@@ -150,8 +156,22 @@ type Vector struct {
 	// are instead bit-packed in the Packed* fields below (PackMin 0) —
 	// the zero-copy view of a compressed sealed block's code column; use
 	// CodeAt/StrRefAt, or branch on Codes once per kernel.
-	Codes    []int32
-	DictRefs []StrRef
+	//
+	// A block view interns its dictionary lazily: DictRefs starts zeroed
+	// (StrRef 0 is never an interned reference), entry c's bytes are
+	// DictBytes[DictOffs[c]:DictOffs[c+1]], and DictRef — hence StrRefAt,
+	// MaterializeInto and MaterializeRowsInto — interns an entry through
+	// DictIntern the first time a row reads it, so an entry no surviving
+	// row needs is never interned. Windows of one block share DictRefs,
+	// so a fill is seen by all of them. DictBytes and DictOffs alias the
+	// scan's decode scratch, which the next block overwrites; read entries
+	// through DictEntry and never keep the slices. A vector without
+	// DictIntern carries a complete DictRefs table.
+	Codes      []int32
+	DictRefs   []StrRef
+	DictBytes  []byte
+	DictOffs   []int32
+	DictIntern Interner
 
 	// EncPacked (integer types): values are stored as PackBits-wide
 	// unsigned offsets from PackMin (frame of reference), packed into
