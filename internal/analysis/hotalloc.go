@@ -24,8 +24,9 @@ var hotPackages = []string{
 // prefixes (OpSum, FullSum, PackWord, UnpackColumn, MatchRecords,
 // HashWords and their unexported spellings), plus the SWAR and
 // batch-hash kernel families (SwarCmpConst, Mix64Batch) and the
-// comparison kernels (CmpOp dispatchers, cmpPackedConst). Functions
-// outside the convention opt in with a //ocht:hot doc directive.
+// comparison kernels (CmpOp dispatchers). Functions outside the
+// convention, such as exec's select kernels, opt in with a //ocht:hot
+// doc directive.
 var hotNameRE = regexp.MustCompile(`^(Op|Full|Pack|Unpack|Match|Hash|Swar|Mix|Cmp|op|full|pack|unpack|match|hash|swar|mix|cmp)[A-Z0-9]`)
 
 // HotAlloc flags heap allocations, interface conversions (boxing) and

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 )
 
@@ -27,6 +28,9 @@ var vecDataFields = map[string]bool{
 //     reading column data at the loop induction variable (the classic
 //     forgot-the-sel bug — dense writes indexed by the induction variable
 //     are the legitimate gather idiom and stay allowed);
+//   - ranging over a selection vector and reading column data at a
+//     compacted output counter (dst[k] = col[r]; k++ is the gather idiom,
+//     dst[r] = col[k] reads the wrong rows);
 //   - constant indexes or element values at or past vec.MaxLen, the batch
 //     capacity every selection entry must stay below.
 var SelVec = &Analyzer{
@@ -95,6 +99,7 @@ func checkSelRange(pass *Pass, rs *ast.RangeStmt) {
 	}
 	idxName := identName(rs.Key)
 	valName := identName(rs.Value)
+	checkSelCounters(pass, rs)
 
 	if idxName != "" && valName != "" {
 		// Mixed indexing: the same slice indexed by both the position in
@@ -139,6 +144,44 @@ func checkSelRange(pass *Pass, rs *ast.RangeStmt) {
 			pass.Reportf(ix.Pos(),
 				"column %s read at loop induction variable %q while ranging over a selection vector; index by the selection element (%s[%s]) instead",
 				exprKey(ix.X), idxName, exprKey(rs.X), idxName)
+		}
+		return true
+	})
+}
+
+// checkSelCounters flags column data read at a compacted output counter
+// — a variable the loop body advances with ++ or += — while ranging over a
+// selection vector. The counter addresses the compacted output, so
+// dst[k] = col[r] is the gather idiom and col[k] reads the wrong row.
+func checkSelCounters(pass *Pass, rs *ast.RangeStmt) {
+	counters := map[string]bool{}
+	walkFuncBody(rs.Body, func(n ast.Node) bool {
+		switch t := n.(type) {
+		case *ast.IncDecStmt:
+			if t.Tok == token.INC {
+				counters[identName(t.X)] = true
+			}
+		case *ast.AssignStmt:
+			if t.Tok == token.ADD_ASSIGN && len(t.Lhs) == 1 {
+				counters[identName(t.Lhs[0])] = true
+			}
+		}
+		return true
+	})
+	delete(counters, "")
+	if len(counters) == 0 {
+		return
+	}
+	writes := selWriteTargets(rs.Body)
+	walkFuncBody(rs.Body, func(n ast.Node) bool {
+		ix, ok := n.(*ast.IndexExpr)
+		if !ok || writes[ix] || !counters[identName(ix.Index)] {
+			return true
+		}
+		if se, ok := ix.X.(*ast.SelectorExpr); ok && vecDataFields[se.Sel.Name] && isSliceType(pass.TypeOf(ix.X)) {
+			pass.Reportf(ix.Pos(),
+				"column %s read at compacted output counter %q while ranging over a selection vector; the counter addresses the output, the selection element addresses the column",
+				exprKey(ix.X), identName(ix.Index))
 		}
 		return true
 	})

@@ -35,6 +35,31 @@ func OpGather(dst []int64, src *Vector, sel []int32) {
 	}
 }
 
+// OpCompact is the compacted gather: the counter addresses the dense
+// output, the selection element the column.
+func OpCompact(dst []int64, src *Vector, sel []int32) int {
+	k := 0
+	for _, r := range sel {
+		if src.Nulls[r] {
+			continue
+		}
+		dst[k] = src.I64[r]
+		k++
+	}
+	return k
+}
+
+// OpCompactSwapped swaps the two indexes: the column is read at the
+// counter.
+func OpCompactSwapped(dst []int64, src *Vector, sel []int32) int {
+	k := 0
+	for _, r := range sel {
+		dst[r] = src.I64[k] // want "read at compacted output counter"
+		k += 1
+	}
+	return k
+}
+
 // OpDenseInit writes a column at the induction variable with the
 // selection ignored — the legitimate dense-initialization idiom.
 func OpDenseInit(dst *Vector, rows []int32) {

@@ -12,8 +12,9 @@ import (
 // expression buffers, selection vectors, scan positions, probe scratch.
 
 // cloneExpr deep-copies an expression tree. Configuration and derived
-// typing are copied by value; the per-batch output buffer and string
-// scratch stay nil so each clone lazily allocates its own.
+// typing are copied by value; the per-batch output buffer and the string,
+// selection and decode scratch stay nil so each clone lazily allocates
+// its own.
 func cloneExpr(e *Expr) *Expr {
 	if e == nil {
 		return nil
@@ -23,7 +24,9 @@ func cloneExpr(e *Expr) *Expr {
 	c.scratch = nil
 	c.codeOK = nil
 	c.codeDict = nil
-	c.codeStale = false
+	c.sels = [4][]int32{}
+	c.ints = [2][]int64{}
+	c.vals = cloneExprs(e.vals)
 	c.l = cloneExpr(e.l)
 	c.r = cloneExpr(e.r)
 	c.el = cloneExpr(e.el)

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ocht/internal/domain"
@@ -48,6 +49,7 @@ const (
 	eCase // cond ? then : else
 	eF64  // int -> float conversion
 	eSubstr
+	eIn // l IN (vals), or NOT IN when neg
 )
 
 type cmpOp uint8
@@ -60,6 +62,39 @@ const (
 	opGT
 	opGE
 )
+
+// flip mirrors op for swapped operands: c < x is x > c.
+func (op cmpOp) flip() cmpOp {
+	switch op {
+	case opLT:
+		return opGT
+	case opLE:
+		return opGE
+	case opGT:
+		return opLT
+	case opGE:
+		return opLE
+	}
+	return op // EQ and NE are symmetric
+}
+
+// inverse is the operator selecting exactly the non-NULL rows op rejects:
+// NOT (x < c) is x >= c.
+func (op cmpOp) inverse() cmpOp {
+	switch op {
+	case opEQ:
+		return opNE
+	case opNE:
+		return opEQ
+	case opLT:
+		return opGE
+	case opLE:
+		return opGT
+	case opGT:
+		return opLE
+	}
+	return opLT // opGE
+}
 
 // Expr is a bound scalar expression over an operator's output schema.
 // Expressions carry their derived domain (Section II-A: "if a value stems
@@ -76,12 +111,22 @@ type Expr struct {
 	l, r, el *Expr  // operands; el is CASE's else branch
 	scratch  []byte // reusable string buffer (LIKE, SUBSTRING)
 
-	// Per-dictionary verdict table for comparisons/LIKE over
+	// IN lists: the constant values, the integer ones sorted for the
+	// membership test, and neg for NOT IN.
+	vals   []*Expr
+	inInts []int64
+	neg    bool
+
+	// Per-node selection and integer-decode scratch (see selScratch and
+	// intsOf), grown on first use.
+	sels [4][]int32
+	ints [2][]int64
+
+	// Per-dictionary verdict table for comparisons, IN and LIKE over
 	// dictionary-coded vectors: one bool per code, rebuilt only when the
 	// block dictionary (identified by codeDict) changes.
-	codeOK    []bool
-	codeDict  []vec.StrRef
-	codeStale bool
+	codeOK   []bool
+	codeDict []vec.StrRef
 
 	typ      vec.Type
 	dom      domain.D
@@ -218,8 +263,19 @@ func ToF64(l *Expr) *Expr {
 	return &Expr{kind: eF64, l: l, typ: vec.F64, dom: domain.Unknown, nullable: l.nullable}
 }
 
+// cmp builds a comparison with any lone constant on the right, the
+// operand order every select kernel expects.
 func cmp(op cmpOp, l, r *Expr) *Expr {
-	return &Expr{kind: eCmp, op: op, l: l, r: r, typ: vec.Bool, dom: domain.New(0, 1)}
+	if l.isConst() && !r.isConst() {
+		l, r, op = r, l, op.flip()
+	}
+	c := pred(eCmp, l, r)
+	c.op = op
+	return c
+}
+
+func (e *Expr) isConst() bool {
+	return e.kind == eConstInt || e.kind == eConstF64 || e.kind == eConstStr
 }
 
 // Eq returns l == r.
@@ -244,32 +300,62 @@ func Ge(l, r *Expr) *Expr { return cmp(opGE, l, r) }
 func Between(e, lo, hi *Expr) *Expr { return And(Ge(e, lo), Le(e, hi)) }
 
 // And returns l AND r.
-func And(l, r *Expr) *Expr {
-	return &Expr{kind: eAnd, l: l, r: r, typ: vec.Bool, dom: domain.New(0, 1)}
-}
+func And(l, r *Expr) *Expr { return pred(eAnd, l, r) }
 
 // Or returns l OR r.
-func Or(l, r *Expr) *Expr {
-	return &Expr{kind: eOr, l: l, r: r, typ: vec.Bool, dom: domain.New(0, 1)}
+func Or(l, r *Expr) *Expr { return pred(eOr, l, r) }
+
+// Not returns NOT l. The negation is pushed to the leaves when the
+// expression is built, so that it keeps SQL's three-valued logic: De
+// Morgan over AND and OR, the inverse operator for a comparison, LIKE and
+// NOT LIKE, IS NULL and IS NOT NULL, IN and NOT IN swap, and a double
+// negation cancels. Each leaf then rejects a NULL operand in both forms.
+// What remains an eNot node negates a Boolean value and selects no NULL
+// row either.
+func Not(l *Expr) *Expr {
+	switch l.kind {
+	case eNot:
+		return l.l
+	case eAnd:
+		return Or(Not(l.l), Not(l.r))
+	case eOr:
+		return And(Not(l.l), Not(l.r))
+	case eCmp:
+		return cmp(l.op.inverse(), l.l, l.r)
+	case eLike:
+		return likeExpr(eNotLike, l.l, l.like)
+	case eNotLike:
+		return likeExpr(eLike, l.l, l.like)
+	case eIsNull:
+		return IsNotNull(l.l)
+	case eNotNull:
+		return IsNull(l.l)
+	case eIn:
+		n := pred(eIn, l.l, nil)
+		n.vals, n.inInts, n.neg = l.vals, l.inInts, !l.neg
+		return n
+	}
+	return pred(eNot, l, nil)
 }
 
-// Not returns NOT l.
-func Not(l *Expr) *Expr {
-	return &Expr{kind: eNot, l: l, typ: vec.Bool, dom: domain.New(0, 1)}
+// pred builds a Boolean node.
+func pred(kind exprKind, l, r *Expr) *Expr {
+	return &Expr{kind: kind, l: l, r: r, typ: vec.Bool, dom: domain.New(0, 1)}
 }
 
 // IsNull tests l IS NULL.
-func IsNull(l *Expr) *Expr {
-	return &Expr{kind: eIsNull, l: l, typ: vec.Bool, dom: domain.New(0, 1)}
-}
+func IsNull(l *Expr) *Expr { return pred(eIsNull, l, nil) }
 
 // IsNotNull tests l IS NOT NULL.
-func IsNotNull(l *Expr) *Expr {
-	return &Expr{kind: eNotNull, l: l, typ: vec.Bool, dom: domain.New(0, 1)}
-}
+func IsNotNull(l *Expr) *Expr { return pred(eNotNull, l, nil) }
 
-// In returns e = v1 OR e = v2 OR ...
+// In returns e IN (vals...). An integer operand against integer
+// constants, or a string operand against string constants, is one
+// membership node; any other list is e = v1 OR e = v2 OR ...
 func In(e *Expr, vals ...*Expr) *Expr {
+	if in := inList(e, vals); in != nil {
+		return in
+	}
 	out := Eq(e, vals[0])
 	for _, v := range vals[1:] {
 		out = Or(out, Eq(e, v))
@@ -277,15 +363,39 @@ func In(e *Expr, vals ...*Expr) *Expr {
 	return out
 }
 
-// Like matches a SQL LIKE pattern with % wildcards (no _ support — the
-// TPC-H and BI query texts only use %).
-func Like(l *Expr, pattern string) *Expr {
-	return &Expr{kind: eLike, l: l, like: compileLike(pattern), typ: vec.Bool, dom: domain.New(0, 1)}
+func inList(e *Expr, vals []*Expr) *Expr {
+	want := eConstInt
+	switch e.typ {
+	case vec.Str:
+		want = eConstStr
+	case vec.F64, vec.I128:
+		return nil
+	}
+	in := pred(eIn, e, nil)
+	for _, v := range vals {
+		if v.kind != want {
+			return nil
+		}
+		in.vals = append(in.vals, v)
+		if want == eConstInt {
+			in.inInts = append(in.inInts, v.cInt)
+		}
+	}
+	slices.Sort(in.inInts)
+	return in
 }
 
+// Like matches a SQL LIKE pattern with % wildcards (no _ support — the
+// TPC-H and BI query texts only use %).
+func Like(l *Expr, pattern string) *Expr { return likeExpr(eLike, l, compileLike(pattern)) }
+
 // NotLike is NOT (l LIKE pattern).
-func NotLike(l *Expr, pattern string) *Expr {
-	return &Expr{kind: eNotLike, l: l, like: compileLike(pattern), typ: vec.Bool, dom: domain.New(0, 1)}
+func NotLike(l *Expr, pattern string) *Expr { return likeExpr(eNotLike, l, compileLike(pattern)) }
+
+func likeExpr(kind exprKind, l *Expr, p likePattern) *Expr {
+	e := pred(kind, l, nil)
+	e.like = p
+	return e
 }
 
 // Substr returns the first n bytes of a string expression (SQL
@@ -329,7 +439,8 @@ func compileLike(p string) likePattern {
 func (lp likePattern) match(s []byte) bool {
 	segs := lp.segments
 	if len(segs) == 0 {
-		return true
+		// Only the empty pattern has neither a segment nor a %.
+		return len(s) == 0 || !lp.startAnchor
 	}
 	if lp.startAnchor {
 		if len(s) < len(segs[0]) || string(s[:len(segs[0])]) != segs[0] {
@@ -374,4 +485,7 @@ func (e *Expr) intern(st *strs.Store) {
 	e.l.intern(st)
 	e.r.intern(st)
 	e.el.intern(st)
+	for _, v := range e.vals {
+		v.intern(st)
+	}
 }

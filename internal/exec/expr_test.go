@@ -33,6 +33,8 @@ func TestLikePatterns(t *testing.T) {
 		{"MEDIUM POLISHED%", "MEDIUM PLATED TIN", false},
 		{"%", "anything", true},
 		{"%", "", true},
+		{"", "", true},
+		{"", "a", false},
 		{"abc", "abc", true},
 		{"abc", "abcd", false},
 		{"a%c", "abbbc", true},

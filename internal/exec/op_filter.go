@@ -2,8 +2,9 @@ package exec
 
 import "ocht/internal/vec"
 
-// Filter keeps the rows satisfying a boolean predicate, narrowing the
-// selection vector (never copying data).
+// Filter keeps the rows satisfying a boolean predicate: Expr.Select
+// narrows the batch's selection vector conjunct by conjunct, and no data
+// is copied. A row whose predicate is NULL is dropped.
 type Filter struct {
 	Child Op
 	Pred  *Expr
@@ -34,9 +35,6 @@ func (f *Filter) Open(qc *QCtx) {
 	}
 	f.Child.Open(qc)
 	f.Pred.intern(qc.Store)
-	if f.sel == nil {
-		f.sel = make([]int32, 0, vec.Size)
-	}
 }
 
 // Next implements Op.
@@ -47,13 +45,7 @@ func (f *Filter) Next(qc *QCtx) *vec.Batch {
 		if b == nil {
 			return nil
 		}
-		pred := f.Pred.Eval(qc, b)
-		f.sel = f.sel[:0]
-		for _, r := range b.Rows() {
-			if pred.Bool[r] {
-				f.sel = append(f.sel, r)
-			}
-		}
+		f.sel = f.Pred.Select(qc, b, b.Rows(), f.sel)
 		if len(f.sel) == 0 {
 			continue
 		}
@@ -117,8 +109,9 @@ func (p *Project) Next(qc *QCtx) *vec.Batch {
 	if b == nil {
 		return nil
 	}
+	rows, phys := b.Rows(), physOf(b)
 	for i, e := range p.Exprs {
-		p.out.Vecs[i] = e.Eval(qc, b)
+		p.out.Vecs[i] = e.eval(qc, b, rows, phys)
 	}
 	p.out.Sel = b.Sel
 	p.out.N = b.N

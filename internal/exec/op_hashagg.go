@@ -241,14 +241,14 @@ func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) (*core.Prepared, []int32) {
 	phys := physOf(b)
 	g.reserve(phys)
 	for i, k := range h.Keys {
-		g.keyVecs[i] = g.keys[i].code(k.Eval(qc, b), rows, &g.keyBufs[i], phys)
+		g.keyVecs[i] = g.keys[i].code(k.eval(qc, b, rows, phys), rows, &g.keyBufs[i], phys)
 	}
 	for si, e := range h.argOf {
 		if e != nil {
 			// The aggregate kernels consume raw slices; encoded column
 			// arguments materialize (active rows only) into reusable
 			// per-spec scratch.
-			h.args[si] = ensurePlain(e.Eval(qc, b), rows, &h.argBufs[si], phys)
+			h.args[si] = ensurePlain(e.eval(qc, b, rows, phys), rows, &h.argBufs[si], phys)
 		}
 	}
 	return g.hashKeys(qc.Stats, rows), rows

@@ -227,6 +227,9 @@ func warmExpr(qc *QCtx, e *Expr) {
 	warmExpr(qc, e.l)
 	warmExpr(qc, e.r)
 	warmExpr(qc, e.el)
+	for _, v := range e.vals {
+		warmExpr(qc, v)
+	}
 }
 
 // runParallel executes the plan with qc.Workers workers. ok is false when

@@ -72,25 +72,11 @@ func collectZoneRanges(e *Expr, schema []Meta, out *[]ZoneRange) {
 	}
 }
 
-// splitColConst decomposes a comparison into (column, constant, op) with
-// the column on the left, mirroring the operator when the constant leads.
+// splitColConst decomposes a comparison into (column, constant, op); cmp
+// has already moved a lone constant to the right.
 func splitColConst(e *Expr) (col int, c int64, op cmpOp, ok bool) {
 	if e.l.kind == eCol && e.r.kind == eConstInt {
 		return e.l.col, e.r.cInt, e.op, true
-	}
-	if e.l.kind == eConstInt && e.r.kind == eCol {
-		switch e.op {
-		case opLT:
-			return e.r.col, e.l.cInt, opGT, true
-		case opLE:
-			return e.r.col, e.l.cInt, opGE, true
-		case opGT:
-			return e.r.col, e.l.cInt, opLT, true
-		case opGE:
-			return e.r.col, e.l.cInt, opLE, true
-		default: // EQ and NE are symmetric
-			return e.r.col, e.l.cInt, e.op, true
-		}
 	}
 	return 0, 0, 0, false
 }

@@ -1,5 +1,7 @@
 package pack
 
+import mbits "math/bits"
+
 // SWAR (SIMD-within-a-register) kernels over bit-packed words.
 //
 // A frame-of-reference packed vector stores per = 64/bits lanes per
@@ -25,7 +27,7 @@ package pack
 // Equality uses the same subtract on z = a^c against the constant 1:
 // guard set ⟺ z >= 1 ⟺ a != c. GT is GE against c+1; LT/LE/NE are
 // complements. A lane whose guard bit would be bit 64 (the word's top
-// lane when per*bits == 64) is evaluated scalar.
+// lane when per*bits == 64) is shifted down to lane 0 and compared there.
 
 // CmpOp is a SWAR comparison operator.
 type CmpOp uint8
@@ -40,12 +42,88 @@ const (
 	CmpGE
 )
 
-// swarGroup is the precomputed per-word state for one even/odd lane
-// group: the lane mask, the broadcast guard bits, and the highest lane
-// index (exclusive) the guard-bit trick covers.
-type swarGroup struct {
-	lanes uint64 // OR of lane value masks
-	guard uint64 // OR of guard bits, one per covered lane
+// swarCmp is one comparison canonicalized to a single guard-bit subtract
+// per even/odd lane group, plus an optional complement, built once per
+// call. Group g's lanes are masked out of the word, XORed with xr[g] (the
+// broadcast constant for EQ/NE, 0 otherwise), ORed with the guard bits
+// and reduced by sub[g] (broadcast ones for EQ/NE, the GE constant
+// otherwise).
+type swarCmp struct {
+	mask, guard, xr, sub [2]uint64
+	inv                  uint64 // all ones when the verdict is complemented
+	bits                 uint
+	top                  uint // the guard-less top lane's shift, or 0
+}
+
+// init canonicalizes op against c (GE(c): EQ/NE -> nonzero test, GT ->
+// GE(c+1), LT/LE -> inverted). constant reports a comparison whose
+// verdict is the same for every lane (GT or LE against the top of the
+// domain); v is that verdict.
+func (s *swarCmp) init(bits int, c uint64, op CmpOp) (constant, v bool) {
+	mask := uint64(1)<<uint(bits) - 1
+	var cc uint64
+	eqMode := false
+	switch op {
+	case CmpEQ:
+		eqMode, s.inv = true, ^uint64(0)
+	case CmpNE:
+		eqMode = true
+	case CmpGE:
+		cc = c
+	case CmpLT:
+		cc, s.inv = c, ^uint64(0)
+	case CmpGT:
+		if c == mask { // nothing exceeds the top of the domain
+			return true, false
+		}
+		cc = c + 1
+	case CmpLE:
+		if c == mask {
+			return true, true
+		}
+		cc, s.inv = c+1, ^uint64(0)
+	}
+	// The top lane's guard bit would be bit 64 when per*bits == 64; that
+	// lane is left out of the groups and compared shifted down to lane 0.
+	per := 64 / bits
+	s.bits = uint(bits)
+	lanes := per
+	if per*bits == 64 {
+		lanes--
+		s.top = uint(lanes * bits)
+	}
+	for l := 0; l < lanes; l++ {
+		g := l & 1
+		sh := uint(l * bits)
+		s.mask[g] |= mask << sh
+		s.guard[g] |= 1 << (sh + uint(bits))
+		if eqMode {
+			s.xr[g] |= c << sh
+			s.sub[g] |= 1 << sh
+		} else {
+			s.sub[g] |= cc << sh
+		}
+	}
+	return false, false
+}
+
+// fill writes to verd[j] the verdicts for every lane of words[j]: lane
+// l's verdict at bit l*bits, the other bits 0. The guard-less top lane of
+// a gapless word is compared shifted down to lane 0.
+//
+//ocht:hot
+func (s *swarCmp) fill(words, verd []uint64) {
+	m0, m1, g0, g1 := s.mask[0], s.mask[1], s.guard[0], s.guard[1]
+	x0, x1, s0, s1 := s.xr[0], s.xr[1], s.sub[0], s.sub[1]
+	inv, sh, top := s.inv, s.bits&63, s.top&63
+	for j, w := range words {
+		v := ((w&m0^x0|g0)-s0)&g0 | ((w&m1^x1|g1)-s1)&g1
+		v = (v ^ inv) & (g0 | g1) >> sh
+		if top != 0 {
+			v |= ((w>>top&m0 ^ x0 | g0) - s0 ^ inv) >> sh & 1 << top
+		}
+		verd[j] = v
+	}
 }
 
 // SwarCmpConst writes out[i] = cmp(lane(off+i), c) for i in [0, n) over
@@ -53,8 +131,7 @@ type swarGroup struct {
 // domain and must satisfy c <= 2^bits - 1; out-of-domain constants
 // collapse to constant verdicts and belong to the caller. bits must be in
 // [1, 64]. The kernel is word-parallel for bits <= 32 and falls back to
-// the scalar reference for wider lanes, partial head/tail words and
-// guard-less top lanes.
+// the scalar reference for wider lanes and partial head/tail words.
 //
 //ocht:hot
 func SwarCmpConst(words []uint64, bits, off, n int, c uint64, op CmpOp, out []bool) {
@@ -66,102 +143,103 @@ func SwarCmpConst(words []uint64, bits, off, n int, c uint64, op CmpOp, out []bo
 		swarCmpScalar(words, bits, off, 0, n, c, op, out)
 		return
 	}
-	// Canonicalize to one subtract + optional complement:
-	//   GE(c):  EQ/NE -> nonzero test, GT -> GE(c+1), LT/LE -> inverted.
-	mask := uint64(1)<<uint(bits) - 1
-	var cc uint64
-	eqMode, invert := false, false
-	switch op {
-	case CmpEQ:
-		eqMode, invert = true, true
-	case CmpNE:
-		eqMode = true
-	case CmpGE:
-		cc = c
-	case CmpLT:
-		cc, invert = c, true
-	case CmpGT:
-		if c == mask { // nothing exceeds the top of the domain
-			for i := 0; i < n; i++ {
-				out[i] = false
-			}
-			return
+	var s swarCmp
+	if constant, v := s.init(bits, c, op); constant {
+		for i := 0; i < n; i++ {
+			out[i] = v
 		}
-		cc = c + 1
-	case CmpLE:
-		if c == mask {
-			for i := 0; i < n; i++ {
-				out[i] = true
-			}
-			return
-		}
-		cc, invert = c+1, true
+		return
 	}
-
 	// Head: lanes before the first word boundary.
 	i := 0
 	if r := off % per; r != 0 {
-		head := per - r
-		if head > n {
-			head = n
-		}
-		swarCmpScalar(words, bits, off, 0, head, c, op, out)
-		i = head
+		i = min(per-r, n)
+		swarCmpScalar(words, bits, off, 0, i, c, op, out)
 	}
-
-	// Precompute the even/odd group constants once per call. The top
-	// lane's guard bit would be bit 64 when per*bits == 64; that lane is
-	// excluded from its group and handled scalar per word.
-	var groups [2]swarGroup
-	var cEq, cGe, ones [2]uint64
-	topScalar := per*bits == 64
-	for l := 0; l < per; l++ {
-		g := l & 1
-		if topScalar && l == per-1 {
-			continue
-		}
-		sh := uint(l * bits)
-		groups[g].lanes |= mask << sh
-		groups[g].guard |= 1 << (sh + uint(bits))
-		cEq[g] |= c << sh
-		cGe[g] |= cc << sh
-		ones[g] |= 1 << sh
-	}
-
-	// Middle: full words, two guard-bit subtracts each.
-	for ; i+per <= n; i += per {
-		w := words[(off+i)/per]
-		var verdicts uint64 // guard bit set per lane where cmp holds
-		for g := 0; g < 2; g++ {
-			x := w & groups[g].lanes
-			var d uint64
-			if eqMode {
-				d = ((x ^ cEq[g]) | groups[g].guard) - ones[g]
-			} else {
-				d = (x | groups[g].guard) - cGe[g]
+	// Middle: full words, two guard-bit subtracts each, a chunk of words
+	// at a time.
+	var verd [64]uint64
+	for wi := (off + i) / per; i+per <= n; {
+		nw := min((n-i)/per, len(verd))
+		s.fill(words[wi:wi+nw], verd[:nw])
+		for _, v := range verd[:nw] {
+			for l := i; l < i+per; l++ {
+				out[l] = v&1 == 1
+				v >>= s.bits & 63
 			}
-			verdicts |= d & groups[g].guard
+			i += per
 		}
-		if invert {
-			verdicts = ^verdicts
-		}
-		lanes := per
-		if topScalar {
-			lanes--
-		}
-		for l := 0; l < lanes; l++ {
-			out[i+l] = verdicts>>(uint(l+1)*uint(bits))&1 == 1
-		}
-		if topScalar {
-			a := w >> uint((per-1)*bits) & mask
-			out[i+per-1] = swarCmpOne(a, c, op)
-		}
+		wi += nw
 	}
-
 	// Tail: the final partial word.
 	if i < n {
 		swarCmpScalar(words, bits, off, i, n, c, op, out)
 	}
+}
+
+// SwarSelConst is SwarCmpConst writing a selection instead of verdicts:
+// the positions i in [0, n) whose lane off+i satisfies cmp(lane, c) go
+// to out in ascending order, and the count is returned. out must hold n
+// entries. The same domain rules and fallbacks apply.
+//
+//ocht:hot
+func SwarSelConst(words []uint64, bits, off, n int, c uint64, op CmpOp, out []int32) int {
+	if n <= 0 {
+		return 0
+	}
+	per := 64 / bits
+	if bits > 32 || per < 2 || n < 2*per {
+		return swarSelScalar(words, bits, off, 0, n, c, op, out, 0)
+	}
+	var s swarCmp
+	if constant, v := s.init(bits, c, op); constant {
+		if !v {
+			return 0
+		}
+		for i := 0; i < n; i++ {
+			out[i] = int32(i)
+		}
+		return n
+	}
+	i, k := 0, 0
+	if r := off % per; r != 0 {
+		i = min(per-r, n)
+		k = swarSelScalar(words, bits, off, 0, i, c, op, out, 0)
+	}
+	// Verdicts first, a chunk of words at a time, then the compaction:
+	// two short loops keep their state in registers.
+	var verd [64]uint64
+	var laneOf [64]uint8
+	for b := range laneOf {
+		laneOf[b] = uint8(b / bits)
+	}
+	for wi := (off + i) / per; i+per <= n; {
+		nw := min((n-i)/per, len(verd))
+		s.fill(words[wi:wi+nw], verd[:nw])
+		k = swarEmit(verd[:nw], per, &laneOf, int32(i), out, k)
+		i, wi = i+nw*per, wi+nw
+	}
+	if i < n {
+		k = swarSelScalar(words, bits, off, i, n, c, op, out, k)
+	}
+	return k
+}
+
+// swarEmit writes the positions of the holding lanes of consecutive
+// verdict words (lane l's verdict at bit l*bits), the first lane at
+// position base, to out[k:] and returns the new count. It visits only
+// the set verdict bits; laneOf maps a bit position to its lane.
+//
+//ocht:hot
+func swarEmit(verd []uint64, per int, laneOf *[64]uint8, base int32, out []int32, k int) int {
+	for _, v := range verd {
+		for ; v != 0; v &= v - 1 {
+			out[k] = base + int32(laneOf[mbits.TrailingZeros64(v)])
+			k++
+		}
+		base += int32(per)
+	}
+	return k
 }
 
 // swarCmpScalar is the scalar reference: it evaluates lanes [lo, hi) of
@@ -170,19 +248,32 @@ func SwarCmpConst(words []uint64, bits, off, n int, c uint64, op CmpOp, out []bo
 //
 //ocht:hot
 func swarCmpScalar(words []uint64, bits, off, lo, hi int, c uint64, op CmpOp, out []bool) {
-	if bits == 64 {
-		for i := lo; i < hi; i++ {
-			out[i] = swarCmpOne(words[off+i], c, op)
+	for i := lo; i < hi; i++ {
+		out[i] = swarCmpOne(packedLane(words, bits, off+i), c, op)
+	}
+}
+
+// swarSelScalar appends to out[k:] the positions in [lo, hi) whose lane
+// satisfies the comparison and returns the new count.
+//
+//ocht:hot
+func swarSelScalar(words []uint64, bits, off, lo, hi int, c uint64, op CmpOp, out []int32, k int) int {
+	for i := lo; i < hi; i++ {
+		if swarCmpOne(packedLane(words, bits, off+i), c, op) {
+			out[k] = int32(i)
+			k++
 		}
-		return
+	}
+	return k
+}
+
+// packedLane extracts lane j of the packed layout.
+func packedLane(words []uint64, bits, j int) uint64 {
+	if bits == 64 {
+		return words[j]
 	}
 	per := 64 / bits
-	mask := uint64(1)<<uint(bits) - 1
-	for i := lo; i < hi; i++ {
-		j := off + i
-		a := words[j/per] >> (uint(j%per) * uint(bits)) & mask
-		out[i] = swarCmpOne(a, c, op)
-	}
+	return words[j/per] >> (uint(j%per) * uint(bits)) & (uint64(1)<<uint(bits) - 1)
 }
 
 func swarCmpOne(a, c uint64, op CmpOp) bool {
@@ -201,6 +292,26 @@ func swarCmpOne(a, c uint64, op CmpOp) bool {
 		return a >= c
 	}
 	return false
+}
+
+// UnpackRange decodes lanes [off, off+n) of a frame-of-reference packed
+// vector into dst[0:n] as base+lane. A sequential word cursor walks the
+// words, so no lane pays the divide a random-access read needs. bits must
+// be in [1, 64].
+//
+//ocht:hot
+func UnpackRange(words []uint64, bits, off, n int, base int64, dst []int64) {
+	per := 64 / bits
+	mask := uint64(1)<<uint(bits) - 1
+	wi, lane := off/per, off%per
+	for i := 0; i < n; wi, lane = wi+1, 0 {
+		w := words[wi] >> (uint(lane) * uint(bits))
+		end := min(n, i+per-lane)
+		for ; i < end; i++ {
+			dst[i] = base + int64(w&mask)
+			w >>= uint(bits)
+		}
+	}
 }
 
 // Mix64Batch writes out[i] = Mix64(w[i]) for i in [0, n): the per-key

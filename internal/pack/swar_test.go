@@ -72,14 +72,37 @@ func TestSwarCmpConstProperty(t *testing.T) {
 		}
 		op := allOps[rng.Intn(len(allOps))]
 
-		out := make([]bool, n)
-		SwarCmpConst(words, bits, off, n, c, op, out)
-		for i := 0; i < n; i++ {
-			want := cmpModel(laneAt(words, bits, off+i), c, op)
-			if out[i] != want {
-				t.Fatalf("bits=%d off=%d n=%d c=%#x op=%d lane %d: got %v want %v",
-					bits, off, n, c, op, i, out[i], want)
-			}
+		checkSwarKernels(t, words, bits, off, n, c, op)
+	}
+}
+
+// checkSwarKernels pins SwarCmpConst and SwarSelConst against the
+// lane-at-a-time model for one shape.
+func checkSwarKernels(t *testing.T, words []uint64, bits, off, n int, c uint64, op CmpOp) {
+	t.Helper()
+	out := make([]bool, n)
+	SwarCmpConst(words, bits, off, n, c, op, out)
+	var wantSel []int32
+	for i := 0; i < n; i++ {
+		want := cmpModel(laneAt(words, bits, off+i), c, op)
+		if out[i] != want {
+			t.Fatalf("bits=%d off=%d n=%d c=%#x op=%d lane %d: got %v want %v",
+				bits, off, n, c, op, i, out[i], want)
+		}
+		if want {
+			wantSel = append(wantSel, int32(i))
+		}
+	}
+	sel := make([]int32, n)
+	k := SwarSelConst(words, bits, off, n, c, op, sel)
+	if k != len(wantSel) {
+		t.Fatalf("bits=%d off=%d n=%d c=%#x op=%d: SwarSelConst selected %d, want %d",
+			bits, off, n, c, op, k, len(wantSel))
+	}
+	for i, r := range wantSel {
+		if sel[i] != r {
+			t.Fatalf("bits=%d off=%d n=%d c=%#x op=%d: sel[%d] = %d, want %d",
+				bits, off, n, c, op, i, sel[i], r)
 		}
 	}
 }
@@ -104,15 +127,35 @@ func TestSwarCmpConstWordBoundaries(t *testing.T) {
 				}
 				for _, c := range []uint64{0, 1, mask >> 1, mask} {
 					for _, op := range allOps {
-						out := make([]bool, n)
-						SwarCmpConst(words, bits, off, n, c, op, out)
-						for i := 0; i < n; i++ {
-							want := cmpModel(laneAt(words, bits, off+i), c, op)
-							if out[i] != want {
-								t.Fatalf("bits=%d off=%d n=%d c=%#x op=%d lane %d: got %v want %v",
-									bits, off, n, c, op, i, out[i], want)
-							}
-						}
+						checkSwarKernels(t, words, bits, off, n, c, op)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnpackRange pins the word-cursor decoder against lane-at-a-time
+// extraction at every width, with offsets inside and at word boundaries.
+func TestUnpackRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for bits := 1; bits <= 64; bits++ {
+		per := 64 / bits
+		words := make([]uint64, 4+2*1024/per)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		for _, off := range []int{0, 1, per - 1, per, 3*per + 1} {
+			for _, n := range []int{0, 1, per, per + 1, 1024} {
+				if off+n > len(words)*per {
+					continue
+				}
+				base := rng.Int63n(1000) - 500
+				dst := make([]int64, n)
+				UnpackRange(words, bits, off, n, base, dst)
+				for i := 0; i < n; i++ {
+					if want := base + int64(laneAt(words, bits, off+i)); dst[i] != want {
+						t.Fatalf("bits=%d off=%d n=%d lane %d: got %d want %d", bits, off, n, i, dst[i], want)
 					}
 				}
 			}
