@@ -47,10 +47,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); timed-out queries report CANCELED")
-	partBits := flag.Int("partbits", -1, "hash-table radix partition bits (-1 = adaptive, 0 = monolithic)")
 	sealCompress := flag.String("seal-compress", "auto", "string-block seal compression: on | off | auto (keep only when smaller)")
 	flag.Parse()
-	exec.DefaultPartitionBits = *partBits
 
 	flags, err := parseFlags(*flagsName)
 	if err != nil {

@@ -2,106 +2,111 @@ package agg
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"ocht/internal/core"
+	"ocht/internal/i128"
+	"ocht/internal/strs"
 	"ocht/internal/vec"
 )
 
-// Merge folds the aggregate state of record srcRec in src into record
-// dstRec in dst. Both tables must have been created from the same
-// Aggregator (same flags and specs), so their hot/cold layouts agree; the
-// parallel executor uses this to combine per-worker partial aggregates
-// into one table during the merge phase.
+// Fold folds partial values — what Result emits for the same spec on
+// another table, such as a worker's pre-aggregation table or a shard's
+// subquery result — into aggregate ai of the active rows' group records
+// (recs[row]), the way Update folds input values. A SUM partial may come
+// as I64 or I128, a string MIN/MAX partial may be the null reference of a
+// group that saw no values, and the MIN/MAX Init sentinels fold as
+// identities, so folding is exact under every layout:
 //
-// Split states merge exactly: the optimistic common/exception pair of a
-// SUM is the (Lo, Hi) of a 128-bit two's-complement sum, so merging is a
-// 128-bit addition whose unsigned low-word carry feeds the exception
-// word; COUNT hot counters re-apply the 0xFFFF flush rule; MIN/MAX pick
-// the winning cold (exact) value and take its hot bound along, preserving
-// the bound invariant.
-func (a *Aggregator) Merge(dst *core.Table, dstRec int32, src *core.Table, srcRec int32) {
-	for ai, l := range a.layouts {
-		dh := a.hot(dst, dstRec, ai)
-		sh := a.hot(src, srcRec, ai)
-		switch l.kind {
-		case kSumI64:
-			binary.LittleEndian.PutUint64(dh,
-				binary.LittleEndian.Uint64(dh)+binary.LittleEndian.Uint64(sh))
-		case kSumFull128:
-			dLo := binary.LittleEndian.Uint64(dh)
-			sLo := binary.LittleEndian.Uint64(sh)
-			lo := dLo + sLo
-			hi := int64(binary.LittleEndian.Uint64(dh[8:])) + int64(binary.LittleEndian.Uint64(sh[8:]))
-			if lo < dLo {
-				hi++
+//   - a split SUM state is the (Lo, Hi) of a 128-bit two's-complement sum,
+//     so folding adds the partial's Lo to the hot word and its Hi plus the
+//     carry, when not 0, to the exception word;
+//   - a split COUNT adds the partial to its hot counter and, once that
+//     reaches its 0xFFFF flush threshold, moves the whole count into the
+//     exception word;
+//   - MIN and MAX of partial extremes are MIN and MAX of the inputs:
+//     they fold through Update.
+//
+//ocht:hot
+func (a *Aggregator) Fold(tab *core.Table, ai int, recs, rows []int32, input *vec.Vector) {
+	l := a.layouts[ai]
+	switch l.kind {
+	case kMinFull, kMaxFull, kMinSplit, kMaxSplit:
+		a.Update(tab, ai, recs, rows, input)
+		return
+	}
+	hot, hw := tab.RawHot(), tab.HotWidth()
+	cold, cw := tab.RawCold(), tab.ColdWidth()
+	hOff := tab.Schema.KeyBytes() + l.hotOff
+	cOff := tab.Schema.ColdBytes() + l.coldOff
+	switch l.kind {
+	case kSumI64:
+		for _, r := range rows {
+			b := hot[int(recs[r])*hw+hOff:]
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+partialSum(input, r).Lo)
+		}
+	case kSumFull128:
+		for _, r := range rows {
+			b := hot[int(recs[r])*hw+hOff:]
+			x := i128.Int{Lo: binary.LittleEndian.Uint64(b), Hi: int64(binary.LittleEndian.Uint64(b[8:]))}
+			x = i128.Add(x, partialSum(input, r))
+			binary.LittleEndian.PutUint64(b, x.Lo)
+			binary.LittleEndian.PutUint64(b[8:], uint64(x.Hi))
+		}
+	case kSumSplit, kSumSplitPos:
+		for _, r := range rows {
+			x := partialSum(input, r)
+			hb := hot[int(recs[r])*hw+hOff:]
+			old := binary.LittleEndian.Uint64(hb)
+			lo := old + x.Lo
+			binary.LittleEndian.PutUint64(hb, lo)
+			if lo < old { // carry from the common parts
+				x.Hi++
 			}
-			binary.LittleEndian.PutUint64(dh, lo)
-			binary.LittleEndian.PutUint64(dh[8:], uint64(hi))
-		case kSumSplit, kSumSplitPos:
-			dc := a.cold(dst, dstRec, ai)
-			sc := a.cold(src, srcRec, ai)
-			dLo := binary.LittleEndian.Uint64(dh)
-			sLo := binary.LittleEndian.Uint64(sh)
-			lo := dLo + sLo
-			except := int64(binary.LittleEndian.Uint64(dc)) + int64(binary.LittleEndian.Uint64(sc))
-			if lo < dLo { // carry from the common parts
-				except++
+			if x.Hi != 0 { // rare: the exception word changes
+				cb := cold[int(recs[r])*cw+cOff:]
+				binary.LittleEndian.PutUint64(cb, uint64(int64(binary.LittleEndian.Uint64(cb))+x.Hi))
 			}
-			binary.LittleEndian.PutUint64(dh, lo)
-			binary.LittleEndian.PutUint64(dc, uint64(except))
-		case kCountFull:
-			binary.LittleEndian.PutUint64(dh,
-				binary.LittleEndian.Uint64(dh)+binary.LittleEndian.Uint64(sh))
-		case kCountSplit:
-			dc := a.cold(dst, dstRec, ai)
-			sc := a.cold(src, srcRec, ai)
-			sum := uint32(binary.LittleEndian.Uint16(dh)) + uint32(binary.LittleEndian.Uint16(sh))
-			except := binary.LittleEndian.Uint64(dc) + binary.LittleEndian.Uint64(sc)
-			if sum >= 0xFFFF { // both hot counters are < 0xFFFF: one flush suffices
-				sum -= 0xFFFF
-				except += 0xFFFF
+		}
+	case kCountFull:
+		for _, r := range rows {
+			b := hot[int(recs[r])*hw+hOff:]
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+uint64(input.Int64At(int(r))))
+		}
+	case kCountSplit:
+		for _, r := range rows {
+			hb := hot[int(recs[r])*hw+hOff:]
+			c := uint64(binary.LittleEndian.Uint16(hb)) + uint64(input.Int64At(int(r)))
+			if c >= 0xFFFF { // flush the whole count into the cold counter
+				cb := cold[int(recs[r])*cw+cOff:]
+				binary.LittleEndian.PutUint64(cb, binary.LittleEndian.Uint64(cb)+c)
+				c = 0
 			}
-			binary.LittleEndian.PutUint16(dh, uint16(sum))
-			binary.LittleEndian.PutUint64(dc, except)
-		case kMinFull:
-			if v := int64(binary.LittleEndian.Uint64(sh)); v < int64(binary.LittleEndian.Uint64(dh)) {
-				binary.LittleEndian.PutUint64(dh, uint64(v))
+			binary.LittleEndian.PutUint16(hb, uint16(c))
+		}
+	case kMinStr, kMaxStr:
+		store := tab.Schema.Store
+		wantLess := l.kind == kMinStr
+		for _, r := range rows {
+			v := input.Str[r]
+			if v == 0 || v == strs.NullRef {
+				continue // the partial saw no values
 			}
-		case kMaxFull:
-			if v := int64(binary.LittleEndian.Uint64(sh)); v > int64(binary.LittleEndian.Uint64(dh)) {
-				binary.LittleEndian.PutUint64(dh, uint64(v))
+			b := hot[int(recs[r])*hw+hOff:]
+			if cur := vec.StrRef(binary.LittleEndian.Uint64(b)); cur != 0 {
+				c := store.Compare(v, cur)
+				if (wantLess && c >= 0) || (!wantLess && c <= 0) {
+					continue
+				}
 			}
-		case kMinSplit:
-			dc := a.cold(dst, dstRec, ai)
-			sc := a.cold(src, srcRec, ai)
-			if v := int64(binary.LittleEndian.Uint64(sc)); v < int64(binary.LittleEndian.Uint64(dc)) {
-				binary.LittleEndian.PutUint64(dc, uint64(v))
-				copy(dh[:4], sh[:4]) // winner's saturating bound
-			}
-		case kMaxSplit:
-			dc := a.cold(dst, dstRec, ai)
-			sc := a.cold(src, srcRec, ai)
-			if v := int64(binary.LittleEndian.Uint64(sc)); v > int64(binary.LittleEndian.Uint64(dc)) {
-				binary.LittleEndian.PutUint64(dc, uint64(v))
-				copy(dh[:4], sh[:4])
-			}
-		case kMinStr, kMaxStr:
-			sv := vec.StrRef(binary.LittleEndian.Uint64(sh))
-			if sv == 0 {
-				continue // src group saw no values
-			}
-			dv := vec.StrRef(binary.LittleEndian.Uint64(dh))
-			if dv == 0 {
-				binary.LittleEndian.PutUint64(dh, uint64(sv))
-				continue
-			}
-			c := dst.Schema.Store.Compare(sv, dv)
-			if (l.kind == kMinStr && c < 0) || (l.kind == kMaxStr && c > 0) {
-				binary.LittleEndian.PutUint64(dh, uint64(sv))
-			}
-		default:
-			panic(fmt.Sprintf("agg: merge of unknown kind %d", l.kind))
+			binary.LittleEndian.PutUint64(b, uint64(v))
 		}
 	}
+}
+
+// partialSum reads a SUM partial, given as I64 or I128, as 128 bits.
+func partialSum(v *vec.Vector, r int32) i128.Int {
+	if v.Typ == vec.I128 {
+		return v.I128[r]
+	}
+	return i128.FromInt64(v.Int64At(int(r)))
 }

@@ -20,13 +20,12 @@ var allFlagCombos = []core.Flags{
 	{Compress: true, Split: true},
 }
 
-// TestMergeEmptyPartialIdentity checks that merging a freshly initialized
-// record — a shard that saw zero rows for the group — into a populated
-// record leaves every aggregate unchanged, and that merging two empty
-// records yields the initial state. The distributed reducer relies on
-// this: a shard with no rows for a group contributes the Init sentinels
-// (MaxInt64 for MIN, MinInt64 for MAX, zero sums and counts), which must
-// act as merge identities.
+// TestMergeEmptyPartialIdentity checks that folding the partials of a
+// freshly initialized record — a worker or shard that saw zero values for
+// the group — into a populated record leaves every aggregate unchanged,
+// and that folding an empty record into itself keeps the initial state:
+// the Init sentinels (MaxInt64 for MIN, MinInt64 for MAX, zero sums and
+// counts) must act as fold identities.
 func TestMergeEmptyPartialIdentity(t *testing.T) {
 	keyDom := domain.New(0, 4)
 	valDom := domain.New(-1000, math.MaxInt64)
@@ -70,7 +69,7 @@ func TestMergeEmptyPartialIdentity(t *testing.T) {
 
 		// empty → empty: still the identity (MIN sentinel MaxInt64, MAX
 		// sentinel MinInt64, zero sum/count).
-		agA.Merge(tabB, recs[0], tabB, recs[0])
+		foldRecs(agB, tabB, recs, tabB, recs)
 		emptied := extractByKey(t, tabB, agB, len(specs))
 		wantEmpty := []i128.Int{
 			i128.FromInt64(0), i128.FromInt64(0),
@@ -172,9 +171,10 @@ func TestMergeSkewedMinMaxCarries(t *testing.T) {
 }
 
 // TestMergeStringAllNullGroups covers the string MIN/MAX no-value marker
-// (reference 0) the reducer meets when a shard's group was entirely NULL:
-// null source is skipped, null destination adopts the source, and two
-// null sides stay null (Result emits the null string reference 1).
+// (reference 0, emitted by Result as the null string reference 1) a fold
+// meets when a partial's group was entirely NULL: a null partial is
+// skipped, a null destination adopts the partial, and two null sides stay
+// null.
 func TestMergeStringAllNullGroups(t *testing.T) {
 	flags := core.Flags{}
 	store := strs.NewStore(false)
@@ -227,7 +227,7 @@ func TestMergeStringAllNullGroups(t *testing.T) {
 	rn := insertKey(allNull, 1)
 
 	// Null source skipped: values survive unchanged.
-	ag.Merge(withVals, rv, allNull, rn)
+	foldRecs(ag, withVals, []int32{rv}, allNull, []int32{rn})
 	if got := store.Get(result(withVals, rv, 0)); got != "apple" {
 		t.Errorf("min after null-src merge = %q, want apple", got)
 	}
@@ -238,7 +238,7 @@ func TestMergeStringAllNullGroups(t *testing.T) {
 	// Null destination adopts the source's value.
 	allNull2 := newTab()
 	rn2 := insertKey(allNull2, 1)
-	ag.Merge(allNull2, rn2, withVals, rv)
+	foldRecs(ag, allNull2, []int32{rn2}, withVals, []int32{rv})
 	if got := store.Get(result(allNull2, rn2, 0)); got != "apple" {
 		t.Errorf("min after adopt merge = %q, want apple", got)
 	}
@@ -246,18 +246,18 @@ func TestMergeStringAllNullGroups(t *testing.T) {
 	// Null + null stays null: Result must emit the null reference.
 	bothA, bothB := newTab(), newTab()
 	ra, rb := insertKey(bothA, 1), insertKey(bothB, 1)
-	ag.Merge(bothA, ra, bothB, rb)
+	foldRecs(ag, bothA, []int32{ra}, bothB, []int32{rb})
 	if got := result(bothA, ra, 0); got != strs.NullRef {
 		t.Errorf("null+null min ref = %d, want null ref %d", got, strs.NullRef)
 	}
 }
 
-// TestLoadPartialRoundTrip checks LoadPartial against Result: loading a
-// finalized value into a scratch record and re-finalizing must reproduce
-// it exactly for every layout kind, including values past 64-bit sums,
-// counts past the 16-bit hot counter, and MIN/MAX beyond the 32-bit
-// bound range.
-func TestLoadPartialRoundTrip(t *testing.T) {
+// TestFoldRoundTrip checks Fold against Result: folding a finalized value
+// into a freshly initialized record and re-finalizing must reproduce it
+// exactly for every layout kind, including values past 64-bit sums (given
+// as I128 or I64 partials), counts past the 16-bit hot counter, and
+// MIN/MAX beyond the 32-bit bound range.
+func TestFoldRoundTrip(t *testing.T) {
 	keyDom := domain.New(0, 4)
 	valDom := domain.New(-50, math.MaxInt64)
 	posDom := domain.New(0, math.MaxInt64)
@@ -275,7 +275,8 @@ func TestLoadPartialRoundTrip(t *testing.T) {
 		{Hi: 3, Lo: 0xDEADBEEF},       // past 64 bits
 		{Hi: -1, Lo: ^uint64(0) - 41}, // negative 128-bit value
 	}
-	ints := []int64{0, -50, 123456789, math.MaxInt64, MinInitExcept, MaxInitExcept}
+	ints := []int64{0, -50, 123456789, 0xFFFF, 3 * 0xFFFF, math.MaxInt64, MinInitExcept, MaxInitExcept}
+	rows := []int32{0}
 	for _, flags := range allFlagCombos {
 		store := strs.NewStore(flags.UseUSSR)
 		schema, err := core.NewKeySchema(flags, []core.KeyCol{{Name: "k", Type: vec.I64, Dom: keyDom}}, store)
@@ -283,34 +284,49 @@ func TestLoadPartialRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		ag := NewAggregator(flags, specs)
-		tab := core.NewTable(schema, ag.HotBytes, ag.ColdBytes, 4)
-		kv := vec.New(vec.I64, 1)
-		rows := []int32{0}
-		p := schema.Prepare([]*vec.Vector{kv}, rows)
-		hashes := make([]uint64, 1)
-		schema.Hash(p, rows, hashes)
-		recs := make([]int32, 1)
-		_, newRecs := tab.FindOrInsert(p, hashes, rows, recs)
-		ag.Init(tab, newRecs)
-		rec := recs[0]
+		fresh := func() (*core.Table, []int32) {
+			tab := core.NewTable(schema, ag.HotBytes, ag.ColdBytes, 4)
+			p := schema.Prepare([]*vec.Vector{vec.New(vec.I64, 1)}, rows)
+			hashes := make([]uint64, 1)
+			schema.Hash(p, rows, hashes)
+			recs := make([]int32, 1)
+			_, newRecs := tab.FindOrInsert(p, hashes, rows, recs)
+			ag.Init(tab, newRecs)
+			return tab, recs
+		}
+		roundTrip := func(ai int, in *vec.Vector) *vec.Vector {
+			tab, recs := fresh()
+			ag.Fold(tab, ai, recs, rows, in)
+			out := vec.New(ag.ResultType(ai), 1)
+			ag.Result(tab, ai, recs, out, rows)
+			return out
+		}
 
 		for ai := 0; ai < 2; ai++ { // the two SUM layouts
 			for _, s := range sums {
-				ag.LoadPartial(tab, rec, ai, Partial{Sum: s})
-				out := vec.New(ag.ResultType(ai), 1)
-				ag.Result(tab, ai, []int32{rec}, out, rows)
-				var got i128.Int
-				if out.Typ == vec.I128 {
-					got = out.I128[0]
-				} else {
-					got = i128.FromInt64(out.I64[0])
-				}
 				// kSumI64 can only represent 64-bit values; skip the wide ones.
-				if ag.layouts[ai].kind == kSumI64 && (s.Hi != 0 && s.Hi != -1) {
+				if ag.layouts[ai].kind == kSumI64 && s.Hi != 0 && s.Hi != -1 {
 					continue
 				}
-				if got != s {
-					t.Errorf("flags %+v sum agg %d: round-trip %v -> %v", flags, ai, s, got)
+				in := vec.New(vec.I128, 1)
+				in.I128[0] = s
+				inputs := []*vec.Vector{in}
+				if s.IsInt64() {
+					narrow := vec.New(vec.I64, 1)
+					narrow.I64[0] = s.Int64()
+					inputs = append(inputs, narrow)
+				}
+				for _, in := range inputs {
+					out := roundTrip(ai, in)
+					got := i128.FromInt64(0)
+					if out.Typ == vec.I128 {
+						got = out.I128[0]
+					} else {
+						got = i128.FromInt64(out.I64[0])
+					}
+					if got != s {
+						t.Errorf("flags %+v sum agg %d from %s: round-trip %v -> %v", flags, ai, in.Typ, s, got)
+					}
 				}
 			}
 		}
@@ -319,10 +335,9 @@ func TestLoadPartialRoundTrip(t *testing.T) {
 				if ai == 2 && v < 0 {
 					continue // counts are non-negative
 				}
-				ag.LoadPartial(tab, rec, ai, Partial{I: v})
-				out := vec.New(ag.ResultType(ai), 1)
-				ag.Result(tab, ai, []int32{rec}, out, rows)
-				if out.I64[0] != v {
+				in := vec.New(vec.I64, 1)
+				in.I64[0] = v
+				if out := roundTrip(ai, in); out.I64[0] != v {
 					t.Errorf("flags %+v agg %d: round-trip %d -> %d", flags, ai, v, out.I64[0])
 				}
 			}
@@ -330,14 +345,13 @@ func TestLoadPartialRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadPartialMergeMatchesDirect simulates the scatter-gather reducer
-// end to end: three skewed "shards" aggregate disjoint row ranges, their
-// finalized per-group values are reloaded through LoadPartial into a
-// one-record scratch table, and Merge folds them into the coordinator's
-// table. The result must match aggregating the whole data set directly —
-// including the 0xFFFF count-flush interaction when a reloaded whole
-// count meets a hot counter, and sum carries across the (Lo, Hi) words.
-func TestLoadPartialMergeMatchesDirect(t *testing.T) {
+// TestFoldPartialsMatchesDirect simulates the scatter-gather reducer end
+// to end: three skewed "shards" aggregate disjoint row ranges, and their
+// finalized per-group values are folded, a vector at a time, into the
+// coordinator's table. The result must match aggregating the whole data
+// set directly — including a folded whole count meeting a hot counter
+// near its 0xFFFF flush, and sum carries across the (Lo, Hi) words.
+func TestFoldPartialsMatchesDirect(t *testing.T) {
 	const n = 200_000
 	keys := make([]int64, n)
 	vals := make([]int64, n)
@@ -364,66 +378,14 @@ func TestLoadPartialMergeMatchesDirect(t *testing.T) {
 	cuts := []int{0, n * 7 / 10, n - n/1000, n}
 	for _, flags := range allFlagCombos {
 		whole, _, _ := aggHarness(t, flags, specs, keys, vals, keyDom)
-
-		// The coordinator's merge-side table and the one-record scratch
-		// table, sharing one aggregator as dist's reducer does.
-		store := strs.NewStore(flags.UseUSSR)
-		schema, err := core.NewKeySchema(flags, []core.KeyCol{{Name: "k", Type: vec.I64, Dom: keyDom}}, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ag := NewAggregator(flags, specs)
-		dst := core.NewTable(schema, ag.HotBytes, ag.ColdBytes, 8)
-		scratch := core.NewTable(schema, ag.HotBytes, ag.ColdBytes, 4)
-		kv := vec.New(vec.I64, 1)
-		rows := []int32{0}
-		p := schema.Prepare([]*vec.Vector{kv}, rows)
-		hashes := make([]uint64, 1)
-		schema.Hash(p, rows, hashes)
-		srecs := make([]int32, 1)
-		scratch.FindOrInsert(p, hashes, rows, srecs)
-		srec := srecs[0]
-
-		for s := 0; s+1 < len(cuts); s++ {
-			// Shard s computes and finalizes its partials...
-			_, stab, sag := aggHarness(t, flags, specs,
+		// The coordinator's table starts from the first shard's own
+		// aggregation, so later partials meet live hot counters.
+		_, dst, ag := aggHarness(t, flags, specs, keys[:cuts[1]], vals[:cuts[1]], keyDom)
+		for s := 1; s+1 < len(cuts); s++ {
+			_, stab, _ := aggHarness(t, flags, specs,
 				keys[cuts[s]:cuts[s+1]], vals[cuts[s]:cuts[s+1]], keyDom)
-			nG := stab.Len()
-			recIdx := make([]int32, nG)
-			prows := make([]int32, nG)
-			for i := range recIdx {
-				recIdx[i], prows[i] = int32(i), int32(i)
-			}
-			keyOut := vec.New(vec.I64, nG)
-			stab.LoadKey(0, recIdx, keyOut, prows)
-			outs := make([]*vec.Vector, len(specs))
-			for ai := range specs {
-				outs[ai] = vec.New(sag.ResultType(ai), nG)
-				sag.Result(stab, ai, recIdx, outs[ai], prows)
-			}
-			// ...and the coordinator reduces them row by row.
-			for i := 0; i < nG; i++ {
-				kv.I64[0] = keyOut.I64[i]
-				p := schema.Prepare([]*vec.Vector{kv}, rows)
-				schema.Hash(p, rows, hashes)
-				recs := make([]int32, 1)
-				_, newRecs := dst.FindOrInsert(p, hashes, rows, recs)
-				ag.Init(dst, newRecs)
-				for ai := range specs {
-					var part Partial
-					if outs[ai].Typ == vec.I128 {
-						part.Sum = outs[ai].I128[i]
-					} else if ag.layouts[ai].kind == kSumI64 {
-						part.Sum = i128.FromInt64(outs[ai].I64[i])
-					} else {
-						part.I = outs[ai].I64[i]
-					}
-					ag.LoadPartial(scratch, srec, ai, part)
-				}
-				ag.Merge(dst, recs[0], scratch, srec)
-			}
+			mergeInto(t, dst, ag, stab)
 		}
-
 		got := extractByKey(t, dst, ag, len(specs))
 		for k, wantAggs := range whole {
 			for ai, w := range wantAggs {

@@ -11,17 +11,29 @@ import (
 	"ocht/internal/vec"
 )
 
-// mergeInto folds every record of src into dst, the way the parallel
-// driver's merge phase does: load the key back, find-or-insert it in dst,
-// then combine the aggregate states record by record.
+// foldRecs folds the partials of records srcRecs of src — the values
+// Result emits for them — into records dstRecs of dst, the way the
+// parallel owners and the distributed reducer do. Both tables must have
+// the layout of ag.
+func foldRecs(ag *Aggregator, dst *core.Table, dstRecs []int32, src *core.Table, srcRecs []int32) {
+	rows := make([]int32, len(srcRecs))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	for ai := range ag.Specs {
+		out := vec.New(ag.ResultType(ai), len(rows))
+		ag.Result(src, ai, srcRecs, out, rows)
+		ag.Fold(dst, ai, dstRecs, rows, out)
+	}
+}
+
+// mergeInto folds every record of src into dst: load the key back,
+// find-or-insert it in dst, then fold the record's partials.
 func mergeInto(t *testing.T, dstTab *core.Table, dstAg *Aggregator, srcTab *core.Table) {
 	t.Helper()
 	n := srcTab.Len()
 	for base := 0; base < n; base += vec.Size {
-		cnt := n - base
-		if cnt > vec.Size {
-			cnt = vec.Size
-		}
+		cnt := min(n-base, vec.Size)
 		recIdx := make([]int32, cnt)
 		rows := make([]int32, cnt)
 		for i := range recIdx {
@@ -35,14 +47,12 @@ func mergeInto(t *testing.T, dstTab *core.Table, dstAg *Aggregator, srcTab *core
 		recs := make([]int32, cnt)
 		_, newRecs := dstTab.FindOrInsert(p, hashes, rows, recs)
 		dstAg.Init(dstTab, newRecs)
-		for i := 0; i < cnt; i++ {
-			dstAg.Merge(dstTab, recs[i], srcTab, recIdx[i])
-		}
+		foldRecs(dstAg, dstTab, recs, srcTab, recIdx)
 	}
 }
 
 // TestMergeMatchesSingleTable aggregates a data set whole and in two
-// halves (merging the second table into the first) under every flag
+// halves (folding the second table's partials into the first) under every flag
 // combination, and demands identical per-group results. The value
 // distribution forces the optimistic machinery through its exception
 // paths: sums carry past 64 bits, per-group counts overflow the 16-bit

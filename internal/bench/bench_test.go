@@ -144,8 +144,8 @@ func TestScalingRunShape(t *testing.T) {
 			t.Errorf("degenerate point %+v", p)
 		}
 	}
-	// The wide-group adaptive plan must actually take the owner-computes
-	// path under parallel workers; the low-cardinality Q1 plan must not.
+	// The wide-group adaptive plan must actually fold over many partitions
+	// under parallel workers; the low-cardinality Q1 plan must not.
 	for _, p := range byPlan["widegroup-partitioned"] {
 		if p.Workers > 1 && !p.PartitionWise {
 			t.Errorf("widegroup-partitioned w%d did not go partition-wise", p.Workers)

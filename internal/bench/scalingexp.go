@@ -101,9 +101,9 @@ type ScalingReport struct {
 
 // ScalePoint is one (plan, worker count) cell of the parallel aggregation
 // sweep. Speedup is relative to the same plan at workers=1.
-// PartitionWise records whether the owner-computes partition-wise driver
-// actually ran (the CtrPartitionWiseAggs counter), so the JSON is
-// self-describing about which merge strategy produced each number.
+// PartitionWise records whether the owner step ran over more than one
+// partition (the CtrPartitionWiseAggs counter), so the JSON is
+// self-describing about which width produced each number.
 type ScalePoint struct {
 	Plan          string  `json:"plan,omitempty"`
 	Workers       int     `json:"workers"`
@@ -116,10 +116,11 @@ type ScalePoint struct {
 }
 
 // scalingPlans are the sweep variants: the low-cardinality Q1 mix (6
-// groups — stays on the contended agg.Merge path by design, the adaptive
-// floor keeps it monolithic), the wide-group plan forced monolithic (the
-// merge-bottleneck baseline), and the same wide-group plan adaptive,
-// which partitions and goes owner-computes under parallel workers.
+// groups — the adaptive floor keeps it monolithic, so one owner folds a
+// few partials per worker), the wide-group plan forced monolithic (the
+// one-owner bottleneck baseline), and the same wide-group plan adaptive,
+// which partitions and gets one owner per partition under parallel
+// workers.
 var scalingPlans = []struct {
 	Name string
 	Bits int
@@ -195,8 +196,8 @@ func ScalingJSON(w io.Writer, cfg Config) error {
 
 // scalingWidePlan aggregates the same filtered scan into ~100k suppkey
 // groups: far past the 2^13-group floor, so the adaptive chooser
-// radix-partitions the group table and the parallel driver takes the
-// owner-computes partition-wise path.
+// radix-partitions the group table and the parallel driver's owner step
+// runs over many partitions.
 func scalingWidePlan(fact *storage.Table, bits int) exec.Op {
 	sc := exec.NewScan(fact, "suppkey", "quantity", "extendedprice", "shipdate")
 	m := sc.Meta()

@@ -12,7 +12,7 @@ import (
 // several worker counts against the serial oracle. The BI queries group
 // almost exclusively on strings, so this exercises cross-worker string
 // reference resolution (USSR hits and private-heap exceptions) in the
-// merge phase.
+// partition owners' fold.
 func TestAllQueriesParallelMatchSerial(t *testing.T) {
 	cat := catFor(t)
 	flagSets := []struct {

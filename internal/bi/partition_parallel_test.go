@@ -10,8 +10,8 @@ import (
 )
 
 // TestAllQueriesPartitionBitsSealModes drives every BI query through the
-// parallel engine at forced radix widths {0, 3, 6} — pinning both the
-// agg.Merge path (0) and the owner-computes partition-wise path (3, 6) —
+// parallel engine at forced radix widths {0, 3, 6} — pinning the
+// one-partition owner step (0) and one owner per partition (3, 6) —
 // over BOTH catalog generations (plain and compressed sealed string
 // blocks), against the adaptive serial oracle of the same catalog.
 func TestAllQueriesPartitionBitsSealModes(t *testing.T) {

@@ -91,11 +91,8 @@ func (t *Table) Head(h uint64) int32 { return t.heads[h&t.mask] }
 func (t *Table) Next(rec int32) int32 { return t.next[rec] }
 
 // grow doubles the directory and relinks every record except `skip`
-// (the record currently being inserted, which the caller links itself).
-// The stored keys are re-hashed through KeySchema.Hash, the one definition
-// of a key's hash, a chunk at a time: each chunk's records are loaded back
-// into the Prepared form Hash reads — packed words as stored, string
-// references with their slot codes.
+// (the record currently being inserted, which the caller links itself),
+// rehashing the stored keys a chunk at a time.
 func (t *Table) grow(skip int32) {
 	size := len(t.heads) * 2
 	t.heads = make([]int32, size)
@@ -104,32 +101,13 @@ func (t *Table) grow(skip int32) {
 	}
 	t.mask = uint64(size - 1)
 
-	s := t.Schema
-	chunk := min(t.n, vec.Size)
-	g := s.regrowScratch(chunk)
-	p := &g.p
-	for lo := 0; lo < t.n; lo += chunk {
-		n := min(chunk, t.n-lo)
-		recs, rows := g.recs[:n], g.rows[:n]
+	g := t.Schema.regrowScratch(min(t.n, vec.Size))
+	for lo := 0; lo < t.n; lo += len(g.recs) {
+		recs := g.recs[:min(len(g.recs), t.n-lo)]
 		for i := range recs {
 			recs[i] = int32(lo + i)
 		}
-		for ci, v := range p.orig {
-			if v != nil {
-				t.LoadKey(ci, recs, v, rows)
-			}
-		}
-		for w, words := range p.words {
-			for i, rec := range recs {
-				words[i] = t.word(rec, w)
-			}
-		}
-		for ci, pi := range s.codeCol {
-			if pi >= 0 {
-				ussr.SlotCodes(p.orig[ci].Str, p.planVecs[pi].Str, rows)
-			}
-		}
-		s.Hash(p, rows, g.hashes)
+		t.HashRecs(recs, g.hashes)
 		for i, rec := range recs {
 			if rec == skip {
 				continue
@@ -141,10 +119,51 @@ func (t *Table) grow(skip int32) {
 	}
 }
 
-// regrow is Table.grow's scratch. It is kept apart from the schema's batch
-// scratch, which still holds the batch being inserted while a directory
-// grows, and shared by every table on the schema: grows run one at a time,
-// on the goroutine that inserts.
+// HashRecs recomputes the key hashes of the given records (at most
+// vec.Size) into out[i] through KeySchema.Hash, the one definition of a
+// key's hash: the records are loaded back into the Prepared form Hash
+// reads — packed words as stored, string references with their slot
+// codes.
+func (t *Table) HashRecs(recs []int32, out []uint64) {
+	s := t.Schema
+	g := s.regrowScratch(len(recs))
+	p := &g.p
+	rows := g.rows[:len(recs)]
+	for ci, v := range p.orig {
+		if v != nil {
+			t.LoadKey(ci, recs, v, rows)
+		}
+	}
+	for w, words := range p.words {
+		for i, rec := range recs {
+			words[i] = t.word(rec, w)
+		}
+	}
+	for ci, pi := range s.codeCol {
+		if pi >= 0 {
+			ussr.SlotCodes(p.orig[ci].Str, p.planVecs[pi].Str, rows)
+		}
+	}
+	s.Hash(p, rows, out)
+}
+
+// Reset empties the table for reuse, keeping its directory and record
+// buffers. The records are zeroed first, because alloc relies on
+// reslicing within capacity exposing zeroes.
+func (t *Table) Reset() {
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	clear(t.hot)
+	clear(t.cold)
+	t.hot, t.cold, t.next = t.hot[:0], t.cold[:0], t.next[:0]
+	t.n = 0
+}
+
+// regrow is the scratch of Table.grow and Table.HashRecs. It is kept apart
+// from the schema's batch scratch, which still holds the batch being
+// inserted while a directory grows, and shared by every table on the
+// schema: rehashes run one at a time, on the goroutine that inserts.
 type regrow struct {
 	p          Prepared // words, string references and slot codes as stored
 	rows, recs []int32

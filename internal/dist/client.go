@@ -3,8 +3,8 @@
 // distributed queries by pushing filters and partial aggregation below
 // the exchange boundary (sql.PlanDistributed), fans the shard subqueries
 // out over the engines' HTTP protocol with deadlines, retries and hedged
-// requests, and merges the partials through the same agg.Merge path the
-// single-node parallel workers use. It also houses the read-replica
+// requests, and folds the partials with agg.Fold, the step the
+// single-node parallel partition owners run. It also houses the read-replica
 // puller, which ships WAL segments off a primary and replays them
 // through the ordinary crash-recovery code.
 package dist

@@ -38,12 +38,11 @@ func cloneExpr(e *Expr) *Expr {
 // queues serve each clone its own contiguous range first); HashJoins keep
 // the original (shared) build subtree but mark the already-built join
 // table as prebuilt so the clone's Open only prepares a private probe
-// cursor. HashAgg clones get a private group table, filled from the
-// clone's own morsel stream (built by Open on the merge path, spilled
-// after setup on the partition-wise path) and combined by the driver
-// afterwards — except an aggregation the driver has already filled, the
-// spine's source, whose clone is a partScan over the partitions the
-// worker claims.
+// cursor. HashAgg clones get a private group table, which pre-aggregates
+// the clone's own morsel stream after setup and flushes partial records
+// for the partition owners — except an aggregation the driver has already
+// filled, the spine's source, whose clone is a partScan over the
+// partitions the worker claims.
 func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 	switch t := o.(type) {
 	case *Scan:

@@ -21,18 +21,17 @@ import (
 // come from and how they fold:
 //
 //   - HashAgg.build: child batches, folded by Update;
-//   - HashAgg.buildPartition (partagg.go): one radix partition's spilled
-//     rows, folded by Update into a table the owner worker builds whole;
-//   - groupTable.merge: the groups of a worker's partial table, folded by
-//     agg.Merge (the clone-and-merge path of parallel.go);
-//   - MergeAgg: finalized shard partials, folded by LoadPartial +
-//     agg.Merge.
+//   - the parallel frontier fill (partagg.go): each worker folds its
+//     morsels by Update into a private table that it flushes as partial
+//     records (coded keys, hash, one Result value per spec), and one owner
+//     per radix partition folds every worker's partials by agg.Fold;
+//   - MergeAgg: shard partial rows, folded by agg.Fold.
 type groupTable struct {
 	meta  []Meta // output columns: nKeys group keys, then the aggregates
 	nKeys int
 	keys  []keyCoding // per key: coded type (meta's, or I64 when widened) and NULL code
 
-	specs       []agg.Spec // internal layouts (AVG -> SUM + COUNT)
+	specs       []agg.Spec // internal layouts (AVG -> SUM + COUNT, nullable SUM/MIN/MAX -> + COUNT)
 	specOf      []aggMap   // output aggregate -> internal spec(s)
 	argNullable []bool     // per spec: NULL inputs must be skipped by fold
 
@@ -66,7 +65,7 @@ type groupTable struct {
 
 type aggMap struct {
 	spec  int // internal spec index (sum for AVG)
-	cnt   int // count spec index for AVG, else -1
+	cnt   int // COUNT(arg) spec of AVG and of a nullable SUM/MIN/MAX, else -1
 	isAvg bool
 }
 
@@ -74,7 +73,7 @@ type aggMap struct {
 type aggInput struct {
 	fn       agg.Func // Avg included
 	spec     agg.Spec // InType, InDom and MaxRows of the input; resolve fills Func
-	nullable bool     // the input vectors fold receives may carry NULLs
+	nullable bool     // the input may carry NULLs: a SUM/MIN/MAX over it is NULL where its COUNT is 0
 }
 
 // identRows is the dense row list 0..vec.Size-1 (read-only), for feeders
@@ -97,9 +96,11 @@ func scratchVec(bufp **vec.Vector, typ vec.Type, n int) *vec.Vector {
 }
 
 // resolve fixes the physical layout: key columns with NULL codes folded
-// into their domain, the internal aggregate specs (AVG becomes SUM + COUNT,
-// Table I), the key schema and the aggregator. meta describes the output
-// columns (nKeys keys first), ins the aggregates behind meta[nKeys:].
+// into their domain, the internal aggregate specs (AVG becomes SUM +
+// COUNT, Table I, and a SUM/MIN/MAX over a nullable input gets a hidden
+// COUNT of it), the key schema and the aggregator. meta describes the
+// output columns (nKeys keys first), ins the aggregates behind
+// meta[nKeys:].
 func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, nKeys int, ins []aggInput) {
 	*g = groupTable{meta: meta, nKeys: nKeys}
 	keyCols := make([]core.KeyCol, nKeys)
@@ -123,12 +124,18 @@ func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, n
 		return len(g.specs) - 1
 	}
 	for _, in := range ins {
-		if in.fn == Avg {
-			si := mk(in, agg.Sum)
-			g.specOf = append(g.specOf, aggMap{spec: si, cnt: mk(in, agg.Count), isAvg: true})
-		} else {
-			g.specOf = append(g.specOf, aggMap{spec: mk(in, in.fn), cnt: -1})
+		m := aggMap{cnt: -1, isAvg: in.fn == Avg}
+		switch {
+		case m.isAvg:
+			m.spec = mk(in, agg.Sum)
+			m.cnt = mk(in, agg.Count)
+		case in.nullable && in.fn != agg.Count:
+			m.spec = mk(in, in.fn)
+			m.cnt = mk(in, agg.Count)
+		default:
+			m.spec = mk(in, in.fn)
 		}
+		g.specOf = append(g.specOf, m)
 	}
 
 	var err error
@@ -321,15 +328,9 @@ func (g *groupTable) fold(st *Stats, t *core.Table, rows []int32, args []*vec.Ve
 	for si := range g.specs {
 		arg := args[si]
 		updateRows := rows
-		if g.argNullable[si] && arg.Nulls != nil {
+		if g.argNullable[si] {
 			// SQL semantics: NULL inputs do not contribute.
-			g.subset = g.subset[:0]
-			for _, r := range rows {
-				if !arg.Nulls[r] {
-					g.subset = append(g.subset, r)
-				}
-			}
-			updateRows = g.subset
+			updateRows = g.nonNull(arg, rows)
 		}
 		start := time.Now()
 		g.ag.Update(t, si, g.recs, updateRows, arg)
@@ -337,10 +338,40 @@ func (g *groupTable) fold(st *Stats, t *core.Table, rows []int32, args []*vec.Ve
 	}
 }
 
+// foldPartials folds partial values, one plain vector per spec, into the
+// aggregates of the given rows' groups (g.recs, in t). A NULL partial — a
+// shard's SUM or MIN over no values — contributes nothing.
+//
+//ocht:hot
+func (g *groupTable) foldPartials(st *Stats, t *core.Table, rows []int32, vals []*vec.Vector) {
+	for si, v := range vals {
+		start := time.Now()
+		g.ag.Fold(t, si, g.recs, g.nonNull(v, rows), v)
+		st.Add(StatAggregate, time.Since(start))
+	}
+}
+
+// nonNull returns the rows at which v is not NULL: rows itself when v has
+// no NULL mask, else a selection in g.subset.
+//
+//ocht:hot
+func (g *groupTable) nonNull(v *vec.Vector, rows []int32) []int32 {
+	if v.Nulls == nil {
+		return rows
+	}
+	g.subset = g.subset[:0]
+	for _, r := range rows {
+		if !v.Nulls[r] {
+			g.subset = append(g.subset, r)
+		}
+	}
+	return g.subset
+}
+
 // insert routes each active row to its radix partition by g.hashes, then
 // inserts — and, given args, folds — partition by partition, so each
 // sub-table stays cache-resident while its rows are applied. Feeders that
-// fold by agg.Merge pass nil args and merge into g.recs afterwards. New
+// fold partials pass nil args and fold into g.recs afterwards. New
 // groups are logged in first-occurrence row order, so emission order
 // matches a monolithic table's insertion order: records append
 // sequentially within a partition, so a per-partition watermark identifies
@@ -386,52 +417,34 @@ func (g *groupTable) result(spec int, out *vec.Vector) {
 	}
 }
 
-// merge re-aggregates every group of a worker's partial table into g:
-// group keys are loaded back from the partial records (string keys resolve
-// across worker heaps through the shared shard table), located-or-inserted
-// in g, and the aggregate states combined by agg.Merge — including the
-// carries of optimistically split aggregates, whose hot/cold exception
-// handling is the reason this is aggregate-kind-specific rather than a
-// byte copy.
-func (g *groupTable) merge(src *groupTable) {
-	for base := 0; base < len(src.order); base += vec.Size {
-		// Walk the worker's groups in ITS insertion order, so g's order
-		// log — and with it the final emission order — is independent of
-		// how either side was partitioned.
-		chunk := src.order[base:min(base+vec.Size, len(src.order))]
-		rows := identRows[:len(chunk)]
-		src.pt.SplitRecs(chunk, rows, src.chunkRecs, src.chunkRows)
-		// Keys come back coded exactly as stored, so they feed g's Prepare
-		// without coding them again.
-		for ci := range g.keyVecs {
-			g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], g.keys[ci].typ, vec.Size)
-			src.loadKey(ci, g.keyVecs[ci])
-		}
-		// The two tables may use different radix widths, so the rows are
-		// re-routed against g's partitions.
-		g.insert(nil, g.hashKeys(nil, rows), rows, nil)
-		for i, grec := range chunk {
-			spi, slocal := src.pt.DecodeRec(grec)
-			dst := g.pt.Part(int(g.pt.PartOf(g.hashes[i])))
-			g.ag.Merge(dst, g.recs[i], src.pt.Part(int(spi)), slocal)
-		}
-	}
-}
-
 // next emits the next chunk of groups in insertion order: keys with their
 // NULL codes restored to SQL NULLs, aggregates finalized to the declared
-// output types.
+// output types, NULL where their COUNT is 0. A scalar aggregate (no keys)
+// over no rows emits one row: its counts 0, every other aggregate NULL.
 func (g *groupTable) next() *vec.Batch {
-	if g.emit >= len(g.order) {
+	n := min(len(g.order)-g.emit, vec.Size)
+	scalarEmpty := n == 0 && g.emit == 0 && g.nKeys == 0 && g.pt.Len() == 0
+	if n <= 0 && !scalarEmpty {
 		return nil
 	}
-	n := min(len(g.order)-g.emit, vec.Size)
 	if g.out.Vecs == nil {
 		g.out.Vecs = make([]*vec.Vector, len(g.meta))
 		for i, m := range g.meta {
 			g.out.Vecs[i] = vec.New(m.Type, vec.Size)
 		}
 		g.tmp = make([]*vec.Vector, len(g.specOf))
+	}
+	g.out.Sel = nil
+	if scalarEmpty {
+		for i, m := range g.meta {
+			if m.Nullable {
+				g.out.Vecs[i].SetNull(0)
+			} else {
+				g.out.Vecs[i].SetInt64(0, 0) // COUNT and COUNT(*), the only non-nullable ones
+			}
+		}
+		g.emit, g.out.N = 1, 1
+		return &g.out
 	}
 	g.pt.SplitRecs(g.order[g.emit:g.emit+n], identRows[:n], g.chunkRecs, g.chunkRows)
 
@@ -448,12 +461,15 @@ func (g *groupTable) next() *vec.Batch {
 	for oi, m := range g.specOf {
 		out := g.out.Vecs[g.nKeys+oi]
 		got := g.ag.ResultType(m.spec)
+		var cnt *vec.Vector
+		if m.cnt >= 0 {
+			cnt = scratchVec(&g.cnt, vec.I64, vec.Size)
+			g.result(m.cnt, cnt)
+		}
 		switch {
 		case m.isAvg:
 			sum := scratchVec(&g.tmp[oi], got, vec.Size)
-			cnt := scratchVec(&g.cnt, vec.I64, vec.Size)
 			g.result(m.spec, sum)
-			g.result(m.cnt, cnt)
 			for i := 0; i < n; i++ {
 				if c := cnt.I64[i]; c == 0 {
 					out.F64[i] = 0
@@ -477,10 +493,17 @@ func (g *groupTable) next() *vec.Batch {
 				}
 			}
 		}
+		if cnt != nil && g.meta[g.nKeys+oi].Nullable {
+			if out.Nulls == nil {
+				out.Nulls = make([]bool, out.Len())
+			}
+			for i := 0; i < n; i++ {
+				out.Nulls[i] = cnt.I64[i] == 0
+			}
+		}
 	}
 
 	g.emit += n
-	g.out.Sel = nil
 	g.out.N = n
 	return &g.out
 }

@@ -74,7 +74,9 @@ func (h *HashAgg) Meta() []Meta {
 	}
 	maxRows := h.Child.MaxRows()
 	for _, a := range h.Aggs {
-		m := Meta{Name: a.Name}
+		// SUM, MIN, MAX and AVG are NULL over no values: in a group whose
+		// argument is all NULL, or in a scalar aggregate over no rows.
+		m := Meta{Name: a.Name, Nullable: a.Arg != nil && a.Arg.Nullable() || len(h.Keys) == 0}
 		switch a.Func {
 		case Avg:
 			m.Type = vec.F64
@@ -91,10 +93,11 @@ func (h *HashAgg) Meta() []Meta {
 		case agg.Count, agg.CountStar:
 			m.Type = vec.I64
 			m.Dom = domain.New(0, maxRows)
+			m.Nullable = false
 		case agg.Min, agg.Max:
 			if a.Arg.Type() == vec.Str {
 				m.Type = vec.Str
-				m.Nullable = true // all-NULL groups yield NULL
+				m.Nullable = true // the no-value marker emits the null reference
 			} else {
 				m.Type = vec.I64
 				m.Dom = a.Arg.Dom()
@@ -172,7 +175,7 @@ func (h *HashAgg) Open(qc *QCtx) {
 
 // setup opens the child and resolves the (empty) group table without
 // draining any rows. The parallel driver stops here for the template
-// frontier and the spilling clones, and fills tables its own way.
+// frontier and its worker clones, and fills tables its own way.
 func (h *HashAgg) setup(qc *QCtx) {
 	h.Child.Open(qc)
 	for _, k := range h.Keys {
@@ -230,7 +233,7 @@ func (h *HashAgg) setup(qc *QCtx) {
 	g.alloc(qc, h.MaxRows(), bits)
 }
 
-// evalBatch is the per-batch front end build and spillBuild share:
+// evalBatch is the per-batch front end build and preAggregate share:
 // evaluate and NULL-remap the key columns, evaluate every aggregate
 // argument once (so the per-partition updates share one set of input
 // vectors), then pack and hash the keys. It returns the batch's active

@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"ocht/internal/core"
 	"ocht/internal/storage"
 	"ocht/internal/vec"
 )
@@ -18,12 +19,12 @@ import (
 // aggregation an earlier phase filled partition-wise.
 //
 //   - The plan's own spine. With an aggregation frontier (its lowest hash
-//     aggregation) the workers fill the frontier's table — partition-wise
-//     or through private tables merged afterwards — then each large
-//     aggregation above it from the one below, and the rest of the plan
-//     runs serially; without one the spine is range-partitioned and the
-//     per-worker results are concatenated in worker order, which
-//     reproduces the serial row order.
+//     aggregation) the workers fill the frontier's table — pre-aggregating
+//     into private tables whose partial records one owner per partition
+//     folds — then each large aggregation above it from the one below, and
+//     the rest of the plan runs serially; without one the spine is
+//     range-partitioned and the per-worker results are concatenated in
+//     worker order, which reproduces the serial row order.
 //   - Each large join build side, when its Open runs on the driver. The
 //     aggregations on the build spine fill the same way; a plain pipeline
 //     over the scan or over the top filled aggregation is built
@@ -329,16 +330,11 @@ func spawn(n int, task func(i int)) {
 // fillFrontier opens the frontier subtree serially with an empty table —
 // this builds every join below the frontier and fixes the template's key
 // schema, aggregate layout and radix width — and then fills the table on
-// the driver's workers, picking the strategy by the template's width:
-//
-//   - bits > 0: partition-wise owner-computes (partagg.go) — workers
-//     spill hash-routed rows during the scan, each partition is built
-//     whole by one owner worker, and the merge is a contention-free
-//     partition concatenation.
-//   - bits == 0 (cache-resident group count): per-worker private tables
-//     re-aggregated into the template through agg.Merge. With few groups
-//     the merge touches almost nothing, so the classic path stays the
-//     cheaper one.
+// the driver's workers through the spill → owner exchange (partagg.go):
+// each worker pre-aggregates its morsels into a private monolithic table
+// and flushes its groups as partial records routed by the template's
+// radix width; each partition's owner folds them into a table on its own
+// key schema; the template adopts the partitions.
 //
 // The frontier is left driver-opened for the rest of the Run: its Opens,
 // from the serial pass over the operators above it, only rewind emission,
@@ -346,31 +342,41 @@ func spawn(n int, task func(i int)) {
 func fillFrontier(qc *QCtx, sp spine) {
 	tpl := sp.frontier
 	tpl.setup(qc)
-	if tpl.g.pt.Bits() > 0 {
-		runPartitionWiseAgg(qc, tpl, sp)
-	} else {
-		runMergeAgg(qc, tpl, sp)
-	}
-	tpl.driverOpened = true
-	qc.par.filled = append(qc.par.filled, tpl)
-}
-
-// runMergeAgg is the classic parallel build: each worker drives a full
-// clone of the frontier over the shared affinity morsel queue (opening a
-// HashAgg drains its child, so Open alone builds the worker's partial
-// table), then the per-worker tables fold into the template serially.
-func runMergeAgg(qc *QCtx, tpl *HashAgg, sp spine) {
 	wqcs := qc.par.workers
 	n := len(wqcs)
+	route := tpl.g.pt
 	morsels := sp.morsels(n)
 	clones := make([]*HashAgg, n)
 	for i := range clones {
 		clones[i] = clonePipeline(tpl, morsels, i).(*HashAgg)
+		clones[i].PartitionBits = 0 // pre-aggregation table; flushes route by the template's width
 	}
-	spawn(n, func(i int) { clones[i].Open(wqcs[i]) })
-	for _, c := range clones {
-		tpl.g.merge(&c.g)
+
+	// Phase 1: pre-aggregate and flush. setup resolves each clone's
+	// schema, aggregator and private table without draining the child.
+	spills := make([]*spill, n)
+	spawn(n, func(i int) {
+		clones[i].setup(wqcs[i])
+		spills[i] = clones[i].preAggregate(wqcs[i], route)
+	})
+
+	// Phase 2: one owner per partition. A partition holds at most the
+	// records flushed into it and about its share of the group estimate; a
+	// directory sized for that spares the owner the rehashes of growing one.
+	est := tpl.groupEstimate() >> uint(route.Bits())
+	parts := make([]*core.Table, route.NParts())
+	ownPartitions(n, len(parts), func(w, pi int) {
+		hint := int(min(int64(rowsIn(spills, pi)), est))
+		parts[pi] = clones[w].ownPartition(wqcs[w], pi, hint, spills)
+	})
+
+	// Phase 3: the template adopts the partitions.
+	tpl.g.adopt(qc, parts)
+	if len(parts) > 1 {
+		qc.Stats.Count(CtrPartitionWiseAggs, 1)
 	}
+	tpl.driverOpened = true
+	qc.par.filled = append(qc.par.filled, tpl)
 }
 
 // runParallelPipeline is the no-frontier case: contiguous block ranges per

@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"ocht/internal/agg"
 	"ocht/internal/core"
 	"ocht/internal/i128"
 	"ocht/internal/join"
@@ -10,41 +11,36 @@ import (
 )
 
 // Partition-wise parallel builds (DESIGN.md, "Partition-wise parallel
-// aggregation").
-//
-// The classic parallel-agg path has every worker build a whole private
-// group table and re-aggregates them serially through agg.Merge — the
-// merge phase grows with the total group count and throttles scaling.
-// This file is the owner-computes alternative the radix-partitioned
-// tables make possible, and the one spill → owner build that fills both
-// group records and join records:
+// aggregation"): the one spill → owner exchange that fills group tables
+// and join tables on the parallel driver's workers.
 //
 //	Phase 1 (scan + spill):   every worker drains its morsels through a
-//	    private pipeline clone, evaluates/NULL-remaps keys and aggregate
-//	    arguments (or codes join keys and payloads), hashes once, and
-//	    routes each row by the top hash bits into per-(worker, partition)
-//	    columnar spill buffers. No hash table is touched.
+//	    private pipeline clone and routes records by the top hash bits into
+//	    per-(worker, partition) columnar spill buffers. An aggregation
+//	    pre-aggregates into a private table and spills its groups as
+//	    partial records — coded keys, hash and one finalized value per
+//	    internal spec — whenever the table's hot area reaches
+//	    core.PartitionTargetBytes and when the input ends; a join build
+//	    spills its coded, hashed rows.
 //	Phase 2 (owner build):    each radix partition is assigned whole to
 //	    one worker. The owner replays every worker's spill for its
 //	    partitions — reusing the phase-1 hashes — into a partition table
-//	    built with the owner's own key schema, so find-or-insert (or the
-//	    join's insert and payload scatter), string compares and aggregate
-//	    updates run with zero cross-worker synchronization (the ocht_debug
-//	    owner assertion pins this).
+//	    built with the owner's own key schema: the aggregation folds the
+//	    partials by agg.Fold, the join inserts and scatters payloads. No
+//	    cross-worker synchronization is needed (the ocht_debug owner
+//	    assertion pins this). A monolithic table is the one-partition case.
 //	Phase 3 (concatenate):    the template adopts the built partitions
 //	    (core.NewPartTableFromParts). A group table's emission order
 //	    becomes a plain partition-major concatenation; a join table is
-//	    probed as if it had been built serially. No agg.Merge
-//	    re-aggregation happens anywhere on this path.
+//	    probed as if it had been built serially.
 //
-// Emission order is scheduling-dependent (as it already is for the merge
-// path, whose morsel-to-worker assignment is dynamic), and so is the order
-// of a join key's matches; parallel results are order-normalized by their
-// consumers.
+// Emission order is scheduling-dependent (morsels go to workers
+// dynamically), and so is the order of a join key's matches; parallel
+// results are order-normalized by their consumers.
 
 // spill is one worker's phase-1 output: per radix partition, the columnar
-// key and argument (or payload) values, NULL masks and key hashes of every
-// row the worker routed into that partition.
+// keys, values (partial aggregates or join payloads) and key hashes of
+// every record the worker routed into that partition.
 type spill struct {
 	parts []spillPart
 }
@@ -54,8 +50,7 @@ type spillPart struct {
 	rows   int
 	hashes chunked[uint64]
 	keys   []spillCol
-	args   []spillCol      // aggregate arguments by spec (empty for arg-less specs), or join payloads
-	nulls  []chunked[bool] // indexed like args; nil unless the argument is nullable
+	vals   []spillCol // partial aggregates by spec, or join payloads
 }
 
 // chunked is an append-only column stored in vec.Size-value chunks:
@@ -82,21 +77,6 @@ func (c *chunked[T]) gather(src []T, rows []int32) {
 			*t = append(*t, src[r])
 		}
 		rows = rows[k:]
-	}
-}
-
-// zeros appends n zero values.
-//
-//ocht:hot
-func (c *chunked[T]) zeros(n int) {
-	var zero T
-	for n > 0 {
-		t := c.tail()
-		k := min(vec.Size-len(*t), n)
-		for i := 0; i < k; i++ {
-			*t = append(*t, zero)
-		}
-		n -= k
 	}
 }
 
@@ -167,69 +147,167 @@ func (c *spillCol) fill(dst *vec.Vector, base, n int) {
 	}
 }
 
-// newSpill sizes a worker's spill set for nparts partitions of rows with
-// nkeys key and nargs argument columns.
-func newSpill(nparts, nkeys, nargs int) *spill {
+// newSpill sizes a worker's spill set for nparts partitions of records
+// with nkeys key and nvals value columns.
+func newSpill(nparts, nkeys, nvals int) *spill {
 	sp := &spill{parts: make([]spillPart, nparts)}
 	for pi := range sp.parts {
 		p := &sp.parts[pi]
 		p.keys = make([]spillCol, nkeys)
-		p.args = make([]spillCol, nargs)
-		p.nulls = make([]chunked[bool], nargs)
+		p.vals = make([]spillCol, nvals)
 	}
 	return sp
 }
 
-// appendRows spills the given rows of one batch: the key columns, every
-// non-nil argument column (with its NULL mask where argNullable says so;
-// argNullable may be nil) and the row-indexed hashes.
+// appendRows spills the given rows of one batch: the key and value
+// columns and the row-indexed hashes.
 //
 //ocht:hot
-func (p *spillPart) appendRows(keys, args []*vec.Vector, argNullable []bool, hashes []uint64, rows []int32) {
+func (p *spillPart) appendRows(keys, vals []*vec.Vector, hashes []uint64, rows []int32) {
 	for ci, kv := range keys {
 		p.keys[ci].appendRows(kv, rows)
 	}
-	for si, arg := range args {
-		if arg == nil {
-			continue
-		}
-		p.args[si].appendRows(arg, rows)
-		if argNullable != nil && argNullable[si] {
-			if arg.Nulls != nil {
-				p.nulls[si].gather(arg.Nulls, rows)
-			} else {
-				p.nulls[si].zeros(len(rows))
-			}
-		}
+	for ci, v := range vals {
+		p.vals[ci].appendRows(v, rows)
 	}
 	p.hashes.gather(hashes, rows)
 	p.rows += len(rows)
 }
 
-// spillBuild is the phase-1 worker loop: build's evaluation front end
-// with the table writes replaced by spill appends. The operator must have
-// been set up (schema, aggregator and routing table resolved, child open,
-// no rows drained).
-func (h *HashAgg) spillBuild(qc *QCtx) *spill {
+// preAggregate is the phase-1 worker loop of a frontier fill: build's
+// loop with the private table flushed into the spill, routed by route's
+// radix width, whenever its hot area reaches core.PartitionTargetBytes
+// and once more when the input ends. A worker whose table holds more
+// than a quarter of its first partitionMinGroups rows gains nothing from
+// it: it flushes then and spills each further row as its own partial
+// record instead, unless route has one partition. The operator must have
+// been set up with a monolithic table (schema and aggregator resolved,
+// child open, no rows drained).
+func (h *HashAgg) preAggregate(qc *QCtx, route *core.PartTable) *spill {
 	g := &h.g
-	sp := newSpill(g.pt.NParts(), len(h.Keys), len(h.args))
-	total := int64(0)
+	sp := newSpill(route.NParts(), len(h.Keys), len(g.specs))
+	vals := make([]*vec.Vector, len(g.specs))
+	byPart := make([][]int32, route.NParts())
+	in, perRow := 0, false
 	for {
 		qc.checkCancel()
 		b := h.Child.Next(qc)
 		if b == nil {
 			break
 		}
-		_, rows := h.evalBatch(qc, b)
-		for pi, rg := range g.pt.PartitionRows(g.hashes, rows) {
-			if len(rg) > 0 {
-				sp.parts[pi].appendRows(g.keyVecs, h.args, g.argNullable, g.hashes, rg)
+		p, rows := h.evalBatch(qc, b)
+		if perRow {
+			h.spillRows(qc, sp, route, rows, vals, byPart)
+			continue
+		}
+		g.insert(qc.Stats, p, rows, h.args)
+		if in < int(partitionMinGroups) && in+len(rows) >= int(partitionMinGroups) {
+			// A group folded on a worker costs about what an owner pays
+			// for it, so the table must shrink its input well to pay for
+			// its flushes; a lone owner, though, would fold every row.
+			perRow = 4*g.pt.Len() > in+len(rows) && route.NParts() > 1
+		}
+		in += len(rows)
+		if perRow || g.pt.HotAreaBytes() >= core.PartitionTargetBytes {
+			g.flush(qc, sp, route, vals, byPart)
+		}
+	}
+	g.flush(qc, sp, route, vals, byPart)
+	return sp
+}
+
+// spillRows spills each active row of the batch evalBatch has just coded
+// as its own partial record: its coded keys, its hash and, per internal
+// spec, the partial of a group of that one row — a COUNT of 1 or 0, the
+// value, or over a NULL the fold identity.
+//
+//ocht:hot
+func (h *HashAgg) spillRows(qc *QCtx, sp *spill, route *core.PartTable, rows []int32, vals []*vec.Vector, byPart [][]int32) {
+	g := &h.g
+	for si, s := range g.specs {
+		v := scratchVec(&vals[si], g.ag.ResultType(si), len(g.hashes))
+		arg := h.args[si]
+		switch {
+		case s.Func == agg.CountStar || s.Func == agg.Count:
+			for _, r := range rows {
+				v.I64[r] = 1
+				if arg != nil && arg.IsNull(int(r)) {
+					v.I64[r] = 0
+				}
+			}
+		case v.Typ == vec.Str:
+			for _, r := range rows {
+				v.Str[r] = arg.Str[r]
+				if arg.IsNull(int(r)) {
+					v.Str[r] = nullStrRef
+				}
+			}
+		default:
+			identity := int64(0) // SUM
+			if s.Func == agg.Min {
+				identity = agg.MinInitExcept
+			} else if s.Func == agg.Max {
+				identity = agg.MaxInitExcept
+			}
+			for _, r := range rows {
+				x := identity
+				if !arg.IsNull(int(r)) {
+					x = arg.Int64At(int(r))
+				}
+				if v.Typ == vec.I128 {
+					v.I128[r] = i128.FromInt64(x)
+				} else {
+					v.I64[r] = x
+				}
 			}
 		}
-		total += int64(len(rows))
 	}
-	qc.Stats.Count(CtrAggRowsSpilled, total)
-	return sp
+	route.SplitRows(g.hashes, rows, byPart)
+	for pi, rg := range byPart {
+		if len(rg) > 0 {
+			sp.parts[pi].appendRows(g.keyVecs, vals, g.hashes, rg)
+		}
+	}
+	qc.Stats.Count(CtrAggRowsSpilled, int64(len(rows)))
+}
+
+// flush spills every group of g's (monolithic) table as a partial record
+// — its coded keys, its hash and the Result value of every internal spec —
+// routed by route's radix width, then empties the table. vals and byPart
+// are the caller's per-spec and per-partition scratch.
+//
+//ocht:hot
+func (g *groupTable) flush(qc *QCtx, sp *spill, route *core.PartTable, vals []*vec.Vector, byPart [][]int32) {
+	t := g.pt.Part(0)
+	for si := range vals {
+		scratchVec(&vals[si], g.ag.ResultType(si), vec.Size)
+	}
+	for base := 0; base < t.Len(); base += vec.Size {
+		rows := identRows[:min(t.Len()-base, vec.Size)]
+		recs := g.recs[:len(rows)]
+		for i := range recs {
+			recs[i] = int32(base + i)
+		}
+		for ci := range g.keyVecs {
+			g.keyVecs[ci] = scratchVec(&g.keyBufs[ci], g.keys[ci].typ, vec.Size)
+			t.LoadKey(ci, recs, g.keyVecs[ci], rows)
+		}
+		for si, v := range vals {
+			g.ag.Result(t, si, recs, v, rows)
+		}
+		start := time.Now()
+		t.HashRecs(recs, g.hashes)
+		qc.Stats.Add(StatHash, time.Since(start))
+		route.SplitRows(g.hashes, rows, byPart)
+		for pi, rg := range byPart {
+			if len(rg) > 0 {
+				sp.parts[pi].appendRows(g.keyVecs, vals, g.hashes, rg)
+			}
+		}
+	}
+	qc.Stats.Count(CtrAggRowsSpilled, int64(t.Len()))
+	t.Reset()
+	g.order = g.order[:0]
 }
 
 // rowsIn counts the spilled rows of partition pi across all workers: the
@@ -258,13 +336,16 @@ func ownPartitions(n, nparts int, build func(w, pi int)) {
 	})
 }
 
-// buildPartition replays every worker's spill for partition pi into a
-// fresh table built against h's (the owner clone's) key schema, so all
-// hashing, matching and string accounting stays on the owner's store.
-// The chunks replay through the clone's own batch scratch, idle since its
-// phase 1 ended. The phase-1 hashes are reused — keys are re-packed for
-// the insert path but never re-hashed.
-func (h *HashAgg) buildPartition(qc *QCtx, pi, hint int, spills []*spill) *core.Table {
+// ownPartition is the phase-2 owner step of a frontier fill: it folds
+// every worker's partial records of partition pi into a fresh table on
+// the owner clone's key schema, so all hashing, matching and string
+// accounting stays on the owner's store. The chunks replay through the
+// clone's batch scratch, idle since its phase 1 ended, and reuse the
+// flushed hashes: keys are re-packed for the insert path but never
+// re-hashed.
+//
+//ocht:hot
+func (h *HashAgg) ownPartition(qc *QCtx, pi, hint int, spills []*spill) *core.Table {
 	g := &h.g
 	t := core.NewTable(g.schema, g.ag.HotBytes, g.ag.ColdBytes, hint)
 	qc.register(t)
@@ -272,81 +353,21 @@ func (h *HashAgg) buildPartition(qc *QCtx, pi, hint int, spills []*spill) *core.
 		p := &sp.parts[pi]
 		for base := 0; base < p.rows; base += vec.Size {
 			qc.checkCancel()
-			cnt := min(p.rows-base, vec.Size)
-			rows := identRows[:cnt]
-			fillCols(p.keys, base, cnt, g.keyVecs, g.keyBufs)
-			for si := range h.args {
-				if h.argOf[si] == nil {
-					continue
-				}
-				arg := scratchVec(&h.argBufs[si], p.args[si].typ, vec.Size)
-				p.args[si].fill(arg, base, cnt)
-				arg.Nulls = nil
-				if nulls := p.nulls[si]; nulls != nil {
-					arg.Nulls = nulls.at(base, cnt)
-				}
-				h.args[si] = arg
-			}
-			copy(g.hashes, p.hashes.at(base, cnt))
-
+			rows := identRows[:min(p.rows-base, vec.Size)]
+			fillCols(p.keys, base, len(rows), g.keyVecs, g.keyBufs)
+			fillCols(p.vals, base, len(rows), h.args, h.argBufs)
+			copy(g.hashes, p.hashes.at(base, len(rows)))
 			g.insertInto(qc.Stats, t, g.schema.Prepare(g.keyVecs, rows), rows)
-			g.fold(qc.Stats, t, rows, h.args)
+			g.foldPartials(qc.Stats, t, rows, h.args)
 		}
 	}
 	return t
 }
 
-// fillCols materializes positions [base, base+cnt) of every spilled
-// column into dst, through the per-column scratch in bufs.
-func fillCols(cols []spillCol, base, cnt int, dst, bufs []*vec.Vector) {
-	for ci := range cols {
-		dst[ci] = scratchVec(&bufs[ci], cols[ci].typ, vec.Size)
-		dst[ci].Nulls = nil // a mask left by the phase-1 batch in this scratch
-		cols[ci].fill(dst[ci], base, cnt)
-	}
-}
-
-// runPartitionWiseAgg is the owner-computes driver, entered by
-// fillFrontier when the template table is radix-partitioned. The
-// template tpl has been set up and the USSR is frozen.
-func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine) {
-	wqcs := qc.par.workers
-	n := len(wqcs)
-	bits := tpl.g.pt.Bits()
-	nparts := tpl.g.pt.NParts()
-	morsels := sp.morsels(n)
-
-	clones := make([]*HashAgg, n)
-	for i := range clones {
-		c := clonePipeline(tpl, morsels, i).(*HashAgg)
-		// Clones must route rows exactly like the template: pin the radix
-		// width (an adaptive clone could re-derive a different one).
-		c.PartitionBits = bits
-		clones[i] = c
-	}
-
-	// Phase 1: scan + spill. setup resolves each clone's schema,
-	// aggregator and routing table without draining the child.
-	spills := make([]*spill, n)
-	spawn(n, func(i int) {
-		clones[i].setup(wqcs[i])
-		spills[i] = clones[i].spillBuild(wqcs[i])
-	})
-
-	// Phase 2: owner-computes. A partition holds at most the rows spilled
-	// into it and about its share of the group estimate; a directory sized
-	// for that spares the owner the rehashes of growing one.
-	est := tpl.groupEstimate() >> uint(bits)
-	parts := make([]*core.Table, nparts)
-	ownPartitions(n, nparts, func(w, pi int) {
-		hint := int(min(int64(rowsIn(spills, pi)), est))
-		parts[pi] = clones[w].buildPartition(wqcs[w], pi, hint, spills)
-	})
-
-	// Phase 3: the template adopts the partitions; emission order is the
-	// partition-major concatenation of their (insertion-ordered) records.
-	g := &tpl.g
-	newPT := core.NewPartTableFromParts(g.schema, parts)
+// adopt installs the owners' partition tables as g's table, in place of
+// the empty one setup registered with qc; emission order becomes the
+// partition-major concatenation of their insertion orders.
+func (g *groupTable) adopt(qc *QCtx, parts []*core.Table) {
 	old := map[*core.Table]bool{}
 	for _, t := range g.pt.Parts() {
 		old[t] = true
@@ -358,14 +379,23 @@ func runPartitionWiseAgg(qc *QCtx, tpl *HashAgg, sp spine) {
 		}
 	}
 	qc.tables = append(kept, parts...)
-	g.pt = newPT
+	g.pt = core.NewPartTableFromParts(g.schema, parts)
 	g.order = g.order[:0]
-	for pi := 0; pi < nparts; pi++ {
-		for local := int32(0); local < int32(newPT.Part(pi).Len()); local++ {
-			g.order = append(g.order, newPT.EncodeRec(uint32(pi), local))
+	for pi, t := range parts {
+		for local := int32(0); local < int32(t.Len()); local++ {
+			g.order = append(g.order, g.pt.EncodeRec(uint32(pi), local))
 		}
 	}
-	qc.Stats.Count(CtrPartitionWiseAggs, 1)
+}
+
+// fillCols materializes positions [base, base+cnt) of every spilled
+// column into dst, through the per-column scratch in bufs.
+func fillCols(cols []spillCol, base, cnt int, dst, bufs []*vec.Vector) {
+	for ci := range cols {
+		dst[ci] = scratchVec(&bufs[ci], cols[ci].typ, vec.Size)
+		dst[ci].Nulls = nil // a mask left by the phase-1 batch in this scratch
+		cols[ci].fill(dst[ci], base, cnt)
+	}
 }
 
 // buildPartitionWise fills the join's (empty, just laid out) table from a
@@ -436,7 +466,7 @@ func (h *HashJoin) spillBuild(qc *QCtx, src Op, o *join.Owner, bb *buildBatch, s
 		qc.Stats.Add(StatHash, time.Since(start))
 		for pi, g := range groups {
 			if len(g) > 0 {
-				sp.parts[pi].appendRows(bb.keys, bb.payload, nil, hashes, g)
+				sp.parts[pi].appendRows(bb.keys, bb.payload, hashes, g)
 			}
 		}
 		total += int64(len(rows))
@@ -456,7 +486,7 @@ func replayJoinPart(qc *QCtx, o *join.Owner, t *core.Table, pi int, spills []*sp
 			qc.checkCancel()
 			cnt := min(p.rows-base, vec.Size)
 			fillCols(p.keys, base, cnt, bb.keys, bb.keyBufs)
-			fillCols(p.args, base, cnt, bb.payload, bb.plBufs)
+			fillCols(p.vals, base, cnt, bb.payload, bb.plBufs)
 			start := time.Now()
 			o.BuildPart(t, bb.keys, bb.payload, p.hashes.at(base, cnt), identRows[:cnt])
 			qc.Stats.Add(StatLookup, time.Since(start))

@@ -61,7 +61,7 @@ func nullableAggPlan(tab *storage.Table, bits int) *HashAgg {
 	return h
 }
 
-// TestPartitionWiseAggMatchesSerial pins the owner-computes path against
+// TestPartitionWiseAggMatchesSerial pins the many-partition owner step against
 // serial execution across forced radix widths, worker counts and flag
 // sets, on a fixture with NULLs in both keys and arguments.
 func TestPartitionWiseAggMatchesSerial(t *testing.T) {
@@ -77,9 +77,9 @@ func TestPartitionWiseAggMatchesSerial(t *testing.T) {
 					if qc.Stats.Counter(CtrPartitionWiseAggs) != 1 {
 						t.Fatalf("forced bits=%d must take the partition-wise path", bits)
 					}
-					if qc.Stats.Counter(CtrAggRowsSpilled) != int64(tab.Rows()) {
-						t.Fatalf("spilled %d rows, want %d",
-							qc.Stats.Counter(CtrAggRowsSpilled), tab.Rows())
+					// Workers flush partial records, at most one per input row.
+					if spilled := qc.Stats.Counter(CtrAggRowsSpilled); spilled <= 0 || spilled > int64(tab.Rows()) {
+						t.Fatalf("spilled %d partial records, want 1..%d", spilled, tab.Rows())
 					}
 					if len(got) != len(serial) {
 						t.Fatalf("%d rows, serial %d", len(got), len(serial))
@@ -95,9 +95,9 @@ func TestPartitionWiseAggMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionWiseGate pins the path dispatch: forced monolithic tables
-// merge through agg.Merge, forced radix tables go owner-computes, and the
-// adaptive choice falls back to the merge path below partitionMinGroups.
+// TestPartitionWiseGate pins the radix width of a parallel fill: forced
+// radix tables run the owner step over several partitions, and the
+// adaptive choice keeps one partition below partitionMinGroups.
 func TestPartitionWiseGate(t *testing.T) {
 	fact, _ := buildFixture(150_000)
 	run := func(bits, workers int) (*QCtx, []string) {
@@ -115,19 +115,19 @@ func TestPartitionWiseGate(t *testing.T) {
 	_, serial := run(DefaultPartitionBits, 1)
 
 	// d has 100 distinct values: far below partitionMinGroups, so the
-	// adaptive parallel plan must keep the merge path.
+	// adaptive parallel plan must keep one partition.
 	qc, got := run(DefaultPartitionBits, 4)
 	if qc.Stats.Counter(CtrPartitionWiseAggs) != 0 {
 		t.Fatal("low-cardinality adaptive plan must not partition")
 	}
 	for i := range got {
 		if got[i] != serial[i] {
-			t.Fatalf("merge path row %d: %s vs %s", i, got[i], serial[i])
+			t.Fatalf("one-partition row %d: %s vs %s", i, got[i], serial[i])
 		}
 	}
 
-	// Forcing a radix width flips the same plan onto the owner-computes
-	// path.
+	// Forcing a radix width spreads the same plan over 16 owners'
+	// partitions.
 	qc, got = run(4, 4)
 	if qc.Stats.Counter(CtrPartitionWiseAggs) != 1 {
 		t.Fatal("forced bits=4 must take the partition-wise path")
@@ -139,7 +139,7 @@ func TestPartitionWiseGate(t *testing.T) {
 	}
 }
 
-// TestPartitionWiseJoinAgg runs the owner-computes path with a shared
+// TestPartitionWiseJoinAgg runs the many-partition owner step with a shared
 // read-only join build side below the spill frontier.
 func TestPartitionWiseJoinAgg(t *testing.T) {
 	fact, dim := buildFixture(150_000)
@@ -196,21 +196,31 @@ func TestPartitionWiseFootprint(t *testing.T) {
 // routeRow is one generated input row of the route-agreement fixture; nil
 // pointers are SQL NULLs.
 type routeRow struct {
-	g    *int64   // nullable int key
-	s    *string  // nullable string key
-	f    *float64 // nullable DOUBLE key
-	v, a *int64   // nullable arguments: wide (SUM/MIN/MAX) and small (AVG)
-	t    *string  // nullable string argument
+	g, u, c *int64   // int keys: few groups (nullable), more groups than one flush holds, and those clustered
+	s       *string  // nullable string key
+	f       *float64 // nullable DOUBLE key
+	v, a    *int64   // nullable arguments: wide (SUM/MIN/MAX) and small (AVG)
+	t       *string  // nullable string argument
 }
 
-// routeRowAt generates row i. 60% of the rows share one hot key triple
-// (1, "hot", 1.5) the other rows never use, so under every key subset the
-// hot group holds > 65 535 rows (the 16-bit hot COUNT flushes), its v
-// values of 2^62 carry SUM past 64 bits, and its t values are all NULL
-// (string MIN stays NULL).
+// routeRowAt generates row i. Every 997th row belongs to the void group
+// (9, "void", 9.5), whose arguments are all NULL. 60% of the rows share one
+// hot key triple (1, "hot", 1.5) the other rows never use, so under every
+// key subset the hot group holds > 65 535 rows (the 16-bit hot COUNT
+// flushes), its v values of 2^62 carry SUM past 64 bits, and its t values
+// are all NULL (string MIN stays NULL). Key u has about 20 000 groups in
+// random order, key c 40 000 groups of 5 consecutive rows.
 func routeRowAt(i int) routeRow {
 	p := func(x int64) *int64 { return &x }
-	var r routeRow
+	r := routeRow{c: p(int64(i / 5))}
+	if i%17 != 4 {
+		r.u = p(int64(i*7919) % 20_000)
+	}
+	if i%997 == 0 {
+		void, f := "void", 9.5
+		r.g, r.s, r.f = p(9), &void, &f
+		return r
+	}
 	if i%7 != 2 {
 		r.v = p(int64(i%9000) - 4500)
 	}
@@ -245,8 +255,8 @@ func routeRowAt(i int) routeRow {
 }
 
 func routeFixture(lo, hi int) *storage.Table {
-	names := []string{"g", "s", "f", "v", "a", "t"}
-	types := []vec.Type{vec.I32, vec.Str, vec.F64, vec.I64, vec.I32, vec.Str}
+	names := []string{"g", "u", "c", "s", "f", "v", "a", "t"}
+	types := []vec.Type{vec.I32, vec.I64, vec.I64, vec.Str, vec.F64, vec.I64, vec.I32, vec.Str}
 	cols := make([]*storage.Column, len(names))
 	for ci := range cols {
 		cols[ci] = storage.NewColumn(names[ci], types[ci], true)
@@ -268,15 +278,17 @@ func routeFixture(lo, hi int) *storage.Table {
 	for i := lo; i < hi; i++ {
 		r := routeRowAt(i)
 		appendInt(cols[0], r.g)
-		appendStr(cols[1], r.s)
+		appendInt(cols[1], r.u)
+		appendInt(cols[2], r.c)
+		appendStr(cols[3], r.s)
 		if r.f == nil {
-			cols[2].AppendNull()
+			cols[4].AppendNull()
 		} else {
-			cols[2].AppendFloat(*r.f)
+			cols[4].AppendFloat(*r.f)
 		}
-		appendInt(cols[3], r.v)
-		appendInt(cols[4], r.a)
-		appendStr(cols[5], r.t)
+		appendInt(cols[5], r.v)
+		appendInt(cols[6], r.a)
+		appendStr(cols[7], r.t)
 	}
 	tab := storage.NewTable("routes", cols...)
 	tab.Seal()
@@ -285,7 +297,8 @@ func routeFixture(lo, hi int) *storage.Table {
 
 // routeReference aggregates rows [0, n) with a plain Go map and renders
 // the groups like sortedRows does: the keys, then SUM(v), COUNT(v),
-// COUNT(*), MIN(v), MAX(v), MIN(t), AVG(a).
+// COUNT(*), MIN(v), MAX(v), MIN(t), AVG(a) — SUM, MIN, MAX and AVG NULL
+// over no values.
 func routeReference(n int, keys []string) []string {
 	type group struct {
 		key        string
@@ -303,6 +316,10 @@ func routeReference(n int, keys []string) []string {
 			switch {
 			case k == "g" && r.g != nil:
 				key += fmt.Sprintf("%d|", *r.g)
+			case k == "u" && r.u != nil:
+				key += fmt.Sprintf("%d|", *r.u)
+			case k == "c":
+				key += fmt.Sprintf("%d|", *r.c)
 			case k == "s" && r.s != nil:
 				key += *r.s + "|"
 			case k == "f" && r.f != nil:
@@ -332,21 +349,28 @@ func routeReference(n int, keys []string) []string {
 	}
 	var out []string
 	for _, gr := range groups {
-		minT := "NULL"
+		sum, minV, maxV, minT, avgA := "NULL", "NULL", "NULL", "NULL", "NULL"
+		if gr.cntV > 0 {
+			sum, minV, maxV = gr.sum.String(), fmt.Sprint(gr.minV), fmt.Sprint(gr.maxV)
+		}
 		if gr.minT != nil {
 			minT = *gr.minT
 		}
-		out = append(out, fmt.Sprintf("%s%s|%d|%d|%d|%d|%s|%.4f|", gr.key, gr.sum, gr.cntV, gr.cnt,
-			gr.minV, gr.maxV, minT, float64(gr.sumA)/float64(gr.cntA)))
+		if gr.cntA > 0 {
+			avgA = fmt.Sprintf("%.4f", float64(gr.sumA)/float64(gr.cntA))
+		}
+		out = append(out, fmt.Sprintf("%s%s|%d|%d|%s|%s|%s|%s|", gr.key, sum, gr.cntV, gr.cnt,
+			minV, maxV, minT, avgA))
 	}
 	sort.Strings(out)
 	return out
 }
 
 // routePlan aggregates tab by the given keys. With partials set it is the
-// shard fragment of a distributed plan: AVG ships as its SUM and COUNT.
+// shard fragment of a distributed plan: AVG ships as its SUM and COUNT,
+// and SUM/MIN/MAX ship the COUNT of their argument.
 func routePlan(tab *storage.Table, keys []string, bits int, partials bool) *HashAgg {
-	sc := NewScan(tab, "g", "s", "f", "v", "a", "t")
+	sc := NewScan(tab, "g", "u", "c", "s", "f", "v", "a", "t")
 	m := sc.Meta()
 	var keyExprs []*Expr
 	for _, k := range keys {
@@ -363,7 +387,8 @@ func routePlan(tab *storage.Table, keys []string, bits int, partials bool) *Hash
 	if partials {
 		aggs = append(aggs,
 			AggExpr{Func: agg.Sum, Arg: Col(m, "a"), Name: "avg_sum"},
-			AggExpr{Func: agg.Count, Arg: Col(m, "a"), Name: "avg_cnt"})
+			AggExpr{Func: agg.Count, Arg: Col(m, "a"), Name: "avg_cnt"},
+			AggExpr{Func: agg.Count, Arg: Col(m, "t"), Name: "n_t"})
 	} else {
 		aggs = append(aggs, AggExpr{Func: Avg, Arg: Col(m, "a"), Name: "avg_a"})
 	}
@@ -372,13 +397,31 @@ func routePlan(tab *storage.Table, keys []string, bits int, partials bool) *Hash
 	return h
 }
 
+// routeMerge is the coordinator fragment over routePlan's partial rows.
+func routeMerge(src Op, nk int) *MergeAgg {
+	return NewMergeAgg(src, nk, []MergeSpec{
+		{Func: agg.Sum, Col: nk, Cnt: nk + 1, Name: "sum_v"},
+		{Func: agg.Count, Col: nk + 1, Cnt: -1, Name: "n_v"},
+		{Func: agg.CountStar, Col: nk + 2, Cnt: -1, Name: "n"},
+		{Func: agg.Min, Col: nk + 3, Cnt: nk + 1, Name: "min_v"},
+		{Func: agg.Max, Col: nk + 4, Cnt: nk + 1, Name: "max_v"},
+		{Func: agg.Min, Col: nk + 5, Cnt: nk + 8, Name: "min_t"},
+		{Func: Avg, Col: nk + 6, Cnt: nk + 7, Name: "avg_a"},
+	})
+}
+
 // TestGroupTableRoutesAgree feeds one generated input — nullable int,
-// string and DOUBLE keys, nullable arguments, an all-NULL string MIN
-// group, AVG over negative sums, a SUM carrying past 64 bits, a group wide enough to flush
-// the hot COUNT — through every feeder of the group table and pins them
-// all to a naive Go-map reference: serial HashAgg, clone-and-merge,
-// partition-wise owner build, and Exchange→MergeAgg over the input split
-// in two.
+// string and DOUBLE keys, nullable arguments, an all-NULL group, an
+// all-NULL string MIN group, AVG over negative sums, a SUM carrying past
+// 64 bits, a group wide enough to flush the hot COUNT — through every
+// feeder of the group table and pins them all to a naive Go-map
+// reference: serial HashAgg at 0 and 3 radix bits, the parallel fill
+// (workers' partial records folded by one owner per partition) at 0 and 3
+// bits, and Exchange→MergeAgg over the input split in two. Under keys u
+// and c the groups outgrow one flush budget, so workers flush mid-stream:
+// under u they barely reduce their input, so with several partitions they
+// go on to spill rows as partials; under c every group is 5 adjacent rows,
+// so they keep pre-aggregating.
 func TestGroupTableRoutesAgree(t *testing.T) {
 	const n = 200_000
 	whole := routeFixture(0, n)
@@ -390,12 +433,17 @@ func TestGroupTableRoutesAgree(t *testing.T) {
 	}{
 		{"serial/bits0", 1, 0, 0},
 		{"serial/bits3", 1, 3, 0},
-		{"clone-merge/w4", 4, 0, 0},
-		{"partition-wise/w4", 4, 3, 1},
+		{"owner/w4/bits0", 4, 0, 0},
+		{"owner/w4/bits3", 4, 3, 1},
 	}
-	for _, keys := range [][]string{{"g"}, {"s"}, {"f"}, {"g", "s", "f"}} {
+	for _, keys := range [][]string{{"g"}, {"s"}, {"f"}, {"g", "s", "f"}, {"u"}, {"c"}} {
 		want := routeReference(n, keys)
-		for _, flags := range []core.Flags{core.Vanilla(), {UseUSSR: true}, core.All()} {
+		flushHeavy := keys[0] == "u" || keys[0] == "c"
+		flagSets := []core.Flags{core.Vanilla(), {UseUSSR: true}, core.All()}
+		if flushHeavy {
+			flagSets = flagSets[2:]
+		}
+		for _, flags := range flagSets {
 			name := fmt.Sprintf("keys=%s/%s", strings.Join(keys, ","), flagName(flags))
 			check := func(t *testing.T, got []string) {
 				t.Helper()
@@ -409,12 +457,22 @@ func TestGroupTableRoutesAgree(t *testing.T) {
 				}
 			}
 			for _, r := range routes {
+				if flushHeavy && r.workers == 1 {
+					continue // the flushes are the parallel routes'
+				}
 				t.Run(name+"/"+r.name, func(t *testing.T) {
 					qc := NewQCtx(flags)
 					qc.Workers = r.workers
 					got := sortedRows(Run(qc, routePlan(whole, keys, r.bits, false)))
 					if pw := qc.Stats.Counter(CtrPartitionWiseAggs); pw != r.partitionWise {
 						t.Fatalf("partition-wise aggs = %d, want %d", pw, r.partitionWise)
+					}
+					spilled := qc.Stats.Counter(CtrAggRowsSpilled)
+					if flushHeavy && r.workers > 1 && spilled <= int64(len(want)) {
+						t.Fatalf("%d partial records for %d groups: no worker flushed mid-stream", spilled, len(want))
+					}
+					if keys[0] == "c" && r.workers > 1 && spilled >= n/2 {
+						t.Fatalf("%d partial records from %d rows: workers stopped pre-aggregating", spilled, n)
 					}
 					check(t, got)
 				})
@@ -429,17 +487,8 @@ func TestGroupTableRoutesAgree(t *testing.T) {
 						gathered.Rows = append(gathered.Rows, r.Rows...)
 					}
 				}
-				nk := len(keys)
-				merge := NewMergeAgg(NewExchange(gathered.Names, gathered.Types, gathered.Rows), nk, []MergeSpec{
-					{Func: agg.Sum, Col: nk, Cnt: -1, Name: "sum_v"},
-					{Func: agg.Count, Col: nk + 1, Cnt: -1, Name: "n_v"},
-					{Func: agg.CountStar, Col: nk + 2, Cnt: -1, Name: "n"},
-					{Func: agg.Min, Col: nk + 3, Cnt: -1, Name: "min_v"},
-					{Func: agg.Max, Col: nk + 4, Cnt: -1, Name: "max_v"},
-					{Func: agg.Min, Col: nk + 5, Cnt: -1, Name: "min_t"},
-					{Func: Avg, Col: nk + 6, Cnt: nk + 7, Name: "avg_a"},
-				})
-				check(t, sortedRows(Run(NewQCtx(flags), merge)))
+				src := NewExchange(gathered.Names, gathered.Types, gathered.Rows)
+				check(t, sortedRows(Run(NewQCtx(flags), routeMerge(src, len(keys)))))
 			})
 		}
 	}

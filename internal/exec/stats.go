@@ -44,10 +44,11 @@ const (
 	CtrBytesDecompressed = "bytes decompressed"
 )
 
-// Partition-wise parallel aggregation counters. AggRowsSpilled counts the
-// rows routed through phase-1 spill buffers; PartitionWiseAggs counts
-// frontier aggregations that took the owner-computes path instead of the
-// agg.Merge path (tests assert on it to pin which path ran).
+// Parallel aggregation counters. AggRowsSpilled counts the partial
+// records workers flushed into the spill buffers of a frontier fill;
+// PartitionWiseAggs counts parallel frontier fills whose owner step ran
+// over more than one radix partition (tests assert on it to pin the
+// width).
 const (
 	CtrAggRowsSpilled    = "agg rows spilled"
 	CtrPartitionWiseAggs = "partition-wise aggs"

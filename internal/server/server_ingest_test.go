@@ -48,9 +48,8 @@ func TestWriteEndpoint(t *testing.T) {
 	// Cache a plan against the empty table first, so the version bump
 	// from the INSERT below must retire it.
 	count := "SELECT COUNT(*) FROM ev"
-	if qr, _ := postQuery(t, ts.URL, QueryRequest{SQL: count}); len(qr.Rows) != 0 {
-		// COUNT over an empty table yields zero groups in this engine.
-		t.Fatalf("empty table count rows = %v", qr.Rows)
+	if qr, _ := postQuery(t, ts.URL, QueryRequest{SQL: count}); len(qr.Rows) != 1 || fmt.Sprint(qr.Rows[0]) != "[0]" {
+		t.Fatalf("empty table count rows = %v, want [[0]]", qr.Rows)
 	}
 
 	qr, status = postQuery(t, ts.URL, QueryRequest{

@@ -14,9 +14,9 @@ import (
 // aggregation) and the coordinator's merge fragment built over an
 // Exchange of the gathered shard rows. exec.MergeAgg feeds those rows
 // into the group table every single-node aggregation uses and folds them
-// with agg.LoadPartial + agg.Merge, so the reducer shares its key
-// coding, insert step and emitter with HashAgg and its fold with the
-// parallel worker merge.
+// with agg.Fold, so the reducer shares its key coding, insert step and
+// emitter with HashAgg and its fold with the parallel owners' step over
+// the workers' partial records.
 type DistPlan struct {
 	// ShardSQL is sent verbatim to every shard.
 	ShardSQL string
@@ -42,7 +42,8 @@ type DistPlan struct {
 // merge fragment. Every SELECT the single-node planner accepts splits:
 // non-aggregate queries pass shard rows through (with top-k pushdown
 // when a LIMIT is present), and aggregate queries push the grouped
-// partial aggregation below the exchange, shipping AVG as SUM + COUNT.
+// partial aggregation below the exchange, shipping AVG as SUM + COUNT and
+// SUM, MIN and MAX each with the COUNT of its argument.
 func PlanDistributed(stmt *SelectStmt) (*DistPlan, error) {
 	hasAgg := stmt.GroupBy != nil || stmt.Having != nil
 	for _, it := range stmt.Items {
@@ -130,15 +131,15 @@ func planDistAggregate(stmt *SelectStmt) (*DistPlan, error) {
 			spec := exec.MergeSpec{Col: col, Cnt: -1, Name: name}
 			alias := fmt.Sprintf("__a%d", len(shard.Items)-d.NKeys)
 			switch f.Name {
-			case "SUM":
-				spec.Func = agg.Sum
-				shard.Items = append(shard.Items, SelectItem{Expr: f, Alias: alias})
-			case "MIN":
-				spec.Func = agg.Min
-				shard.Items = append(shard.Items, SelectItem{Expr: f, Alias: alias})
-			case "MAX":
-				spec.Func = agg.Max
-				shard.Items = append(shard.Items, SelectItem{Expr: f, Alias: alias})
+			case "SUM", "MIN", "MAX":
+				// The COUNT of the argument ships alongside: the merged
+				// aggregate is NULL where it sums to 0.
+				spec.Func = map[string]agg.Func{"SUM": agg.Sum, "MIN": agg.Min, "MAX": agg.Max}[f.Name]
+				spec.Cnt = col + 1
+				cnt := &FuncCall{base: f.base, Name: "COUNT", Args: f.Args}
+				shard.Items = append(shard.Items,
+					SelectItem{Expr: f, Alias: alias},
+					SelectItem{Expr: cnt, Alias: fmt.Sprintf("__a%d", len(shard.Items)-d.NKeys+1)})
 			case "COUNT":
 				// Shard counts merge by summation whether COUNT(x) or
 				// COUNT(*); the distinction already happened on the shard.

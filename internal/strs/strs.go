@@ -18,7 +18,7 @@ import (
 // interns into a private heap, and the owning shard is recorded in bits
 // 48..62 of the reference (bit 63 stays the USSR tag). Any store holding
 // the shared shard table can then resolve any worker's reference, which is
-// what lets the merge phase compare and re-hash group keys produced by
+// what lets a partition owner compare and re-hash group keys produced by
 // different workers without re-interning. Serial execution never sets
 // shard bits, so references stay byte-identical to the single-store
 // engine.

@@ -9,10 +9,10 @@ import (
 )
 
 // TestAllQueriesPartitionBitsParallelMatchSerial drives every TPC-H query
-// through the parallel engine at forced radix widths — monolithic (0,
-// always the agg.Merge path), 3 and 6 (the owner-computes partition-wise
-// path) — at several worker counts, against the adaptive serial oracle.
-// Emission order is unspecified across merge strategies, so rows compare
+// through the parallel engine at forced radix widths — monolithic (0, one
+// partition owner folds every worker's partials), 3 and 6 (one owner per
+// partition) — at several worker counts, against the adaptive serial
+// oracle. Parallel emission order depends on scheduling, so rows compare
 // as sorted rendered strings.
 func TestAllQueriesPartitionBitsParallelMatchSerial(t *testing.T) {
 	cat := catFor(t)
