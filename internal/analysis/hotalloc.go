@@ -108,7 +108,7 @@ func checkHotCall(pass *Pass, name string, call *ast.CallExpr) {
 		if from == nil {
 			return
 		}
-		if types.IsInterface(to.Underlying()) && !types.IsInterface(from.Underlying()) {
+		if boxes(to) && !types.IsInterface(from.Underlying()) {
 			pass.Reportf(call.Pos(), "interface conversion (boxing) inside hot kernel %s", name)
 			return
 		}
@@ -143,7 +143,7 @@ func checkHotCall(pass *Pass, name string, call *ast.CallExpr) {
 		if at == nil {
 			continue
 		}
-		if types.IsInterface(pt.Underlying()) && !types.IsInterface(at.Underlying()) && !isUntypedNil(at) {
+		if boxes(pt) && !types.IsInterface(at.Underlying()) && !isUntypedNil(at) {
 			pass.Reportf(arg.Pos(), "argument boxed into interface parameter inside hot kernel %s", name)
 		}
 	}
@@ -170,4 +170,14 @@ func isByteSlice(t types.Type) bool {
 func isUntypedNil(t types.Type) bool {
 	b, ok := t.(*types.Basic)
 	return ok && b.Kind() == types.UntypedNil
+}
+
+// boxes reports whether a concrete value converted to t is boxed: t is an
+// interface. A type parameter is not, although its underlying type is its
+// constraint: a generic function runs on the concrete value.
+func boxes(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t.Underlying())
 }

@@ -87,3 +87,18 @@ func cmpPackedish(words []uint64, c uint64, out []bool) {
 		out[i] = words[i] >= c
 	}
 }
+
+// opWordish converts to and passes values of a type parameter, which
+// boxes nothing: generic code runs on the concrete value.
+func opWordish[W uint32 | uint64](ws []uint64, out []W) {
+	for i := range out {
+		out[i] = maxWord(W(ws[i]), out[i])
+	}
+}
+
+func maxWord[W uint32 | uint64](a, b W) W {
+	if a > b {
+		return a
+	}
+	return b
+}

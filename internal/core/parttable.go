@@ -1,7 +1,5 @@
 package core
 
-import "encoding/binary"
-
 // Radix-partitioned hash tables (cache-conscious execution, DESIGN.md).
 //
 // A monolithic build side that outgrows L2/L3 turns every probe into a
@@ -91,6 +89,31 @@ func NewPartTable(schema *KeySchema, hotExtra, coldExtra, capacityHint, bits int
 		pt.parts[i] = NewTable(schema, hotExtra, coldExtra, hint)
 	}
 	return pt
+}
+
+// probeOne is ProbeChainsStaged's single-word fast path (Section II-F's
+// "execute the join as if there were just one column"): one load, one
+// compare per record, from the heads phase one snapshotted.
+//
+//ocht:hot
+func probeOne[W word](pt *PartTable, p *Prepared, hashes []uint64, rows []int32, heads []int32, outRows, outRecs []int32) ([]int32, []int32) {
+	w0 := p.words[0]
+	for i, r := range rows {
+		if !p.inDom[r] {
+			continue
+		}
+		part := pt.PartOf(hashes[r])
+		t := pt.parts[part]
+		key := W(w0[r])
+		hw := t.hotWidth
+		for rec := heads[i]; rec >= 0; rec = t.next[rec] {
+			if loadWord[W](t.hot[int(rec)*hw:]) == key {
+				outRows = append(outRows, r)
+				outRecs = append(outRecs, pt.EncodeRec(part, rec))
+			}
+		}
+	}
+	return outRows, outRecs
 }
 
 // NewPartTableFromParts assembles a partitioned table from 2^bits
@@ -241,26 +264,10 @@ func (pt *PartTable) ProbeChainsStaged(p *Prepared, hashes []uint64, rows []int3
 		heads[i] = t.heads[h&t.mask]
 	}
 	if pt.Schema.oneWord {
-		// Single-word fast path (Section II-F's "execute the join as if
-		// there were just one column"): one load, one compare per record.
-		w0 := p.words[0]
-		for i, r := range rows {
-			if !p.inDom[r] {
-				continue
-			}
-			h := hashes[r]
-			part := pt.PartOf(h)
-			t := parts[part]
-			key := w0[r]
-			hw := t.hotWidth
-			for rec := heads[i]; rec >= 0; rec = t.next[rec] {
-				if binary.LittleEndian.Uint64(t.hot[int(rec)*hw:]) == key {
-					outRows = append(outRows, r)
-					outRecs = append(outRecs, pt.EncodeRec(part, rec))
-				}
-			}
+		if pt.Schema.plan.WordBits == 32 {
+			return probeOne[uint32](pt, p, hashes, rows, heads, outRows, outRecs)
 		}
-		return outRows, outRecs
+		return probeOne[uint64](pt, p, hashes, rows, heads, outRows, outRecs)
 	}
 	for i, r := range rows {
 		h := hashes[r]

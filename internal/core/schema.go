@@ -73,8 +73,8 @@ type KeySchema struct {
 	coldBytes int   // cold bytes owned by the key schema
 
 	// oneWord marks compressed schemas whose whole key is one packed
-	// 64-bit word (no string columns): FindOrInsert and the staged probe
-	// then compare one load per record (Section II-F).
+	// word of either width (no string columns): FindOrInsert and the
+	// staged probe then compare one load per record (Section II-F).
 	oneWord bool
 
 	// Per-batch scratch reused across Prepare calls. A KeySchema serves a
@@ -130,7 +130,7 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 			return nil, err
 		}
 		s.plan = plan
-		s.oneWord = intOnly && plan.Words == 1 && plan.WordBits == 64
+		s.oneWord = intOnly && plan.Words == 1
 		s.keyBytes = plan.RecordBytes()
 		for i, c := range cols {
 			if c.Type == vec.Str && s.codeCol[i] < 0 {

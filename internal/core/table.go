@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 
 	"ocht/internal/ussr"
 	"ocht/internal/vec"
@@ -413,30 +414,10 @@ func (t *Table) loadDirect(rec int32, ci int) uint64 {
 // caller can initialize aggregate state.
 func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
 	if t.Schema.oneWord {
-		// Single-word fast path (Section II-F): grouping on the packed
-		// word is one compare, fewer branches.
-		w0 := p.words[0]
-		hw := t.hotWidth
-		for _, r := range rows {
-			h := hashes[r]
-			key := w0[r]
-			rec := t.heads[h&t.mask]
-			for rec >= 0 {
-				if binary.LittleEndian.Uint64(t.hot[int(rec)*hw:]) == key && p.inDom[r] {
-					break
-				}
-				rec = t.next[rec]
-			}
-			if rec < 0 {
-				rec = t.alloc()
-				t.storeKeyOne(p, int(r), rec)
-				t.link(rec, h)
-				newRows = append(newRows, r)
-				newRecs = append(newRecs, rec)
-			}
-			recOut[r] = rec
+		if t.Schema.plan.WordBits == 32 {
+			return findOrInsertOne[uint32](t, p, hashes, rows, recOut)
 		}
-		return newRows, newRecs
+		return findOrInsertOne[uint64](t, p, hashes, rows, recOut)
 	}
 	for _, r := range rows {
 		row := int(r)
@@ -451,6 +432,46 @@ func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut 
 		if rec < 0 {
 			rec = t.alloc()
 			t.storeKeyOne(p, row, rec)
+			t.link(rec, h)
+			newRows = append(newRows, r)
+			newRecs = append(newRecs, rec)
+		}
+		recOut[r] = rec
+	}
+	return newRows, newRecs
+}
+
+// word is the packed key word of a one-word schema, as wide as the plan's
+// WordBits.
+type word interface{ uint32 | uint64 }
+
+// loadWord reads the W-wide little-endian word at the start of b.
+func loadWord[W word](b []byte) W {
+	if uint64(^W(0)) == math.MaxUint32 {
+		return W(binary.LittleEndian.Uint32(b))
+	}
+	return W(binary.LittleEndian.Uint64(b))
+}
+
+// findOrInsertOne is FindOrInsert's single-word fast path (Section II-F):
+// grouping on the packed word is one load and one compare per record,
+// fewer branches than matchOne.
+func findOrInsertOne[W word](t *Table, p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
+	w0 := p.words[0]
+	hw := t.hotWidth
+	for _, r := range rows {
+		h := hashes[r]
+		key := W(w0[r])
+		rec := t.heads[h&t.mask]
+		for rec >= 0 {
+			if loadWord[W](t.hot[int(rec)*hw:]) == key && p.inDom[r] {
+				break
+			}
+			rec = t.next[rec]
+		}
+		if rec < 0 {
+			rec = t.alloc()
+			t.storeKeyOne(p, int(r), rec)
 			t.link(rec, h)
 			newRows = append(newRows, r)
 			newRecs = append(newRecs, rec)

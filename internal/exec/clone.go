@@ -62,6 +62,7 @@ func clonePipeline(o Op, morsels *storage.MorselQueue, worker int) Op {
 			ProbeKeys:     t.ProbeKeys,
 			Payload:       t.Payload,
 			Kind:          t.Kind,
+			Residual:      cloneExpr(t.Residual),
 			PartitionBits: t.PartitionBits,
 			prebuilt:      t.j,
 		}
@@ -95,6 +96,7 @@ func ClonePlan(o Op) Op {
 		return NewProject(ClonePlan(t.Child), t.Names, cloneExprs(t.Exprs))
 	case *HashJoin:
 		c := NewHashJoin(t.Kind, ClonePlan(t.Probe), ClonePlan(t.Build), t.ProbeKeys, t.BuildKeys, t.Payload)
+		c.Residual = cloneExpr(t.Residual)
 		c.PartitionBits = t.PartitionBits
 		return c
 	case *HashAgg:

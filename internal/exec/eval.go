@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"ocht/internal/i128"
 	"ocht/internal/vec"
 )
@@ -81,6 +83,8 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 		l := e.l.eval(qc, b, rows, phys)
 		r := e.r.eval(qc, b, rows, phys)
 		out := e.ensureBuf(e.typ, phys)
+		// A zero divisor makes the row NULL (Div and Mod are nullable
+		// whenever their divisor may be zero).
 		if e.typ == vec.F64 {
 			for _, i := range rows {
 				a, bb := asF64(l, int(i)), asF64(r, int(i))
@@ -92,9 +96,13 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 					v = a - bb
 				case eMul:
 					v = a * bb
-				case eDiv:
-					if bb != 0 {
+				case eDiv, eMod:
+					if bb == 0 {
+						out.SetNull(int(i))
+					} else if e.kind == eDiv {
 						v = a / bb
+					} else {
+						v = math.Mod(a, bb)
 					}
 				}
 				out.F64[i] = v
@@ -110,12 +118,12 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 					v = i128.Sub(a, bb)
 				case eMul:
 					v = i128.MulInt64(a.Int64(), bb.Int64())
-				case eDiv:
-					if d := bb.Int64(); d != 0 {
+				case eDiv, eMod:
+					if d := bb.Int64(); d == 0 {
+						out.SetNull(int(i))
+					} else if e.kind == eDiv {
 						v = i128.FromInt64(a.Int64() / d)
-					}
-				case eMod:
-					if d := bb.Int64(); d != 0 {
+					} else {
 						v = i128.FromInt64(a.Int64() % d)
 					}
 				}
@@ -132,12 +140,12 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 					v = a - bb
 				case eMul:
 					v = a * bb
-				case eDiv:
-					if bb != 0 {
+				case eDiv, eMod:
+					if bb == 0 {
+						out.SetNull(int(i))
+					} else if e.kind == eDiv {
 						v = a / bb
-					}
-				case eMod:
-					if bb != 0 {
+					} else {
 						v = a % bb
 					}
 				}

@@ -151,6 +151,22 @@ func (e *Expr) Nullable() bool { return e.nullable }
 // through their domain instead.
 func (e *Expr) DistinctBound() int64 { return e.distinct }
 
+// markCols sets need[i] for every input column i the expression reads.
+func (e *Expr) markCols(need []bool) {
+	if e == nil {
+		return
+	}
+	if e.kind == eCol {
+		need[e.col] = true
+	}
+	e.l.markCols(need)
+	e.r.markCols(need)
+	e.el.markCols(need)
+	for _, v := range e.vals {
+		v.markCols(need)
+	}
+}
+
 // Col references column i of the input schema.
 func Col(schema []Meta, name string) *Expr {
 	for i, m := range schema {
@@ -193,6 +209,10 @@ func Str(s string) *Expr {
 
 func arith(kind exprKind, l, r *Expr) *Expr {
 	e := &Expr{kind: kind, l: l, r: r, nullable: l.nullable || r.nullable}
+	if kind == eDiv || kind == eMod {
+		// Division by zero is NULL.
+		e.nullable = e.nullable || r.mayBeZero()
+	}
 	if l.typ == vec.F64 || r.typ == vec.F64 {
 		e.typ = vec.F64
 		e.dom = domain.Unknown
@@ -233,6 +253,18 @@ func arith(kind exprKind, l, r *Expr) *Expr {
 		}
 	}
 	return e
+}
+
+// mayBeZero reports whether the expression can evaluate to zero: a
+// non-zero constant, or an integer whose domain excludes 0, cannot.
+func (e *Expr) mayBeZero() bool {
+	switch {
+	case e.kind == eConstF64:
+		return e.cF64 == 0
+	case e.typ == vec.F64:
+		return true
+	}
+	return !e.dom.Valid || e.dom.Contains(0)
 }
 
 func floorDiv(a, b int64) int64 {

@@ -99,10 +99,45 @@ func TestArithmeticEval(t *testing.T) {
 			t.Errorf("row %d: %d want %d", i, out.I64[i], w)
 		}
 	}
-	// Division by zero yields zero, not a panic.
+	// Division by zero yields NULL, not a panic.
 	out = evalBatch(t, Div(Int(10), Sub(Col(schema, "x"), Col(schema, "x"))), col, 4)
-	if out.I64[0] != 0 {
-		t.Error("x/0 must be 0")
+	if !out.IsNull(0) {
+		t.Error("x/0 must be NULL")
+	}
+}
+
+// TestDivisionNullability checks that Div and Mod are nullable exactly
+// when the divisor is, or may be zero: a constant non-zero divisor (the
+// year extraction date / 10000) or an integer domain without 0 keeps the
+// result non-nullable.
+func TestDivisionNullability(t *testing.T) {
+	schema := []Meta{
+		{Name: "pos", Type: vec.I64, Dom: domain.New(1, 100)},
+		{Name: "nat", Type: vec.I64, Dom: domain.New(0, 100)},
+		{Name: "f", Type: vec.F64, Dom: domain.Unknown},
+		{Name: "n", Type: vec.I64, Dom: domain.New(1, 100), Nullable: true},
+	}
+	pos, nat, f, n := Col(schema, "pos"), Col(schema, "nat"), Col(schema, "f"), Col(schema, "n")
+	for _, c := range []struct {
+		name string
+		e    *Expr
+		want bool
+	}{
+		{"nat / 10000", Div(nat, Int(10000)), false},
+		{"nat % 7", Mod(nat, Int(7)), false},
+		{"nat / pos", Div(nat, pos), false},
+		{"f / 7.0", Div(f, F64Const(7)), false},
+		{"pos / nat", Div(pos, nat), true},
+		{"pos % nat", Mod(pos, nat), true},
+		{"pos / 0", Div(pos, Int(0)), true},
+		{"pos / n", Div(pos, n), true},
+		{"pos / f", Div(pos, f), true},
+		{"f / 0.0", Div(f, F64Const(0)), true},
+		{"pos * nat", Mul(pos, nat), false},
+	} {
+		if got := c.e.Nullable(); got != c.want {
+			t.Errorf("%s: nullable %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

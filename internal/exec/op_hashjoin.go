@@ -35,6 +35,13 @@ type HashJoin struct {
 	ProbeKeys    []string
 	Payload      []string
 	Kind         JoinKind
+	// Residual, when set on a Semi or Anti join, is a further condition
+	// on each key match: a probe row counts as matched only when some
+	// pair of it and a build record with an equal key selects, NULL
+	// selecting nothing. It is bound over PairMeta — the probe columns,
+	// then the payload columns, as an inner join emits them — so Payload
+	// lists the build columns it reads.
+	Residual *Expr
 	// PartitionBits sets the build side's radix-partitioning width:
 	// negative (the constructor default) picks it adaptively from the
 	// build-side cardinality bound, 0 forces one monolithic table, and
@@ -70,6 +77,12 @@ type HashJoin struct {
 	out          vec.Batch
 	outBufs      []*vec.Vector
 	fetchBufs    []*vec.Vector // per payload: coded fetch scratch when the coded type differs
+	// Residual pair batch: the outBufs columns the residual reads (need),
+	// the unmarked pairs of one vector, and the selection scratch.
+	need               []bool
+	pair               vec.Batch
+	pairRows, pairRecs []int32
+	pairSel            []int32
 
 	// Match-list scratch reused across probe chunks, and emitChunk's
 	// (row, record, null-row) gather scratch — no per-Next allocations.
@@ -161,18 +174,30 @@ func (h *HashJoin) Meta() []Meta {
 	if h.meta != nil {
 		return h.meta
 	}
-	h.meta = append(h.meta, h.Probe.Meta()...)
-	if h.Kind == Inner || h.Kind == LeftOuter {
-		bm := h.Build.Meta()
-		for _, name := range h.Payload {
-			m := bm[colIndex(bm, name)]
-			if h.Kind == LeftOuter {
-				m.Nullable = true
+	switch h.Kind {
+	case Semi, Anti:
+		h.meta = append(h.meta, h.Probe.Meta()...)
+	default:
+		h.meta = h.PairMeta()
+		if h.Kind == LeftOuter {
+			for i := len(h.Probe.Meta()); i < len(h.meta); i++ {
+				h.meta[i].Nullable = true
 			}
-			h.meta = append(h.meta, m)
 		}
 	}
 	return h.meta
+}
+
+// PairMeta is the schema of one (probe row, build record) pair: the probe
+// columns, then the payload columns. An inner join emits it; a semi or
+// anti join's Residual is bound over it.
+func (h *HashJoin) PairMeta() []Meta {
+	pm := append([]Meta(nil), h.Probe.Meta()...)
+	bm := h.Build.Meta()
+	for _, name := range h.Payload {
+		pm = append(pm, bm[colIndex(bm, name)])
+	}
+	return pm
 }
 
 // MaxRows implements Op.
@@ -230,8 +255,18 @@ func (h *HashJoin) Open(qc *QCtx) {
 		}
 		h.build(qc)
 	}
-	h.outBufs = make([]*vec.Vector, len(h.meta))
-	for i, m := range h.meta {
+	bufMeta := h.meta
+	if h.Residual != nil {
+		if h.Kind != Semi && h.Kind != Anti {
+			panic("exec: a join residual needs a Semi or Anti join")
+		}
+		h.Residual.intern(qc.Store)
+		bufMeta = h.PairMeta()
+		h.need = make([]bool, len(bufMeta))
+		h.Residual.markCols(h.need)
+	}
+	h.outBufs = make([]*vec.Vector, len(bufMeta))
+	for i, m := range bufMeta {
 		h.outBufs[i] = vec.New(m.Type, vec.Size)
 	}
 	h.fetchBufs = make([]*vec.Vector, len(h.payloadIdx))
@@ -529,11 +564,24 @@ func (h *HashJoin) emitChunk(qc *QCtx) *vec.Batch {
 	mr := h.matchRows[h.matchPos : h.matchPos+n]
 	mc := h.matchRecs[h.matchPos : h.matchPos+n]
 	h.matchPos += n
+	h.fillPairs(h.curBatch, mr, mc, nil)
+	h.out.Vecs = h.outBufs
+	h.out.Sel = nil
+	h.out.N = n
+	return &h.out
+}
 
-	pm := h.Probe.Meta()
-	// Gather probe columns.
-	for ci := range pm {
-		src := h.curBatch.Vecs[ci]
+// fillPairs writes the pairs (mr[i], mc[i]) of probe batch b densely into
+// outBufs: the probe columns gathered at rows mr, then the payload of
+// records mc, where record -1 (an outer miss) gives NULL. need, when not
+// nil, marks the only columns to fill.
+func (h *HashJoin) fillPairs(b *vec.Batch, mr, mc []int32, need []bool) {
+	n := len(mr)
+	np := len(h.Probe.Meta())
+	for ci, src := range b.Vecs[:np] {
+		if need != nil && !need[ci] {
+			continue
+		}
 		dst := h.outBufs[ci]
 		if src.Nulls != nil && dst.Nulls == nil {
 			dst.Nulls = make([]bool, dst.Len())
@@ -554,7 +602,10 @@ func (h *HashJoin) emitChunk(qc *QCtx) *vec.Batch {
 		h.emitRecs = append(h.emitRecs, rec)
 	}
 	for pi, c := range h.payloadCod {
-		dst := h.outBufs[len(pm)+pi]
+		if need != nil && !need[np+pi] {
+			continue
+		}
+		dst := h.outBufs[np+pi]
 		if dst.Nulls != nil {
 			for i := range dst.Nulls {
 				dst.Nulls[i] = false
@@ -570,10 +621,6 @@ func (h *HashJoin) emitChunk(qc *QCtx) *vec.Batch {
 			dst.SetNull(int(i))
 		}
 	}
-	h.out.Vecs = h.outBufs
-	h.out.Sel = nil
-	h.out.N = n
-	return &h.out
 }
 
 // nextSemiAnti emits probe rows filtered by match existence, reusing the
@@ -595,8 +642,12 @@ func (h *HashJoin) nextSemiAnti(qc *QCtx) *vec.Batch {
 			mr, mc := h.j.ProbeStaged(survivors, h.mRows[:0], h.mRecs[:0])
 			qc.Stats.Add(StatLookup, time.Since(start))
 			h.mRows, h.mRecs = mr, mc
-			for _, r := range mr {
-				matched[r] = true
+			if h.Residual != nil {
+				h.residualMatch(qc, b, mr, mc, matched)
+			} else {
+				for _, r := range mr {
+					matched[r] = true
+				}
 			}
 		}
 		h.sel = h.sel[:0]
@@ -616,6 +667,35 @@ func (h *HashJoin) nextSemiAnti(qc *QCtx) *vec.Batch {
 }
 
 func (h *HashJoin) curVecs(b *vec.Batch) []*vec.Vector { return b.Vecs }
+
+// residualMatch marks the probe rows of batch b that have a key match
+// (mr[i], mc[i]) the residual selects. It evaluates the residual over
+// pair batches of up to a vector: each gathers the probe columns and
+// fetches the payload the residual reads, for the pairs whose probe row
+// is not marked yet — a row needs only one selected pair.
+//
+//ocht:hot
+func (h *HashJoin) residualMatch(qc *QCtx, b *vec.Batch, mr, mc []int32, matched []bool) {
+	for i := 0; i < len(mr); {
+		rows, recs := h.pairRows[:0], h.pairRecs[:0]
+		for ; i < len(mr) && len(rows) < vec.Size; i++ {
+			if !matched[mr[i]] {
+				rows = append(rows, mr[i])
+				recs = append(recs, mc[i])
+			}
+		}
+		h.pairRows, h.pairRecs = rows, recs
+		if len(rows) == 0 {
+			return
+		}
+		h.fillPairs(b, rows, recs, h.need)
+		h.pair.Vecs, h.pair.Sel, h.pair.N = h.outBufs, nil, len(rows)
+		h.pairSel = h.Residual.Select(qc, &h.pair, h.pair.Rows(), h.pairSel)
+		for _, p := range h.pairSel {
+			matched[rows[p]] = true
+		}
+	}
+}
 
 // gather copies src values at the given physical rows densely into
 // dst[0:len(rows)]. The caller pre-sizes dst.Nulls when src carries a

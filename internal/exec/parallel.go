@@ -185,6 +185,8 @@ func warmTree(qc *QCtx, root Op) {
 			for _, e := range t.Exprs {
 				warmExpr(qc, e)
 			}
+		case *HashJoin:
+			warmExpr(qc, t.Residual)
 		case *HashAgg:
 			for _, e := range t.Keys {
 				warmExpr(qc, e)

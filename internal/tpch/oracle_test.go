@@ -1,11 +1,14 @@
 package tpch
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"ocht/internal/core"
 	"ocht/internal/exec"
 	"ocht/internal/i128"
+	"ocht/internal/storage"
 	"ocht/internal/strs"
 	"ocht/internal/vec"
 )
@@ -14,7 +17,17 @@ import (
 // engine.
 func columnInts(t *testing.T, table, col string) []int64 {
 	t.Helper()
-	c := catFor(t).Table(table).Col(col)
+	return catInts(catFor(t), table, col)
+}
+
+func columnStrs(t *testing.T, table, col string) []string {
+	t.Helper()
+	return catStrs(catFor(t), table, col)
+}
+
+// catInts reads an integer column of cat straight from storage.
+func catInts(cat *storage.Catalog, table, col string) []int64 {
+	c := cat.Table(table).Col(col)
 	st := strs.NewStore(false)
 	out := vec.New(c.Type, 1<<16)
 	var vals []int64
@@ -27,9 +40,9 @@ func columnInts(t *testing.T, table, col string) []int64 {
 	return vals
 }
 
-func columnStrs(t *testing.T, table, col string) []string {
-	t.Helper()
-	c := catFor(t).Table(table).Col(col)
+// catStrs reads a string column of cat straight from storage.
+func catStrs(cat *storage.Catalog, table, col string) []string {
+	c := cat.Table(table).Col(col)
 	st := strs.NewStore(false)
 	out := vec.New(vec.Str, 1<<16)
 	var vals []string
@@ -126,6 +139,91 @@ func TestQ1Oracle(t *testing.T) {
 		}
 		if row[9].I != a.cnt {
 			t.Fatalf("group %q count %d want %d", k, row[9].I, a.cnt)
+		}
+	}
+}
+
+// TestQ21Oracle recomputes Q21 with scalar loops over storage: a late line
+// of a Saudi Arabian supplier on an order with status F counts when another
+// supplier has a line on the order and no other supplier has a late one.
+func TestQ21Oracle(t *testing.T) {
+	for _, seed := range []int64{42, 7} {
+		cat := Gen(0.01, seed)
+		ok := catInts(cat, "lineitem", "l_orderkey")
+		sk := catInts(cat, "lineitem", "l_suppkey")
+		commit := catInts(cat, "lineitem", "l_commitdate")
+		receipt := catInts(cat, "lineitem", "l_receiptdate")
+		saudi := map[int64]bool{}
+		nKeys, nNames := catInts(cat, "nation", "n_nationkey"), catStrs(cat, "nation", "n_name")
+		for i, n := range nNames {
+			saudi[nKeys[i]] = n == "SAUDI ARABIA"
+		}
+		name := map[int64]string{} // Saudi suppliers only
+		sKeys, sNames, sNations := catInts(cat, "supplier", "s_suppkey"), catStrs(cat, "supplier", "s_name"), catInts(cat, "supplier", "s_nationkey")
+		for i, k := range sKeys {
+			if saudi[sNations[i]] {
+				name[k] = sNames[i]
+			}
+		}
+		finished := map[int64]bool{}
+		oKeys, oStatus := catInts(cat, "orders", "o_orderkey"), catStrs(cat, "orders", "o_orderstatus")
+		for i, k := range oKeys {
+			finished[k] = oStatus[i] == "F"
+		}
+		lines := map[int64][]int{} // order key -> its lines
+		for i, k := range ok {
+			lines[k] = append(lines[k], i)
+		}
+		numwait := map[string]int64{}
+		for i := range ok {
+			s, isSaudi := name[sk[i]]
+			if receipt[i] <= commit[i] || !isSaudi || !finished[ok[i]] {
+				continue
+			}
+			other, otherLate := false, false
+			for _, j := range lines[ok[i]] {
+				if sk[j] != sk[i] {
+					other = true
+					otherLate = otherLate || receipt[j] > commit[j]
+				}
+			}
+			if other && !otherLate {
+				numwait[s]++
+			}
+		}
+		type waiting struct {
+			name string
+			n    int64
+		}
+		var ws []waiting
+		for s, n := range numwait {
+			ws = append(ws, waiting{s, n})
+		}
+		sort.Slice(ws, func(a, b int) bool {
+			if ws[a].n != ws[b].n {
+				return ws[a].n > ws[b].n
+			}
+			return ws[a].name < ws[b].name
+		})
+		var want []string
+		for _, w := range ws {
+			want = append(want, fmt.Sprintf("%s|%d", w.name, w.n))
+		}
+		if len(want) > 100 {
+			want = want[:100]
+		}
+		if len(want) == 0 {
+			t.Fatalf("seed %d: the oracle finds no supplier; the check needs some", seed)
+		}
+		for _, flags := range []core.Flags{core.Vanilla(), core.All()} {
+			res := Q(21, cat, exec.NewQCtx(flags))
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, fmt.Sprintf("%s|%d", row[0].S, row[1].I))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d flags %+v:\n got    %v\n oracle %v", seed, flags, got, want)
+			}
 		}
 	}
 }

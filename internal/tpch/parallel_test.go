@@ -69,7 +69,8 @@ func TestWorkersOneBitIdentical(t *testing.T) {
 
 // TestParallelBuildsMultiBlock runs the queries whose large build sides the
 // parallel driver builds on its workers — partition-wise pipelines (Q4,
-// Q13), aggregations (Q18, Q21) and both nested (Q20) — on a catalog whose
+// Q13, and Q21's lineitem sides of its residual semi and anti joins), an
+// aggregation (Q18) and both nested (Q20) — on a catalog whose
 // big tables span several storage blocks: catFor's catalog is one block,
 // one morsel, per table, so no scan there is ever split between workers.
 func TestParallelBuildsMultiBlock(t *testing.T) {

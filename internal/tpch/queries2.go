@@ -177,51 +177,43 @@ func q20(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	return exec.Run(qc, out).OrderBy(exec.SortKey{Col: 0})
 }
 
-// q21: suppliers who kept orders waiting.
+// q21: suppliers who kept orders waiting. A late line l1 of a Saudi
+// supplier on a finished order qualifies when EXISTS another supplier's
+// line on the order (a semi join on l_orderkey) and NOT EXISTS another
+// supplier's late line (an anti join); "another supplier" is each join's
+// residual l_suppkey <> l1.l_suppkey.
 func q21(cat *storage.Catalog, qc *exec.QCtx) *exec.Result {
 	late := func() exec.Op {
 		l := exec.NewScan(cat.Table("lineitem"), "l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate")
 		lm := l.Meta()
 		return exec.NewFilter(l, exec.Gt(col(lm, "l_receiptdate"), col(lm, "l_commitdate")))
 	}
-	// Distinct supplier counts per order: all suppliers and late ones.
-	distinctCount := func(src exec.Op, keyName, cntName string) exec.Op {
-		sm := src.Meta()
-		d := exec.NewHashAgg(src,
-			[]string{"d_orderkey", "d_suppkey"},
-			[]*e{col(sm, "l_orderkey"), col(sm, "l_suppkey")}, nil)
-		dm := d.Meta()
-		return exec.NewHashAgg(d,
-			[]string{keyName}, []*e{col(dm, "d_orderkey")},
-			[]exec.AggExpr{{Func: agg.CountStar, Name: cntName}})
-	}
-	allSupp := distinctCount(exec.NewScan(cat.Table("lineitem"), "l_orderkey", "l_suppkey"), "ns_orderkey", "nsupp")
-	lateSupp := distinctCount(late(), "nl_orderkey", "nlate")
-
-	l1 := late()
 	s := exec.NewScan(cat.Table("supplier"), "s_suppkey", "s_name", "s_nationkey")
-	l1s := exec.NewHashJoin(exec.Inner, l1, s,
-		[]string{"l_suppkey"}, []string{"s_suppkey"}, []string{"s_name", "s_nationkey"})
 	n := exec.NewScan(cat.Table("nation"), "n_nationkey", "n_name")
 	nm := n.Meta()
 	nf := exec.NewFilter(n, exec.Eq(col(nm, "n_name"), cs("SAUDI ARABIA")))
-	l1sn := exec.NewHashJoin(exec.Semi, l1s, nf, []string{"s_nationkey"}, []string{"n_nationkey"}, nil)
+	sn := exec.NewHashJoin(exec.Semi, s, nf, []string{"s_nationkey"}, []string{"n_nationkey"}, nil)
+	l1 := exec.NewHashJoin(exec.Inner, late(), sn,
+		[]string{"l_suppkey"}, []string{"s_suppkey"}, []string{"s_name"})
 	o := exec.NewScan(cat.Table("orders"), "o_orderkey", "o_orderstatus")
 	om := o.Meta()
 	of := exec.NewFilter(o, exec.Eq(col(om, "o_orderstatus"), cs("F")))
-	withO := exec.NewHashJoin(exec.Semi, l1sn, of, []string{"l_orderkey"}, []string{"o_orderkey"}, nil)
-	withAll := exec.NewHashJoin(exec.Inner, withO, allSupp,
-		[]string{"l_orderkey"}, []string{"ns_orderkey"}, []string{"nsupp"})
-	withLate := exec.NewHashJoin(exec.Inner, withAll, lateSupp,
-		[]string{"l_orderkey"}, []string{"nl_orderkey"}, []string{"nlate"})
-	wm := withLate.Meta()
-	// EXISTS other supplier <=> nsupp >= 2; NOT EXISTS other late
-	// supplier <=> nlate == 1 (l1's own supplier is late by definition).
-	f := exec.NewFilter(withLate, exec.And(
-		exec.Ge(col(wm, "nsupp"), ci(2)),
-		exec.Eq(col(wm, "nlate"), ci(1))))
-	h := exec.NewHashAgg(f,
-		[]string{"s_name"}, []*e{col(wm, "s_name")},
+	withO := exec.NewHashJoin(exec.Semi, l1, of, []string{"l_orderkey"}, []string{"o_orderkey"}, nil)
+	// other joins the lines of l1's order by another supplier in src.
+	other := func(kind exec.JoinKind, probe, src exec.Op) exec.Op {
+		sm := src.Meta()
+		lines := exec.NewProject(src, []string{"x_orderkey", "x_suppkey"},
+			[]*e{col(sm, "l_orderkey"), col(sm, "l_suppkey")})
+		j := exec.NewHashJoin(kind, probe, lines, []string{"l_orderkey"}, []string{"x_orderkey"}, []string{"x_suppkey"})
+		pm := j.PairMeta()
+		j.Residual = exec.Ne(col(pm, "x_suppkey"), col(pm, "l_suppkey"))
+		return j
+	}
+	multi := other(exec.Semi, withO, exec.NewScan(cat.Table("lineitem"), "l_orderkey", "l_suppkey"))
+	alone := other(exec.Anti, multi, late())
+	am := alone.Meta()
+	h := exec.NewHashAgg(alone,
+		[]string{"s_name"}, []*e{col(am, "s_name")},
 		[]exec.AggExpr{{Func: agg.CountStar, Name: "numwait"}})
 	return exec.RunSorted(qc, h, []exec.SortKey{{Col: 1, Desc: true}, {Col: 0}}, 100)
 }
