@@ -125,8 +125,8 @@ func TestTable4CompressionWins(t *testing.T) {
 func TestScalingRunShape(t *testing.T) {
 	cfg := smokeConfig()
 	cfg.Workers = 2
-	// Enough rows that the wide-group estimate clears the adaptive
-	// chooser's 2^13-group floor and the plan partitions.
+	// Enough rows that the wide-group estimate clears the owner fill's
+	// 2^13-group floor and the plan partitions.
 	rep := ScalingRun(cfg, 20_000)
 	if rep.Schema != "ocht-scaling/1" || rep.Cpus < 1 || rep.Gomaxprocs < 1 {
 		t.Fatalf("report header: %+v", rep)
@@ -144,7 +144,7 @@ func TestScalingRunShape(t *testing.T) {
 			t.Errorf("degenerate point %+v", p)
 		}
 	}
-	// The wide-group adaptive plan must actually fold over many partitions
+	// The wide-group owner-width plan must actually fold over many partitions
 	// under parallel workers; the low-cardinality Q1 plan must not.
 	for _, p := range byPlan["widegroup-partitioned"] {
 		if p.Workers > 1 && !p.PartitionWise {

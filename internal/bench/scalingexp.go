@@ -116,11 +116,13 @@ type ScalePoint struct {
 }
 
 // scalingPlans are the sweep variants: the low-cardinality Q1 mix (6
-// groups — the adaptive floor keeps it monolithic, so one owner folds a
-// few partials per worker), the wide-group plan forced monolithic (the
-// one-owner bottleneck baseline), and the same wide-group plan adaptive,
-// which partitions and gets one owner per partition under parallel
-// workers.
+// groups — below the 2^13-group floor its owner fill stays one table, so
+// one owner folds a few partials per worker), the wide-group plan forced
+// to one table (the one-owner bottleneck baseline), and the same
+// wide-group plan at the owner width, which under parallel workers gives
+// each owner at least four partitions (core.OwnerPartitionBits). At one
+// worker every plan builds one table on one goroutine, so the three
+// serial baselines differ only in their group count.
 var scalingPlans = []struct {
 	Name string
 	Bits int
@@ -195,7 +197,7 @@ func ScalingJSON(w io.Writer, cfg Config) error {
 }
 
 // scalingWidePlan aggregates the same filtered scan into ~100k suppkey
-// groups: far past the 2^13-group floor, so the adaptive chooser
+// groups: far past the 2^13-group floor, so at bits -1 an owner fill
 // radix-partitions the group table and the parallel driver's owner step
 // runs over many partitions.
 func scalingWidePlan(fact *storage.Table, bits int) exec.Op {
@@ -216,7 +218,8 @@ func scalingWidePlan(fact *storage.Table, bits int) exec.Op {
 }
 
 // scalingPlan builds the Q1-style aggregation over the fact table with
-// the given radix width for the group table (-1 = adaptive).
+// the given radix width for an owner-filled group table (-1 = the owner
+// width above the group floor).
 func scalingPlan(fact *storage.Table, bits int) exec.Op {
 	sc := exec.NewScan(fact, "returnflag", "linestatus", "quantity", "extendedprice", "discount", "shipdate")
 	m := sc.Meta()

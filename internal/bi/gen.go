@@ -28,7 +28,6 @@ import (
 // Cardinalities of the string domains.
 const (
 	nAgencies  = 60
-	nStates    = 56
 	nDepts     = 320
 	nTypes     = 12
 	nStatuses  = 6

@@ -1,47 +1,33 @@
 package core
 
-// Radix-partitioned hash tables (cache-conscious execution, DESIGN.md).
+// Radix-partitioned hash tables (DESIGN.md, "Cache-conscious execution").
 //
-// A monolithic build side that outgrows L2/L3 turns every probe into a
-// random-access cache miss. PartTable splits one logical table into
-// 2^bits partitions routed by the top bits of the key hash, so each
-// partition's directory, chain links and hot records form a working set
-// small enough to stay cache-resident while it is being built or probed
-// partition-at-a-time. The bucket directory keeps using the low hash bits
-// and the Bloom pre-pass remixes the hash, so the three consumers of one
-// hash stay independent.
+// PartTable splits one logical table into 2^bits partitions routed by the
+// top bits of the key hash. Partitions exist for the partition-wise
+// parallel builds: each partition is a unit of work that one owner worker
+// fills whole, so owners never share a table. A table built on one
+// goroutine is one partition; the paper keeps a hash table cache-resident
+// by shrinking its records (DGPS, hot/cold splitting, the USSR), not by
+// cutting it up. The bucket directory keeps using the low hash bits and
+// the Bloom pre-pass remixes the hash, so the three consumers of one hash
+// stay independent.
 //
 // Records are addressed two ways: per-partition LOCAL indices (what the
 // underlying Tables speak, used for payload scatter/gather) and GLOBAL
 // encoded indices `local<<bits | part` (what probes hand to callers, so a
 // match fits in one int32 like before).
 
-// PartitionTargetBytes is the hot working-set budget per partition: half
-// of a 1 MiB per-core L2, leaving headroom for the probe-side batch
-// state. The adaptive chooser picks the smallest partition count that
-// fits the build-side estimate under this budget.
-const PartitionTargetBytes = 512 << 10
-
 // MaxPartitionBits caps the radix fan-out at 64 partitions; beyond that
 // the per-partition directories stop paying for their fixed overhead.
 const MaxPartitionBits = 6
 
-// ChoosePartitionBits picks the radix bits for a build side of estRows
-// records of hotWidth bytes, from the optimizer's cardinality bound
-// (which descends from the scan's zone-map metadata). Each record also
-// carries 8 bytes of directory head + chain link.
-func ChoosePartitionBits(estRows int64, hotWidth int) int {
-	if estRows <= 0 {
-		return 0
-	}
-	per := int64(hotWidth + 8)
-	if estRows > (int64(1)<<40)/per {
-		return MaxPartitionBits // saturated estimate: assume huge
-	}
-	bytes := estRows * per
+// OwnerPartitionBits is the radix width of a table that owner workers
+// fill partition-wise: the smallest that gives each owner at least four
+// whole partitions to balance across, up to MaxPartitionBits. Without
+// owners (owners <= 0) the table is one partition.
+func OwnerPartitionBits(owners int) int {
 	bits := 0
-	for bytes > PartitionTargetBytes && bits < MaxPartitionBits {
-		bytes >>= 1
+	for owners > 0 && 1<<bits < 4*owners && bits < MaxPartitionBits {
 		bits++
 	}
 	return bits

@@ -11,23 +11,22 @@ import (
 	"ocht/internal/vec"
 )
 
-func TestChoosePartitionBits(t *testing.T) {
-	cases := []struct {
-		rows     int64
-		hotWidth int
-		want     int
-	}{
-		{0, 16, 0},
-		{-1, 16, 0},
-		{1000, 16, 0},                      // 24KB fits one partition
-		{100_000, 16, 3},                   // 2.4MB -> 8 partitions of ~300KB
-		{4 << 20, 16, 6},                   // 100MB saturates the cap
-		{int64(1) << 50, 16, 6},            // absurd estimate must not overflow
-		{PartitionTargetBytes / 24, 16, 0}, // exactly at the budget edge
+func TestOwnerPartitionBits(t *testing.T) {
+	cases := []struct{ owners, want int }{
+		{-1, 0}, // no owners: one table
+		{0, 0},
+		{1, 2}, // four partitions for a lone owner
+		{2, 3},
+		{3, 4}, // 12 partitions round up to 16
+		{4, 4},
+		{8, 5},
+		{16, 6},
+		{17, MaxPartitionBits}, // capped
+		{1 << 20, MaxPartitionBits},
 	}
 	for _, c := range cases {
-		if got := ChoosePartitionBits(c.rows, c.hotWidth); got != c.want {
-			t.Errorf("ChoosePartitionBits(%d, %d) = %d, want %d", c.rows, c.hotWidth, got, c.want)
+		if got := OwnerPartitionBits(c.owners); got != c.want {
+			t.Errorf("OwnerPartitionBits(%d) = %d, want %d", c.owners, got, c.want)
 		}
 	}
 }

@@ -48,7 +48,6 @@ type groupTable struct {
 	hashes  []uint64
 	recs    []int32
 	subset  []int32
-	partLen []int32 // per-partition record count before the batch
 
 	// order logs each group's encoded (partition, record) in insertion
 	// order. Emission walks it so result order stays the first-occurrence
@@ -148,8 +147,8 @@ func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, n
 
 // alloc creates the (empty) 2^bits-partition table for about hint groups,
 // registers it with the query's footprint accounting and sizes the batch
-// scratch. It follows resolve; the feeder picks bits in between because
-// the adaptive choice depends on the resolved record width.
+// scratch. It follows resolve. bits is 0 unless owner workers fill the
+// table partition-wise (HashAgg.setup).
 func (g *groupTable) alloc(qc *QCtx, hint int64, bits int) {
 	if hint > 1<<12 {
 		hint = 1 << 12 // the directory grows with the table
@@ -163,7 +162,6 @@ func (g *groupTable) alloc(qc *QCtx, hint int64, bits int) {
 	g.hashes = make([]uint64, vec.Size)
 	g.recs = make([]int32, vec.Size)
 	g.subset = make([]int32, 0, vec.Size)
-	g.partLen = make([]int32, g.pt.NParts())
 	g.chunkRecs = make([][]int32, g.pt.NParts())
 	g.chunkRows = make([][]int32, g.pt.NParts())
 }
@@ -368,34 +366,20 @@ func (g *groupTable) nonNull(v *vec.Vector, rows []int32) []int32 {
 	return g.subset
 }
 
-// insert routes each active row to its radix partition by g.hashes, then
-// inserts — and, given args, folds — partition by partition, so each
-// sub-table stays cache-resident while its rows are applied. Feeders that
-// fold partials pass nil args and fold into g.recs afterwards. New
-// groups are logged in first-occurrence row order, so emission order
-// matches a monolithic table's insertion order: records append
-// sequentially within a partition, so a per-partition watermark identifies
-// each group's creating row in one ordered pass.
+// insert finds or creates the group of each active row in g's table —
+// one partition, as every table filled on one goroutine is — and, given
+// args, folds the rows into it. Feeders that fold partials pass nil args
+// and fold into g.recs afterwards. New groups are logged in creation
+// order, the first-occurrence order of the input stream.
 func (g *groupTable) insert(st *Stats, p *core.Prepared, rows []int32, args []*vec.Vector) {
-	for pi := range g.partLen {
-		g.partLen[pi] = int32(g.pt.Part(pi).Len())
+	t := g.pt.Part(0)
+	n := int32(t.Len())
+	g.insertInto(st, t, p, rows)
+	if args != nil {
+		g.fold(st, t, rows, args)
 	}
-	for pi, rg := range g.pt.PartitionRows(g.hashes, rows) {
-		if len(rg) == 0 {
-			continue
-		}
-		t := g.pt.Part(pi)
-		g.insertInto(st, t, p, rg)
-		if args != nil {
-			g.fold(st, t, rg, args)
-		}
-	}
-	for _, r := range rows {
-		pi := g.pt.PartOf(g.hashes[r])
-		if rec := g.recs[r]; rec >= g.partLen[pi] {
-			g.order = append(g.order, g.pt.EncodeRec(pi, rec))
-			g.partLen[pi] = rec + 1
-		}
+	for ; n < int32(t.Len()); n++ {
+		g.order = append(g.order, n)
 	}
 }
 

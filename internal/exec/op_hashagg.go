@@ -27,9 +27,12 @@ type HashAgg struct {
 	Keys     []*Expr
 	KeyNames []string
 	Aggs     []AggExpr
-	// PartitionBits sets the radix width of the group table: negative
-	// (the constructor default) picks it adaptively from the group-count
-	// bound, 0 forces one monolithic table, positive forces 2^bits.
+	// PartitionBits sets the radix width of a group table that owner
+	// workers fill partition-wise: negative (the constructor default)
+	// takes core.OwnerPartitionBits above partitionMinGroups estimated
+	// groups and one table below, 0 forces one table, positive forces
+	// 2^bits. A table filled on one goroutine is one table whatever its
+	// value.
 	PartitionBits int
 
 	meta []Meta
@@ -51,8 +54,7 @@ type HashAgg struct {
 	argBufs []*vec.Vector
 }
 
-// NewHashAgg builds a grouped aggregation with adaptive radix
-// partitioning.
+// NewHashAgg builds a grouped aggregation; see DefaultPartitionBits.
 func NewHashAgg(child Op, keyNames []string, keys []*Expr, aggs []AggExpr) *HashAgg {
 	return &HashAgg{Child: child, Keys: keys, KeyNames: keyNames, Aggs: aggs, PartitionBits: DefaultPartitionBits}
 }
@@ -127,20 +129,22 @@ func (h *HashAgg) MaxRows() int64 {
 	return n
 }
 
-// partitionMinGroups is the group-count estimate below which the adaptive
-// radix choice keeps the aggregation table monolithic (bits = 0): a
-// low-group-count aggregate (TPC-H Q1's 6 groups) is CPU-cache-resident
-// whatever its width, so radix routing and — under parallel execution —
-// partition-wise spilling only add overhead. Forcing PartitionBits
-// bypasses the floor.
+// partitionMinGroups is the group-count estimate below which an owner
+// fill keeps the aggregation table one partition, so a single owner folds
+// every worker's partials: a low-group-count aggregate (TPC-H Q1's 6
+// groups) gains nothing from splitting its groups across owners, and its
+// emission order stays the first-occurrence order of the partials, so a
+// GROUP BY ... LIMIT answers alike at every worker count. Forcing
+// PartitionBits bypasses the floor. It is also the input size from which
+// a parallel phase pays for itself (spine.large).
 const partitionMinGroups = int64(1 << 13)
 
 // groupEstimate bounds the group count like MaxRows, but string key
 // columns, whose value domain carries no cardinality, fall back to the
 // scan's per-block dictionary bound (Meta.Distinct) before giving up.
-// Only partition-width choice and the partition-wise parallel gate
-// consume it; result layouts and the compression gate keep using MaxRows,
-// so plans are byte-compatible with the estimate-free engine.
+// Only an owner fill consumes it, for its width and its owners'
+// directory hints; result layouts and the compression gate keep using
+// MaxRows, so plans are byte-compatible with the estimate-free engine.
 func (h *HashAgg) groupEstimate() int64 {
 	n := h.Child.MaxRows()
 	prod := int64(1)
@@ -169,14 +173,16 @@ func (h *HashAgg) Open(qc *QCtx) {
 		h.g.emit = 0
 		return
 	}
-	h.setup(qc)
+	h.setup(qc, 0)
 	h.build(qc)
 }
 
 // setup opens the child and resolves the (empty) group table without
 // draining any rows. The parallel driver stops here for the template
-// frontier and its worker clones, and fills tables its own way.
-func (h *HashAgg) setup(qc *QCtx) {
+// frontier, whose table owner workers fill partition-wise, and for its
+// worker clones, and fills tables its own way. owners is the owner count
+// of the template's fill, 0 for a table filled on one goroutine.
+func (h *HashAgg) setup(qc *QCtx, owners int) {
 	h.Child.Open(qc)
 	for _, k := range h.Keys {
 		k.intern(qc.Store)
@@ -216,19 +222,13 @@ func (h *HashAgg) setup(qc *QCtx) {
 	h.args = make([]*vec.Vector, len(g.specs))
 	h.argBufs = make([]*vec.Vector, len(g.specs))
 
-	bits := h.PartitionBits
-	if bits < 0 {
-		est := h.groupEstimate()
-		if est < partitionMinGroups {
-			bits = 0 // cache-resident: radix routing cannot pay for itself
-		} else {
-			bits = core.ChoosePartitionBits(est, g.schema.KeyBytes()+g.ag.HotBytes)
-			// Partition-wise parallel aggregation assigns whole partitions
-			// to workers; give it enough of them to load-balance across.
-			for qc.Workers > 1 && 1<<bits < 4*qc.Workers && bits < core.MaxPartitionBits {
-				bits++
-			}
-		}
+	bits := 0
+	switch {
+	case owners == 0: // filled on one goroutine: one table
+	case h.PartitionBits >= 0:
+		bits = h.PartitionBits
+	case h.groupEstimate() >= partitionMinGroups:
+		bits = core.OwnerPartitionBits(owners)
 	}
 	g.alloc(qc, h.MaxRows(), bits)
 }

@@ -42,10 +42,11 @@ type HashJoin struct {
 	// then the payload columns, as an inner join emits them — so Payload
 	// lists the build columns it reads.
 	Residual *Expr
-	// PartitionBits sets the build side's radix-partitioning width:
-	// negative (the constructor default) picks it adaptively from the
-	// build-side cardinality bound, 0 forces one monolithic table, and
-	// positive values force 2^bits partitions.
+	// PartitionBits sets the radix width of a build side that owner
+	// workers fill partition-wise: negative (the constructor default)
+	// takes core.OwnerPartitionBits, 0 forces one table and positive
+	// values force 2^bits partitions. A build on one goroutine is one
+	// table whatever its value.
 	PartitionBits int
 
 	// prebuilt, when set, is a join whose hash table the template already
@@ -143,13 +144,14 @@ func (h *HashJoin) matchedMask(n int) []bool {
 	return m
 }
 
-// NewHashJoin constructs a join with adaptive radix partitioning.
 // DefaultPartitionBits is the PartitionBits the operator constructors
-// assign: -1 picks the radix width adaptively from cardinality
-// estimates, 0 forces monolithic tables, positive pins 2^bits. The
-// benchmark CLIs override it to compare widths engine-wide.
+// assign to owner-filled tables: -1 takes core.OwnerPartitionBits (an
+// aggregation estimated below partitionMinGroups groups stays one
+// table), 0 forces one table, positive pins 2^bits. Tests set it to
+// check that results do not depend on the width.
 var DefaultPartitionBits = -1
 
+// NewHashJoin constructs a join; see DefaultPartitionBits.
 func NewHashJoin(kind JoinKind, probe, build Op, probeKeys, buildKeys, payload []string) *HashJoin {
 	return &HashJoin{
 		Build: build, Probe: probe,
@@ -295,8 +297,7 @@ func (h *HashJoin) parallelBuild(qc *QCtx) (spine, bool) {
 
 // layout resolves the build key columns and creates the empty join table;
 // owners is join.Options.Owners, the worker count of a partition-wise
-// build (which, like HashAgg.setup, raises the width to at least four
-// partitions per worker) or 0 for a serial one.
+// build, or 0 for a serial one, which builds one table.
 func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	h.buildIdx = h.buildIdx[:0]
 	for _, k := range h.BuildKeys {
@@ -333,11 +334,15 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	if flags.Compress && h.Build.MaxRows() < compressMinBuildRows {
 		flags.Compress = false
 	}
+	bits := 0
+	if owners > 0 {
+		bits = h.PartitionBits
+	}
 	var err error
 	h.j, err = join.New(flags, keyCols, payloadCols, qc.Store, join.Options{
 		Selective:     h.Kind == Semi || h.Kind == Anti,
 		CapacityHint:  int(hint),
-		PartitionBits: h.PartitionBits,
+		PartitionBits: bits,
 		EstRows:       h.Build.MaxRows(),
 		Owners:        owners,
 	})

@@ -343,22 +343,22 @@ func spawn(n int, task func(i int)) {
 // and a spine above it takes it as its source.
 func fillFrontier(qc *QCtx, sp spine) {
 	tpl := sp.frontier
-	tpl.setup(qc)
 	wqcs := qc.par.workers
 	n := len(wqcs)
+	tpl.setup(qc, n)
 	route := tpl.g.pt
 	morsels := sp.morsels(n)
 	clones := make([]*HashAgg, n)
 	for i := range clones {
 		clones[i] = clonePipeline(tpl, morsels, i).(*HashAgg)
-		clones[i].PartitionBits = 0 // pre-aggregation table; flushes route by the template's width
 	}
 
 	// Phase 1: pre-aggregate and flush. setup resolves each clone's
-	// schema, aggregator and private table without draining the child.
+	// schema, aggregator and private one-partition table without draining
+	// the child; flushes route by the template's width.
 	spills := make([]*spill, n)
 	spawn(n, func(i int) {
-		clones[i].setup(wqcs[i])
+		clones[i].setup(wqcs[i], 0)
 		spills[i] = clones[i].preAggregate(wqcs[i], route)
 	})
 

@@ -20,7 +20,7 @@ import (
 //	    pre-aggregates into a private table and spills its groups as
 //	    partial records — coded keys, hash and one finalized value per
 //	    internal spec — whenever the table's hot area reaches
-//	    core.PartitionTargetBytes and when the input ends; a join build
+//	    preAggFlushBytes and when the input ends; a join build
 //	    spills its coded, hashed rows.
 //	Phase 2 (owner build):    each radix partition is assigned whole to
 //	    one worker. The owner replays every worker's spill for its
@@ -174,15 +174,20 @@ func (p *spillPart) appendRows(keys, vals []*vec.Vector, hashes []uint64, rows [
 	p.rows += len(rows)
 }
 
+// preAggFlushBytes is the hot-area size at which a worker's
+// pre-aggregation table flushes its groups: half of a 1 MiB per-core L2,
+// so the private table stays cache-resident while it absorbs its morsels.
+const preAggFlushBytes = 512 << 10
+
 // preAggregate is the phase-1 worker loop of a frontier fill: build's
 // loop with the private table flushed into the spill, routed by route's
-// radix width, whenever its hot area reaches core.PartitionTargetBytes
-// and once more when the input ends. A worker whose table holds more
-// than a quarter of its first partitionMinGroups rows gains nothing from
-// it: it flushes then and spills each further row as its own partial
-// record instead, unless route has one partition. The operator must have
-// been set up with a monolithic table (schema and aggregator resolved,
-// child open, no rows drained).
+// radix width, whenever its hot area reaches preAggFlushBytes and once
+// more when the input ends. A worker whose table holds more than a
+// quarter of its first partitionMinGroups rows gains nothing from it: it
+// flushes then and spills each further row as its own partial record
+// instead, unless route has one partition. The operator must have
+// been set up without owners (setup(qc, 0): a one-partition table,
+// schema and aggregator resolved, child open, no rows drained).
 func (h *HashAgg) preAggregate(qc *QCtx, route *core.PartTable) *spill {
 	g := &h.g
 	sp := newSpill(route.NParts(), len(h.Keys), len(g.specs))
@@ -208,7 +213,7 @@ func (h *HashAgg) preAggregate(qc *QCtx, route *core.PartTable) *spill {
 			perRow = 4*g.pt.Len() > in+len(rows) && route.NParts() > 1
 		}
 		in += len(rows)
-		if perRow || g.pt.HotAreaBytes() >= core.PartitionTargetBytes {
+		if perRow || g.pt.HotAreaBytes() >= preAggFlushBytes {
 			g.flush(qc, sp, route, vals, byPart)
 		}
 	}

@@ -96,8 +96,8 @@ func TestPartitionWiseAggMatchesSerial(t *testing.T) {
 }
 
 // TestPartitionWiseGate pins the radix width of a parallel fill: forced
-// radix tables run the owner step over several partitions, and the
-// adaptive choice keeps one partition below partitionMinGroups.
+// radix tables run the owner step over several partitions, and the owner
+// width keeps one partition below partitionMinGroups.
 func TestPartitionWiseGate(t *testing.T) {
 	fact, _ := buildFixture(150_000)
 	run := func(bits, workers int) (*QCtx, []string) {
@@ -115,10 +115,10 @@ func TestPartitionWiseGate(t *testing.T) {
 	_, serial := run(DefaultPartitionBits, 1)
 
 	// d has 100 distinct values: far below partitionMinGroups, so the
-	// adaptive parallel plan must keep one partition.
+	// parallel plan at the default width must keep one partition.
 	qc, got := run(DefaultPartitionBits, 4)
 	if qc.Stats.Counter(CtrPartitionWiseAggs) != 0 {
-		t.Fatal("low-cardinality adaptive plan must not partition")
+		t.Fatal("low-cardinality plan at the default width must not partition")
 	}
 	for i := range got {
 		if got[i] != serial[i] {

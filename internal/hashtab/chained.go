@@ -1,6 +1,6 @@
 // Package hashtab implements the hash-table designs the paper compares
 // against (Table IV): a vanilla bucket-chained NSM table, a linear-probing
-// table, Robin Hood hashing, and the Concise Hash Table of Barber et al.
+// table and the Concise Hash Table of Barber et al.
 // All tables store fixed-width NSM byte records whose first 8 bytes are the
 // key; the remaining bytes are payload.
 //

@@ -18,10 +18,9 @@ func record(rowWidth int, key uint64, payload byte) []byte {
 
 func tables(rowWidth, n int) map[string]Table {
 	return map[string]Table{
-		"chained":   NewChained(rowWidth, n),
-		"linear":    NewLinear(rowWidth, n, 50),
-		"robinhood": NewRobinHood(rowWidth, n, 85),
-		"concise":   NewConcise(rowWidth, n),
+		"chained": NewChained(rowWidth, n),
+		"linear":  NewLinear(rowWidth, n, 50),
+		"concise": NewConcise(rowWidth, n),
 	}
 }
 
@@ -136,19 +135,6 @@ func TestConciseOverflow(t *testing.T) {
 	for k := uint64(0); k < 1000; k++ {
 		if cht.Lookup(k*64) == nil {
 			t.Fatalf("key %d lost (overflow handling broken)", k*64)
-		}
-	}
-}
-
-func TestRobinHoodHighFill(t *testing.T) {
-	const n = 1 << 12
-	rh := NewRobinHood(16, n, 90)
-	for k := uint64(0); k < n-1; k++ {
-		rh.Insert(k, record(16, k, 0))
-	}
-	for k := uint64(0); k < n-1; k++ {
-		if rh.Lookup(k) == nil {
-			t.Fatalf("key %d lost at high fill", k)
 		}
 	}
 }

@@ -27,11 +27,6 @@ func FromInt64(v int64) Int {
 	return Int{Hi: hi, Lo: uint64(v)}
 }
 
-// FromUint64 converts a 64-bit unsigned integer.
-func FromUint64(v uint64) Int {
-	return Int{Lo: v}
-}
-
 // Add returns a+b with wrap-around two's-complement semantics.
 func Add(a, b Int) Int {
 	lo, carry := bits.Add64(a.Lo, b.Lo, 0)

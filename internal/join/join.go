@@ -5,12 +5,12 @@
 // enabled, selective joins can move payloads to the cold area so that
 // probe misses only touch the thin key records (Section III-B).
 //
-// The build and probe paths are cache-conscious: the build side can be
-// radix-partitioned into per-partition tables sized to fit L2
-// (core.PartTable), probes run as a two-phase staged sweep over the
-// selection vector, and selective joins consult a blocked Bloom filter
-// in a vectorized pre-pass that shrinks the selection vector before any
-// table access.
+// The build and probe paths are cache-conscious: probes run as a
+// two-phase staged sweep over the selection vector, and selective joins
+// consult a blocked Bloom filter in a vectorized pre-pass that shrinks the
+// selection vector before any table access. A partition-wise parallel
+// build radix-partitions the table (core.PartTable) so each owner worker
+// fills whole partitions.
 package join
 
 import (
@@ -50,22 +50,19 @@ type Options struct {
 	// CapacityHint pre-sizes the table.
 	CapacityHint int
 	// PartitionBits sets the radix-partitioning width of the build side:
-	// 0 keeps one monolithic table (the zero-value default preserves the
-	// historical layout), positive values force 2^bits partitions, and a
-	// negative value picks the width adaptively from EstRows so each
-	// partition's hot area fits the L2 budget.
+	// 0 keeps one table, positive values force 2^bits partitions, and a
+	// negative value takes the owner width, core.OwnerPartitionBits(Owners):
+	// at least four partitions per owner, one table without owners.
 	PartitionBits int
 	// EstRows is the optimizer's build-side cardinality bound (zone-map
-	// derived); it drives the adaptive partition width and the Bloom
-	// filter sizing. Zero falls back to CapacityHint.
+	// derived); it sizes the Bloom filter of a selective join built
+	// without owners. Zero falls back to CapacityHint.
 	EstRows int64
 	// Owners, when positive, declares a partition-wise parallel build on
 	// that many owner workers (NewOwner, Owner.BuildPart, Adopt) in place
-	// of Build calls. An adaptive width is raised until there are at least
-	// four partitions per owner, so whole partitions balance across them
-	// (forced widths stay as forced), and a selective join's Bloom filter
-	// waits for SizeBloom, which sizes it from the exact build row count
-	// instead of EstRows.
+	// of Build calls; a selective join's Bloom filter then waits for
+	// SizeBloom, which sizes it from the exact build row count instead of
+	// EstRows.
 	Owners int
 }
 
@@ -208,31 +205,28 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 	if cap == 0 {
 		cap = 1024
 	}
-	est := opts.EstRows
-	if est <= 0 {
-		est = int64(cap)
-	}
 	bits := opts.PartitionBits
 	if bits < 0 {
-		bits = core.ChoosePartitionBits(est, schema.KeyBytes()+hotExtra)
-		for 1<<bits < 4*opts.Owners && bits < core.MaxPartitionBits {
-			bits++
-		}
+		bits = core.OwnerPartitionBits(opts.Owners)
 	}
 	j.pt = core.NewPartTable(schema, hotExtra, coldExtra, cap, bits)
 	switch {
 	case opts.Selective && opts.Owners > 0:
 		j.bloomDeferred = true
 	case opts.Selective:
+		est := opts.EstRows
+		if est <= 0 {
+			est = int64(cap)
+		}
 		j.bloom = hashtab.NewBloom(int(est))
 	}
 	j.handle = newHandle(j.pt.NParts())
 	return j, nil
 }
 
-// Table exposes the first partition's table. With the default monolithic
-// layout (Bits() == 0) this is the whole join table; partitioned callers
-// should use Tables() instead.
+// Table exposes the first partition's table. With one partition
+// (Bits() == 0, every join built without owners or a forced width) this
+// is the whole join table; partitioned callers should use Tables().
 func (j *Join) Table() *core.Table { return j.pt.Part(0) }
 
 // Tables exposes every partition's table (footprint accounting).

@@ -155,14 +155,6 @@ func (b *Block) DictLen() int {
 	return len(b.Dict)
 }
 
-// CodeAt returns the dictionary code of row i, in either representation.
-func (b *Block) CodeAt(i int) int32 {
-	if b.ZDict != nil {
-		return int32(b.ZCodes.At(i))
-	}
-	return b.Codes[i]
-}
-
 // zoneMap is the out-of-band per-block metadata: min/max for integer
 // blocks (Section II-A stores these in row-group headers or the catalog,
 // never inside the block).

@@ -21,7 +21,6 @@ import (
 
 // Scale factors: SF 1 is the official 1 GB scale.
 const (
-	regionRows   = 5
 	nationRows   = 25
 	supplierBase = 10_000
 	customerBase = 150_000
