@@ -26,8 +26,8 @@ func Scaling(w io.Writer, cfg Config) {
 	rows := cfg.BIRows * 10
 	fact := scalingFact(rows, cfg.Seed)
 	blocks := fact.Cols[0].Blocks()
-	fmt.Fprintf(w, "rows=%d blocks=%d morsel=%d rows (one storage block)\n",
-		rows, blocks, storage.BlockRows)
+	fmt.Fprintf(w, "rows=%d blocks=%d morsel=%d rows\n",
+		rows, blocks, storage.MorselRows)
 
 	plan := func() exec.Op { return scalingPlan(fact, -1) }
 
@@ -134,7 +134,11 @@ var scalingPlans = []struct {
 }
 
 // ScalingRun executes the scaling sweep over rows input rows and returns
-// the report. The fastest of Reps+1 runs is kept per cell.
+// the report. The fastest of Reps+1 runs is kept per cell. The reps go
+// round-robin over all (plan, workers) cells — every cell's first run,
+// then every cell's second — so a machine whose speed drifts during the
+// sweep slows every cell alike instead of the cells that happen to run
+// late.
 func ScalingRun(cfg Config, rows int) ScalingReport {
 	fact := scalingFact(rows, cfg.Seed)
 	series := []int{1, 2, 4}
@@ -148,13 +152,18 @@ func ScalingRun(cfg Config, rows int) ScalingReport {
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Rows:       rows,
 	}
-	for _, pl := range scalingPlans {
-		var base time.Duration
-		for _, workers := range series {
-			bestD := time.Duration(1<<63 - 1)
-			var bqc *exec.QCtx
-			groups := 0
-			for r := 0; r < cfg.Reps+1; r++ {
+	type cell struct {
+		best   time.Duration
+		wise   bool
+		groups int
+	}
+	cells := make([]cell, len(scalingPlans)*len(series))
+	for i := range cells {
+		cells[i].best = time.Duration(1<<63 - 1)
+	}
+	for r := 0; r < cfg.Reps+1; r++ {
+		for pi, pl := range scalingPlans {
+			for wi, workers := range series {
 				qc := exec.NewQCtx(core.All())
 				qc.Workers = workers
 				var op exec.Op
@@ -165,22 +174,27 @@ func ScalingRun(cfg Config, rows int) ScalingReport {
 				}
 				start := time.Now()
 				res := exec.Run(qc, op)
-				if el := time.Since(start); el < bestD {
-					bestD, bqc, groups = el, qc, len(res.Rows)
+				if c, el := &cells[pi*len(series)+wi], time.Since(start); el < c.best {
+					c.best = el
+					c.wise = qc.Stats.Counter(exec.CtrPartitionWiseAggs) > 0
+					c.groups = len(res.Rows)
 				}
 			}
-			if workers == 1 {
-				base = bestD
-			}
+		}
+	}
+	for pi, pl := range scalingPlans {
+		base := cells[pi*len(series)].best // series[0] is the serial cell
+		for wi, workers := range series {
+			c := cells[pi*len(series)+wi]
 			rep.Points = append(rep.Points, ScalePoint{
 				Plan:          pl.Name,
 				Workers:       workers,
 				PartitionBits: pl.Bits,
-				PartitionWise: bqc.Stats.Counter(exec.CtrPartitionWiseAggs) > 0,
-				Groups:        groups,
-				TimeMs:        float64(bestD.Microseconds()) / 1000,
-				Speedup:       float64(base) / float64(bestD),
-				MRowsPerSec:   float64(rows) / 1e6 / bestD.Seconds(),
+				PartitionWise: c.wise,
+				Groups:        c.groups,
+				TimeMs:        float64(c.best.Microseconds()) / 1000,
+				Speedup:       float64(base) / float64(c.best),
+				MRowsPerSec:   float64(rows) / 1e6 / c.best.Seconds(),
 			})
 		}
 	}
@@ -241,8 +255,8 @@ func scalingPlan(fact *storage.Table, bits int) exec.Op {
 	return ha
 }
 
-// scalingFact generates a lineitem-like fact table: big enough to span
-// several storage blocks (morsels) with the Q1 column mix.
+// scalingFact generates a lineitem-like fact table with the Q1 column mix,
+// big enough to span several storage blocks.
 func scalingFact(rows int, seed int64) *storage.Table {
 	flags := []string{"A", "N", "R"}
 	statuses := []string{"F", "O"}

@@ -34,11 +34,11 @@ func cloneExpr(e *Expr) *Expr {
 }
 
 // clonePipeline copies the operator chain rooted at o for one worker.
-// Scans claim their blocks from morsels (as the given worker, so affinity
-// queues serve each clone its own contiguous range first); HashJoins keep
-// the original (shared) build subtree but mark the already-built join
-// table as prebuilt so the clone's Open only prepares a private probe
-// cursor. HashAgg clones get a private group table, which pre-aggregates
+// Scans claim their row ranges from morsels (as the given worker, so
+// affinity queues serve each clone its own contiguous range first);
+// HashJoins keep the original (shared) build subtree but mark the
+// already-built join table as prebuilt so the clone's Open only prepares
+// a private probe cursor. HashAgg clones get a private group table, which pre-aggregates
 // the clone's own morsel stream after setup and flushes partial records
 // for the partition owners — except an aggregation the driver has already
 // filled, the spine's source, whose clone is a partScan over the

@@ -31,7 +31,7 @@ type QCtx struct {
 
 	// Workers selects the degree of morsel-driven parallelism. Values <= 1
 	// run the classic serial pull loop; higher values split table scans
-	// into block-aligned morsels executed by Workers goroutines, each with
+	// into row-sized morsels executed by Workers goroutines, each with
 	// private compressed hash tables and a private string heap, for the
 	// query's aggregation frontier and for each large join build side
 	// (DESIGN.md, "Parallel execution").

@@ -20,14 +20,15 @@ type Scan struct {
 	Table   *storage.Table
 	Columns []string
 
-	// Morsels, when set, makes the scan claim its blocks from a shared
-	// morsel queue instead of walking them sequentially; this is how the
+	// Morsels, when set, makes the scan claim row-sized morsels
+	// (storage.MorselRows) of its table from a shared morsel queue
+	// instead of walking whole blocks sequentially; this is how the
 	// parallel driver distributes one table over many cloned pipelines.
 	// When nil (serial execution) block order is exactly 0..Blocks-1.
 	Morsels *storage.MorselQueue
 
 	// MorselWorker identifies this scan's worker to an affinity morsel
-	// queue: claims drain the worker's own contiguous block range before
+	// queue: claims drain the worker's own contiguous morsel range before
 	// stealing from others (storage.NewMorselQueueAffinity). Ignored by
 	// single-range queues.
 	MorselWorker int
@@ -39,17 +40,18 @@ type Scan struct {
 	// flow through the filter, so zone ranges are purely an optimization.
 	Zones []ZoneRange
 
-	cols     []*storage.Column
-	zcols    []*storage.Column // resolved Zones columns, parallel to Zones
-	meta     []Meta
-	bufs     []*vec.Vector // eager materialization buffers (eager path only)
-	views    []*vec.Vector // per-column whole-block views, reused per block
-	win      []*vec.Vector // per-column window views handed out, reused per Next
-	out      *vec.Batch
-	block    int
-	blockLen int
-	pos      int
-	eager    bool
+	cols   []*storage.Column
+	zcols  []*storage.Column // resolved Zones columns, parallel to Zones
+	meta   []Meta
+	bufs   []*vec.Vector // eager materialization buffers (eager path only)
+	views  []*vec.Vector // per-column whole-block views, reused per block
+	win    []*vec.Vector // per-column window views handed out, reused per Next
+	out    *vec.Batch
+	block  int // serial cursor: the next block to read
+	viewed int // block the views (or eager buffers) hold, -1 for none
+	pos    int // next row of the current range within the viewed block
+	end    int // end of the current range
+	eager  bool
 }
 
 // NewScan creates a scan over the named columns (all columns when nil).
@@ -113,50 +115,18 @@ func (s *Scan) Open(qc *QCtx) {
 		s.zcols = append(s.zcols, s.Table.Col(zr.Col))
 	}
 	s.out = &vec.Batch{Vecs: make([]*vec.Vector, len(s.cols))}
-	s.block, s.blockLen, s.pos = 0, 0, 0
+	s.block, s.viewed, s.pos, s.end = 0, -1, 0, 0
 }
 
 // Next implements Op.
 func (s *Scan) Next(qc *QCtx) *vec.Batch {
 	qc.checkCancel() // scans are the leaves every pull loop bottoms out in
-	if s.pos >= s.blockLen {
-		var bi int
-		for {
-			var ok bool
-			bi, ok = s.nextBlock()
-			if !ok {
-				return nil
-			}
-			if s.skipBlock(qc, bi) {
-				qc.Stats.Count(CtrBlocksSkipped, 1)
-				continue
-			}
-			break
+	for s.pos >= s.end {
+		if !s.advance(qc) {
+			return nil
 		}
-		qc.Stats.Count(CtrBlocksRead, 1)
-		start := time.Now()
-		bytes := 0
-		for i, c := range s.cols {
-			if s.eager {
-				s.blockLen = c.ScanBlock(bi, s.bufs[i], qc.Store)
-				bytes += s.blockLen * c.Type.Width()
-			} else {
-				// Each block gets a fresh code table: string comparisons
-				// cache per-code verdicts by the table's identity, so a
-				// reused one would keep the last block's verdicts.
-				n, _, db := c.ViewBlock(bi, s.views[i], qc.Store, nil)
-				s.blockLen = n
-				bytes += db
-			}
-		}
-		qc.Stats.Count(CtrBytesDecompressed, int64(bytes))
-		qc.Stats.Add(StatScan, time.Since(start))
-		s.pos = 0
 	}
-	n := s.blockLen - s.pos
-	if n > vec.Size {
-		n = vec.Size
-	}
+	n := min(s.end-s.pos, vec.Size)
 	for i := range s.cols {
 		src := s.views[i]
 		if s.eager {
@@ -169,6 +139,58 @@ func (s *Scan) Next(qc *QCtx) *vec.Batch {
 	s.out.N = n
 	s.pos += n
 	return s.out
+}
+
+// advance moves the scan to its next row range that survives zone
+// skipping: the next whole block when serial, the next claimed morsel
+// otherwise. The zone verdict is per block. Each block counts as read or
+// skipped once, on the range that starts it, whichever worker claims it;
+// the views are decoded only when the range lies in another block than
+// the last, so consecutive morsels of one block share one decode.
+func (s *Scan) advance(qc *QCtx) bool {
+	for {
+		bi, lo, hi, ok := s.nextRange()
+		if !ok {
+			return false
+		}
+		skip := s.skipBlock(qc, bi)
+		if lo == 0 {
+			if skip {
+				qc.Stats.Count(CtrBlocksSkipped, 1)
+			} else {
+				qc.Stats.Count(CtrBlocksRead, 1)
+			}
+		}
+		if skip {
+			continue
+		}
+		if bi != s.viewed {
+			s.view(qc, bi)
+		}
+		s.pos, s.end = lo, hi
+		return true
+	}
+}
+
+// view decodes block bi of every scanned column into the scan's views —
+// or, eagerly, into its materialization buffers.
+func (s *Scan) view(qc *QCtx, bi int) {
+	start := time.Now()
+	bytes := 0
+	for i, c := range s.cols {
+		if s.eager {
+			bytes += c.ScanBlock(bi, s.bufs[i], qc.Store) * c.Type.Width()
+		} else {
+			// Each block gets a fresh code table: string comparisons
+			// cache per-code verdicts by the table's identity, so a
+			// reused one would keep the last block's verdicts.
+			_, _, db := c.ViewBlock(bi, s.views[i], qc.Store, nil)
+			bytes += db
+		}
+	}
+	s.viewed = bi
+	qc.Stats.Count(CtrBytesDecompressed, int64(bytes))
+	qc.Stats.Add(StatScan, time.Since(start))
 }
 
 // skipBlock reports whether block bi provably fails a pushed-down range.
@@ -187,21 +209,22 @@ func (s *Scan) skipBlock(qc *QCtx, bi int) bool {
 	return false
 }
 
-// nextBlock claims the next block to read: from the morsel queue when one
-// is attached, sequentially otherwise.
-func (s *Scan) nextBlock() (int, bool) {
+// nextRange claims the next row range [lo, hi) of block bi to read: a
+// morsel from the queue when one is attached, the next whole block
+// otherwise.
+func (s *Scan) nextRange() (bi, lo, hi int, ok bool) {
 	if len(s.cols) == 0 {
-		return 0, false
+		return 0, 0, 0, false
 	}
 	if s.Morsels != nil {
-		return s.Morsels.NextFor(s.MorselWorker)
+		return s.Morsels.NextRows(s.MorselWorker)
 	}
 	if s.block >= s.cols[0].Blocks() {
-		return 0, false
+		return 0, 0, 0, false
 	}
-	bi := s.block
+	bi = s.block
 	s.block++
-	return bi, true
+	return bi, 0, s.cols[0].Block(bi).N, true
 }
 
 // windowInto points out at the window [pos, pos+n) of v without copying

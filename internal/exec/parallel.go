@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"ocht/internal/core"
@@ -11,20 +12,22 @@ import (
 // Morsel-driven parallel execution (DESIGN.md, "Parallel execution").
 //
 // The driver forks its worker contexts once per Run: it warms the USSR
-// with every string the whole plan (build sides included) can produce,
-// freezes it, and then runs one or more parallel phases on those workers.
-// What a phase parallelizes is a spine — filters, projections and join
-// probes over a source — cloned per worker and driven by a shared morsel
-// queue over the source: a scan's blocks, or the radix partitions of an
-// aggregation an earlier phase filled partition-wise.
+// with the query's constants and the dictionaries of the columns the plan
+// (build sides included) hashes as keys, freezes it, and then runs one or
+// more parallel phases on those workers. What a phase parallelizes is a
+// spine — filters, projections and join probes over a source — cloned per
+// worker and driven by a shared morsel queue over the source: row ranges
+// of a scan's blocks, or the radix partitions of an aggregation an earlier
+// phase filled partition-wise.
 //
 //   - The plan's own spine. With an aggregation frontier (its lowest hash
 //     aggregation) the workers fill the frontier's table — pre-aggregating
 //     into private tables whose partial records one owner per partition
 //     folds — then each large aggregation above it from the one below, and
-//     the rest of the plan runs serially; without one the spine is
-//     range-partitioned and the per-worker results are concatenated in
-//     worker order, which reproduces the serial row order.
+//     the rest of the plan runs serially; without one each worker runs
+//     the spine over a contiguous slab of rows and the per-worker results
+//     are concatenated in worker order, which reproduces the serial row
+//     order.
 //   - Each large join build side, when its Open runs on the driver. The
 //     aggregations on the build spine fill the same way; a plain pipeline
 //     over the scan or over the top filled aggregation is built
@@ -42,7 +45,7 @@ type parallelRun struct {
 }
 
 // spine is the root→source path of a plan. Its source — what its morsels
-// come from — is a scan's blocks, or the partitions of an aggregation the
+// come from — is a scan's rows, or the partitions of an aggregation the
 // driver has already filled partition-wise.
 type spine struct {
 	frontier *HashAgg // lowest HashAgg above the source, nil for pure pipelines
@@ -85,7 +88,8 @@ func analyze(root Op) (sp spine, ok bool) {
 }
 
 // morsels returns the affinity queue over the spine source's morsels for
-// n workers: blocks of the scan, or partitions of the filled aggregation.
+// n workers: row ranges of the scan, or partitions of the filled
+// aggregation.
 func (sp spine) morsels(n int) *storage.MorselQueue {
 	if sp.src != nil {
 		return storage.NewMorselQueueAffinity(sp.src.g.pt.NParts(), n)
@@ -126,8 +130,8 @@ func fillSpine(qc *QCtx, root Op) (sp spine, pipeline, filled bool) {
 // partScan is a worker's view of an aggregation the driver filled
 // partition-wise, the source of a phase above it: it emits the groups of
 // the partitions it claims from the morsel queue, so partitions play the
-// part blocks play for a Scan. The table is shared read-only; the view owns
-// its emission scratch.
+// part row ranges play for a Scan. The table is shared read-only; the view
+// owns its emission scratch.
 type partScan struct {
 	src     *HashAgg
 	morsels *storage.MorselQueue
@@ -171,11 +175,16 @@ func (s *partScan) Next(qc *QCtx) *vec.Batch {
 	}
 }
 
-// warmTree inserts every string the workers could otherwise try to insert
-// concurrently into the USSR: query-text constants of all expressions
-// (which keep their Section IV-D priority by going first) and then every
-// scanned column's per-block dictionaries. Runs single-threaded before the
-// region is frozen.
+// warmTree inserts into the USSR, single-threaded before the region is
+// frozen, the strings the workers would otherwise intern into private
+// heaps where hashing them matters: query-text constants of all
+// expressions first (they keep their Section IV-D priority), then the
+// per-block dictionaries of every scanned string column an operator
+// hashes as a key — a bare-column aggregation key or a join key, followed
+// through filters, bare-column projections and join outputs to its scan.
+// Such keys stay USSR-coded in the workers' tables and compare by slot.
+// Columns only filtered, read through a function or carried along are not
+// decoded here; rows intern what they use on first touch.
 func warmTree(qc *QCtx, root Op) {
 	walkOps(root, func(o Op) {
 		switch t := o.(type) {
@@ -196,13 +205,52 @@ func warmTree(qc *QCtx, root Op) {
 			}
 		}
 	})
+	var warmed []*storage.Column
+	warmKey := func(o Op, i int) {
+		c := keyColumn(o, i)
+		if c == nil || c.Type != vec.Str || slices.Contains(warmed, c) {
+			return
+		}
+		warmed = append(warmed, c)
+		c.WarmDictionaries(qc.Store)
+	}
 	walkOps(root, func(o Op) {
-		if s, isScan := o.(*Scan); isScan {
-			for _, name := range s.Columns {
-				s.Table.Col(name).WarmDictionaries(qc.Store)
+		switch t := o.(type) {
+		case *HashAgg:
+			for _, e := range t.Keys {
+				if e.kind == eCol {
+					warmKey(t.Child, e.col)
+				}
+			}
+		case *HashJoin:
+			for i, name := range t.BuildKeys {
+				warmKey(t.Build, colIndex(t.Build.Meta(), name))
+				warmKey(t.Probe, colIndex(t.Probe.Meta(), t.ProbeKeys[i]))
 			}
 		}
 	})
+}
+
+// keyColumn follows output column i of o down to the stored column it is
+// a bare copy of, through filters, bare-column projections and join
+// outputs; nil when the column is computed.
+func keyColumn(o Op, i int) *storage.Column {
+	switch t := o.(type) {
+	case *Scan:
+		return t.Table.Col(t.Columns[i])
+	case *Filter:
+		return keyColumn(t.Child, i)
+	case *Project:
+		if e := t.Exprs[i]; e.kind == eCol {
+			return keyColumn(t.Child, e.col)
+		}
+	case *HashJoin:
+		if np := len(t.Probe.Meta()); i >= np {
+			return keyColumn(t.Build, colIndex(t.Build.Meta(), t.Payload[i-np]))
+		}
+		return keyColumn(t.Probe, i)
+	}
+	return nil
 }
 
 func walkOps(o Op, f func(Op)) {
@@ -381,29 +429,25 @@ func fillFrontier(qc *QCtx, sp spine) {
 	qc.par.filled = append(qc.par.filled, tpl)
 }
 
-// runParallelPipeline is the no-frontier case: contiguous block ranges per
-// worker, full per-worker pipelines, results concatenated in worker order
-// (which is serial row order). Under a limit every worker keeps only its
-// own first or top limit rows — no other row of its range can be in the
+// runParallelPipeline is the no-frontier case: contiguous morsel slabs
+// per worker, full per-worker pipelines, results concatenated in worker
+// order (which is serial row order). Under a limit every worker keeps only
+// its own first or top limit rows — no other row of its slab can be in the
 // answer — and the driver orders and cuts the at most Workers*limit rows.
 func runParallelPipeline(qc *QCtx, root Op, sp spine, keys []SortKey, limit int) *Result {
 	// Build all join tables first; large build sides fan out themselves.
 	root.Open(qc)
 
-	blocks := 0
-	if len(sp.scan.Table.Cols) > 0 {
-		blocks = sp.scan.Table.Cols[0].Blocks()
-	}
 	wkeys := keys
 	if limit < 0 {
 		wkeys = nil // an unbounded sort happens once, in the driver
 	}
 	wqcs := qc.par.workers
 	n := len(wqcs)
+	slabs := sp.scan.Table.MorselSlabs(n)
 	results := make([]*Result, n)
 	spawn(n, func(i int) {
-		lo, hi := i*blocks/n, (i+1)*blocks/n
-		clone := clonePipeline(root, storage.NewMorselQueueRange(lo, hi), i)
+		clone := clonePipeline(root, slabs[i], i)
 		clone.Open(wqcs[i])
 		results[i] = materialize(wqcs[i], clone, wkeys, limit)
 	})

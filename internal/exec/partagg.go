@@ -54,16 +54,28 @@ type spillPart struct {
 }
 
 // chunked is an append-only column stored in vec.Size-value chunks:
-// growing it never copies, and a replay's vector-sized reads, at multiples
-// of vec.Size, each fall in one chunk.
+// growing it never copies a full chunk, and a replay's vector-sized reads,
+// at multiples of vec.Size, each fall in one chunk. Every chunk but the
+// last holds exactly vec.Size values. A chunk starts at the size of the
+// append that opens it, so a partition that receives a few rows costs a
+// few values, not a zeroed vec.Size chunk; the first append that does not
+// fit grows it straight to vec.Size, since doubling would copy a chunk
+// filled by many small appends several times.
 type chunked[T any] [][]T
 
-// tail returns the last chunk, opening a new one when it is full.
-func (c *chunked[T]) tail() *[]T {
-	if n := len(*c); n == 0 || len((*c)[n-1]) == vec.Size {
-		*c = append(*c, make([]T, 0, vec.Size))
+// tail returns the last chunk with room for min(n, its free values) more,
+// opening a new one when it is full.
+func (c *chunked[T]) tail(n int) *[]T {
+	if k := len(*c); k == 0 || len((*c)[k-1]) == vec.Size {
+		*c = append(*c, make([]T, 0, min(n, vec.Size)))
 	}
-	return &(*c)[len(*c)-1]
+	t := &(*c)[len(*c)-1]
+	if len(*t)+min(n, vec.Size-len(*t)) > cap(*t) {
+		grown := make([]T, len(*t), vec.Size)
+		copy(grown, *t)
+		*t = grown
+	}
+	return t
 }
 
 // gather appends src's values at rows.
@@ -71,7 +83,7 @@ func (c *chunked[T]) tail() *[]T {
 //ocht:hot
 func (c *chunked[T]) gather(src []T, rows []int32) {
 	for len(rows) > 0 {
-		t := c.tail()
+		t := c.tail(len(rows))
 		k := min(vec.Size-len(*t), len(rows))
 		for _, r := range rows[:k] {
 			*t = append(*t, src[r])

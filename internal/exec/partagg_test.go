@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -490,6 +491,63 @@ func TestGroupTableRoutesAgree(t *testing.T) {
 				src := NewExchange(gathered.Names, gathered.Types, gathered.Rows)
 				check(t, sortedRows(Run(NewQCtx(flags), routeMerge(src, len(keys)))))
 			})
+		}
+	}
+}
+
+// TestSpillChunksSizedToRows spills three rows into each of 16 partitions
+// and checks the buffers hold about what was spilled — not a zeroed
+// vec.Size chunk per partition and column — and that a chunk grown by
+// later appends still reads back through the vector-aligned at.
+func TestSpillChunksSizedToRows(t *testing.T) {
+	const parts = 16
+	keys := []*vec.Vector{vec.New(vec.I64, vec.Size), vec.New(vec.Str, vec.Size)}
+	vals := []*vec.Vector{vec.New(vec.I64, vec.Size), vec.New(vec.F64, vec.Size)}
+	hashes := make([]uint64, vec.Size)
+	for i := range hashes {
+		keys[0].I64[i], vals[0].I64[i], hashes[i] = int64(i), int64(-i), uint64(i)*7
+	}
+	few := []int32{0, 1, 2}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sp := newSpill(parts, len(keys), len(vals))
+	for p := range sp.parts {
+		sp.parts[p].appendRows(keys, vals, hashes, few)
+	}
+	runtime.ReadMemStats(&after)
+	full := parts * (len(keys) + len(vals) + 1) * 8 * vec.Size
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("spilling 3 rows into %d partitions allocated %d bytes; vec.Size chunks would take %d", parts, got, full)
+	}
+
+	// Grow one partition past a chunk: 3 + 5 + 2*vec.Size rows.
+	p := &sp.parts[0]
+	p.appendRows(keys, vals, hashes, []int32{3, 4, 5, 6, 7})
+	all := make([]int32, vec.Size)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	p.appendRows(keys, vals, hashes, all)
+	p.appendRows(keys, vals, hashes, all)
+	want := append([]int32{0, 1, 2, 3, 4, 5, 6, 7}, append(all, all...)...)
+	if p.rows != len(want) || len(p.hashes) != 3 {
+		t.Fatalf("%d rows in %d chunks, want %d in 3", p.rows, len(p.hashes), len(want))
+	}
+	for base := 0; base < p.rows; base += vec.Size {
+		n := min(vec.Size, p.rows-base)
+		hs, ks := p.hashes.at(base, n), p.keys[0].i64.at(base, n)
+		for i := 0; i < n; i++ {
+			r := want[base+i]
+			if hs[i] != uint64(r)*7 || ks[i] != int64(r) {
+				t.Fatalf("position %d: hash %d key %d, want row %d", base+i, hs[i], ks[i], r)
+			}
+		}
+	}
+	for i, c := range p.hashes {
+		if cap(c) > vec.Size || (i < len(p.hashes)-1 && len(c) != vec.Size) {
+			t.Fatalf("chunk %d: len %d cap %d", i, len(c), cap(c))
 		}
 	}
 }

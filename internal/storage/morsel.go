@@ -1,53 +1,60 @@
 package storage
 
 import (
+	"sort"
 	"sync/atomic"
 
 	"ocht/internal/strs"
 	"ocht/internal/vec"
 )
 
-// MorselQueue hands out block-aligned morsels of a table to a set of
-// worker goroutines. A morsel is one sealed block (BlockRows rows): large
-// enough to amortize dispatch, small enough that workers load-balance over
-// skewed pipelines, and — because blocks are the dictionary/zone-map
-// granularity — scans never straddle a block boundary, so per-block
-// dictionary setup stays identical to the serial path.
+// MorselRows is the row count of a parallel scan's morsel: eight vectors.
+// A morsel is the unit of work a worker claims, not the storage unit
+// (Leis et al., "Morsel-Driven Parallelism"): with block-sized morsels a
+// one-block table — every TPC-H table but lineitem and orders at SF 0.05 —
+// ran each of its phases on one worker, and orders' two blocks of 65 536
+// and 9 464 rows split 87/13. It tiles BlockRows, so a morsel never
+// straddles a block: dictionaries and zone maps stay per block, and only
+// a block's last morsel can be partial.
+const MorselRows = 8 * vec.Size
+
+// MorselQueue hands out morsels to a set of worker goroutines. A table's
+// queue (Table.MorselsFor, Table.MorselSlabs) numbers its morsels block by
+// block, each block cut into MorselRows-row ranges by its own length, and
+// NextRows returns a claim as a block's row range. A bare queue
+// (NewMorselQueue and its variants) hands out plain indices, such as an
+// aggregation's radix partitions.
 //
-// The queue is a set of contiguous block ranges, each with its own atomic
-// claim cursor. A plain queue (NewMorselQueue) has one range shared by all
-// callers, exactly the old single-counter behavior. An affinity queue
-// (NewMorselQueueAffinity) has one range per worker: NextFor(w) drains
-// worker w's own range first — so consecutive morsels of one worker are
-// physically adjacent blocks, keeping dictionary and zone-map state warm
-// in that core's cache — and steals from the most-loaded other range only
-// when its own is empty, which preserves work conservation under skew.
-// Claims are wait-free: a cursor only moves forward, and an overshoot past
-// the range end simply reads as exhausted.
+// The queue is a set of contiguous morsel ranges, each with its own atomic
+// claim cursor. A single-range queue (NewMorselQueue, NewMorselQueueRange)
+// is shared by all callers. An affinity queue (NewMorselQueueAffinity) has
+// one range per worker: NextFor(w) drains worker w's own range first — so
+// consecutive morsels of one worker are adjacent rows of one block, whose
+// decoded dictionaries the worker's scan keeps — and steals from the
+// most-loaded other range only when its own is empty, which preserves work
+// conservation under skew. Claims are wait-free: a cursor only moves
+// forward, and an overshoot past the range end simply reads as exhausted.
 type MorselQueue struct {
 	ranges []morselRange
+	layout *morselLayout // a table queue's morsel → rows map; nil for a bare queue
 }
 
-// morselRange is one claimable block range [cursor, hi). The padding keeps
-// each cursor on its own cache line so workers draining their own ranges
-// never false-share.
+// morselRange is one claimable morsel range [cursor, hi). The padding
+// keeps each cursor on its own cache line so workers draining their own
+// ranges never false-share.
 type morselRange struct {
 	next atomic.Int64
 	hi   int64
 	_    [48]byte
 }
 
-// NewMorselQueue creates a queue over block indices [0, blocks) with a
-// single shared range.
-func NewMorselQueue(blocks int) *MorselQueue {
-	return NewMorselQueueRange(0, blocks)
+// NewMorselQueue creates a queue over indices [0, n) with a single shared
+// range.
+func NewMorselQueue(n int) *MorselQueue {
+	return NewMorselQueueRange(0, n)
 }
 
-// NewMorselQueueRange creates a single-range queue over block indices
-// [lo, hi). Range queues give each worker a contiguous slab of the table,
-// which keeps the concatenation of per-worker outputs in serial row order
-// — required when the parallel pipeline has no aggregation frontier to
-// merge under.
+// NewMorselQueueRange creates a single-range queue over indices [lo, hi).
 func NewMorselQueueRange(lo, hi int) *MorselQueue {
 	q := &MorselQueue{ranges: make([]morselRange, 1)}
 	q.ranges[0].hi = int64(hi)
@@ -55,58 +62,69 @@ func NewMorselQueueRange(lo, hi int) *MorselQueue {
 	return q
 }
 
-// NewMorselQueueAffinity creates a queue over [0, blocks) split into one
+// NewMorselQueueAffinity creates a queue over [0, n) split into one
 // contiguous range per worker. Worker w claims from range w via NextFor
 // and steals from other ranges when its own runs dry.
-func NewMorselQueueAffinity(blocks, workers int) *MorselQueue {
+func NewMorselQueueAffinity(n, workers int) *MorselQueue {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > blocks && blocks > 0 {
-		workers = blocks
+	if workers > n && n > 0 {
+		workers = n
 	}
 	q := &MorselQueue{ranges: make([]morselRange, workers)}
 	for w := 0; w < workers; w++ {
-		lo, hi := w*blocks/workers, (w+1)*blocks/workers
+		lo, hi := w*n/workers, (w+1)*n/workers
 		q.ranges[w].next.Store(int64(lo))
 		q.ranges[w].hi = int64(hi)
 	}
 	return q
 }
 
-// Next claims the next unclaimed block index; ok is false when the table
-// is exhausted. Equivalent to NextFor(0).
-func (q *MorselQueue) Next() (bi int, ok bool) { return q.NextFor(0) }
+// Next claims the next unclaimed index; ok is false when the queue is
+// exhausted. Equivalent to NextFor(0).
+func (q *MorselQueue) Next() (i int, ok bool) { return q.NextFor(0) }
 
-// NextFor claims the next block for worker w: from w's own range while it
-// lasts, then from whichever other range has the most unclaimed blocks
+// NextFor claims the next index for worker w: from w's own range while it
+// lasts, then from whichever other range has the most unclaimed morsels
 // (steal-on-empty). ok is false only when every range is exhausted.
-func (q *MorselQueue) NextFor(w int) (bi int, ok bool) {
+func (q *MorselQueue) NextFor(w int) (i int, ok bool) {
 	if len(q.ranges) == 0 {
 		return 0, false
 	}
 	own := w % len(q.ranges)
-	if bi, ok = q.ranges[own].claim(); ok {
-		return bi, true
+	if i, ok = q.ranges[own].claim(); ok {
+		return i, true
 	}
 	for {
 		victim, best := -1, int64(0)
-		for i := range q.ranges {
-			if i == own {
+		for r := range q.ranges {
+			if r == own {
 				continue
 			}
-			if left := q.ranges[i].remaining(); left > best {
-				victim, best = i, left
+			if left := q.ranges[r].remaining(); left > best {
+				victim, best = r, left
 			}
 		}
 		if victim < 0 {
 			return 0, false
 		}
-		if bi, ok = q.ranges[victim].claim(); ok {
-			return bi, true
+		if i, ok = q.ranges[victim].claim(); ok {
+			return i, true
 		}
-		// Lost the race for the victim's last blocks; rescan.
+		// Lost the race for the victim's last morsels; rescan.
 	}
+}
+
+// NextRows claims worker w's next morsel of a table queue, as NextFor
+// does, and returns it as the row range [lo, hi) of block bi.
+func (q *MorselQueue) NextRows(w int) (bi, lo, hi int, ok bool) {
+	m, ok := q.NextFor(w)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	bi, lo, hi = q.layout.rows(m)
+	return bi, lo, hi, true
 }
 
 func (r *morselRange) claim() (int, bool) {
@@ -130,45 +148,76 @@ func (r *morselRange) remaining() int64 {
 	return left
 }
 
-// Blocks returns the total number of morsels the queue dispenses.
-func (q *MorselQueue) Blocks() int {
-	n := int64(0)
-	for i := range q.ranges {
-		if q.ranges[i].hi > n {
-			n = q.ranges[i].hi
-		}
-	}
-	return int(n)
+// morselLayout numbers a table's morsels: block b holds morsels
+// first[b] .. first[b+1]-1, ceil(n[b] / MorselRows) of them for its n[b]
+// rows, so no morsel id is empty.
+type morselLayout struct {
+	first []int
+	n     []int
 }
 
-// Morsels returns a queue over all sealed blocks of the table. Every
-// column of a table has the same block boundaries, so one queue drives a
+// newMorselLayout lays out the morsels of t's sealed blocks. Every column
+// of a table has the same block boundaries, so one layout drives a
 // multi-column scan.
-func (t *Table) Morsels() *MorselQueue {
+func newMorselLayout(t *Table) *morselLayout {
+	l := &morselLayout{first: []int{0}}
 	if len(t.Cols) == 0 {
-		return NewMorselQueue(0)
+		return l
 	}
-	return NewMorselQueue(t.Cols[0].Blocks())
+	for _, b := range t.Cols[0].blocks {
+		l.n = append(l.n, b.N)
+		l.first = append(l.first, l.first[len(l.first)-1]+(b.N+MorselRows-1)/MorselRows)
+	}
+	return l
 }
 
-// MorselsFor returns an affinity queue over all sealed blocks of the
-// table, split into one contiguous range per worker (see
-// NewMorselQueueAffinity).
+// len returns the table's morsel count.
+func (l *morselLayout) len() int { return l.first[len(l.first)-1] }
+
+// rows returns morsel m as the row range [lo, hi) of block bi.
+func (l *morselLayout) rows(m int) (bi, lo, hi int) {
+	bi = sort.Search(len(l.n), func(b int) bool { return l.first[b+1] > m })
+	lo = (m - l.first[bi]) * MorselRows
+	return bi, lo, min(lo+MorselRows, l.n[bi])
+}
+
+// MorselsFor returns an affinity queue over the table's morsels, split
+// into one contiguous range per worker (see NewMorselQueueAffinity).
 func (t *Table) MorselsFor(workers int) *MorselQueue {
-	if len(t.Cols) == 0 {
-		return NewMorselQueue(0)
+	l := newMorselLayout(t)
+	q := NewMorselQueueAffinity(l.len(), workers)
+	q.layout = l
+	return q
+}
+
+// MorselSlabs returns n single-range queues that cut the table's morsels
+// into n contiguous slabs in row order: slab i holds the rows before slab
+// i+1's, so concatenating per-slab outputs reproduces the serial row
+// order.
+func (t *Table) MorselSlabs(n int) []*MorselQueue {
+	l := newMorselLayout(t)
+	m := l.len()
+	slabs := make([]*MorselQueue, n)
+	for i := range slabs {
+		slabs[i] = NewMorselQueueRange(i*m/n, (i+1)*m/n)
+		slabs[i].layout = l
 	}
-	return NewMorselQueueAffinity(t.Cols[0].Blocks(), workers)
+	return slabs
 }
 
 // WarmDictionaries inserts every per-block dictionary string of the column
 // into the store's USSR (no heap fallback — rejected strings simply stay
 // dictionary-only). The parallel executor runs this single-threaded before
-// freezing the USSR, so that the parallel scans' first-touch interning
-// resolves by lookup against a read-only region — the paper's "the scan
-// inserts all dictionary strings into the USSR" (Section IV-D) hoisted
-// into a warmup pass. Entries are decoded into one reused buffer and
-// hashed once each, so the warm-up allocates nothing per entry.
+// freezing the USSR, for the columns its operators hash as keys only, so
+// that the workers' first-touch interning of those columns resolves by
+// lookup against a read-only region and their keys compare by slot — the
+// paper's "the scan inserts all dictionary strings into the USSR" (Section
+// IV-D) hoisted into a warm-up pass. A column that is only filtered, read
+// through a function or carried as payload is not warmed: decoding and
+// hashing every entry of, say, a comment column costs the driver more
+// than the workers' private-heap interning of the few entries rows use.
+// Entries are decoded into one reused buffer and hashed once each, so the
+// warm-up allocates nothing per entry.
 func (c *Column) WarmDictionaries(st *strs.Store) {
 	if c.Type != vec.Str {
 		return

@@ -36,9 +36,6 @@ func TestMorselQueueRange(t *testing.T) {
 	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("range queue dispensed %v", got)
 	}
-	if NewMorselQueueRange(4, 4).Blocks() != 4 {
-		t.Error("Blocks of empty range")
-	}
 	if _, ok := NewMorselQueueRange(4, 4).Next(); ok {
 		t.Error("empty range must be exhausted")
 	}
@@ -86,19 +83,18 @@ func TestTableMorselsCoverAllBlocks(t *testing.T) {
 	}
 	tab := NewTable("t", c)
 	tab.Seal()
-	q := tab.Morsels()
-	if q.Blocks() != c.Blocks() {
-		t.Fatalf("queue over %d blocks, column has %d", q.Blocks(), c.Blocks())
-	}
-	n := 0
+	q := tab.MorselsFor(1)
+	rows, blocks := 0, map[int]bool{}
 	for {
-		if _, ok := q.Next(); !ok {
+		bi, lo, hi, ok := q.NextRows(0)
+		if !ok {
 			break
 		}
-		n++
+		rows += hi - lo
+		blocks[bi] = true
 	}
-	if n != c.Blocks() {
-		t.Fatalf("dispensed %d blocks, want %d", n, c.Blocks())
+	if rows != c.Rows() || len(blocks) != c.Blocks() {
+		t.Fatalf("dispensed %d rows over %d blocks, want %d over %d", rows, len(blocks), c.Rows(), c.Blocks())
 	}
 }
 
@@ -209,5 +205,137 @@ func TestMorselQueueAffinityClamp(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("zero-worker queue dispensed %d blocks, want 3", n)
+	}
+}
+
+// morselTable builds a one-column table whose sealed blocks hold the given
+// row counts.
+func morselTable(blockRows ...int) *Table {
+	c := NewColumn("x", vec.I64, false)
+	for _, n := range blockRows {
+		for i := 0; i < n; i++ {
+			c.AppendInt(int64(i))
+		}
+		c.Seal()
+	}
+	return NewTable("t", c)
+}
+
+// morselShapes are the tables the morsel tests cover: one block, two
+// uneven blocks (orders' 65 536 + 9 464 rows at TPC-H SF 0.05), and a
+// table whose last morsel is partial.
+var morselShapes = map[string][]int{
+	"one-block":       {BlockRows},
+	"uneven-two":      {BlockRows, 9464},
+	"partial-last":    {BlockRows, 3*MorselRows + 77},
+	"short-one-block": {5000},
+}
+
+// claimAll drains q with one goroutine per claimer, claimer g claiming as
+// worker g, and counts the claims of every row.
+func claimAll(t *testing.T, q *MorselQueue, claimers int, blockRows []int) [][]int {
+	t.Helper()
+	seen := make([][]int, len(blockRows))
+	for b, n := range blockRows {
+		seen[b] = make([]int, n)
+	}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < claimers; g++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			type span struct{ bi, lo, hi int }
+			var mine []span
+			for {
+				bi, lo, hi, ok := q.NextRows(w)
+				if !ok {
+					break
+				}
+				mine = append(mine, span{bi, lo, hi})
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, s := range mine {
+				if s.lo >= s.hi || s.hi-s.lo > MorselRows || s.lo%MorselRows != 0 {
+					t.Errorf("worker %d claimed malformed morsel [%d, %d) of block %d", w, s.lo, s.hi, s.bi)
+					continue
+				}
+				for r := s.lo; r < s.hi; r++ {
+					seen[s.bi][r]++
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	return seen
+}
+
+// TestMorselsClaimEveryRowOnce drains each table's affinity queue with W
+// concurrent workers, and with worker 0 alone (which then steals every
+// other worker's range), and checks every row is claimed exactly once.
+func TestMorselsClaimEveryRowOnce(t *testing.T) {
+	for name, shape := range morselShapes {
+		tab := morselTable(shape...)
+		for _, w := range []int{1, 2, 3, 8} {
+			for _, claimers := range []int{w, 1} {
+				seen := claimAll(t, tab.MorselsFor(w), claimers, shape)
+				for b := range seen {
+					for r, n := range seen[b] {
+						if n != 1 {
+							t.Fatalf("%s w=%d claimers=%d: block %d row %d claimed %d times",
+								name, w, claimers, b, r, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMorselsSplitOneBlock checks that a one-block table, and the uneven
+// two-block one, hold work for every one of up to eight workers: when each
+// worker claims in turn, none finds the queue empty.
+func TestMorselsSplitOneBlock(t *testing.T) {
+	for name, shape := range map[string][]int{"one-block": {BlockRows}, "uneven-two": {BlockRows, 9464}} {
+		tab := morselTable(shape...)
+		for _, w := range []int{2, 3, 8} {
+			q := tab.MorselsFor(w)
+			for i := 0; i < w; i++ {
+				if _, _, _, ok := q.NextRows(i); !ok {
+					t.Fatalf("%s w=%d: worker %d found no morsel", name, w, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMorselSlabsRowOrder checks that slabs cover the table in row order:
+// slab i's last row comes right before slab i+1's first.
+func TestMorselSlabsRowOrder(t *testing.T) {
+	for name, shape := range morselShapes {
+		tab := morselTable(shape...)
+		for _, n := range []int{1, 2, 3, 8} {
+			next := [2]int{0, 0} // the (block, row) the next slab must start at
+			for i, q := range tab.MorselSlabs(n) {
+				for {
+					bi, lo, hi, ok := q.NextRows(i)
+					if !ok {
+						break
+					}
+					if next[1] == shape[next[0]] {
+						next = [2]int{next[0] + 1, 0}
+					}
+					if bi != next[0] || lo != next[1] {
+						t.Fatalf("%s n=%d slab %d: claimed block %d row %d, want block %d row %d",
+							name, n, i, bi, lo, next[0], next[1])
+					}
+					next[1] = hi
+				}
+			}
+			if next[0] != len(shape)-1 || next[1] != shape[len(shape)-1] {
+				t.Fatalf("%s n=%d: slabs end at block %d row %d", name, n, next[0], next[1])
+			}
+		}
 	}
 }
