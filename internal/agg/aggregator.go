@@ -3,6 +3,7 @@ package agg
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ocht/internal/core"
 	"ocht/internal/domain"
@@ -213,60 +214,124 @@ func (a *Aggregator) cold(tab *core.Table, rec int32, ai int) []byte {
 // CountStar, input may be nil.
 func (a *Aggregator) Update(tab *core.Table, ai int, recs []int32, rows []int32, input *vec.Vector) {
 	l := a.layouts[ai]
-	var val func(int32) int64
-	if input != nil {
-		switch input.Typ {
-		case vec.I64:
-			d := input.I64
-			val = func(r int32) int64 { return d[r] }
-		case vec.I32:
-			d := input.I32
-			val = func(r int32) int64 { return int64(d[r]) }
-		case vec.I16:
-			d := input.I16
-			val = func(r int32) int64 { return int64(d[r]) }
-		case vec.I8:
-			d := input.I8
-			val = func(r int32) int64 { return int64(d[r]) }
-		default:
-			val = func(r int32) int64 { return input.Int64At(int(r)) }
-		}
-	}
 	// Direct offsets into the raw record areas: the table cannot grow
 	// during aggregate updates, so the buffers are stable here.
-	hot := tab.RawHot()
-	hw := tab.HotWidth()
-	hOff := tab.Schema.KeyBytes() + l.hotOff
-	cold := tab.RawCold()
-	cw := tab.ColdWidth()
-	cOff := tab.Schema.ColdBytes() + l.coldOff
-	hotAt := func(r int32) []byte { return hot[int(recs[r])*hw+hOff:] }
-	coldAt := func(r int32) []byte { return cold[int(recs[r])*cw+cOff:] }
+	u := recArea{
+		hot: tab.RawHot(), hw: tab.HotWidth(), hOff: tab.Schema.KeyBytes() + l.hotOff,
+		cold: tab.RawCold(), cw: tab.ColdWidth(), cOff: tab.Schema.ColdBytes() + l.coldOff,
+		recs: recs,
+	}
+	switch l.kind {
+	case kCountFull:
+		for _, r := range rows {
+			b := u.hotAt(r)
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
+		}
+		return
+	case kCountSplit:
+		for _, r := range rows {
+			hb := u.hotAt(r)
+			c := binary.LittleEndian.Uint16(hb) + 1
+			if c == 0xFFFF { // flush into the cold counter
+				cb := u.coldAt(r)
+				binary.LittleEndian.PutUint64(cb, binary.LittleEndian.Uint64(cb)+0xFFFF)
+				c = 0
+			}
+			binary.LittleEndian.PutUint16(hb, c)
+		}
+		return
+	case kMinStr, kMaxStr:
+		// Lexicographic MIN/MAX over string references via the query's
+		// string store; reference 0 marks "no value yet".
+		store := tab.Schema.Store
+		wantLess := l.kind == kMinStr
+		refs := input.Str
+		for _, r := range rows {
+			v := refs[r]
+			b := u.hotAt(r)
+			cur := vec.StrRef(binary.LittleEndian.Uint64(b))
+			if cur == 0 {
+				binary.LittleEndian.PutUint64(b, uint64(v))
+				continue
+			}
+			c := store.Compare(v, cur)
+			if (wantLess && c < 0) || (!wantLess && c > 0) {
+				binary.LittleEndian.PutUint64(b, uint64(v))
+			}
+		}
+		return
+	}
+	switch input.Typ {
+	case vec.I64:
+		updateInts(l, u, input.I64, rows)
+	case vec.I32:
+		updateInts(l, u, input.I32, rows)
+	case vec.I16:
+		updateInts(l, u, input.I16, rows)
+	case vec.I8:
+		updateInts(l, u, input.I8, rows)
+	default:
+		updateInts(l, u, intsAt(input, rows), rows)
+	}
+}
+
+// recArea addresses the aggregate state of the active rows' group
+// records (recs[row]) in a table's raw hot and cold areas.
+type recArea struct {
+	hot, cold []byte
+	hw, hOff  int
+	cw, cOff  int
+	recs      []int32
+}
+
+func (u *recArea) hotAt(r int32) []byte  { return u.hot[int(u.recs[r])*u.hw+u.hOff:] }
+func (u *recArea) coldAt(r int32) []byte { return u.cold[int(u.recs[r])*u.cw+u.cOff:] }
+
+// intsAt decodes an integer vector of any type and encoding at the rows,
+// widened to int64 and indexed by row: the input of the typed loops when
+// it is not a plain integer slice already.
+func intsAt(v *vec.Vector, rows []int32) []int64 {
+	if v.Enc == vec.EncPlain && v.Typ == vec.I64 {
+		return v.I64
+	}
+	n := 0
+	if len(rows) > 0 {
+		n = int(slices.Max(rows)) + 1
+	}
+	d := make([]int64, n)
+	v.IntRowsInto(rows, d)
+	return d
+}
+
+// updateInts folds the integer inputs d[row] into a SUM, MIN or MAX of
+// layout l, one loop per kind over the input's own slice type.
+//
+//ocht:hot
+func updateInts[T vec.Int](l layout, u recArea, d []T, rows []int32) {
 	switch l.kind {
 	case kSumI64:
 		for _, r := range rows {
-			b := hotAt(r)
-			binary.LittleEndian.PutUint64(b, uint64(int64(binary.LittleEndian.Uint64(b))+val(r)))
+			b := u.hotAt(r)
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+uint64(int64(d[r])))
 		}
 	case kSumFull128:
 		for _, r := range rows {
-			b := hotAt(r)
+			b := u.hotAt(r)
 			x := i128.Int{Lo: binary.LittleEndian.Uint64(b), Hi: int64(binary.LittleEndian.Uint64(b[8:]))}
-			x = i128.AddInt64(x, val(r))
+			x = i128.AddInt64(x, int64(d[r]))
 			binary.LittleEndian.PutUint64(b, x.Lo)
 			binary.LittleEndian.PutUint64(b[8:], uint64(x.Hi))
 		}
 	case kSumSplit:
 		for _, r := range rows {
-			v := val(r)
-			hb := hotAt(r)
-			old := binary.LittleEndian.Uint64(hb)
-			sum := old + uint64(v)
+			v := int64(d[r])
+			hb := u.hotAt(r)
+			sum := binary.LittleEndian.Uint64(hb) + uint64(v)
 			binary.LittleEndian.PutUint64(hb, sum)
 			overflow := sum < uint64(v)
 			positive := v >= 0
 			if overflow == positive { // rare: carry/borrow into the cold area
-				cb := coldAt(r)
+				cb := u.coldAt(r)
 				c := int64(binary.LittleEndian.Uint64(cb))
 				if positive {
 					c++
@@ -278,98 +343,64 @@ func (a *Aggregator) Update(tab *core.Table, ai int, recs []int32, rows []int32,
 		}
 	case kSumSplitPos:
 		for _, r := range rows {
-			v := uint64(val(r))
-			hb := hotAt(r)
+			hb := u.hotAt(r)
 			old := binary.LittleEndian.Uint64(hb)
-			sum := old + v
+			sum := old + uint64(int64(d[r]))
 			binary.LittleEndian.PutUint64(hb, sum)
 			if sum < old { // rare carry
-				cb := coldAt(r)
+				cb := u.coldAt(r)
 				binary.LittleEndian.PutUint64(cb, binary.LittleEndian.Uint64(cb)+1)
 			}
 		}
-	case kCountFull:
-		for _, r := range rows {
-			b := hotAt(r)
-			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
-		}
-	case kCountSplit:
-		for _, r := range rows {
-			hb := hotAt(r)
-			c := binary.LittleEndian.Uint16(hb) + 1
-			if c == 0xFFFF { // flush into the cold counter
-				cb := coldAt(r)
-				binary.LittleEndian.PutUint64(cb, binary.LittleEndian.Uint64(cb)+0xFFFF)
-				c = 0
-			}
-			binary.LittleEndian.PutUint16(hb, c)
-		}
 	case kMinFull:
 		for _, r := range rows {
-			v := val(r)
-			b := hotAt(r)
-			if v < int64(binary.LittleEndian.Uint64(b)) {
+			v := int64(d[r])
+			if b := u.hotAt(r); v < int64(binary.LittleEndian.Uint64(b)) {
 				binary.LittleEndian.PutUint64(b, uint64(v))
 			}
 		}
 	case kMaxFull:
 		for _, r := range rows {
-			v := val(r)
-			b := hotAt(r)
-			if v > int64(binary.LittleEndian.Uint64(b)) {
+			v := int64(d[r])
+			if b := u.hotAt(r); v > int64(binary.LittleEndian.Uint64(b)) {
 				binary.LittleEndian.PutUint64(b, uint64(v))
 			}
 		}
 	case kMinSplit:
 		for _, r := range rows {
-			v := val(r)
-			hb := hotAt(r)
+			v := int64(d[r])
+			hb := u.hotAt(r)
 			bv := boundOf(v, l.domMin)
 			if bv > binary.LittleEndian.Uint32(hb) {
 				continue // cannot become the new minimum: hot-only check
 			}
-			cb := coldAt(r)
-			if v < int64(binary.LittleEndian.Uint64(cb)) {
+			if cb := u.coldAt(r); v < int64(binary.LittleEndian.Uint64(cb)) {
 				binary.LittleEndian.PutUint64(cb, uint64(v))
 				binary.LittleEndian.PutUint32(hb, bv)
 			}
 		}
 	case kMaxSplit:
 		for _, r := range rows {
-			v := val(r)
-			hb := hotAt(r)
+			v := int64(d[r])
+			hb := u.hotAt(r)
 			bv := boundOf(v, l.domMin)
 			if bv < binary.LittleEndian.Uint32(hb) {
 				continue // cannot become the new maximum
 			}
-			cb := coldAt(r)
-			if v > int64(binary.LittleEndian.Uint64(cb)) {
+			if cb := u.coldAt(r); v > int64(binary.LittleEndian.Uint64(cb)) {
 				binary.LittleEndian.PutUint64(cb, uint64(v))
 				binary.LittleEndian.PutUint32(hb, bv)
 			}
 		}
-	case kMinStr, kMaxStr:
-		// Lexicographic MIN/MAX over string references via the query's
-		// string store; reference 0 marks "no value yet".
-		store := tab.Schema.Store
-		wantLess := l.kind == kMinStr
-		refs := input.Str
-		for _, r := range rows {
-			v := refs[r]
-			b := hotAt(r)
-			cur := vec.StrRef(binary.LittleEndian.Uint64(b))
-			if cur == 0 {
-				binary.LittleEndian.PutUint64(b, uint64(v))
-				continue
-			}
-			c := store.Compare(v, cur)
-			if (wantLess && c < 0) || (!wantLess && c > 0) {
-				binary.LittleEndian.PutUint64(b, uint64(v))
-			}
-		}
 	default:
-		panic(fmt.Sprintf("agg: unknown kind %d", l.kind))
+		badKind(l.kind)
 	}
+}
+
+// badKind panics for a layout kind no kernel knows, off the kernels' code
+// path.
+func badKind(k kind) {
+	panic(fmt.Sprintf("agg: unknown kind %d", k))
 }
 
 // ResultType returns the output vector type of aggregate ai.

@@ -34,6 +34,12 @@ func (a *Aggregator) Fold(tab *core.Table, ai int, recs, rows []int32, input *ve
 		a.Update(tab, ai, recs, rows, input)
 		return
 	}
+	// Integer partials (SUM as I64, COUNT) are read through their own
+	// slice; ints stays nil for 128-bit SUM partials and string extremes.
+	var ints []int64
+	if input.Typ != vec.I128 && input.Typ != vec.Str {
+		ints = intsAt(input, rows)
+	}
 	hot, hw := tab.RawHot(), tab.HotWidth()
 	cold, cw := tab.RawCold(), tab.ColdWidth()
 	hOff := tab.Schema.KeyBytes() + l.hotOff
@@ -42,19 +48,19 @@ func (a *Aggregator) Fold(tab *core.Table, ai int, recs, rows []int32, input *ve
 	case kSumI64:
 		for _, r := range rows {
 			b := hot[int(recs[r])*hw+hOff:]
-			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+partialSum(input, r).Lo)
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+partialSum(input, ints, r).Lo)
 		}
 	case kSumFull128:
 		for _, r := range rows {
 			b := hot[int(recs[r])*hw+hOff:]
 			x := i128.Int{Lo: binary.LittleEndian.Uint64(b), Hi: int64(binary.LittleEndian.Uint64(b[8:]))}
-			x = i128.Add(x, partialSum(input, r))
+			x = i128.Add(x, partialSum(input, ints, r))
 			binary.LittleEndian.PutUint64(b, x.Lo)
 			binary.LittleEndian.PutUint64(b[8:], uint64(x.Hi))
 		}
 	case kSumSplit, kSumSplitPos:
 		for _, r := range rows {
-			x := partialSum(input, r)
+			x := partialSum(input, ints, r)
 			hb := hot[int(recs[r])*hw+hOff:]
 			old := binary.LittleEndian.Uint64(hb)
 			lo := old + x.Lo
@@ -70,12 +76,12 @@ func (a *Aggregator) Fold(tab *core.Table, ai int, recs, rows []int32, input *ve
 	case kCountFull:
 		for _, r := range rows {
 			b := hot[int(recs[r])*hw+hOff:]
-			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+uint64(input.Int64At(int(r))))
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+uint64(ints[r]))
 		}
 	case kCountSplit:
 		for _, r := range rows {
 			hb := hot[int(recs[r])*hw+hOff:]
-			c := uint64(binary.LittleEndian.Uint16(hb)) + uint64(input.Int64At(int(r)))
+			c := uint64(binary.LittleEndian.Uint16(hb)) + uint64(ints[r])
 			if c >= 0xFFFF { // flush the whole count into the cold counter
 				cb := cold[int(recs[r])*cw+cOff:]
 				binary.LittleEndian.PutUint64(cb, binary.LittleEndian.Uint64(cb)+c)
@@ -103,10 +109,11 @@ func (a *Aggregator) Fold(tab *core.Table, ai int, recs, rows []int32, input *ve
 	}
 }
 
-// partialSum reads a SUM partial, given as I64 or I128, as 128 bits.
-func partialSum(v *vec.Vector, r int32) i128.Int {
-	if v.Typ == vec.I128 {
-		return v.I128[r]
+// partialSum reads a SUM partial as 128 bits: from ints when the
+// partials are integers (intsAt), else from v's 128-bit slice.
+func partialSum(v *vec.Vector, ints []int64, r int32) i128.Int {
+	if ints != nil {
+		return i128.FromInt64(ints[r])
 	}
-	return i128.FromInt64(v.Int64At(int(r)))
+	return v.I128[r]
 }

@@ -32,9 +32,11 @@ var hotNameRE = regexp.MustCompile(`^(Op|Full|Pack|Unpack|Match|Hash|Swar|Mix|Cm
 // HotAlloc flags heap allocations, interface conversions (boxing) and
 // closures inside hot kernels: functions in the kernel packages matching
 // the primitive naming convention, or any function annotated //ocht:hot.
-// The check is intra-procedural; a kernel that delegates its allocation
-// to a per-batch setup helper (pack.Plan.kernels, pack.getter) is fine —
-// that is the idiom the rule is meant to push code toward.
+// The check is intra-procedural. The idiom it pushes code toward is a
+// dispatch once per vector into a loop typed for the input's own slice
+// (pack.packSlice, agg.updateInts, vec.UnpackRows), with no closure or
+// interface per value; a rare input that needs a scratch conversion first
+// gets it from a helper outside the convention (pack.boolInts, agg.intsAt).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make/new, composite-literal allocations, string<->[]byte " +

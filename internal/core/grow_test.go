@@ -79,7 +79,7 @@ func TestRejectedStringsChainBound(t *testing.T) {
 	}
 }
 
-// TestGrowRehashMatchesInsertHash guards Table.grow, which re-hashes every
+// TestGrowRehashMatchesInsertHash guards Table.resize, which re-hashes every
 // stored record through KeySchema.Hash when the directory doubles: each
 // record must land in the chain its insert-time hash chose, for every key
 // layout. Tables start at capacity hint 1 so every doubling runs; then a

@@ -179,6 +179,13 @@ func (pt *PartTable) ColdAreaBytes() int {
 	return n
 }
 
+// Link links every partition's pending records (Table.Link).
+func (pt *PartTable) Link() {
+	for _, t := range pt.parts {
+		t.Link()
+	}
+}
+
 // MemoryBytes sums the partitions' footprints.
 func (pt *PartTable) MemoryBytes() int { return pt.HotAreaBytes() + pt.ColdAreaBytes() }
 
@@ -243,6 +250,7 @@ func (pt *PartTable) SplitRecs(grecs, rows []int32, recs, pos [][]int32) {
 //
 //ocht:hot
 func (pt *PartTable) ProbeChainsStaged(p *Prepared, hashes []uint64, rows []int32, heads []int32, outRows, outRecs []int32) ([]int32, []int32) {
+	pt.Link()
 	parts := pt.parts
 	for i, r := range rows {
 		h := hashes[r]

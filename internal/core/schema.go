@@ -80,7 +80,7 @@ type KeySchema struct {
 	// Per-batch scratch reused across Prepare calls. A KeySchema serves a
 	// single query pipeline and is not safe for concurrent use.
 	scratch Prepared
-	regrow  regrow // Table.grow's scratch, apart from the batch in scratch
+	regrow  regrow // Table.resize's scratch, apart from the batch in scratch
 }
 
 // NewKeySchema builds the key layout. store supplies string memory and may
@@ -249,7 +249,7 @@ func (s *KeySchema) Prepare(cols []*vec.Vector, rows []int32) *Prepared {
 // resident. A slot code is canonical for a resident string, but every
 // string the USSR rejected shares code 0, so those rows also fold in the
 // string's content hash: otherwise they would all share one chain. This
-// is the only definition of a key's hash; Table.grow re-hashes stored
+// is the only definition of a key's hash; Table.resize re-hashes stored
 // records through it.
 func (s *KeySchema) Hash(p *Prepared, rows []int32, out []uint64) {
 	first := true

@@ -27,6 +27,12 @@ type Table struct {
 	hot   []byte
 	cold  []byte
 	n     int
+
+	// pend holds the low 32 bits of the key hashes of the last len(pend)
+	// records, which InsertBatch appended and Link has not linked into
+	// the directory yet (a directory of int32 records never masks more
+	// bits). Every reader of the directory links them first.
+	pend []uint32
 }
 
 // NewTable creates a table; capacityHint sizes the initial directory.
@@ -61,9 +67,21 @@ func (t *Table) ColdWidth() int { return t.coldWidth }
 
 // HotAreaBytes returns the hot working set: directory, chain links and hot
 // records — the footprint that determines cache residency (Figure 4's
-// "CHT + Optimistic (hot area)").
+// "CHT + Optimistic (hot area)"). Records not linked yet count with the
+// directory Link will give them.
 func (t *Table) HotAreaBytes() int {
-	return len(t.heads)*4 + len(t.next)*4 + len(t.hot)
+	return t.dirLen()*4 + len(t.next)*4 + len(t.hot)
+}
+
+// dirLen is the directory length once every record is linked: the
+// smallest power of two, at least the current length, that holds one
+// bucket per record — the size doubling on every overflow reaches.
+func (t *Table) dirLen() int {
+	size := len(t.heads)
+	for size < t.n {
+		size <<= 1
+	}
+	return size
 }
 
 // ColdAreaBytes returns the cold (exception) area footprint.
@@ -86,33 +104,61 @@ func (t *Table) ColdRow(rec int32) []byte {
 }
 
 // Head returns the first record of the chain for hash h, or -1.
-func (t *Table) Head(h uint64) int32 { return t.heads[h&t.mask] }
+func (t *Table) Head(h uint64) int32 {
+	if len(t.pend) != 0 {
+		t.Link()
+	}
+	return t.heads[h&t.mask]
+}
 
 // Next returns the chain successor of rec, or -1.
 func (t *Table) Next(rec int32) int32 { return t.next[rec] }
 
-// grow doubles the directory and relinks every record except `skip`
-// (the record currently being inserted, which the caller links itself),
-// rehashing the stored keys a chunk at a time.
-func (t *Table) grow(skip int32) {
-	size := len(t.heads) * 2
+// Link links the records InsertBatch appended into the directory, in
+// record order, after sizing the directory once for the table's length
+// (dirLen): the directory, every chain's order and the footprint are the
+// ones inserting record by record and doubling on every overflow leaves,
+// without rehashing the table at each doubling. The table must not be
+// read concurrently until Link returns; it is a no-op when nothing is
+// pending, so readers may call it unguarded once it has run.
+func (t *Table) Link() {
+	if len(t.pend) == 0 {
+		return
+	}
+	first := t.n - len(t.pend)
+	if size := t.dirLen(); size != len(t.heads) {
+		t.resize(size, first)
+	}
+	mask := uint32(t.mask)
+	for i, h := range t.pend {
+		rec := int32(first + i)
+		b := h & mask
+		t.next[rec] = t.heads[b]
+		t.heads[b] = rec
+	}
+	t.pend = nil
+}
+
+// Unlinked returns the number of records waiting for Link.
+func (t *Table) Unlinked() int { return len(t.pend) }
+
+// resize replaces the directory with one of the given size and relinks
+// records [0, linked), rehashing their stored keys a chunk at a time.
+func (t *Table) resize(size, linked int) {
 	t.heads = make([]int32, size)
 	for i := range t.heads {
 		t.heads[i] = -1
 	}
 	t.mask = uint64(size - 1)
 
-	g := t.Schema.regrowScratch(min(t.n, vec.Size))
-	for lo := 0; lo < t.n; lo += len(g.recs) {
-		recs := g.recs[:min(len(g.recs), t.n-lo)]
+	g := t.Schema.regrowScratch(min(linked, vec.Size))
+	for lo := 0; lo < linked; lo += len(g.recs) {
+		recs := g.recs[:min(len(g.recs), linked-lo)]
 		for i := range recs {
 			recs[i] = int32(lo + i)
 		}
 		t.HashRecs(recs, g.hashes)
 		for i, rec := range recs {
-			if rec == skip {
-				continue
-			}
 			b := g.hashes[i] & t.mask
 			t.next[rec] = t.heads[b]
 			t.heads[b] = rec
@@ -158,10 +204,10 @@ func (t *Table) Reset() {
 	clear(t.hot)
 	clear(t.cold)
 	t.hot, t.cold, t.next = t.hot[:0], t.cold[:0], t.next[:0]
-	t.n = 0
+	t.n, t.pend = 0, nil
 }
 
-// regrow is the scratch of Table.grow and Table.HashRecs. It is kept apart
+// regrow is the scratch of Table.resize and Table.HashRecs. It is kept apart
 // from the schema's batch scratch, which still holds the batch being
 // inserted while a directory grows, and shared by every table on the
 // schema: rehashes run one at a time, on the goroutine that inserts.
@@ -202,38 +248,43 @@ func (s *KeySchema) regrowScratch(n int) *regrow {
 	return g
 }
 
-// alloc appends a zeroed record and returns its index (not yet linked).
-func (t *Table) alloc() int32 {
+// alloc appends k zeroed records and returns the first one's index (not
+// yet linked).
+func (t *Table) alloc(k int) int32 {
 	rec := int32(t.n)
-	t.hot = growZeroed(t.hot, t.hotWidth)
+	t.hot = grow(t.hot, k*t.hotWidth)
 	if t.coldWidth > 0 {
-		t.cold = growZeroed(t.cold, t.coldWidth)
+		t.cold = grow(t.cold, k*t.coldWidth)
 	}
-	t.next = append(t.next, -1)
-	t.n++
+	t.next = grow(t.next, k) // set when the records are linked
+	t.n += k
 	return rec
 }
 
-// growZeroed extends b by n zero bytes without a per-call allocation:
-// fresh capacity from make is already zeroed, and the buffer is never
-// truncated, so reslicing within capacity exposes zeroes.
-func growZeroed(b []byte, n int) []byte {
-	need := len(b) + n
-	if need > cap(b) {
-		newCap := 2 * cap(b)
-		if newCap < need {
-			newCap = need + 1024
+// grow extends s by n elements without a per-call allocation, doubling
+// its capacity when it must move, so a table filled batch by batch copies
+// each element a constant number of times. Fresh capacity from make is
+// zeroed and record buffers are only truncated by Reset, which clears
+// them first, so the new elements of the byte areas are zero.
+func grow[T any](s []T, n int) []T {
+	need := len(s) + n
+	if need > cap(s) {
+		c := 2 * cap(s)
+		if c < need {
+			c = need + 1024
 		}
-		nb := make([]byte, len(b), newCap)
-		copy(nb, b)
-		b = nb
+		ns := make([]T, len(s), c)
+		copy(ns, s)
+		s = ns
 	}
-	return b[:need]
+	return s[:need]
 }
 
+// link links record rec, the last one, doubling the directory first
+// when the table outgrew it.
 func (t *Table) link(rec int32, h uint64) {
 	if t.n > len(t.heads) {
-		t.grow(rec)
+		t.resize(2*len(t.heads), int(rec))
 	}
 	b := h & t.mask
 	t.next[rec] = t.heads[b]
@@ -413,6 +464,7 @@ func (t *Table) loadDirect(rec int32, ci int) uint64 {
 // slices give the rows and record indices of newly created groups, so the
 // caller can initialize aggregate state.
 func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
+	t.Link()
 	if t.Schema.oneWord {
 		if t.Schema.plan.WordBits == 32 {
 			return findOrInsertOne[uint32](t, p, hashes, rows, recOut)
@@ -430,8 +482,8 @@ func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut 
 			rec = t.next[rec]
 		}
 		if rec < 0 {
-			rec = t.alloc()
-			t.storeKeyOne(p, row, rec)
+			rec = t.alloc(1)
+			t.storeKeyOne(p, int(r), rec)
 			t.link(rec, h)
 			newRows = append(newRows, r)
 			newRecs = append(newRecs, rec)
@@ -470,7 +522,7 @@ func findOrInsertOne[W word](t *Table, p *Prepared, hashes []uint64, rows []int3
 			rec = t.next[rec]
 		}
 		if rec < 0 {
-			rec = t.alloc()
+			rec = t.alloc(1)
 			t.storeKeyOne(p, int(r), rec)
 			t.link(rec, h)
 			newRows = append(newRows, r)
@@ -482,14 +534,18 @@ func findOrInsertOne[W word](t *Table, p *Prepared, hashes []uint64, rows []int3
 }
 
 // InsertBatch inserts every active row as a new record (hash-join build:
-// duplicates allowed). recOut[row] receives the record index.
+// duplicates allowed). recOut[row] receives the record index. The records
+// are allocated in one step and linked by Link, or by the first probe.
 func (t *Table) InsertBatch(p *Prepared, hashes []uint64, rows []int32, recOut []int32) {
-	for _, r := range rows {
-		rec := t.alloc()
+	rec := t.alloc(len(rows))
+	pend := grow(t.pend, len(rows))
+	for i, r := range rows {
 		t.storeKeyOne(p, int(r), rec)
-		t.link(rec, hashes[r])
+		pend[len(t.pend)+i] = uint32(hashes[r])
 		recOut[r] = rec
+		rec++
 	}
+	t.pend = pend
 }
 
 // ProbeChains walks the chain of each active row and appends every
@@ -500,6 +556,7 @@ func (t *Table) InsertBatch(p *Prepared, hashes []uint64, rows []int32, recOut [
 //
 //ocht:hot
 func (t *Table) ProbeChains(p *Prepared, hashes []uint64, rows []int32, outRows, outRecs []int32) ([]int32, []int32) {
+	t.Link()
 	parts := [1]*Table{t}
 	pt := PartTable{Schema: t.Schema, parts: parts[:]}
 	var heads [vec.Size]int32

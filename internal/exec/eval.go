@@ -80,6 +80,14 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 		return out
 
 	case eAdd, eSub, eMul, eDiv, eMod:
+		if e.typ == vec.I64 {
+			l, a, ma := e.intOperand(qc, b, rows, phys, 0, e.l)
+			r, bb, mb := e.intOperand(qc, b, rows, phys, 1, e.r)
+			out := e.ensureBuf(vec.I64, phys)
+			intArith(e.kind, a, ma, bb, mb, rows, out)
+			propagateNulls(out, rows, e.l.nullable, l, e.r.nullable, r)
+			return out
+		}
 		l := e.l.eval(qc, b, rows, phys)
 		r := e.r.eval(qc, b, rows, phys)
 		out := e.ensureBuf(e.typ, phys)
@@ -107,7 +115,7 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 				}
 				out.F64[i] = v
 			}
-		} else if e.typ == vec.I128 {
+		} else {
 			for _, i := range rows {
 				a, bb := asI128(l, int(i)), asI128(r, int(i))
 				var v i128.Int
@@ -129,28 +137,6 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 				}
 				out.I128[i] = v
 			}
-		} else {
-			for _, i := range rows {
-				a, bb := l.Int64At(int(i)), r.Int64At(int(i))
-				var v int64
-				switch e.kind {
-				case eAdd:
-					v = a + bb
-				case eSub:
-					v = a - bb
-				case eMul:
-					v = a * bb
-				case eDiv, eMod:
-					if bb == 0 {
-						out.SetNull(int(i))
-					} else if e.kind == eDiv {
-						v = a / bb
-					} else {
-						v = a % bb
-					}
-				}
-				out.I64[i] = v
-			}
 		}
 		propagateNulls(out, rows, e.l.nullable, l, e.r.nullable, r)
 		return out
@@ -169,8 +155,11 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 				out.F64[i] = float64(x.Hi)*(1<<32)*(1<<32) + float64(x.Lo)
 			}
 		default:
-			for _, i := range rows {
-				out.F64[i] = float64(l.Int64At(int(i)))
+			if len(rows) > 0 {
+				ints := e.intsOf(0, l, rows, phys)
+				for _, i := range rows {
+					out.F64[i] = float64(ints[i])
+				}
 			}
 		}
 		propagateNulls(out, rows, e.l.nullable, l, false, nil)
@@ -205,29 +194,117 @@ func (e *Expr) eval(qc *QCtx, b *vec.Batch, rows []int32, phys int) *vec.Vector 
 
 	case eCase:
 		cond := e.r.eval(qc, b, rows, phys)
+		if e.typ != vec.F64 {
+			_, th, mt := e.intOperand(qc, b, rows, phys, 0, e.l)
+			_, el, me := e.intOperand(qc, b, rows, phys, 1, e.el)
+			out := e.ensureBuf(e.typ, phys)
+			c := cond.Bool
+			switch out.Typ {
+			case vec.I8:
+				pickInts(c, th, mt, el, me, rows, out.I8)
+			case vec.I16:
+				pickInts(c, th, mt, el, me, rows, out.I16)
+			case vec.I32:
+				pickInts(c, th, mt, el, me, rows, out.I32)
+			case vec.I64:
+				pickInts(c, th, mt, el, me, rows, out.I64)
+			default:
+				for _, r := range rows {
+					if c[r] {
+						out.SetInt64(int(r), th[r&mt])
+					} else {
+						out.SetInt64(int(r), el[r&me])
+					}
+				}
+			}
+			return out
+		}
 		then := e.l.eval(qc, b, rows, phys)
 		els := e.el.eval(qc, b, rows, phys)
 		out := e.ensureBuf(e.typ, phys)
-		if e.typ == vec.F64 {
-			for _, i := range rows {
-				if cond.Bool[i] {
-					out.F64[i] = asF64(then, int(i))
-				} else {
-					out.F64[i] = asF64(els, int(i))
-				}
-			}
-		} else {
-			for _, i := range rows {
-				if cond.Bool[i] {
-					out.SetInt64(int(i), then.Int64At(int(i)))
-				} else {
-					out.SetInt64(int(i), els.Int64At(int(i)))
-				}
+		for _, i := range rows {
+			if cond.Bool[i] {
+				out.F64[i] = asF64(then, int(i))
+			} else {
+				out.F64[i] = asF64(els, int(i))
 			}
 		}
 		return out
 	}
 	panic("exec: unhandled expression kind")
+}
+
+// intOperand returns operand x of e as integers indexed by physical row,
+// valid at rows, with the mask its rows are read through (x[r&mask]): a
+// constant is one value read at index 0 (mask 0), never evaluated into a
+// vector; anything else is evaluated and decoded through intsOf into
+// scratch slot i (mask -1). The vector is nil for a constant.
+func (e *Expr) intOperand(qc *QCtx, b *vec.Batch, rows []int32, phys, i int, x *Expr) (*vec.Vector, []int64, int32) {
+	if x.kind == eConstInt {
+		e.ints[i] = append(e.ints[i][:0], x.cInt)
+		return nil, e.ints[i], 0
+	}
+	v := x.eval(qc, b, rows, phys)
+	if len(rows) == 0 {
+		return v, nil, -1
+	}
+	return v, e.intsOf(i, v, rows, phys), -1
+}
+
+// intArith computes out[r] = a op b at the rows, each operand read
+// through its intOperand mask; the operator is switched on once per
+// vector. A zero divisor makes the row NULL (Div and Mod are nullable
+// whenever their divisor may be zero).
+//
+//ocht:hot
+func intArith(op exprKind, a []int64, ma int32, b []int64, mb int32, rows []int32, out *vec.Vector) {
+	o := out.I64
+	switch op {
+	case eAdd:
+		for _, r := range rows {
+			o[r] = a[r&ma] + b[r&mb]
+		}
+	case eSub:
+		for _, r := range rows {
+			o[r] = a[r&ma] - b[r&mb]
+		}
+	case eMul:
+		for _, r := range rows {
+			o[r] = a[r&ma] * b[r&mb]
+		}
+	case eDiv:
+		for _, r := range rows {
+			if d := b[r&mb]; d != 0 {
+				o[r] = a[r&ma] / d
+			} else {
+				o[r] = 0
+				out.SetNull(int(r))
+			}
+		}
+	case eMod:
+		for _, r := range rows {
+			if d := b[r&mb]; d != 0 {
+				o[r] = a[r&ma] % d
+			} else {
+				o[r] = 0
+				out.SetNull(int(r))
+			}
+		}
+	}
+}
+
+// pickInts writes CASE's integer result: out[r] = then[r&mt] where cond
+// holds, else els[r&me].
+//
+//ocht:hot
+func pickInts[T vec.Int](cond []bool, then []int64, mt int32, els []int64, me int32, rows []int32, out []T) {
+	for _, r := range rows {
+		if cond[r] {
+			out[r] = T(then[r&mt])
+		} else {
+			out[r] = T(els[r&me])
+		}
+	}
 }
 
 func asF64(v *vec.Vector, i int) float64 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"ocht/internal/core"
@@ -221,4 +222,101 @@ func TestColUnknownPanics(t *testing.T) {
 		}
 	}()
 	Col([]Meta{{Name: "a"}}, "zzz")
+}
+
+// TestIntArithmeticEncodings pins the typed arithmetic, CASE and
+// int → DOUBLE loops to a row-at-a-time reference over every integer
+// input shape (narrow plain types and a packed I64 window), with a
+// constant on either side (read as a scalar) and dense and sparse
+// selections; a zero divisor makes the row NULL.
+func TestIntArithmeticEncodings(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(61))
+	xs, ys := make([]int64, n), make([]int64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Int63n(200)-100, rng.Int63n(9)-4 // ys has zeros
+	}
+	schema := []Meta{
+		{Name: "x", Type: vec.I32, Dom: domain.New(-100, 99)},
+		{Name: "y", Type: vec.I64, Dom: domain.New(-4, 4)},
+	}
+	x32 := vec.New(vec.I32, n)
+	for i, v := range xs {
+		x32.I32[i] = int32(v)
+	}
+	yPacked := &vec.Vector{Typ: vec.I64, Enc: vec.EncPacked, PackMin: -4}
+	offs := make([]uint64, n)
+	for i, v := range ys {
+		offs[i] = uint64(v + 4)
+	}
+	(&selGen{rng: rng, n: n}).packInto(yPacked, 4, offs)
+
+	x, y := Col(schema, "x"), Col(schema, "y")
+	ops := []struct {
+		name string
+		mk   func(l, r *Expr) *Expr
+		f    func(a, b int64) (int64, bool)
+	}{
+		{"+", Add, func(a, b int64) (int64, bool) { return a + b, true }},
+		{"-", Sub, func(a, b int64) (int64, bool) { return a - b, true }},
+		{"*", Mul, func(a, b int64) (int64, bool) { return a * b, true }},
+		{"/", Div, func(a, b int64) (int64, bool) {
+			if b == 0 {
+				return 0, false
+			}
+			return a / b, true
+		}},
+		{"%", Mod, func(a, b int64) (int64, bool) {
+			if b == 0 {
+				return 0, false
+			}
+			return a % b, true
+		}},
+	}
+	var sparse []int32
+	for i := 0; i < n; i += 1 + rng.Intn(40) {
+		sparse = append(sparse, int32(i))
+	}
+	for _, sel := range [][]int32{nil, sparse} {
+		rows := sel
+		if rows == nil {
+			rows = vec.FullSel[:n]
+		}
+		for _, op := range ops {
+			for _, shape := range []struct {
+				name string
+				l, r *Expr
+				a, b func(i int32) int64
+			}{
+				{"col op col", x, y, func(i int32) int64 { return xs[i] }, func(i int32) int64 { return ys[i] }},
+				{"col op const", y, Int(3), func(i int32) int64 { return ys[i] }, func(int32) int64 { return 3 }},
+				{"const op col", Int(7), y, func(int32) int64 { return 7 }, func(i int32) int64 { return ys[i] }},
+			} {
+				qc := NewQCtx(core.All())
+				e := op.mk(shape.l, shape.r)
+				b := &vec.Batch{Vecs: []*vec.Vector{x32, yPacked}, Sel: sel, N: len(rows)}
+				out := e.Eval(qc, b)
+				for _, r := range rows {
+					want, ok := op.f(shape.a(r), shape.b(r))
+					if out.IsNull(int(r)) == ok || ok && out.I64[r] != want {
+						t.Fatalf("sparse=%v %s %s row %d: got %d (null %v), want %d (null %v)",
+							sel != nil, shape.name, op.name, r, out.I64[r], out.IsNull(int(r)), want, !ok)
+					}
+				}
+			}
+		}
+		qc := NewQCtx(core.All())
+		b := &vec.Batch{Vecs: []*vec.Vector{x32, yPacked}, Sel: sel, N: len(rows)}
+		c := Case(Gt(y, Int(0)), x, Int(-1)).Eval(qc, b)
+		f := ToF64(y).Eval(qc, b)
+		for _, r := range rows {
+			want := int64(-1)
+			if ys[r] > 0 {
+				want = xs[r]
+			}
+			if c.Int64At(int(r)) != want || f.F64[r] != float64(ys[r]) {
+				t.Fatalf("sparse=%v row %d: CASE %d want %d, DOUBLE %v want %d", sel != nil, r, c.Int64At(int(r)), want, f.F64[r], ys[r])
+			}
+		}
+	}
 }

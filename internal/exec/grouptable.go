@@ -221,8 +221,14 @@ func (c keyCoding) code(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int
 	out := scratchVec(bufp, c.typ, phys)
 	switch v.Typ {
 	case vec.Str:
+		if v.Nulls == nil {
+			v.MaterializeRowsInto(out, rows)
+			out.Nulls = nil
+			break
+		}
+		// A NULL row's dictionary code must not intern its entry.
 		for _, r := range rows {
-			if v.IsNull(int(r)) {
+			if v.Nulls[r] {
 				out.Str[r] = nullStrRef
 			} else {
 				out.Str[r] = v.StrRefAt(int(r))
@@ -243,11 +249,22 @@ func (c keyCoding) code(v *vec.Vector, rows []int32, bufp **vec.Vector, phys int
 			}
 		}
 	default:
-		for _, r := range rows {
-			if v.IsNull(int(r)) {
-				out.SetInt64(int(r), c.nullCode)
-			} else {
+		switch out.Typ {
+		case vec.I64:
+			v.IntRowsInto(rows, out.I64)
+		case v.Typ:
+			v.MaterializeRowsInto(out, rows)
+			out.Nulls = nil // NULLs become codes below
+		default: // narrowing: no plan codes a key this way
+			for _, r := range rows {
 				out.SetInt64(int(r), v.Int64At(int(r)))
+			}
+		}
+		if v.Nulls != nil {
+			for _, r := range rows {
+				if v.Nulls[r] {
+					out.SetInt64(int(r), c.nullCode)
+				}
 			}
 		}
 	}

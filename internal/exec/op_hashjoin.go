@@ -326,7 +326,7 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 	}
 	hint := h.Build.MaxRows()
 	if hint > 1<<12 {
-		hint = 1 << 12 // the directory grows with the table
+		hint = 1 << 12 // Link sizes the directory for the built table
 	}
 	// Small build sides stay uncompressed, mirroring the paper's
 	// optimizer gating for cache-resident hash tables (Section V-A).
@@ -359,13 +359,17 @@ func payloadCoding(m Meta) (keyCoding, domain.D) {
 	return nullCoding(m.Type, m.Dom, m.Nullable && m.Type != vec.I128)
 }
 
-// build drains the build side into the join table.
+// build drains the build side into the join table, then links its
+// directory once.
 func (h *HashJoin) build(qc *QCtx) {
 	bb := h.newBuildBatch()
 	for {
 		qc.checkCancel()
 		b := h.Build.Next(qc)
 		if b == nil {
+			start := time.Now()
+			h.j.Link()
+			qc.Stats.Add(StatLookup, time.Since(start))
 			return
 		}
 		rows := bb.code(h, b)
@@ -717,53 +721,8 @@ func gather(dst, src *vec.Vector, rows []int32) {
 			dst.Nulls[i] = false
 		}
 	}
-	if src.Enc != vec.EncPlain {
-		// Encoded probe columns decode per gathered row — this is where
-		// late materialization pays off: only rows that matched the join
-		// reach here.
-		if src.Typ == vec.Str {
-			for i, r := range rows {
-				dst.Str[i] = src.StrRefAt(int(r))
-			}
-		} else {
-			for i, r := range rows {
-				dst.SetInt64(i, src.Int64At(int(r)))
-			}
-		}
-		return
-	}
-	switch src.Typ {
-	case vec.Bool:
-		for i, r := range rows {
-			dst.Bool[i] = src.Bool[r]
-		}
-	case vec.I8:
-		for i, r := range rows {
-			dst.I8[i] = src.I8[r]
-		}
-	case vec.I16:
-		for i, r := range rows {
-			dst.I16[i] = src.I16[r]
-		}
-	case vec.I32:
-		for i, r := range rows {
-			dst.I32[i] = src.I32[r]
-		}
-	case vec.I64:
-		for i, r := range rows {
-			dst.I64[i] = src.I64[r]
-		}
-	case vec.I128:
-		for i, r := range rows {
-			dst.I128[i] = src.I128[r]
-		}
-	case vec.F64:
-		for i, r := range rows {
-			dst.F64[i] = src.F64[r]
-		}
-	case vec.Str:
-		for i, r := range rows {
-			dst.Str[i] = src.Str[r]
-		}
-	}
+	// Encoded probe columns decode per gathered row — this is where late
+	// materialization pays off: only rows that matched the join reach
+	// here.
+	src.GatherInto(dst, rows)
 }

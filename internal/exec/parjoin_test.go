@@ -316,6 +316,34 @@ func TestParallelJoinBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestParallelJoinBuildLinksBeforeAdopt runs partition-wise builds on two
+// owner workers: each owner links its partitions on its own goroutine
+// before Adopt, so the probe workers share only linked, read-only tables.
+// The ocht_debug build asserts the owners linked every partition; run it
+// under -race too, where owners link concurrently.
+func TestParallelJoinBuildLinksBeforeAdopt(t *testing.T) {
+	f := newParJoinFixture()
+	for _, strKey := range []bool{false, true} {
+		for _, bits := range []int{-1, 3} {
+			qc := NewQCtx(core.All())
+			qc.Workers = 2
+			plan := f.plan(Inner, shapePipeline, strKey, bits)
+			got, want := sortedRows(Run(qc, plan)), f.reference(Inner, shapePipeline, strKey)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("str=%v bits=%d: %d rows differ from the %d-row reference", strKey, bits, len(got), len(want))
+			}
+			if qc.Stats.Counter(CtrParallelJoinBuilds) == 0 {
+				t.Fatal("the build side did not run on the workers")
+			}
+			for pi, tab := range plan.j.Tables() {
+				if tab.Unlinked() != 0 {
+					t.Fatalf("str=%v bits=%d: partition %d has %d unlinked records", strKey, bits, pi, tab.Unlinked())
+				}
+			}
+		}
+	}
+}
+
 // TestParallelJoinBuildVanilla repeats the plain build side under the
 // vanilla engine (direct key layout, no USSR) at adaptive width.
 func TestParallelJoinBuildVanilla(t *testing.T) {

@@ -456,6 +456,7 @@ func (h *HashJoin) buildPartitionWise(qc *QCtx, sp spine) {
 		parts[pi] = t
 	})
 
+	debugAssertLinked(parts)
 	h.j.Adopt(parts, owners)
 	for _, t := range parts {
 		qc.register(t)
@@ -493,7 +494,8 @@ func (h *HashJoin) spillBuild(qc *QCtx, src Op, o *join.Owner, bb *buildBatch, s
 
 // replayJoinPart is the phase-2 owner loop of a parallel join build: it
 // replays every worker's spill for partition pi into t, a vector at a
-// time through the owner's batch scratch, reusing the phase-1 hashes.
+// time through the owner's batch scratch, reusing the phase-1 hashes, and
+// links t on the owner's goroutine, before Adopt shares it with probes.
 //
 //ocht:hot
 func replayJoinPart(qc *QCtx, o *join.Owner, t *core.Table, pi int, spills []*spill, bb *buildBatch) {
@@ -509,4 +511,7 @@ func replayJoinPart(qc *QCtx, o *join.Owner, t *core.Table, pi int, spills []*sp
 			qc.Stats.Add(StatLookup, time.Since(start))
 		}
 	}
+	start := time.Now()
+	t.Link()
+	qc.Stats.Add(StatLookup, time.Since(start))
 }

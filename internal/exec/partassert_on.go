@@ -5,6 +5,8 @@ package exec
 import (
 	"fmt"
 	"sync/atomic"
+
+	"ocht/internal/core"
 )
 
 // newPartOwnerAssert allocates the partition-claim table the ocht_debug
@@ -26,5 +28,16 @@ func debugAssertPartOwner(claims []int32, pi, w int) {
 	if !atomic.CompareAndSwapInt32(&claims[pi], -1, int32(w)) {
 		panic(fmt.Sprintf("exec: partition %d built by worker %d but already claimed by worker %d",
 			pi, w, atomic.LoadInt32(&claims[pi])))
+	}
+}
+
+// debugAssertLinked panics when an owner handed over a partition table
+// it did not link: owners link on their own goroutines, so Adopt's
+// fallback link must stay a no-op.
+func debugAssertLinked(parts []*core.Table) {
+	for pi, t := range parts {
+		if n := t.Unlinked(); n != 0 {
+			panic(fmt.Sprintf("exec: partition %d reached Adopt with %d unlinked records", pi, n))
+		}
 	}
 }

@@ -336,9 +336,9 @@ func (e *Expr) intsOf(i int, v *vec.Vector, rows []int32, phys int) []int64 {
 	}
 	dst := e.ints[i][:hi]
 	if denseSel(len(rows), phys) {
-		unpackDense(v, dst)
+		v.IntsInto(dst)
 	} else {
-		unpackRows(v, rows, dst)
+		v.IntRowsInto(rows, dst)
 	}
 	return dst
 }

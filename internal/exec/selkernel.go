@@ -1,10 +1,5 @@
 package exec
 
-import (
-	"ocht/internal/pack"
-	"ocht/internal/vec"
-)
-
 // The select kernels: one tight loop per operator over a selection,
 // writing the surviving rows compacted into out (out[k] = r, k advancing
 // only on a hit, so out may be rows itself). Each returns the count.
@@ -208,79 +203,4 @@ func mergeSel(a, b, out []int32) int {
 	k += copy(out[k:], a[i:])
 	k += copy(out[k:], b[j:])
 	return k
-}
-
-// unpackDense decodes every position of dst from an integer vector of any
-// encoding (or a dictionary's bit-packed codes); packed words are walked
-// with a sequential cursor.
-//
-//ocht:hot
-func unpackDense(v *vec.Vector, dst []int64) {
-	switch v.Enc {
-	case vec.EncPacked, vec.EncDict:
-		pack.UnpackRange(v.Packed, v.PackBits, v.PackOff, len(dst), v.PackMin, dst)
-		return
-	case vec.EncPlain:
-	}
-	switch v.Typ {
-	case vec.I8:
-		for i, x := range v.I8[:len(dst)] {
-			dst[i] = int64(x)
-		}
-	case vec.I16:
-		for i, x := range v.I16[:len(dst)] {
-			dst[i] = int64(x)
-		}
-	case vec.I32:
-		for i, x := range v.I32[:len(dst)] {
-			dst[i] = int64(x)
-		}
-	case vec.I64:
-		copy(dst, v.I64)
-	case vec.Bool:
-		for i, x := range v.Bool[:len(dst)] {
-			dst[i] = int64(b2i(x))
-		}
-	}
-}
-
-// unpackRows decodes only the given rows of an integer vector (or a
-// dictionary's bit-packed codes) into the same positions of dst.
-//
-//ocht:hot
-func unpackRows(v *vec.Vector, rows []int32, dst []int64) {
-	switch v.Enc {
-	case vec.EncPacked, vec.EncDict:
-		bits := uint(v.PackBits)
-		per := 64 / v.PackBits
-		mask := uint64(1)<<bits - 1
-		for _, r := range rows {
-			j := v.PackOff + int(r)
-			dst[r] = v.PackMin + int64(v.Packed[j/per]>>(uint(j%per)*bits)&mask)
-		}
-		return
-	case vec.EncPlain:
-	}
-	switch v.Typ {
-	case vec.I8:
-		for _, r := range rows {
-			dst[r] = int64(v.I8[r])
-		}
-	case vec.I16:
-		for _, r := range rows {
-			dst[r] = int64(v.I16[r])
-		}
-	case vec.I32:
-		for _, r := range rows {
-			dst[r] = int64(v.I32[r])
-		}
-	case vec.I64:
-		for _, r := range rows {
-			dst[r] = v.I64[r]
-		}
-	case vec.Bool:
-		for _, r := range rows {
-			dst[r] = int64(b2i(v.Bool[r]))
-		}
-	}
 }

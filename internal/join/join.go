@@ -309,6 +309,11 @@ func (j *Join) Build(keyCols, payloadCols []*vec.Vector, rows []int32) {
 	}
 }
 
+// Link ends a build: it links the inserted records into the table's
+// directories (core.Table.Link), sized once for the build's length. A
+// probe links on its own; a build that probes share ends here.
+func (j *Join) Link() { j.pt.Link() }
+
 // codedPayload is one batch's payload columns as the partition loop
 // stores them: the plain columns, the packable ones (coded payloads
 // translated to their codes) in plan order, and per column the cold
@@ -474,12 +479,15 @@ func (o *Owner) BuildPart(t *core.Table, keyCols, payloadCols []*vec.Vector, has
 // Adopt installs owner-built partition tables — parts[p] built by the
 // owner of partition p, one per partition of the join's width — as the
 // join's table, and ORs every owner's Bloom filter into the join's. The
-// owners must be done building.
+// owners must be done building. Probes share the tables from here on, so
+// any table an owner left unlinked is linked now, on the caller's goroutine;
+// owners that link their own (Table.Link) spread that work instead.
 func (j *Join) Adopt(parts []*core.Table, owners []*Owner) {
 	if len(parts) != j.pt.NParts() {
 		panic("join: Adopt needs one table per partition")
 	}
 	j.pt = core.NewPartTableFromParts(j.Schema, parts)
+	j.pt.Link()
 	for _, o := range owners {
 		if o.j.bloom != nil {
 			j.bloom.Union(o.j.bloom)

@@ -12,65 +12,20 @@ import (
 // through the selection vector.
 const FullProcessThreshold = 0.25
 
-// wordSlice is a pre-resolved slice descriptor used by the kernels.
-type wordSlice struct {
-	get      func(int) uint64 // raw value accessor, sign-extended to 64 bits
-	base     uint64           // domain minimum (as uint64, wrap-around subtract)
-	srcShift uint
-	mask     uint64
-	outShift uint
+// key is a slice type the pack kernels read and write: the integer
+// types, widened by sign extension, and string references.
+type key interface {
+	~int8 | ~int16 | ~int32 | ~int64 | ~uint64
 }
 
-// kernels returns the resolved slice parameters for output word w.
-func (p *Plan) kernels(w int, cols []*vec.Vector) []wordSlice {
-	var ks []wordSlice
-	for _, s := range p.Slices {
-		if s.Word != w {
-			continue
-		}
-		c := p.Cols[s.Col]
-		ks = append(ks, wordSlice{
-			get:      getter(cols[s.Col]),
-			base:     uint64(c.Dom.Min),
-			srcShift: uint(s.SrcShift),
-			mask:     s.Mask(),
-			outShift: uint(s.OutShift),
-		})
-	}
-	return ks
-}
-
-// getter returns an accessor producing the raw value at a physical
-// position as a sign-extended uint64 (so wrap-around subtraction of the
-// domain base yields the non-negative offset).
-func getter(v *vec.Vector) func(int) uint64 {
-	switch v.Typ {
-	case vec.I8:
-		d := v.I8
-		return func(i int) uint64 { return uint64(int64(d[i])) }
-	case vec.I16:
-		d := v.I16
-		return func(i int) uint64 { return uint64(int64(d[i])) }
-	case vec.I32:
-		d := v.I32
-		return func(i int) uint64 { return uint64(int64(d[i])) }
-	case vec.I64:
-		d := v.I64
-		return func(i int) uint64 { return uint64(d[i]) }
-	case vec.Str:
-		d := v.Str
-		return func(i int) uint64 { return uint64(d[i]) }
-	case vec.Bool:
-		d := v.Bool
-		return func(i int) uint64 {
-			if d[i] {
-				return 1
-			}
-			return 0
-		}
-	default:
-		panic("pack: unsupported input type " + v.Typ.String())
-	}
+// sliceKernel is one slice of an output word, resolved for a kernel
+// call: out |= ((value - base) >> src & mask) << shift.
+type sliceKernel struct {
+	base  uint64 // domain minimum (as uint64, wrap-around subtract)
+	src   uint
+	mask  uint64
+	shift uint
+	first bool // the word's first slice assigns instead of ORing
 }
 
 // PackWord computes output word w of the plan for the given rows, writing
@@ -92,60 +47,105 @@ func (p *Plan) PackWord(w int, cols []*vec.Vector, rows []int32, out []uint64) {
 // PackWordMode is PackWord with the micro-adaptive decision overridden:
 // full=true processes every physical position, full=false gathers through
 // the selection vector. Exposed for the micro-adaptivity ablation bench.
+// The word is built a slice (a column) at a time, each by a loop typed
+// for its column.
+//
+//ocht:hot
 func (p *Plan) PackWordMode(w int, cols []*vec.Vector, rows []int32, out []uint64, full bool) {
-	if p.packWordI64(w, cols, rows, out, full) {
-		return
+	n := -1
+	if full {
+		n = physLen(cols)
 	}
-	ks := p.kernels(w, cols)
-	phys := physLen(cols)
-
-	allZeroBase := true
-	for _, k := range ks {
-		if k.base != 0 {
-			allZeroBase = false
-			break
+	first := true
+	for _, s := range p.Slices {
+		if s.Word != w {
+			continue
+		}
+		k := sliceKernel{
+			base: uint64(p.Cols[s.Col].Dom.Min), src: uint(s.SrcShift),
+			mask: s.Mask(), shift: uint(s.OutShift), first: first,
+		}
+		first = false
+		switch v := cols[s.Col]; v.Typ {
+		case vec.I8:
+			packSlice(k, v.I8, rows, out, n)
+		case vec.I16:
+			packSlice(k, v.I16, rows, out, n)
+		case vec.I32:
+			packSlice(k, v.I32, rows, out, n)
+		case vec.I64:
+			packSlice(k, v.I64, rows, out, n)
+		case vec.Str:
+			packSlice(k, v.Str, rows, out, n)
+		case vec.Bool:
+			packSlice(k, boolInts(v.Bool, rows, n), rows, out, n)
+		default:
+			badType("pack: unsupported input type ", v.Typ)
 		}
 	}
-
-	if full {
-		if allZeroBase {
-			for i := 0; i < phys; i++ {
-				var word uint64
-				for _, k := range ks {
-					word |= (k.get(i) >> k.srcShift & k.mask) << k.outShift
-				}
-				out[i] = word
-			}
+	if first { // a word without slices packs to zero
+		if n >= 0 {
+			clear(out[:n])
 			return
 		}
-		for i := 0; i < phys; i++ {
-			var word uint64
-			for _, k := range ks {
-				word |= ((k.get(i) - k.base) >> k.srcShift & k.mask) << k.outShift
-			}
-			out[i] = word
-		}
-		return
-	}
-	if allZeroBase {
 		for _, r := range rows {
-			i := int(r)
-			var word uint64
-			for _, k := range ks {
-				word |= (k.get(i) >> k.srcShift & k.mask) << k.outShift
-			}
-			out[i] = word
+			out[r] = 0
 		}
-		return
+	}
+}
+
+// packSlice ORs (or, for the word's first slice, stores) one slice of
+// column d into the output words: at every position below n when n >= 0,
+// else at the active rows.
+//
+//ocht:hot
+func packSlice[T key](k sliceKernel, d []T, rows []int32, out []uint64, n int) {
+	base, src, mask, shift := k.base, k.src, k.mask, k.shift
+	switch {
+	case n >= 0 && k.first:
+		for i, x := range d[:n] {
+			out[i] = (uint64(int64(x)) - base) >> src & mask << shift
+		}
+	case n >= 0:
+		for i, x := range d[:n] {
+			out[i] |= (uint64(int64(x)) - base) >> src & mask << shift
+		}
+	case k.first:
+		for _, r := range rows {
+			out[r] = (uint64(int64(d[r])) - base) >> src & mask << shift
+		}
+	default:
+		for _, r := range rows {
+			out[r] |= (uint64(int64(d[r])) - base) >> src & mask << shift
+		}
+	}
+}
+
+// boolInts widens a Boolean key column to 0/1 at the positions a kernel
+// reads (every position below n when n >= 0, else the active rows), into
+// a fresh slice: no plan packs Booleans on a hot path.
+func boolInts(b []bool, rows []int32, n int) []int8 {
+	d := make([]int8, len(b))
+	if n >= 0 {
+		rows = nil
+		for i, x := range b[:n] {
+			if x {
+				d[i] = 1
+			}
+		}
 	}
 	for _, r := range rows {
-		i := int(r)
-		var word uint64
-		for _, k := range ks {
-			word |= ((k.get(i) - k.base) >> k.srcShift & k.mask) << k.outShift
+		if b[r] {
+			d[r] = 1
 		}
-		out[i] = word
 	}
+	return d
+}
+
+// badType panics for an unsupported vector type, off the kernels' code
+// path.
+func badType(msg string, t vec.Type) {
+	panic(msg + t.String())
 }
 
 // InDomain writes match[pos] = whether every plan column's value at the
@@ -163,21 +163,33 @@ func (p *Plan) InDomain(cols []*vec.Vector, rows []int32, match []bool) {
 			continue
 		}
 		lo, hi := c.Dom.Min, c.Dom.Max
-		if cols[ci].Typ == vec.I64 {
-			d := cols[ci].I64
-			for _, r := range rows {
-				if v := d[r]; v < lo || v > hi {
-					match[r] = false
-				}
-			}
-			continue
+		switch v := cols[ci]; v.Typ {
+		case vec.I8:
+			inDomain(v.I8, lo, hi, rows, match)
+		case vec.I16:
+			inDomain(v.I16, lo, hi, rows, match)
+		case vec.I32:
+			inDomain(v.I32, lo, hi, rows, match)
+		case vec.I64:
+			inDomain(v.I64, lo, hi, rows, match)
+		case vec.Str:
+			inDomain(v.Str, lo, hi, rows, match)
+		case vec.Bool:
+			inDomain(boolInts(v.Bool, rows, -1), lo, hi, rows, match)
+		default:
+			badType("pack: unsupported input type ", v.Typ)
 		}
-		get := getter(cols[ci])
-		for _, r := range rows {
-			v := int64(get(int(r)))
-			if v < lo || v > hi {
-				match[r] = false
-			}
+	}
+}
+
+// inDomain clears match at the rows whose value of d lies outside
+// [lo, hi].
+//
+//ocht:hot
+func inDomain[T key](d []T, lo, hi int64, rows []int32, match []bool) {
+	for _, r := range rows {
+		if v := int64(d[r]); v < lo || v > hi {
+			match[r] = false
 		}
 	}
 }
@@ -212,58 +224,52 @@ func (p *Plan) PackRecords(cols []*vec.Vector, rows []int32, dst []byte, recIdx 
 // fetch-decompress kernels: up to 4 slices are fetched from the record and
 // stitched back together (Section II-C).
 func (p *Plan) UnpackColumn(c int, recs []byte, recIdx []int32, stride, off int, out *vec.Vector, rows []int32) {
-	base := uint64(p.Cols[c].Dom.Min)
-	slices := p.byCol[c]
-	wb := p.WordBits / 8
-	set := setter(out)
-	if len(slices) == 0 {
-		// Constant column: singleton domain, value is the base.
+	recs = recs[off:]
+	switch out.Typ {
+	case vec.I8:
+		unpackCol(p, c, recs, recIdx, stride, out.I8, rows)
+	case vec.I16:
+		unpackCol(p, c, recs, recIdx, stride, out.I16, rows)
+	case vec.I32:
+		unpackCol(p, c, recs, recIdx, stride, out.I32, rows)
+	case vec.I64:
+		unpackCol(p, c, recs, recIdx, stride, out.I64, rows)
+	case vec.Str:
+		unpackCol(p, c, recs, recIdx, stride, out.Str, rows)
+	case vec.Bool:
+		d := boolInts(out.Bool, nil, -1) // zeroed scratch
+		unpackCol(p, c, recs, recIdx, stride, d, rows)
 		for _, r := range rows {
-			set(int(r), base)
+			out.Bool[r] = d[r] != 0
 		}
-		return
-	}
-	for i, ri := range recIdx {
-		rec := recs[int(ri)*stride+off:]
-		var v uint64
-		for _, si := range slices {
-			s := p.Slices[si]
-			var word uint64
-			if p.WordBits == 32 {
-				word = uint64(binary.LittleEndian.Uint32(rec[s.Word*wb:]))
-			} else {
-				word = binary.LittleEndian.Uint64(rec[s.Word*wb:])
-			}
-			v |= (word >> uint(s.OutShift) & s.Mask()) << uint(s.SrcShift)
-		}
-		set(int(rows[i]), v+base)
+	default:
+		badType("pack: unsupported output type ", out.Typ)
 	}
 }
 
-// setter returns a store function narrowing a reconstructed uint64 into
-// the output vector's type.
-func setter(v *vec.Vector) func(int, uint64) {
-	switch v.Typ {
-	case vec.I8:
-		d := v.I8
-		return func(i int, x uint64) { d[i] = int8(x) }
-	case vec.I16:
-		d := v.I16
-		return func(i int, x uint64) { d[i] = int16(x) }
-	case vec.I32:
-		d := v.I32
-		return func(i int, x uint64) { d[i] = int32(x) }
-	case vec.I64:
-		d := v.I64
-		return func(i int, x uint64) { d[i] = int64(x) }
-	case vec.Str:
-		d := v.Str
-		return func(i int, x uint64) { d[i] = vec.StrRef(x) }
-	case vec.Bool:
-		d := v.Bool
-		return func(i int, x uint64) { d[i] = x != 0 }
-	default:
-		panic("pack: unsupported output type " + v.Typ.String())
+// unpackCol stores the value of column c of record recIdx[i] at
+// out[rows[i]]: the base plus the column's stitched slices (the base
+// alone for a constant column, which has none).
+//
+//ocht:hot
+func unpackCol[T key](p *Plan, c int, recs []byte, recIdx []int32, stride int, out []T, rows []int32) {
+	base := uint64(p.Cols[c].Dom.Min)
+	slices := p.byCol[c]
+	wb := p.WordBits / 8
+	for i, ri := range recIdx {
+		rec := recs[int(ri)*stride:]
+		v := base
+		for _, si := range slices {
+			s := &p.Slices[si]
+			var word uint64
+			if wb == 4 {
+				word = uint64(binary.LittleEndian.Uint32(rec[s.Word*4:]))
+			} else {
+				word = binary.LittleEndian.Uint64(rec[s.Word*8:])
+			}
+			v += (word >> uint(s.OutShift) & s.Mask()) << uint(s.SrcShift)
+		}
+		out[rows[i]] = T(v)
 	}
 }
 
@@ -384,59 +390,4 @@ func physLen(cols []*vec.Vector) int {
 		}
 	}
 	return n
-}
-
-// i64Slice is a closure-free slice descriptor for the specialized int64
-// kernel below.
-type i64Slice struct {
-	data     []int64
-	base     uint64
-	srcShift uint
-	mask     uint64
-	outShift uint
-}
-
-// packWordI64 is the specialized kernel for the common case where every
-// input of word w is an int64 column: no accessor closures, direct slice
-// loads. Reports whether it handled the word.
-func (p *Plan) packWordI64(w int, cols []*vec.Vector, rows []int32, out []uint64, full bool) bool {
-	var ks [MaxSlicesPerWord]i64Slice
-	n := 0
-	for _, s := range p.Slices {
-		if s.Word != w {
-			continue
-		}
-		if cols[s.Col].Typ != vec.I64 {
-			return false
-		}
-		ks[n] = i64Slice{
-			data:     cols[s.Col].I64,
-			base:     uint64(p.Cols[s.Col].Dom.Min),
-			srcShift: uint(s.SrcShift),
-			mask:     s.Mask(),
-			outShift: uint(s.OutShift),
-		}
-		n++
-	}
-	sl := ks[:n]
-	if full {
-		phys := physLen(cols)
-		for i := 0; i < phys; i++ {
-			var word uint64
-			for _, k := range sl {
-				word |= ((uint64(k.data[i]) - k.base) >> k.srcShift & k.mask) << k.outShift
-			}
-			out[i] = word
-		}
-		return true
-	}
-	for _, r := range rows {
-		i := int(r)
-		var word uint64
-		for _, k := range sl {
-			word |= ((uint64(k.data[i]) - k.base) >> k.srcShift & k.mask) << k.outShift
-		}
-		out[i] = word
-	}
-	return true
 }

@@ -1,6 +1,10 @@
 package pack
 
-import mbits "math/bits"
+import (
+	mbits "math/bits"
+
+	"ocht/internal/vec"
+)
 
 // SWAR (SIMD-within-a-register) kernels over bit-packed words.
 //
@@ -249,7 +253,7 @@ func swarEmit(verd []uint64, per int, laneOf *[64]uint8, base int32, out []int32
 //ocht:hot
 func swarCmpScalar(words []uint64, bits, off, lo, hi int, c uint64, op CmpOp, out []bool) {
 	for i := lo; i < hi; i++ {
-		out[i] = swarCmpOne(packedLane(words, bits, off+i), c, op)
+		out[i] = swarCmpOne(vec.Lane(words, bits, off+i), c, op)
 	}
 }
 
@@ -259,21 +263,12 @@ func swarCmpScalar(words []uint64, bits, off, lo, hi int, c uint64, op CmpOp, ou
 //ocht:hot
 func swarSelScalar(words []uint64, bits, off, lo, hi int, c uint64, op CmpOp, out []int32, k int) int {
 	for i := lo; i < hi; i++ {
-		if swarCmpOne(packedLane(words, bits, off+i), c, op) {
+		if swarCmpOne(vec.Lane(words, bits, off+i), c, op) {
 			out[k] = int32(i)
 			k++
 		}
 	}
 	return k
-}
-
-// packedLane extracts lane j of the packed layout.
-func packedLane(words []uint64, bits, j int) uint64 {
-	if bits == 64 {
-		return words[j]
-	}
-	per := 64 / bits
-	return words[j/per] >> (uint(j%per) * uint(bits)) & (uint64(1)<<uint(bits) - 1)
 }
 
 func swarCmpOne(a, c uint64, op CmpOp) bool {
@@ -292,26 +287,6 @@ func swarCmpOne(a, c uint64, op CmpOp) bool {
 		return a >= c
 	}
 	return false
-}
-
-// UnpackRange decodes lanes [off, off+n) of a frame-of-reference packed
-// vector into dst[0:n] as base+lane. A sequential word cursor walks the
-// words, so no lane pays the divide a random-access read needs. bits must
-// be in [1, 64].
-//
-//ocht:hot
-func UnpackRange(words []uint64, bits, off, n int, base int64, dst []int64) {
-	per := 64 / bits
-	mask := uint64(1)<<uint(bits) - 1
-	wi, lane := off/per, off%per
-	for i := 0; i < n; wi, lane = wi+1, 0 {
-		w := words[wi] >> (uint(lane) * uint(bits))
-		end := min(n, i+per-lane)
-		for ; i < end; i++ {
-			dst[i] = base + int64(w&mask)
-			w >>= uint(bits)
-		}
-	}
 }
 
 // Mix64Batch writes out[i] = Mix64(w[i]) for i in [0, n): the per-key

@@ -135,34 +135,6 @@ func TestSwarCmpConstWordBoundaries(t *testing.T) {
 	}
 }
 
-// TestUnpackRange pins the word-cursor decoder against lane-at-a-time
-// extraction at every width, with offsets inside and at word boundaries.
-func TestUnpackRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for bits := 1; bits <= 64; bits++ {
-		per := 64 / bits
-		words := make([]uint64, 4+2*1024/per)
-		for i := range words {
-			words[i] = rng.Uint64()
-		}
-		for _, off := range []int{0, 1, per - 1, per, 3*per + 1} {
-			for _, n := range []int{0, 1, per, per + 1, 1024} {
-				if off+n > len(words)*per {
-					continue
-				}
-				base := rng.Int63n(1000) - 500
-				dst := make([]int64, n)
-				UnpackRange(words, bits, off, n, base, dst)
-				for i := 0; i < n; i++ {
-					if want := base + int64(laneAt(words, bits, off+i)); dst[i] != want {
-						t.Fatalf("bits=%d off=%d n=%d lane %d: got %d want %d", bits, off, n, i, dst[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestMix64BatchMatchesScalar pins the unrolled batch hashes bit-identical
 // to the per-key Mix64 they replace, across every tail length of the
 // four-chain unroll.

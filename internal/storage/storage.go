@@ -624,9 +624,9 @@ func (c *Column) ScanBlock(bi int, out *vec.Vector, st *strs.Store) int {
 	case vec.Str:
 		var view vec.Vector
 		c.ViewBlock(bi, &view, st, nil)
-		for i := 0; i < b.N; i++ {
-			out.Str[i] = view.StrRefAt(i)
-		}
+		nulls := out.Nulls
+		view.MaterializeInto(out)
+		out.Nulls = nulls // finishScan sets the mask
 	}
 	return finishScan(b, out)
 }
@@ -666,26 +666,15 @@ func finishScan(b *Block, out *vec.Vector) int {
 
 // unpackBlockInto decompresses a bit-packed block into out's plain slice.
 func unpackBlockInto(b *Block, t vec.Type, out *vec.Vector) {
-	bits := uint(b.PackBits)
-	per := 64 / b.PackBits
-	mask := uint64(1)<<bits - 1
 	switch t {
 	case vec.I8:
-		for i := 0; i < b.N; i++ {
-			out.I8[i] = int8(b.PackMin + int64((b.PackWords[i/per]>>(uint(i%per)*bits))&mask))
-		}
+		vec.UnpackRange(b.PackWords, b.PackBits, 0, b.PackMin, out.I8[:b.N])
 	case vec.I16:
-		for i := 0; i < b.N; i++ {
-			out.I16[i] = int16(b.PackMin + int64((b.PackWords[i/per]>>(uint(i%per)*bits))&mask))
-		}
+		vec.UnpackRange(b.PackWords, b.PackBits, 0, b.PackMin, out.I16[:b.N])
 	case vec.I32:
-		for i := 0; i < b.N; i++ {
-			out.I32[i] = int32(b.PackMin + int64((b.PackWords[i/per]>>(uint(i%per)*bits))&mask))
-		}
+		vec.UnpackRange(b.PackWords, b.PackBits, 0, b.PackMin, out.I32[:b.N])
 	case vec.I64:
-		for i := 0; i < b.N; i++ {
-			out.I64[i] = b.PackMin + int64((b.PackWords[i/per]>>(uint(i%per)*bits))&mask)
-		}
+		vec.UnpackRange(b.PackWords, b.PackBits, 0, b.PackMin, out.I64[:b.N])
 	default:
 		badBlockType(t)
 	}

@@ -40,11 +40,7 @@ func (v *Vector) IsPlain() bool { return v.Enc == EncPlain }
 //
 //ocht:hot
 func (v *Vector) packedAt(i int) int64 {
-	per := 64 / v.PackBits
-	j := v.PackOff + i
-	w := v.Packed[j/per]
-	off := (w >> (uint(j%per) * uint(v.PackBits))) & (1<<uint(v.PackBits) - 1)
-	return v.PackMin + int64(off)
+	return v.PackMin + int64(Lane(v.Packed, v.PackBits, v.PackOff+i))
 }
 
 // StrRefAt returns the string reference at physical position i, decoding
@@ -109,41 +105,18 @@ func (v *Vector) MaterializeInto(dst *Vector) {
 	switch v.Enc {
 	case EncDict:
 		out := dst.Str[:n]
+		if v.Codes != nil {
+			for i, c := range v.Codes[:n] {
+				out[i] = v.DictRef(c)
+			}
+			return
+		}
+		lr := newLaneReader(v.Packed, v.PackBits)
 		for i := range out {
-			out[i] = v.DictRef(v.CodeAt(i))
+			out[i] = v.DictRef(int32(lr.at(v.PackOff + i)))
 		}
 	case EncPacked:
-		bits := uint(v.PackBits)
-		per := 64 / v.PackBits
-		mask := uint64(1)<<bits - 1
-		switch v.Typ {
-		case I8:
-			out := dst.I8[:n]
-			for i := 0; i < n; i++ {
-				j := v.PackOff + i
-				out[i] = int8(v.PackMin + int64((v.Packed[j/per]>>(uint(j%per)*bits))&mask))
-			}
-		case I16:
-			out := dst.I16[:n]
-			for i := 0; i < n; i++ {
-				j := v.PackOff + i
-				out[i] = int16(v.PackMin + int64((v.Packed[j/per]>>(uint(j%per)*bits))&mask))
-			}
-		case I32:
-			out := dst.I32[:n]
-			for i := 0; i < n; i++ {
-				j := v.PackOff + i
-				out[i] = int32(v.PackMin + int64((v.Packed[j/per]>>(uint(j%per)*bits))&mask))
-			}
-		case I64:
-			out := dst.I64[:n]
-			for i := 0; i < n; i++ {
-				j := v.PackOff + i
-				out[i] = v.PackMin + int64((v.Packed[j/per]>>(uint(j%per)*bits))&mask)
-			}
-		default:
-			panic("vec: packed vector of type " + v.Typ.String())
-		}
+		v.unpackPacked(dst, n)
 	default:
 		switch v.Typ {
 		case Bool:
@@ -188,78 +161,37 @@ func (v *Vector) MaterializeRowsInto(dst *Vector, rows []int32) {
 				}
 				dst.Str[r] = ref
 			}
-		} else {
-			for _, r := range rows {
-				c := int32(v.packedAt(int(r)))
-				ref := refs[c]
-				if ref == 0 {
-					ref = v.fillDictRef(c)
-				}
-				dst.Str[r] = ref
+			return
+		}
+		lr := newLaneReader(v.Packed, v.PackBits)
+		for _, r := range rows {
+			c := int32(lr.at(v.PackOff + int(r)))
+			ref := refs[c]
+			if ref == 0 {
+				ref = v.fillDictRef(c)
 			}
+			dst.Str[r] = ref
 		}
 	case EncPacked:
-		bits := uint(v.PackBits)
-		p := 64 / v.PackBits
-		mask := uint64(1)<<bits - 1
-		switch v.Typ {
-		case I8:
-			for _, r := range rows {
-				j := v.PackOff + int(r)
-				dst.I8[r] = int8(v.PackMin + int64((v.Packed[j/p]>>(uint(j%p)*bits))&mask))
-			}
-		case I16:
-			for _, r := range rows {
-				j := v.PackOff + int(r)
-				dst.I16[r] = int16(v.PackMin + int64((v.Packed[j/p]>>(uint(j%p)*bits))&mask))
-			}
-		case I32:
-			for _, r := range rows {
-				j := v.PackOff + int(r)
-				dst.I32[r] = int32(v.PackMin + int64((v.Packed[j/p]>>(uint(j%p)*bits))&mask))
-			}
-		case I64:
-			for _, r := range rows {
-				j := v.PackOff + int(r)
-				dst.I64[r] = v.PackMin + int64((v.Packed[j/p]>>(uint(j%p)*bits))&mask)
-			}
-		default:
-			badType("vec: packed vector of type ", v.Typ)
-		}
+		v.unpackPackedRows(dst, rows)
 	default:
 		switch v.Typ {
 		case Bool:
-			for _, r := range rows {
-				dst.Bool[r] = v.Bool[r]
-			}
+			copyRows(v.Bool, rows, dst.Bool)
 		case I8:
-			for _, r := range rows {
-				dst.I8[r] = v.I8[r]
-			}
+			copyRows(v.I8, rows, dst.I8)
 		case I16:
-			for _, r := range rows {
-				dst.I16[r] = v.I16[r]
-			}
+			copyRows(v.I16, rows, dst.I16)
 		case I32:
-			for _, r := range rows {
-				dst.I32[r] = v.I32[r]
-			}
+			copyRows(v.I32, rows, dst.I32)
 		case I64:
-			for _, r := range rows {
-				dst.I64[r] = v.I64[r]
-			}
+			copyRows(v.I64, rows, dst.I64)
 		case I128:
-			for _, r := range rows {
-				dst.I128[r] = v.I128[r]
-			}
+			copyRows(v.I128, rows, dst.I128)
 		case F64:
-			for _, r := range rows {
-				dst.F64[r] = v.F64[r]
-			}
+			copyRows(v.F64, rows, dst.F64)
 		case Str:
-			for _, r := range rows {
-				dst.Str[r] = v.Str[r]
-			}
+			copyRows(v.Str, rows, dst.Str)
 		}
 	}
 }
