@@ -38,11 +38,21 @@ type groupTable struct {
 	schema *core.KeySchema
 	ag     *agg.Aggregator
 	pt     *core.PartTable
+	store  *strs.Store
 
-	// Per-batch scratch, all row-indexed: the coded key vectors (and the
-	// buffers encoded or nullable keys are decoded into, active rows only),
-	// key hashes, and each row's partition-local group record. Partitions
-	// own disjoint row sets, so one recs buffer serves all of them.
+	// memo resolves dictionary-coded keys to group records without
+	// coding, hashing or probing them. It serves the feeders that fill a
+	// one-partition table batch by batch (add); memoOK is false for a
+	// table owners fill partition-wise and for any non-string key.
+	memo   codeMemo
+	memoOK bool
+
+	// Per-batch scratch, all row-indexed: the key vectors as the feeder
+	// evaluated them (rawKeys), the coded key vectors (and the buffers
+	// encoded or nullable keys are decoded into, active rows only), key
+	// hashes, and each row's partition-local group record. Partitions own
+	// disjoint row sets, so one recs buffer serves all of them.
+	rawKeys []*vec.Vector
 	keyVecs []*vec.Vector
 	keyBufs []*vec.Vector
 	hashes  []uint64
@@ -101,7 +111,7 @@ func scratchVec(bufp **vec.Vector, typ vec.Type, n int) *vec.Vector {
 // output columns (nKeys keys first), ins the aggregates behind
 // meta[nKeys:].
 func (g *groupTable) resolve(flags core.Flags, store *strs.Store, meta []Meta, nKeys int, ins []aggInput) {
-	*g = groupTable{meta: meta, nKeys: nKeys}
+	*g = groupTable{meta: meta, nKeys: nKeys, store: store}
 	keyCols := make([]core.KeyCol, nKeys)
 	g.keys = make([]keyCoding, nKeys)
 	for i, k := range meta[:nKeys] {
@@ -157,20 +167,28 @@ func (g *groupTable) alloc(qc *QCtx, hint int64, bits int) {
 	for _, t := range g.pt.Parts() {
 		qc.register(t)
 	}
+	g.memo = newCodeMemo(g.nKeys)
+	g.memoOK = bits == 0 && g.nKeys > 0
+	for _, k := range g.keys {
+		g.memoOK = g.memoOK && k.typ == vec.Str
+	}
+	g.rawKeys = make([]*vec.Vector, g.nKeys)
 	g.keyVecs = make([]*vec.Vector, g.nKeys)
 	g.keyBufs = make([]*vec.Vector, g.nKeys)
-	g.hashes = make([]uint64, vec.Size)
-	g.recs = make([]int32, vec.Size)
+	g.reserve(vec.Size)
 	g.subset = make([]int32, 0, vec.Size)
 	g.chunkRecs = make([][]int32, g.pt.NParts())
 	g.chunkRows = make([][]int32, g.pt.NParts())
 }
 
-// reserve grows the row-indexed scratch to a batch's physical length.
+// reserve grows the row-indexed scratch, the memo's included, to a
+// batch's physical length.
 func (g *groupTable) reserve(phys int) {
 	if phys > len(g.hashes) {
 		g.hashes = make([]uint64, phys)
 		g.recs = make([]int32, phys)
+		g.memo.combo = make([]int32, phys)
+		g.memo.codes = make([]int32, phys)
 	}
 }
 
@@ -312,6 +330,15 @@ func doubleKey(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
+// codeKeys codes the feeder's key vectors (g.rawKeys) at the given rows
+// into g.keyVecs, then packs and hashes them (hashKeys).
+func (g *groupTable) codeKeys(st *Stats, rows []int32, phys int) *core.Prepared {
+	for i, k := range g.keys {
+		g.keyVecs[i] = k.code(g.rawKeys[i], rows, &g.keyBufs[i], phys)
+	}
+	return g.hashKeys(st, rows)
+}
+
 // hashKeys packs the batch's coded key vectors (g.keyVecs) and hashes
 // them into g.hashes.
 func (g *groupTable) hashKeys(st *Stats, rows []int32) *core.Prepared {
@@ -383,15 +410,43 @@ func (g *groupTable) nonNull(v *vec.Vector, rows []int32) []int32 {
 	return g.subset
 }
 
-// insert finds or creates the group of each active row in g's table —
-// one partition, as every table filled on one goroutine is — and, given
-// args, folds the rows into it. Feeders that fold partials pass nil args
-// and fold into g.recs afterwards. New groups are logged in creation
-// order, the first-occurrence order of the input stream.
-func (g *groupTable) insert(st *Stats, p *core.Prepared, rows []int32, args []*vec.Vector) {
+// add folds a batch whose key vectors the feeder evaluated into
+// g.rawKeys, and whose aggregate arguments are args, into g's table. The
+// code memo resolves what rows it can first; only the rest are coded,
+// hashed and found or inserted, in row order, so the table and its group
+// order are what they would be without the memo.
+func (g *groupTable) add(st *Stats, rows []int32, phys int, args []*vec.Vector) {
+	miss, memoised := rows, false
+	if g.memoOK {
+		miss, memoised = g.memo.lookup(g.rawKeys, g.keys, rows, g.recs)
+	}
+	var p *core.Prepared
+	if len(miss) > 0 {
+		p = g.codeKeys(st, miss, phys)
+	}
+	g.insert(st, p, rows, miss, args)
+	if memoised {
+		g.memo.record(miss, g.recs)
+		if hits := len(rows) - len(miss); hits > 0 {
+			debugAssertMemoHits(g, rows, miss)
+			st.Count(CtrAggCodeHits, int64(hits))
+		}
+	}
+}
+
+// insert finds or creates the group of each row in miss — rows whose
+// group record g.recs does not hold yet: all of them, unless the code memo
+// resolved some — in g's table, one partition, as every table filled on
+// one goroutine is, and, given args, folds every row into its group.
+// Feeders that fold partials pass nil args and fold into g.recs
+// afterwards. New groups are logged in creation order, the
+// first-occurrence order of the input stream.
+func (g *groupTable) insert(st *Stats, p *core.Prepared, rows, miss []int32, args []*vec.Vector) {
 	t := g.pt.Part(0)
 	n := int32(t.Len())
-	g.insertInto(st, t, p, rows)
+	if len(miss) > 0 {
+		g.insertInto(st, t, p, miss)
+	}
 	if args != nil {
 		g.fold(st, t, rows, args)
 	}
@@ -520,4 +575,164 @@ func sumAsF64(v *vec.Vector, i int) float64 {
 		return float64(x.Int64())
 	}
 	return float64(x.Hi)*math.Pow(2, 64) + float64(x.Lo)
+}
+
+// memoMaxSlots bounds a code memo's combined code range: one int32 per
+// combination, 256 KiB at most, so the array stays cache-resident.
+const memoMaxSlots = 1 << 16
+
+// memoMissFloor is how many more rows than four times its hits a view may
+// miss before its memo is cut off: a view's first batch misses whole, and
+// a dictionary of a few thousand combinations misses as many rows before
+// its hits take over, while a view of near-unique keys misses on.
+const memoMissFloor = 2048
+
+// codeMemo is a group table's per-view memo from dictionary codes to group
+// records (DESIGN.md, "The code memo"). While every key of a batch arrives
+// as an EncDict vector with a view identity (DictID), a row's codes
+// combine in mixed radix — a key's radix is its dictionary length, plus
+// one NULL slot when the key is nullable — into one index of slots, which
+// holds the group record plus one of the first row that combination
+// found, or 0. A row with a record skips key coding, hashing and the
+// find-or-insert. The memo holds codes and records only, never dictionary
+// bytes or code tables; it describes one identity tuple (ids) and is
+// dropped on a new one, on a table reset, or with the table.
+type codeMemo struct {
+	ids    []uint64 // per key: the DictID the slots describe, 0 when dropped
+	stride []int32  // per key: the weight of its code in a combined code
+	nulls  []int32  // per key: its NULL code (its dictionary length), or -1 when not nullable
+	slots  []int32  // combined code -> group record + 1, or 0 for none yet
+	filled []int32  // the combined codes set in slots, for the drop
+	combo  []int32  // row-indexed: the batch's combined codes (sized by groupTable.reserve)
+	codes  []int32  // row-indexed: bit-packed codes decoded for combine
+	miss   []int32  // the batch's rows without a record
+
+	// hits and misses count the rows of the current view; off is set when
+	// the view is not memoised: its range exceeds memoMaxSlots, or it kept
+	// missing (memoMissFloor).
+	hits, misses int
+	off          bool
+}
+
+func newCodeMemo(nKeys int) codeMemo {
+	return codeMemo{ids: make([]uint64, nKeys), stride: make([]int32, nKeys), nulls: make([]int32, nKeys)}
+}
+
+// drop forgets every record, so that no identity tuple matches.
+func (m *codeMemo) drop() {
+	for _, c := range m.filled {
+		m.slots[c] = 0
+	}
+	m.filled = m.filled[:0]
+	clear(m.ids)
+}
+
+// bind drops the memo and readies it for the view identities of keys,
+// which lookup has checked are dictionary views.
+func (m *codeMemo) bind(keys []*vec.Vector, coding []keyCoding) {
+	m.drop()
+	m.hits, m.misses, m.off = 0, 0, false
+	span := 1
+	for i, v := range keys {
+		m.ids[i] = v.DictID
+		m.stride[i] = int32(span)
+		n := len(v.DictRefs) // the dictionary length; the table is not read
+		m.nulls[i] = -1
+		if coding[i].nullable {
+			m.nulls[i] = int32(n)
+			n++
+		}
+		if span *= n; span > memoMaxSlots {
+			m.off = true
+			return
+		}
+	}
+	if len(m.slots) < span {
+		m.slots = make([]int32, span)
+	}
+}
+
+// lookup resolves the given rows through the memo: a row whose combined
+// code has a record gets it in recs, and the others are returned, in row
+// order, with memoised true. A batch the memo does not apply to — a key
+// that is not a dictionary view with an identity, a view past the bound
+// or cut off — returns rows itself and false.
+//
+//ocht:hot
+func (m *codeMemo) lookup(keys []*vec.Vector, coding []keyCoding, rows, recs []int32) (miss []int32, memoised bool) {
+	same := true
+	for i, v := range keys {
+		if v.Enc != vec.EncDict || v.DictID == 0 || v.Nulls != nil && !coding[i].nullable {
+			return rows, false
+		}
+		same = same && v.DictID == m.ids[i]
+	}
+	if !same {
+		m.bind(keys, coding)
+	}
+	if m.off {
+		return rows, false
+	}
+	combo := m.combine(keys, rows)
+	miss = m.miss[:0]
+	slots := m.slots
+	for _, r := range rows {
+		if s := slots[combo[r]]; s != 0 {
+			recs[r] = s - 1
+		} else {
+			miss = append(miss, r)
+		}
+	}
+	m.miss = miss
+	m.hits += len(rows) - len(miss)
+	m.misses += len(miss)
+	return miss, true
+}
+
+// combine computes the combined code of each given row into m.combo.
+//
+//ocht:hot
+func (m *codeMemo) combine(keys []*vec.Vector, rows []int32) []int32 {
+	combo := m.combo
+	for i, v := range keys {
+		codes := v.Codes
+		if v.Enc == vec.EncDict && codes == nil {
+			// Bit-packed codes of a compressed block (PackMin 0).
+			vec.UnpackRows(v.Packed, v.PackBits, v.PackOff, 0, rows, m.codes)
+			codes = m.codes
+		}
+		if stride := m.stride[i]; i == 0 {
+			for _, r := range rows {
+				combo[r] = codes[r]
+			}
+		} else {
+			for _, r := range rows {
+				combo[r] += codes[r] * stride
+			}
+		}
+		if null := m.nulls[i]; null >= 0 && v.Nulls != nil {
+			for _, r := range rows {
+				if v.Nulls[r] {
+					combo[r] += (null - codes[r]) * m.stride[i]
+				}
+			}
+		}
+	}
+	return combo
+}
+
+// record enters the records the find-or-insert gave the rows lookup
+// missed, then cuts the view off if it keeps missing.
+//
+//ocht:hot
+func (m *codeMemo) record(miss, recs []int32) {
+	for _, r := range miss {
+		if c := m.combo[r]; m.slots[c] == 0 {
+			m.slots[c] = recs[r] + 1
+			m.filled = append(m.filled, c)
+		}
+	}
+	if m.misses-memoMissFloor > 4*m.hits {
+		m.off = true
+	}
 }

@@ -234,17 +234,16 @@ func (h *HashAgg) setup(qc *QCtx, owners int) {
 }
 
 // evalBatch is the per-batch front end build and preAggregate share:
-// evaluate and NULL-remap the key columns, evaluate every aggregate
-// argument once (so the per-partition updates share one set of input
-// vectors), then pack and hash the keys. It returns the batch's active
-// rows.
-func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) (*core.Prepared, []int32) {
+// evaluate the key columns into the group table's g.rawKeys, which
+// groupTable.add (or codeKeys) codes, and every aggregate argument once.
+// It returns the batch's active rows and physical extent.
+func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) ([]int32, int) {
 	g := &h.g
 	rows := b.Rows()
 	phys := physOf(b)
 	g.reserve(phys)
 	for i, k := range h.Keys {
-		g.keyVecs[i] = g.keys[i].code(k.eval(qc, b, rows, phys), rows, &g.keyBufs[i], phys)
+		g.rawKeys[i] = k.eval(qc, b, rows, phys)
 	}
 	for si, e := range h.argOf {
 		if e != nil {
@@ -254,7 +253,7 @@ func (h *HashAgg) evalBatch(qc *QCtx, b *vec.Batch) (*core.Prepared, []int32) {
 			h.args[si] = ensurePlain(e.eval(qc, b, rows, phys), rows, &h.argBufs[si], phys)
 		}
 	}
-	return g.hashKeys(qc.Stats, rows), rows
+	return rows, phys
 }
 
 func (h *HashAgg) build(qc *QCtx) {
@@ -264,8 +263,8 @@ func (h *HashAgg) build(qc *QCtx) {
 		if b == nil {
 			return
 		}
-		p, rows := h.evalBatch(qc, b)
-		h.g.insert(qc.Stats, p, rows, h.args)
+		rows, phys := h.evalBatch(qc, b)
+		h.g.add(qc.Stats, rows, phys, h.args)
 	}
 }
 

@@ -343,7 +343,6 @@ func (h *HashJoin) layout(qc *QCtx, bm, pm []Meta, owners int) {
 		Selective:     h.Kind == Semi || h.Kind == Anti,
 		CapacityHint:  int(hint),
 		PartitionBits: bits,
-		EstRows:       h.Build.MaxRows(),
 		Owners:        owners,
 	})
 	if err != nil {

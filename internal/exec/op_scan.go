@@ -230,7 +230,7 @@ func (s *Scan) nextRange() (bi, lo, hi int, ok bool) {
 // windowInto points out at the window [pos, pos+n) of v without copying
 // and without allocating: the same scratch vector is rewritten every Next.
 // Encoded views stay encoded — dictionary windows share the block's code
-// table, packed windows shift their word offset.
+// table and identity (DictID), packed windows shift their word offset.
 //
 //ocht:hot
 func windowInto(out, v *vec.Vector, pos, n int) {
@@ -250,7 +250,7 @@ func windowInto(out, v *vec.Vector, pos, n int) {
 			w.PackOff = v.PackOff + pos
 			w.PackLen = n
 		}
-		w.DictRefs = v.DictRefs
+		w.DictRefs, w.DictID = v.DictRefs, v.DictID
 		//ocht:retain-checked a window lives no longer than the block view whose decode scratch it shares
 		w.DictBytes, w.DictOffs, w.DictIntern = v.DictBytes, v.DictOffs, v.DictIntern
 	case vec.EncPacked:

@@ -212,12 +212,13 @@ func (h *HashAgg) preAggregate(qc *QCtx, route *core.PartTable) *spill {
 		if b == nil {
 			break
 		}
-		p, rows := h.evalBatch(qc, b)
+		rows, phys := h.evalBatch(qc, b)
 		if perRow {
+			g.codeKeys(qc.Stats, rows, phys)
 			h.spillRows(qc, sp, route, rows, vals, byPart)
 			continue
 		}
-		g.insert(qc.Stats, p, rows, h.args)
+		g.add(qc.Stats, rows, phys, h.args)
 		if in < int(partitionMinGroups) && in+len(rows) >= int(partitionMinGroups) {
 			// A group folded on a worker costs about what an owner pays
 			// for it, so the table must shrink its input well to pay for
@@ -324,6 +325,7 @@ func (g *groupTable) flush(qc *QCtx, sp *spill, route *core.PartTable, vals []*v
 	}
 	qc.Stats.Count(CtrAggRowsSpilled, int64(t.Len()))
 	t.Reset()
+	g.memo.drop()
 	g.order = g.order[:0]
 }
 

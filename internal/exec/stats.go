@@ -44,14 +44,16 @@ const (
 	CtrBytesDecompressed = "bytes decompressed"
 )
 
-// Parallel aggregation counters. AggRowsSpilled counts the partial
-// records workers flushed into the spill buffers of a frontier fill;
+// Aggregation counters. AggRowsSpilled counts the partial records
+// workers flushed into the spill buffers of a frontier fill;
 // PartitionWiseAggs counts parallel frontier fills whose owner step ran
 // over more than one radix partition (tests assert on it to pin the
-// width).
+// width); AggCodeHits counts the input rows whose group the code memo
+// resolved without hashing their keys (groupTable.add).
 const (
 	CtrAggRowsSpilled    = "agg rows spilled"
 	CtrPartitionWiseAggs = "partition-wise aggs"
+	CtrAggCodeHits       = "agg code memo hits"
 )
 
 // Parallel join build counters, their join-side twins: ParallelJoinBuilds

@@ -16,6 +16,7 @@ package join
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"ocht/internal/core"
 	"ocht/internal/domain"
@@ -54,15 +55,17 @@ type Options struct {
 	// negative value takes the owner width, core.OwnerPartitionBits(Owners):
 	// at least four partitions per owner, one table without owners.
 	PartitionBits int
-	// EstRows is the optimizer's build-side cardinality bound (zone-map
-	// derived); it sizes the Bloom filter of a selective join built
-	// without owners. Zero falls back to CapacityHint.
+	// EstRows is read by nothing: a selective join sizes its Bloom filter
+	// from the rows it built (Link, SizeBloom), never from an estimate.
+	//
+	// Deprecated: kept only so that callers that set it still compile.
 	EstRows int64
 	// Owners, when positive, declares a partition-wise parallel build on
 	// that many owner workers (NewOwner, Owner.BuildPart, Adopt) in place
 	// of Build calls; a selective join's Bloom filter then waits for
-	// SizeBloom, which sizes it from the exact build row count instead of
-	// EstRows.
+	// SizeBloom, which sizes it from the exact build row count. Without
+	// owners the filter waits for Link, which sizes it from the hashes
+	// Build kept.
 	Owners int
 }
 
@@ -79,6 +82,7 @@ type Join struct {
 	pt            *core.PartTable
 	bloom         *hashtab.Bloom
 	bloomDeferred bool       // selective, Bloom filter waiting for SizeBloom
+	bloomHashes   []uint64   // the build's hashes while bloom is pendingBloom
 	payloadPlan   *pack.Plan // compressed payloads (integer columns + codes)
 	payloadOffs   []int      // direct payload offsets (vanilla mode / uncoded strings)
 	payloadCode   []bool     // per column: stored as a 16-bit USSR slot code
@@ -210,15 +214,14 @@ func New(flags core.Flags, keys []core.KeyCol, payload []PayloadCol, store *strs
 		bits = core.OwnerPartitionBits(opts.Owners)
 	}
 	j.pt = core.NewPartTable(schema, hotExtra, coldExtra, cap, bits)
+	// A selective join's filter is sized by the keys it will hold: the
+	// spill phase's row count with owners (SizeBloom), the build's record
+	// count without (Link).
 	switch {
 	case opts.Selective && opts.Owners > 0:
 		j.bloomDeferred = true
 	case opts.Selective:
-		est := opts.EstRows
-		if est <= 0 {
-			est = int64(cap)
-		}
-		j.bloom = hashtab.NewBloom(int(est))
+		j.bloom = pendingBloom
 	}
 	j.handle = newHandle(j.pt.NParts())
 	return j, nil
@@ -259,6 +262,7 @@ func (j *Join) BloomStats() (checked, dropped int64) { return j.bloomChecked, j.
 // accounting never touch shared state. The join must not be Built after
 // cloning.
 func (j *Join) ProbeClone(store *strs.Store) *Join {
+	j.linkBloom()
 	clone := *j
 	schema, err := core.NewKeySchema(j.Flags, j.Schema.Cols, store)
 	if err != nil {
@@ -298,7 +302,18 @@ func (j *Join) Build(keyCols, payloadCols []*vec.Vector, rows []int32) {
 	p := j.Schema.Prepare(keyCols, rows)
 	hashes, recs := j.buffers(n)
 	j.Schema.Hash(p, rows, hashes)
-	if j.bloom != nil {
+	switch {
+	case j.bloom == pendingBloom:
+		if len(j.bloomHashes)+len(rows) > cap(j.bloomHashes) {
+			// Double: append's growth turns to 1.25x for large slices,
+			// and a build of a few 100 000 rows would copy its hashes
+			// many times over.
+			j.bloomHashes = slices.Grow(j.bloomHashes, max(len(rows), len(j.bloomHashes)))
+		}
+		for _, r := range rows {
+			j.bloomHashes = append(j.bloomHashes, hashes[r])
+		}
+	case j.bloom != nil:
 		j.bloomAddBatch(hashes, rows)
 	}
 	pl := j.codePayload(payloadCols, rows, n)
@@ -310,9 +325,32 @@ func (j *Join) Build(keyCols, payloadCols []*vec.Vector, rows []int32) {
 }
 
 // Link ends a build: it links the inserted records into the table's
-// directories (core.Table.Link), sized once for the build's length. A
-// probe links on its own; a build that probes share ends here.
-func (j *Join) Link() { j.pt.Link() }
+// directories (core.Table.Link), sized once for the build's length, and
+// sizes and fills a selective join's Bloom filter from the hashes Build
+// kept. A probe links on its own; a build that probes share ends here.
+func (j *Join) Link() {
+	j.pt.Link()
+	j.linkBloom()
+}
+
+// pendingBloom stands in for the Bloom filter of a selective join built
+// without owners until Link sizes it by the keys the build inserted; it
+// holds no words and is never filled or probed.
+var pendingBloom = &hashtab.Bloom{}
+
+// linkBloom replaces a pending Bloom filter by one sized for, and filled
+// with, the hashes Build kept, and drops them; it is a no-op once done and
+// for every other join.
+func (j *Join) linkBloom() {
+	if j.bloom != pendingBloom {
+		return
+	}
+	j.bloom = hashtab.NewBloom(len(j.bloomHashes))
+	for _, h := range j.bloomHashes {
+		j.bloom.Add(h)
+	}
+	j.bloomHashes = nil
+}
 
 // codedPayload is one batch's payload columns as the partition loop
 // stores them: the plain columns, the packable ones (coded payloads
@@ -502,6 +540,7 @@ func (j *Join) Adopt(parts []*core.Table, owners []*Owner) {
 // false negatives, so a shed row is a proven miss: selective joins can
 // treat it as unmatched without ever touching the table.
 func (j *Join) PrepareProbe(keyCols []*vec.Vector, rows []int32) []int32 {
+	j.linkBloom()
 	n := physLen(keyCols, nil, rows)
 	p := j.Schema.Prepare(keyCols, rows)
 	hashes, _ := j.buffers(n)

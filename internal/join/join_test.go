@@ -7,6 +7,7 @@ import (
 
 	"ocht/internal/core"
 	"ocht/internal/domain"
+	"ocht/internal/hashtab"
 	"ocht/internal/i128"
 	"ocht/internal/strs"
 	"ocht/internal/vec"
@@ -417,6 +418,46 @@ func TestSampleGuidedPayload(t *testing.T) {
 			if out.I64[i] != vals[key] {
 				t.Fatalf("key %d: payload %d want %d", key, out.I64[i], vals[key])
 			}
+		}
+	}
+}
+
+// TestSerialBloomSizedByBuild: a selective join built without owners
+// sizes its Bloom filter by the records it built, whatever bound EstRows
+// claims, once the build links or, failing that, once the first probe
+// arrives; until then it holds no filter memory.
+func TestSerialBloomSizedByBuild(t *testing.T) {
+	keys := []core.KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(0, 1<<20)}}
+	const nb = 100
+	k := vec.New(vec.I64, nb)
+	for i := range k.I64 {
+		k.I64[i] = int64(i) * 7
+	}
+	want := hashtab.NewBloom(nb).MemoryBytes()
+	for _, linkFirst := range []bool{true, false} {
+		j, err := New(core.Flags{}, keys, nil, strs.NewStore(false), Options{Selective: true, EstRows: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Build([]*vec.Vector{k}, nil, batchRows(nb))
+		if got := j.MemoryBytes() - j.pt.MemoryBytes(); got != 0 {
+			t.Fatalf("filter holds %d bytes before the build links", got)
+		}
+		if linkFirst {
+			j.Link()
+		}
+		q := vec.New(vec.I64, 2*nb)
+		for i := range q.I64 {
+			q.I64[i] = int64(i) * 7 // the first nb hit
+		}
+		if mrows, _ := j.Probe([]*vec.Vector{q}, batchRows(2*nb)); len(mrows) != nb {
+			t.Fatalf("link first %v: %d matches, want %d", linkFirst, len(mrows), nb)
+		}
+		if got := j.MemoryBytes() - j.pt.MemoryBytes(); got != want {
+			t.Errorf("link first %v: filter of %d bytes, want %d (sized for %d keys)", linkFirst, got, want, nb)
+		}
+		if checked, _ := j.BloomStats(); checked != 2*nb {
+			t.Errorf("link first %v: pre-pass checked %d rows, want %d", linkFirst, checked, 2*nb)
 		}
 	}
 }

@@ -699,7 +699,9 @@ func badBlockType(t vec.Type) {
 // now paid only for entries a surviving row uses), and filters build
 // their per-code verdicts from the decoded bytes. A caller that passes
 // back the previous block's table for reuse must not cache anything by
-// that table's identity; exec.Scan passes nil. It returns the row count,
+// that table's identity; exec.Scan passes nil. Per-code caches key on the
+// view's DictID instead, which every call stamps afresh (viewIDs), so no
+// two views share one, even of the same block. It returns the row count,
 // the code table, and the bytes of data actually materialized — the
 // decoded dictionary and its code table; everything else is aliased.
 func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch []vec.StrRef) (rows int, refs []vec.StrRef, bytes int) {
@@ -728,6 +730,7 @@ func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch [
 		//ocht:retain-checked out owns this scratch: it is handed back here on the next view
 		out.DictBytes, out.DictOffs = data, offs
 		out.DictIntern = st
+		out.DictID = viewIDs.Add(1)
 		if b.ZDict != nil {
 			// Row codes stay bit-packed and alias the sealed words.
 			out.Packed = b.ZCodes.Words
@@ -757,6 +760,10 @@ func (c *Column) ViewBlock(bi int, out *vec.Vector, st *strs.Store, refScratch [
 	}
 	return b.N, refScratch, bytes
 }
+
+// viewIDs hands out the DictID of every dictionary view, process-wide:
+// workers view blocks concurrently, and an identity must never repeat.
+var viewIDs atomic.Uint64
 
 // decodeDict decodes string block b's dictionary into data and offs,
 // reusing their capacity: entry c becomes data[offs[c]:offs[c+1]]. A

@@ -167,11 +167,19 @@ type Vector struct {
 	// scan's decode scratch, which the next block overwrites; read entries
 	// through DictEntry and never keep the slices. A vector without
 	// DictIntern carries a complete DictRefs table.
+	//
+	// DictID is the view's identity: storage.Column.ViewBlock stamps every
+	// view with a fresh, process-unique nonzero value and windows of the
+	// view keep it, so two vectors with one DictID read every code as the
+	// same bytes. Per-code work may be cached by DictID (the aggregation's
+	// code memo, DESIGN.md), never by the identity of DictRefs, whose
+	// memory a later view reuses. 0 means no identity: nothing is cached.
 	Codes      []int32
 	DictRefs   []StrRef
 	DictBytes  []byte
 	DictOffs   []int32
 	DictIntern Interner
+	DictID     uint64
 
 	// EncPacked (integer types): values are stored as PackBits-wide
 	// unsigned offsets from PackMin (frame of reference), packed into
