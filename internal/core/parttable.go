@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Radix-partitioned hash tables (DESIGN.md, "Cache-conscious execution").
 //
 // PartTable splits one logical table into 2^bits partitions routed by the
@@ -13,9 +15,9 @@ package core
 // stay independent.
 //
 // Records are addressed two ways: per-partition LOCAL indices (what the
-// underlying Tables speak, used for payload scatter/gather) and GLOBAL
-// encoded indices `local<<bits | part` (what probes hand to callers, so a
-// match fits in one int32 like before).
+// underlying Tables and their candidate loop speak) and GLOBAL encoded
+// indices `local<<bits | part` (what probes hand to callers, so a match
+// fits in one int32). A probe walks each partition's candidates in turn.
 
 // MaxPartitionBits caps the radix fan-out at 64 partitions; beyond that
 // the per-partition directories stop paying for their fixed overhead.
@@ -75,31 +77,6 @@ func NewPartTable(schema *KeySchema, hotExtra, coldExtra, capacityHint, bits int
 		pt.parts[i] = NewTable(schema, hotExtra, coldExtra, hint)
 	}
 	return pt
-}
-
-// probeOne is ProbeChainsStaged's single-word fast path (Section II-F's
-// "execute the join as if there were just one column"): one load, one
-// compare per record, from the heads phase one snapshotted.
-//
-//ocht:hot
-func probeOne[W word](pt *PartTable, p *Prepared, hashes []uint64, rows []int32, heads []int32, outRows, outRecs []int32) ([]int32, []int32) {
-	w0 := p.words[0]
-	for i, r := range rows {
-		if !p.inDom[r] {
-			continue
-		}
-		part := pt.PartOf(hashes[r])
-		t := pt.parts[part]
-		key := W(w0[r])
-		hw := t.hotWidth
-		for rec := heads[i]; rec >= 0; rec = t.next[rec] {
-			if loadWord[W](t.hot[int(rec)*hw:]) == key {
-				outRows = append(outRows, r)
-				outRecs = append(outRecs, pt.EncodeRec(part, rec))
-			}
-		}
-	}
-	return outRows, outRecs
 }
 
 // NewPartTableFromParts assembles a partitioned table from 2^bits
@@ -240,40 +217,66 @@ func (pt *PartTable) SplitRecs(grecs, rows []int32, recs, pos [][]int32) {
 	}
 }
 
-// ProbeChainsStaged is the two-phase batched probe: phase one snapshots
-// every active row's bucket head into the heads scratch — independent
-// loads over the partition directories that the hardware prefetcher can
-// overlap — and phase two walks the chains from those snapshots, which
-// are exact because a built table is immutable during probing. Appends
-// every matching (probe row, encoded global record) pair to the provided
-// slices and returns them. heads must hold at least len(rows) entries.
+// ProbeChainsStaged is the batched probe, the candidate loop every probe
+// runs. Phase one snapshots each active row's bucket head, grouped by
+// partition (independent directory loads the prefetcher can overlap), and
+// drops rows outside the key domain. Phase two walks each partition's
+// chains a round at a time (Table.walk, with heads as scratch); the
+// snapshots are exact because a built table is immutable while probed.
+// Every matching (probe row, encoded global record) pair is appended to
+// the provided slices, in row order (rows ascend, as every selection
+// vector) and each row's in chain order, and the slices are returned.
+// heads must hold at least len(rows) entries.
 //
 //ocht:hot
 func (pt *PartTable) ProbeChainsStaged(p *Prepared, hashes []uint64, rows []int32, heads []int32, outRows, outRecs []int32) ([]int32, []int32) {
 	pt.Link()
-	parts := pt.parts
-	for i, r := range rows {
-		h := hashes[r]
-		t := parts[pt.PartOf(h)]
-		heads[i] = t.heads[h&t.mask]
-	}
-	if pt.Schema.oneWord {
-		if pt.Schema.plan.WordBits == 32 {
-			return probeOne[uint32](pt, p, hashes, rows, heads, outRows, outRecs)
+	// Partition part's candidates start at first[part]; one partition's at 0.
+	var first [1<<MaxPartitionBits + 1]int32
+	if pt.bits > 0 {
+		for _, r := range rows {
+			first[pt.PartOf(hashes[r])+1]++
 		}
-		return probeOne[uint64](pt, p, hashes, rows, heads, outRows, outRecs)
 	}
-	for i, r := range rows {
+	for part := range pt.parts {
+		first[part+1] += first[part]
+	}
+	cands, _ := p.scratch(len(rows))
+	at, lo, hi := first, int32(math.MaxInt32), int32(0) // and the candidate rows' range
+	for _, r := range rows {
 		h := hashes[r]
 		part := pt.PartOf(h)
-		t := parts[part]
-		row := int(r)
-		for rec := heads[i]; rec >= 0; rec = t.next[rec] {
-			if t.matchOne(p, row, rec) {
-				outRows = append(outRows, r)
-				outRecs = append(outRecs, pt.EncodeRec(part, rec))
-			}
+		t := pt.parts[part]
+		if c := t.heads[h&t.mask]; c >= 0 && p.inDomain(r) {
+			cands[at[part]] = cand{r, c}
+			at[part]++
+			lo, hi = min(lo, r), max(hi, r)
 		}
+	}
+	p.hits = p.hits[:0]
+	for part, t := range pt.parts {
+		t.walk(p, cands[first[part]:at[part]], heads, nil, pt.bits, int32(part))
+	}
+	if len(p.hits) == 0 {
+		return outRows, outRecs
+	}
+	// The rounds find each row's matches in chain order; a counting pass
+	// over the matched rows puts them in row order.
+	start := grow(p.count[:0], int(hi-lo)+1)
+	p.count = start
+	clear(start)
+	for _, h := range p.hits {
+		start[h.row-lo]++
+	}
+	sum := int32(len(outRows))
+	for i, c := range start {
+		start[i], sum = sum, sum+c
+	}
+	outRows, outRecs = grow(outRows, len(p.hits)), grow(outRecs, len(p.hits))
+	for _, h := range p.hits {
+		d := start[h.row-lo]
+		start[h.row-lo]++
+		outRows[d], outRecs[d] = h.row, h.rec
 	}
 	return outRows, outRecs
 }

@@ -197,40 +197,43 @@ func TestSplitRecsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProbeChainsNoAlloc pins the chain walk at zero allocations once the
-// match lists have capacity, on the generic match path (direct and a
-// two-word packed key) and on the single-word fast path at both word
-// widths, through the table's own entry point (more than one vector of
-// rows) and the partitioned one.
+// TestProbeChainsNoAlloc pins the candidate loop at zero allocations once
+// its scratch and the match lists have capacity, on every key layout it
+// checks (direct, a two-word packed key, one packed word of either width,
+// and slot-coded strings): through the table's probe entry point (more
+// than one vector of rows), the partitioned one, and FindOrInsert over
+// groups that all exist.
 func TestProbeChainsNoAlloc(t *testing.T) {
 	cases := []struct {
-		name    string
-		flags   Flags
-		cols    []KeyCol
-		oneWord bool
+		name  string
+		flags Flags
+		cols  []KeyCol
 	}{
-		{"vanilla", Vanilla(), intKeyCols(), false},
+		{"vanilla", Vanilla(), intKeyCols()},
 		{"compressed", Flags{Compress: true}, []KeyCol{
 			{Name: "a", Type: vec.I64, Dom: domain.New(0, 1<<40)},
-			{Name: "b", Type: vec.I64, Dom: domain.New(0, 1<<40)}}, false},
-		{"one-word", All(), []KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(0, 1<<40)}}, true},
-		{"one-word-32", Flags{Compress: true}, intKeyCols(), true},
+			{Name: "b", Type: vec.I64, Dom: domain.New(0, 1<<40)}}},
+		{"one-word", All(), []KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(0, 1<<40)}}},
+		{"one-word-32", Flags{Compress: true}, intKeyCols()},
+		{"slot-coded", All(), []KeyCol{{Name: "a", Type: vec.I16, Dom: domain.New(0, 99)}, {Name: "s", Type: vec.Str}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			schema, err := NewKeySchema(c.flags, c.cols, strs.NewStore(c.flags.UseUSSR))
+			st := strs.NewStore(c.flags.UseUSSR)
+			schema, err := NewKeySchema(c.flags, c.cols, st)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if schema.oneWord != c.oneWord {
-				t.Fatalf("oneWord = %v, want %v", schema.oneWord, c.oneWord)
 			}
 			const n, distinct = 1600, 40 // more than one vector; every key 40 times
 			keys := make([]*vec.Vector, len(c.cols))
 			for ci, kc := range c.cols {
 				keys[ci] = vec.New(kc.Type, n)
 				for i := 0; i < n; i++ {
-					keys[ci].SetInt64(i, kc.Dom.Min+int64(i%distinct))
+					if kc.Type == vec.Str {
+						keys[ci].Str[i] = st.Intern(fmt.Sprintf("k%d", i%distinct))
+					} else {
+						keys[ci].SetInt64(i, kc.Dom.Min+int64(i%distinct))
+					}
 				}
 			}
 			rows := make([]int32, n)
@@ -262,6 +265,17 @@ func TestProbeChainsNoAlloc(t *testing.T) {
 				outRows, outRecs = pt.ProbeChainsStaged(p, hashes, rows, heads, outRows[:0], outRecs[:0])
 			}); a != 0 {
 				t.Errorf("ProbeChainsStaged: %v allocations per call", a)
+			}
+			groups := NewTable(schema, 0, 0, 16)
+			if newRows, _ := groups.FindOrInsert(p, hashes, rows, recOut); len(newRows) != distinct {
+				t.Fatalf("FindOrInsert made %d groups, want %d", len(newRows), distinct)
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				if newRows, _ := groups.FindOrInsert(p, hashes, rows, recOut); len(newRows) != 0 {
+					t.Fatalf("FindOrInsert made %d groups on the second pass", len(newRows))
+				}
+			}); a != 0 {
+				t.Errorf("FindOrInsert over existing groups: %v allocations per call", a)
 			}
 		})
 	}
@@ -306,113 +320,6 @@ func TestPartitionRowsGrouping(t *testing.T) {
 	}
 	if total != 4 {
 		t.Fatalf("stale scratch rows: %d", total)
-	}
-}
-
-// TestOneWordPathsAgree checks the single-word fast paths of FindOrInsert
-// and ProbeChainsStaged, at 32-bit and 64-bit words, against the generic
-// matchOne loop of the same schema, with some grouped and probe rows
-// outside the key domain: their packed words may equal an inside key's,
-// and only the domain check keeps them from matching. Probe matches are
-// also counted against a nested loop over the key values; the join's
-// build side is inside the domain, which is derived from it.
-func TestOneWordPathsAgree(t *testing.T) {
-	for _, c := range []struct {
-		cols     []KeyCol
-		wordBits int
-	}{
-		{intKeyCols(), 32},
-		{[]KeyCol{{Name: "k", Type: vec.I64, Dom: domain.New(-5, 1<<40)}}, 64},
-	} {
-		t.Run(fmt.Sprint(c.wordBits), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(c.wordBits)))
-			// keys draws n rows of every column inside its domain, except,
-			// when outside is set, every seventh row, which lies a domain
-			// width above it.
-			keys := func(n int, outside bool) []*vec.Vector {
-				vs := make([]*vec.Vector, len(c.cols))
-				for ci, kc := range c.cols {
-					vs[ci] = vec.New(kc.Type, n)
-					width := kc.Dom.Max - kc.Dom.Min + 1
-					for i := 0; i < n; i++ {
-						v := kc.Dom.Min + rng.Int63n(min(width, 60))
-						if outside && i%7 == 3 {
-							v += width
-						}
-						vs[ci].SetInt64(i, v)
-					}
-				}
-				return vs
-			}
-			const nb, np = 3000, 1000
-			grouped, build, probe := keys(nb, true), keys(nb, false), keys(np, true)
-			var groups [2][]int32 // per path: FindOrInsert's record of every row
-			var pairs [2][]int32  // per path: probe rows and records, interleaved
-			for path, oneWord := range []bool{true, false} {
-				schema, err := NewKeySchema(Flags{Compress: true}, c.cols, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !schema.oneWord || schema.plan.WordBits != c.wordBits {
-					t.Fatalf("schema: oneWord %v, %d-bit words; want one %d-bit word", schema.oneWord, schema.plan.WordBits, c.wordBits)
-				}
-				schema.oneWord = oneWord
-				rows := seq(nb)
-				p := schema.Prepare(grouped, rows)
-				hashes := make([]uint64, nb)
-				schema.Hash(p, rows, hashes)
-				groups[path] = make([]int32, nb)
-				NewTable(schema, 0, 0, 16).FindOrInsert(p, hashes, rows, groups[path])
-
-				p = schema.Prepare(build, rows)
-				schema.Hash(p, rows, hashes)
-				recOut := make([]int32, nb)
-
-				pt := NewPartTable(schema, 0, 0, 16, 3)
-				for pi, g := range pt.PartitionRows(hashes, rows) {
-					pt.Part(pi).InsertBatch(p, hashes, g, recOut)
-				}
-				prows := seq(np)
-				pp := schema.Prepare(probe, prows)
-				phashes := make([]uint64, np)
-				schema.Hash(pp, prows, phashes)
-				mr, mc := pt.ProbeChainsStaged(pp, phashes, prows, make([]int32, np), nil, nil)
-				for i := range mr {
-					pairs[path] = append(pairs[path], mr[i], mc[i])
-				}
-			}
-			if fmt.Sprint(groups[0]) != fmt.Sprint(groups[1]) {
-				t.Fatal("FindOrInsert: the one-word path and matchOne group rows differently")
-			}
-			if fmt.Sprint(pairs[0]) != fmt.Sprint(pairs[1]) {
-				t.Fatalf("ProbeChainsStaged: the one-word path finds %d matches, matchOne %d", len(pairs[0])/2, len(pairs[1])/2)
-			}
-			// Probe rows outside the domain never match; the others match
-			// every build row with equal values.
-			inDom := func(vs []*vec.Vector, i int) bool {
-				for ci, kc := range c.cols {
-					if !kc.Dom.Contains(vs[ci].Int64At(i)) {
-						return false
-					}
-				}
-				return true
-			}
-			want := 0
-			for j := 0; j < np; j++ {
-				for i := 0; i < nb; i++ {
-					eq := inDom(probe, j)
-					for ci := range c.cols {
-						eq = eq && probe[ci].Int64At(j) == build[ci].Int64At(i)
-					}
-					if eq {
-						want++
-					}
-				}
-			}
-			if want == 0 || len(pairs[0])/2 != want {
-				t.Fatalf("%d matches, nested loop %d", len(pairs[0])/2, want)
-			}
-		})
 	}
 }
 

@@ -72,11 +72,6 @@ type KeySchema struct {
 	strCold   []int // schema column -> cold byte offset of exception ref, or -1
 	coldBytes int   // cold bytes owned by the key schema
 
-	// oneWord marks compressed schemas whose whole key is one packed
-	// word of either width (no string columns): FindOrInsert and the
-	// staged probe then compare one load per record (Section II-F).
-	oneWord bool
-
 	// Per-batch scratch reused across Prepare calls. A KeySchema serves a
 	// single query pipeline and is not safe for concurrent use.
 	scratch Prepared
@@ -94,14 +89,10 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 		directOff: make([]int, len(cols)),
 		strCold:   make([]int, len(cols)),
 	}
-	intOnly := true
 	for i := range cols {
 		s.codeCol[i] = -1
 		s.directOff[i] = -1
 		s.strCold[i] = -1
-		if cols[i].Type == vec.Str {
-			intOnly = false
-		}
 	}
 
 	if flags.Compress {
@@ -130,7 +121,6 @@ func NewKeySchema(flags Flags, cols []KeyCol, store *strs.Store) (*KeySchema, er
 			return nil, err
 		}
 		s.plan = plan
-		s.oneWord = intOnly && plan.Words == 1
 		s.keyBytes = plan.RecordBytes()
 		for i, c := range cols {
 			if c.Type == vec.Str && s.codeCol[i] < 0 {
@@ -172,7 +162,24 @@ type Prepared struct {
 	// build table account their fast/slow counters on the probing side
 	// (each parallel worker's private store) instead of racing on the
 	// build side's.
+
+	// The candidate loop's scratch: live candidates and a probe's matches,
+	// the key check's selection, and a probe's counting pass.
+	cands, hits []cand
+	sel, count  []int32
 }
+
+// scratch returns the candidate loop's scratch with room for n candidates.
+func (p *Prepared) scratch(n int) ([]cand, []int32) {
+	if len(p.cands) < n {
+		p.cands, p.sel = make([]cand, n), make([]int32, n)
+	}
+	return p.cands, p.sel
+}
+
+// inDomain reports whether row r's packed values lie inside their domains;
+// a row outside matches no stored key (Section II-D). Direct mode has none.
+func (p *Prepared) inDomain(r int32) bool { return p.inDom == nil || p.inDom[r] }
 
 // Prepare resolves a batch's key columns into the working representation:
 // in USSR-split mode string references become 16-bit slot codes (exception
@@ -252,45 +259,34 @@ func (s *KeySchema) Prepare(cols []*vec.Vector, rows []int32) *Prepared {
 // is the only definition of a key's hash; Table.resize re-hashes stored
 // records through it.
 func (s *KeySchema) Hash(p *Prepared, rows []int32, out []uint64) {
-	first := true
-	if s.plan != nil {
-		if s.plan.Words > 0 {
-			pack.HashWords(p.words, rows, out)
-			first = false
-		}
-		for ci, c := range s.Cols {
-			switch {
-			case c.Type != vec.Str:
-			case s.codeCol[ci] < 0:
-				s.hashStrInto(p.orig[ci].Str, rows, out, first)
-				first = false
-			default:
-				refs, codes := p.orig[ci].Str, p.planVecs[s.codeCol[ci]].Str
-				for _, r := range rows {
-					if codes[r] == 0 {
-						out[r] = pack.Mix64(out[r] ^ s.Store.Hash(refs[r]))
-					}
+	first := s.plan == nil || s.plan.Words == 0
+	if !first {
+		pack.HashWords(p.words, rows, out)
+	}
+	for ci, c := range s.Cols {
+		switch v := p.orig[ci]; {
+		case s.strCold[ci] >= 0: // slot-coded: a rejected string's code 0 needs its content
+			codes := p.planVecs[s.codeCol[ci]].Str
+			for _, r := range rows {
+				if codes[r] == 0 {
+					out[r] = pack.Mix64(out[r] ^ s.Store.Hash(v.Str[r]))
 				}
 			}
-		}
-	} else {
-		for ci, c := range s.Cols {
-			if c.Type == vec.Str {
-				s.hashStrInto(p.orig[ci].Str, rows, out, first)
-			} else {
-				v := p.orig[ci]
-				if first {
-					for _, r := range rows {
-						out[r] = pack.Mix64(uint64(v.Int64At(int(r))))
-					}
-				} else {
-					for _, r := range rows {
-						out[r] = pack.Mix64(out[r] ^ pack.Mix64(uint64(v.Int64At(int(r)))))
-					}
-				}
+			continue
+		case s.directOff[ci] < 0: // packed into the plan words
+			continue
+		case c.Type == vec.Str:
+			s.hashStrInto(v.Str, rows, out, first)
+		case first:
+			for _, r := range rows {
+				out[r] = pack.Mix64(uint64(v.Int64At(int(r))))
 			}
-			first = false
+		default:
+			for _, r := range rows {
+				out[r] = pack.Mix64(out[r] ^ pack.Mix64(uint64(v.Int64At(int(r)))))
+			}
 		}
+		first = false
 	}
 	if first { // no key columns: global aggregate
 		for _, r := range rows {

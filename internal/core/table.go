@@ -3,16 +3,18 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
+	"ocht/internal/strs"
 	"ocht/internal/ussr"
 	"ocht/internal/vec"
 )
 
 // Table is the optimistically compressed hash table: a bucket-chained
-// directory over hot NSM records, plus a parallel cold area for
-// exceptions. The key area layout comes from the KeySchema; callers
-// (hash join, hash aggregation) own extra hot and cold bytes per record
-// for payloads and aggregate state.
+// directory over hot NSM records, plus a parallel cold area for exceptions,
+// laid out by the KeySchema. Callers own extra hot and cold bytes per record
+// (payloads, aggregate state). Every chain walk, FindOrInsert's and the
+// probes', is one candidate loop (walk) checking keys a column at a time.
 type Table struct {
 	Schema    *KeySchema
 	HotExtra  int // caller-owned bytes after the key area in each hot record
@@ -311,18 +313,6 @@ func (t *Table) putWord(rec int32, w int, v uint64) {
 	}
 }
 
-// directRef loads the string reference stored directly at column ci.
-func (t *Table) directRef(rec int32, ci int) vec.StrRef {
-	off := int(rec)*t.hotWidth + t.Schema.directOff[ci]
-	return vec.StrRef(binary.LittleEndian.Uint64(t.hot[off:]))
-}
-
-// coldRef loads the exception string reference of column ci.
-func (t *Table) coldRef(rec int32, ci int) vec.StrRef {
-	off := int(rec)*t.coldWidth + t.Schema.strCold[ci]
-	return vec.StrRef(binary.LittleEndian.Uint64(t.cold[off:]))
-}
-
 // storeKeyOne writes the key area (and exception refs) of record rec from
 // row `row` of the prepared batch.
 func (t *Table) storeKeyOne(p *Prepared, row int, rec int32) {
@@ -331,206 +321,235 @@ func (t *Table) storeKeyOne(p *Prepared, row int, rec int32) {
 		for w := 0; w < s.plan.Words; w++ {
 			t.putWord(rec, w, p.words[w][row])
 		}
-		for ci, c := range s.Cols {
-			switch {
-			case s.directOff[ci] >= 0 && c.Type == vec.Str:
-				off := int(rec)*t.hotWidth + s.directOff[ci]
-				binary.LittleEndian.PutUint64(t.hot[off:], uint64(p.orig[ci].Str[row]))
-			case s.strCold[ci] >= 0:
-				// Exception ref: only needed when the slot code is 0,
-				// but stored unconditionally costs one write and keeps
-				// LoadKeys branch-free for exceptions.
-				if p.planVecs[s.codeCol[ci]].Str[row] == 0 {
-					off := int(rec)*t.coldWidth + s.strCold[ci]
-					binary.LittleEndian.PutUint64(t.cold[off:], uint64(p.orig[ci].Str[row]))
-				}
-			}
-		}
-		return
 	}
-	base := int(rec) * t.hotWidth
+	hot := t.hot[int(rec)*t.hotWidth:]
 	for ci, c := range s.Cols {
-		off := base + s.directOff[ci]
-		switch c.Type {
-		case vec.Str:
-			binary.LittleEndian.PutUint64(t.hot[off:], uint64(p.orig[ci].Str[row]))
-		case vec.I64:
-			binary.LittleEndian.PutUint64(t.hot[off:], uint64(p.orig[ci].I64[row]))
-		case vec.I32:
-			binary.LittleEndian.PutUint32(t.hot[off:], uint32(p.orig[ci].I32[row]))
-		case vec.I16:
-			binary.LittleEndian.PutUint16(t.hot[off:], uint16(p.orig[ci].I16[row]))
-		case vec.I8:
-			t.hot[off] = byte(p.orig[ci].I8[row])
-		case vec.Bool:
-			if p.orig[ci].Bool[row] {
-				t.hot[off] = 1
-			} else {
-				t.hot[off] = 0
+		off, v := s.directOff[ci], p.orig[ci]
+		switch {
+		case s.strCold[ci] >= 0:
+			// Exception ref: only needed when the slot code is 0.
+			if p.planVecs[s.codeCol[ci]].Str[row] == 0 {
+				binary.LittleEndian.PutUint64(t.cold[int(rec)*t.coldWidth+s.strCold[ci]:], uint64(v.Str[row]))
+			}
+		case off < 0: // packed into the plan words
+		case c.Type == vec.Str:
+			binary.LittleEndian.PutUint64(hot[off:], uint64(v.Str[row]))
+		case c.Type == vec.I64:
+			binary.LittleEndian.PutUint64(hot[off:], uint64(v.I64[row]))
+		case c.Type == vec.I32:
+			binary.LittleEndian.PutUint32(hot[off:], uint32(v.I32[row]))
+		case c.Type == vec.I16:
+			binary.LittleEndian.PutUint16(hot[off:], uint16(v.I16[row]))
+		case c.Type == vec.I8:
+			hot[off] = byte(v.I8[row])
+		case c.Type == vec.Bool:
+			hot[off] = 0
+			if v.Bool[row] {
+				hot[off] = 1
 			}
 		}
 	}
-}
-
-// matchOne reports whether record rec's key equals row `row` of the
-// prepared batch. In compressed mode this is the paper's Section II-D
-// comparison: the probe key was compressed once per batch, and the check
-// is a word compare — plus content comparisons for strings that are not
-// slot-coded, and the cold-reference fallback when both slot codes are 0.
-func (t *Table) matchOne(p *Prepared, row int, rec int32) bool {
-	s := t.Schema
-	if s.plan != nil {
-		if !p.inDom[row] {
-			return false
-		}
-		for w := 0; w < s.plan.Words; w++ {
-			if t.word(rec, w) != p.words[w][row] {
-				return false
-			}
-		}
-		for ci, c := range s.Cols {
-			switch {
-			case s.directOff[ci] >= 0 && c.Type == vec.Str:
-				if !p.store.Equal(p.orig[ci].Str[row], t.directRef(rec, ci)) {
-					return false
-				}
-			case s.strCold[ci] >= 0:
-				// Slot codes already compared equal inside the words.
-				// Both 0 means both are exceptions: compare contents.
-				if p.planVecs[s.codeCol[ci]].Str[row] == 0 {
-					if !p.store.Equal(p.orig[ci].Str[row], t.coldRef(rec, ci)) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	base := int(rec) * t.hotWidth
-	for ci, c := range s.Cols {
-		off := base + s.directOff[ci]
-		switch c.Type {
-		case vec.Str:
-			stored := vec.StrRef(binary.LittleEndian.Uint64(t.hot[off:]))
-			if !p.store.Equal(p.orig[ci].Str[row], stored) {
-				return false
-			}
-		case vec.I64:
-			if binary.LittleEndian.Uint64(t.hot[off:]) != uint64(p.orig[ci].I64[row]) {
-				return false
-			}
-		case vec.I32:
-			if binary.LittleEndian.Uint32(t.hot[off:]) != uint32(p.orig[ci].I32[row]) {
-				return false
-			}
-		case vec.I16:
-			if binary.LittleEndian.Uint16(t.hot[off:]) != uint16(p.orig[ci].I16[row]) {
-				return false
-			}
-		case vec.I8:
-			if t.hot[off] != byte(p.orig[ci].I8[row]) {
-				return false
-			}
-		case vec.Bool:
-			b := t.hot[off] != 0
-			if b != p.orig[ci].Bool[row] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // loadDirect loads a direct-mode integer column value sign-extended.
 func (t *Table) loadDirect(rec int32, ci int) uint64 {
-	off := int(rec)*t.hotWidth + t.Schema.directOff[ci]
+	b := t.hot[int(rec)*t.hotWidth+t.Schema.directOff[ci]:]
 	switch t.Schema.Cols[ci].Type {
-	case vec.I64, vec.Str:
-		return binary.LittleEndian.Uint64(t.hot[off:])
 	case vec.I32:
-		return uint64(int64(int32(binary.LittleEndian.Uint32(t.hot[off:]))))
+		return uint64(int32(loadLE[uint32](b)))
 	case vec.I16:
-		return uint64(int64(int16(binary.LittleEndian.Uint16(t.hot[off:]))))
+		return uint64(int16(loadLE[uint16](b)))
 	case vec.I8:
-		return uint64(int64(int8(t.hot[off])))
+		return uint64(int8(b[0]))
 	case vec.Bool:
-		return uint64(t.hot[off])
+		return uint64(b[0])
 	}
-	return 0
+	return loadLE[uint64](b) // I64, Str
 }
 
 // FindOrInsert resolves each active row to its group record, inserting
 // missing groups. recOut[row] receives the record index; the returned
 // slices give the rows and record indices of newly created groups, so the
-// caller can initialize aggregate state.
+// caller can initialize aggregate state. The candidate loop finds the
+// groups that exist; each miss, in row order, is then checked against the
+// records this call created (they head its chain) and inserted if new.
+//
+//ocht:hot
 func (t *Table) FindOrInsert(p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
 	t.Link()
-	if t.Schema.oneWord {
-		if t.Schema.plan.WordBits == 32 {
-			return findOrInsertOne[uint32](t, p, hashes, rows, recOut)
-		}
-		return findOrInsertOne[uint64](t, p, hashes, rows, recOut)
-	}
+	cands, sel := p.scratch(len(rows))
+	n := 0
 	for _, r := range rows {
-		row := int(r)
-		h := hashes[r]
-		rec := t.heads[h&t.mask]
-		for rec >= 0 {
-			if t.matchOne(p, row, rec) {
-				break
+		recOut[r] = -1
+		if c := t.heads[hashes[r]&t.mask]; c >= 0 && p.inDomain(r) {
+			cands[n] = cand{r, c}
+			n++
+		}
+	}
+	t.walk(p, cands[:n], sel, recOut, 0, 0)
+	first := int32(t.n)
+	for _, r := range rows {
+		if recOut[r] >= 0 {
+			continue
+		}
+		for c := t.heads[hashes[r]&t.mask]; recOut[r] < 0 && c >= first && p.inDomain(r); c = t.next[c] {
+			cands[0], sel[0] = cand{r, c}, 0
+			if t.matchPairs(p, cands[:1], sel[:1]) == 1 {
+				recOut[r] = c
 			}
-			rec = t.next[rec]
 		}
-		if rec < 0 {
-			rec = t.alloc(1)
-			t.storeKeyOne(p, int(r), rec)
-			t.link(rec, h)
+		if recOut[r] < 0 {
+			c := t.alloc(1)
+			t.storeKeyOne(p, int(r), c)
+			t.link(c, hashes[r])
+			recOut[r] = c
 			newRows = append(newRows, r)
-			newRecs = append(newRecs, rec)
+			newRecs = append(newRecs, c)
 		}
-		recOut[r] = rec
 	}
 	return newRows, newRecs
 }
 
-// word is the packed key word of a one-word schema, as wide as the plan's
-// WordBits.
-type word interface{ uint32 | uint64 }
+// cand is a candidate of the candidate loop: a probe row and a record of
+// its chain whose key may equal the row's.
+type cand struct{ row, rec int32 }
 
-// loadWord reads the W-wide little-endian word at the start of b.
-func loadWord[W word](b []byte) W {
-	if uint64(^W(0)) == math.MaxUint32 {
-		return W(binary.LittleEndian.Uint32(b))
+// walk is the candidate loop over cands in t: a round checks every live
+// candidate's key (matchPairs, sel its scratch) and moves the candidates
+// along their chains. A find (out != nil) stores a row's first match in out
+// and drops it; a probe appends every match, encoded rec<<bits|part, to p.hits.
+//
+//ocht:hot
+func (t *Table) walk(p *Prepared, cands []cand, sel, out []int32, bits uint, part int32) {
+	hits := p.hits
+	for k := range cands {
+		sel[k] = int32(k)
 	}
-	return W(binary.LittleEndian.Uint64(b))
+	for n := len(cands); n > 0; {
+		for _, k := range sel[:t.matchPairs(p, cands[:n], sel[:n])] {
+			if c := cands[k]; out != nil {
+				out[c.row] = c.rec
+				cands[k].row = -1
+			} else {
+				hits = append(hits, cand{c.row, c.rec<<bits | part})
+			}
+		}
+		m := 0
+		for _, c := range cands[:n] {
+			next := t.next[c.rec]
+			cands[m], sel[m] = cand{c.row, next}, int32(m)
+			if next|c.row >= 0 {
+				m++
+			}
+		}
+		n = m
+	}
+	p.hits = hits
 }
 
-// findOrInsertOne is FindOrInsert's single-word fast path (Section II-F):
-// grouping on the packed word is one load and one compare per record,
-// fewer branches than matchOne.
-func findOrInsertOne[W word](t *Table, p *Prepared, hashes []uint64, rows []int32, recOut []int32) (newRows, newRecs []int32) {
-	w0 := p.words[0]
-	hw := t.hotWidth
-	for _, r := range rows {
-		h := hashes[r]
-		key := W(w0[r])
-		rec := t.heads[h&t.mask]
-		for rec >= 0 {
-			if loadWord[W](t.hot[int(rec)*hw:]) == key && p.inDom[r] {
-				break
+// matchPairs is the candidate loop's key check: it narrows sel, indices of
+// cands, to those whose record holds the key of their row, a column at a
+// time, and returns their count. A plan word compares as one load, the
+// probe key packed once per batch (Section II-D; a one-word key is one
+// such column, II-F). Strings outside the plan compare by content;
+// slot-coded strings compare their cold references where both codes,
+// equal inside the words, are 0.
+//
+//ocht:hot
+func (t *Table) matchPairs(p *Prepared, cands []cand, sel []int32) int {
+	s, n, hot, hw := t.Schema, len(sel), t.hot, t.hotWidth
+	if s.plan != nil {
+		for w, words := range p.words {
+			if s.plan.WordBits == 32 {
+				n = eqCol[uint64, uint32](hot, hw, 4*w, words, cands, sel[:n])
+			} else {
+				n = eqCol[uint64, uint64](hot, hw, 8*w, words, cands, sel[:n])
 			}
-			rec = t.next[rec]
 		}
-		if rec < 0 {
-			rec = t.alloc(1)
-			t.storeKeyOne(p, int(r), rec)
-			t.link(rec, h)
-			newRows = append(newRows, r)
-			newRecs = append(newRecs, rec)
-		}
-		recOut[r] = rec
 	}
-	return newRows, newRecs
+	for ci, c := range s.Cols {
+		switch v, off := p.orig[ci], s.directOff[ci]; {
+		case s.strCold[ci] >= 0:
+			codes := p.planVecs[s.codeCol[ci]].Str
+			n = eqStr(p.store, t.cold, t.coldWidth, s.strCold[ci], v.Str, codes, cands, sel[:n])
+		case off < 0: // packed into the plan words
+		case c.Type == vec.Str:
+			n = eqStr(p.store, hot, hw, off, v.Str, nil, cands, sel[:n])
+		case c.Type == vec.I64:
+			n = eqCol[int64, uint64](hot, hw, off, v.I64, cands, sel[:n])
+		case c.Type == vec.I32:
+			n = eqCol[int32, uint32](hot, hw, off, v.I32, cands, sel[:n])
+		case c.Type == vec.I16:
+			n = eqCol[int16, uint16](hot, hw, off, v.I16, cands, sel[:n])
+		case c.Type == vec.I8:
+			n = eqCol[int8, uint8](hot, hw, off, v.I8, cands, sel[:n])
+		case c.Type == vec.Bool:
+			n = eqBool(hot, hw, off, v.Bool, cands, sel[:n])
+		}
+	}
+	return n
+}
+
+// eqCol narrows sel to the candidates whose record (width bytes each)
+// stores at offset off their row's value of vals, as a U-wide
+// little-endian integer: a plan word, or a direct-mode integer column.
+//
+//ocht:hot
+func eqCol[T int8 | int16 | int32 | int64 | uint64, U uint8 | uint16 | uint32 | uint64](area []byte, width, off int, vals []T, cands []cand, sel []int32) int {
+	m := 0
+	for _, k := range sel {
+		c := cands[k]
+		sel[m] = k
+		if loadLE[U](area[int(c.rec)*width+off:]) == U(vals[c.row]) {
+			m++
+		}
+	}
+	return m
+}
+
+// eqBool is eqCol for a direct-mode Boolean column, stored as one byte.
+//
+//ocht:hot
+func eqBool(area []byte, width, off int, vals []bool, cands []cand, sel []int32) int {
+	m := 0
+	for _, k := range sel {
+		c := cands[k]
+		sel[m] = k
+		if (area[int(c.rec)*width+off] != 0) == vals[c.row] {
+			m++
+		}
+	}
+	return m
+}
+
+// eqStr narrows sel to the candidates whose record's string reference at
+// offset off has the content of their row's reference in refs. Given slot
+// codes, it compares only the candidates whose row's code is 0.
+//
+//ocht:hot
+func eqStr(st *strs.Store, area []byte, width, off int, refs, codes []vec.StrRef, cands []cand, sel []int32) int {
+	m := 0
+	for _, k := range sel {
+		c := cands[k]
+		sel[m] = k
+		if codes != nil && codes[c.row] != 0 || st.Equal(refs[c.row], vec.StrRef(binary.LittleEndian.Uint64(area[int(c.rec)*width+off:]))) {
+			m++
+		}
+	}
+	return m
+}
+
+// loadLE reads the U-wide little-endian integer at the start of b.
+func loadLE[U uint8 | uint16 | uint32 | uint64](b []byte) U {
+	switch uint64(^U(0)) {
+	case math.MaxUint8:
+		return U(b[0])
+	case math.MaxUint16:
+		return U(binary.LittleEndian.Uint16(b))
+	case math.MaxUint32:
+		return U(binary.LittleEndian.Uint32(b))
+	}
+	return U(binary.LittleEndian.Uint64(b))
 }
 
 // InsertBatch inserts every active row as a new record (hash-join build:
@@ -550,22 +569,15 @@ func (t *Table) InsertBatch(p *Prepared, hashes []uint64, rows []int32, recOut [
 
 // ProbeChains walks the chain of each active row and appends every
 // matching (row, record) pair: the hash-join probe. It is the 0-bit call
-// of PartTable.ProbeChainsStaged, the one chain walk, with the head
-// snapshot on the stack a vector at a time. The pairs are appended to the
-// provided slices and returned.
+// of PartTable.ProbeChainsStaged, the one chain walk, with p's scratch as
+// its heads. The pairs are appended to the provided slices and returned.
 //
 //ocht:hot
 func (t *Table) ProbeChains(p *Prepared, hashes []uint64, rows []int32, outRows, outRecs []int32) ([]int32, []int32) {
-	t.Link()
 	parts := [1]*Table{t}
 	pt := PartTable{Schema: t.Schema, parts: parts[:]}
-	var heads [vec.Size]int32
-	for len(rows) > 0 {
-		n := min(len(rows), len(heads))
-		outRows, outRecs = pt.ProbeChainsStaged(p, hashes, rows[:n], heads[:n], outRows, outRecs)
-		rows = rows[n:]
-	}
-	return outRows, outRecs
+	_, heads := p.scratch(len(rows))
+	return pt.ProbeChainsStaged(p, hashes, rows, heads, outRows, outRecs)
 }
 
 // LoadKey reconstructs key column ci of the given records into out at the
@@ -575,7 +587,7 @@ func (t *Table) ProbeChains(p *Prepared, hashes []uint64, rows []int32, outRows,
 func (t *Table) LoadKey(ci int, recIdx []int32, out *vec.Vector, rows []int32) {
 	s := t.Schema
 	switch {
-	case s.plan != nil && s.codeCol[ci] >= 0:
+	case s.codeCol[ci] >= 0:
 		codes := vec.New(vec.Str, out.Len())
 		s.plan.UnpackColumn(s.codeCol[ci], t.hot, recIdx, t.hotWidth, 0, codes, rows)
 		for i, r := range rows {
@@ -583,23 +595,11 @@ func (t *Table) LoadKey(ci int, recIdx []int32, out *vec.Vector, rows []int32) {
 			if code != 0 {
 				out.Str[r] = ussr.RefForSlot(code)
 			} else {
-				out.Str[r] = t.coldRef(recIdx[i], ci)
+				out.Str[r] = vec.StrRef(binary.LittleEndian.Uint64(t.cold[int(recIdx[i])*t.coldWidth+s.strCold[ci]:]))
 			}
 		}
-	case s.plan != nil && s.directOff[ci] >= 0:
-		for i, r := range rows {
-			out.Str[r] = t.directRef(recIdx[i], ci)
-		}
-	case s.plan != nil:
-		// Find the plan column for this schema column.
-		pi := -1
-		for j, cj := range s.planCols {
-			if cj == ci {
-				pi = j
-				break
-			}
-		}
-		s.plan.UnpackColumn(pi, t.hot, recIdx, t.hotWidth, 0, out, rows)
+	case s.directOff[ci] < 0: // packed into the plan words
+		s.plan.UnpackColumn(slices.Index(s.planCols, ci), t.hot, recIdx, t.hotWidth, 0, out, rows)
 	default:
 		for i, r := range rows {
 			u := t.loadDirect(recIdx[i], ci)

@@ -117,7 +117,7 @@ func TestCodeMemoStaleDictionary(t *testing.T) {
 				}
 				return []string{"x", "y", "y"}[i%3], true
 			})
-			checkMemoMatchesEager(t, tab, []string{"k"}, int64(n-2*vec.Size))
+			checkMemoMatchesEager(t, tab, []string{"k"}, int64(n-4)) // two codes a block
 		})
 	}
 }
@@ -174,8 +174,9 @@ func TestCodeMemoOverBoundTakesOldPath(t *testing.T) {
 
 // TestCodeMemoHitsQ1Shape pins the counter on a Q1-shaped group-by (two
 // small dictionary keys, every combination in each block's first batch):
-// a view's first batch misses whole, and every later row hits, so hits =
-// rows − misses with misses one batch per block.
+// a view's first batch misses once per combination, its later rows with a
+// combination copy that row's record, and every later row hits, so hits =
+// rows − misses with misses six per block.
 func TestCodeMemoHitsQ1Shape(t *testing.T) {
 	const blocks = 3
 	n := blocks*storage.BlockRows - 1000
@@ -193,7 +194,7 @@ func TestCodeMemoHitsQ1Shape(t *testing.T) {
 			if got.String() != want {
 				t.Fatalf("%v %+v: answer differs from the eager run", mode, flags)
 			}
-			if misses := int64(blocks * vec.Size); hits != int64(n)-misses {
+			if misses := int64(blocks * 6); hits != int64(n)-misses {
 				t.Errorf("%v %+v: %d hits, want rows − misses = %d − %d", mode, flags, hits, n, misses)
 			}
 		}

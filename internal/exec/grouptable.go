@@ -412,9 +412,11 @@ func (g *groupTable) nonNull(v *vec.Vector, rows []int32) []int32 {
 
 // add folds a batch whose key vectors the feeder evaluated into
 // g.rawKeys, and whose aggregate arguments are args, into g's table. The
-// code memo resolves what rows it can first; only the rest are coded,
-// hashed and found or inserted, in row order, so the table and its group
-// order are what they would be without the memo.
+// code memo resolves what rows it can first: only the first row of each
+// combined code it has no record for is coded, hashed and found or
+// inserted, in row order, so the table and its group order are what they
+// would be without the memo, and the later rows with that code get its
+// record before the fold.
 func (g *groupTable) add(st *Stats, rows []int32, phys int, args []*vec.Vector) {
 	miss, memoised := rows, false
 	if g.memoOK {
@@ -424,7 +426,7 @@ func (g *groupTable) add(st *Stats, rows []int32, phys int, args []*vec.Vector) 
 	if len(miss) > 0 {
 		p = g.codeKeys(st, miss, phys)
 	}
-	g.insert(st, p, rows, miss, args)
+	g.insert(st, p, miss)
 	if memoised {
 		g.memo.record(miss, g.recs)
 		if hits := len(rows) - len(miss); hits > 0 {
@@ -432,23 +434,19 @@ func (g *groupTable) add(st *Stats, rows []int32, phys int, args []*vec.Vector) 
 			st.Count(CtrAggCodeHits, int64(hits))
 		}
 	}
+	g.fold(st, g.pt.Part(0), rows, args)
 }
 
 // insert finds or creates the group of each row in miss — rows whose
 // group record g.recs does not hold yet: all of them, unless the code memo
 // resolved some — in g's table, one partition, as every table filled on
-// one goroutine is, and, given args, folds every row into its group.
-// Feeders that fold partials pass nil args and fold into g.recs
-// afterwards. New groups are logged in creation order, the
+// one goroutine is. New groups are logged in creation order, the
 // first-occurrence order of the input stream.
-func (g *groupTable) insert(st *Stats, p *core.Prepared, rows, miss []int32, args []*vec.Vector) {
+func (g *groupTable) insert(st *Stats, p *core.Prepared, miss []int32) {
 	t := g.pt.Part(0)
 	n := int32(t.Len())
 	if len(miss) > 0 {
 		g.insertInto(st, t, p, miss)
-	}
-	if args != nil {
-		g.fold(st, t, rows, args)
 	}
 	for ; n < int32(t.Len()); n++ {
 		g.order = append(g.order, n)
@@ -593,19 +591,21 @@ const memoMissFloor = 2048
 // combine in mixed radix — a key's radix is its dictionary length, plus
 // one NULL slot when the key is nullable — into one index of slots, which
 // holds the group record plus one of the first row that combination
-// found, or 0. A row with a record skips key coding, hashing and the
-// find-or-insert. The memo holds codes and records only, never dictionary
-// bytes or code tables; it describes one identity tuple (ids) and is
-// dropped on a new one, on a table reset, or with the table.
+// found, or 0 (-1 while the batch that found it is being inserted). A row
+// with a record skips key coding, hashing and the find-or-insert. The
+// memo holds codes and records only, never dictionary bytes or code
+// tables; it describes one identity tuple (ids) and is dropped on a new
+// one, on a table reset, or with the table.
 type codeMemo struct {
-	ids    []uint64 // per key: the DictID the slots describe, 0 when dropped
-	stride []int32  // per key: the weight of its code in a combined code
-	nulls  []int32  // per key: its NULL code (its dictionary length), or -1 when not nullable
-	slots  []int32  // combined code -> group record + 1, or 0 for none yet
-	filled []int32  // the combined codes set in slots, for the drop
-	combo  []int32  // row-indexed: the batch's combined codes (sized by groupTable.reserve)
-	codes  []int32  // row-indexed: bit-packed codes decoded for combine
-	miss   []int32  // the batch's rows without a record
+	ids     []uint64 // per key: the DictID the slots describe, 0 when dropped
+	stride  []int32  // per key: the weight of its code in a combined code
+	nulls   []int32  // per key: its NULL code (its dictionary length), or -1 when not nullable
+	slots   []int32  // combined code -> group record + 1, or 0 for none yet
+	filled  []int32  // the combined codes set in slots, for the drop
+	combo   []int32  // row-indexed: the batch's combined codes (sized by groupTable.reserve)
+	codes   []int32  // row-indexed: bit-packed codes decoded for combine
+	miss    []int32  // the batch's first row of each combined code without a record
+	repeats []int32  // the batch's later rows of those codes
 
 	// hits and misses count the rows of the current view; off is set when
 	// the view is not memoised: its range exceeds memoMaxSlots, or it kept
@@ -653,10 +653,11 @@ func (m *codeMemo) bind(keys []*vec.Vector, coding []keyCoding) {
 }
 
 // lookup resolves the given rows through the memo: a row whose combined
-// code has a record gets it in recs, and the others are returned, in row
-// order, with memoised true. A batch the memo does not apply to — a key
-// that is not a dictionary view with an identity, a view past the bound
-// or cut off — returns rows itself and false.
+// code has a record gets it in recs. Of the others, the first row of each
+// code is returned, in row order, with memoised true, and the rest wait in
+// m.repeats for record to copy its record. A batch the memo does not apply
+// to — a key that is not a dictionary view with an identity, a view past
+// the bound or cut off — returns rows itself and false.
 //
 //ocht:hot
 func (m *codeMemo) lookup(keys []*vec.Vector, coding []keyCoding, rows, recs []int32) (miss []int32, memoised bool) {
@@ -674,13 +675,18 @@ func (m *codeMemo) lookup(keys []*vec.Vector, coding []keyCoding, rows, recs []i
 		return rows, false
 	}
 	combo := m.combine(keys, rows)
-	miss = m.miss[:0]
+	miss, m.repeats = m.miss[:0], m.repeats[:0]
 	slots := m.slots
 	for _, r := range rows {
-		if s := slots[combo[r]]; s != 0 {
-			recs[r] = s - 1
-		} else {
+		switch c := combo[r]; {
+		case slots[c] > 0:
+			recs[r] = slots[c] - 1
+		case slots[c] == 0:
+			slots[c] = -1 // pending: this batch's first row of c goes through the table
+			m.filled = append(m.filled, c)
 			miss = append(miss, r)
+		default:
+			m.repeats = append(m.repeats, r)
 		}
 	}
 	m.miss = miss
@@ -722,15 +728,16 @@ func (m *codeMemo) combine(keys []*vec.Vector, rows []int32) []int32 {
 }
 
 // record enters the records the find-or-insert gave the rows lookup
-// missed, then cuts the view off if it keeps missing.
+// missed, copies them to the batch's later rows with the same codes, then
+// cuts the view off if it keeps missing.
 //
 //ocht:hot
 func (m *codeMemo) record(miss, recs []int32) {
 	for _, r := range miss {
-		if c := m.combo[r]; m.slots[c] == 0 {
-			m.slots[c] = recs[r] + 1
-			m.filled = append(m.filled, c)
-		}
+		m.slots[m.combo[r]] = recs[r] + 1
+	}
+	for _, r := range m.repeats {
+		recs[r] = m.slots[m.combo[r]] - 1
 	}
 	if m.misses-memoMissFloor > 4*m.hits {
 		m.off = true

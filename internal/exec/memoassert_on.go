@@ -9,10 +9,11 @@ import (
 )
 
 // debugAssertMemoHits checks every row the code memo resolved — rows not
-// in miss, both ascending — against its group: the record's stored key
-// must be the row's key, read from the row's own dictionary view. A memo
-// keyed by anything weaker than the view identity would hand a row
-// another string's group.
+// in miss, both ascending, among them the rows that copied the record of
+// their batch's first row with the same codes — against its group: the
+// record's stored key must be the row's key, read from the row's own
+// dictionary view. A memo keyed by anything weaker than the view identity
+// would hand a row another string's group.
 func debugAssertMemoHits(g *groupTable, rows, miss []int32) {
 	t := g.pt.Part(0)
 	stored := vec.New(vec.Str, 1)

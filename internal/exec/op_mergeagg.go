@@ -127,7 +127,7 @@ func (m *MergeAgg) Open(qc *QCtx) {
 		for si, col := range m.colOf {
 			vals[si] = b.Vecs[col]
 		}
-		g.insert(nil, g.hashKeys(nil, rows), rows, rows, nil)
+		g.insert(nil, g.hashKeys(nil, rows), rows)
 		g.foldPartials(nil, g.pt.Part(0), rows, vals)
 	}
 }
